@@ -1,6 +1,6 @@
 """Core types shared by the decoding engine.
 
-Everything here is plain data: vocabularies, per-position predictions,
+Everything here is plain data: vocabularies, per-pass prediction records,
 decoding configuration, and the step/result records emitted by the
 generation loop. The only mutable type is :class:`BlockState`, which the
 block decoder updates in place as positions are committed.
@@ -26,6 +26,7 @@ __all__ = [
     "TccfTrace",
     "Vocab",
     "lint_config",
+    "row_stats",
     "validate_config",
 ]
 
@@ -81,9 +82,6 @@ class Vocab:
     def total_ids(self) -> int:
         return max(self.mask_id, self.eos_id, self.pad_id) + 1
 
-    def is_special(self, token: int) -> bool:
-        return token in (self.mask_id, self.eos_id, self.pad_id)
-
 
 @dataclass
 class BlockState:
@@ -133,46 +131,57 @@ class BlockState:
         self.mask_flags[position] = False
 
 
+def row_stats(probs: np.ndarray) -> tuple[float, float]:
+    """Max and Shannon entropy (nats) of one row, summed in one fixed order."""
+    nz = probs[probs > 0.0]
+    return float(probs.max()), float(max(0.0, -(nz * np.log(nz)).sum()))
+
+
 @dataclass(frozen=True, eq=False)
 class PositionPrediction:
-    """Denoiser output for one masked position.
+    """Denoiser output for one forward pass: row ``i`` of ``probs`` [M, V] is
+    a categorical over the full id space for ``positions[i]`` (strictly
+    ascending), ``confidence[i]`` its max and ``entropy[i]`` its entropy in
+    nats. The constructor checks the whole matrix once and keeps read-only
+    views; :meth:`from_probs` derives the stats with :func:`row_stats`."""
 
-    ``probs`` is a categorical over the full id space (zero mass on mask
-    and pad), ``confidence`` is its max, ``entropy`` its Shannon entropy
-    in nats. Use :meth:`from_probs`; the constructor re-checks the
-    derived fields and normalization.
-    """
-
-    position: int
+    positions: np.ndarray
     probs: np.ndarray
-    confidence: float
-    entropy: float
+    confidence: np.ndarray
+    entropy: np.ndarray
 
     def __post_init__(self):
-        total = float(self.probs.sum())
-        if not math.isfinite(total) or abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probs sum to {total!r}, not 1")
-        if float(self.probs.min()) < 0.0:
+        for name, dtype in (("positions", np.int64), ("probs", np.float64),
+                            ("confidence", np.float64), ("entropy", np.float64)):
+            view = np.asarray(getattr(self, name), dtype=dtype).view()
+            view.flags.writeable = False  # the caller's own array stays writeable
+            object.__setattr__(self, name, view)
+        pos, probs, conf, ent = self.positions, self.probs, self.confidence, self.entropy
+        m = probs.shape[0] if probs.ndim == 2 else 0
+        if m < 1 or {pos.shape, conf.shape, ent.shape} != {(m,)}:
+            raise ValueError("need [M, V] probs and [M] positions, confidence and entropy, M >= 1")
+        if (pos[1:] <= pos[:-1]).any():
+            raise ValueError("positions must be strictly ascending")
+        totals = probs.sum(axis=1)
+        if not (np.abs(totals - 1.0) <= PROB_SUM_TOL).all():  # NaN sums fail too
+            raise ValueError(f"probs sum to {totals.tolist()!r}, not all 1")
+        if probs.min() < 0.0:
             raise ValueError("probs must be nonnegative")
-        top = float(self.probs.max())
-        if abs(top - self.confidence) > CONF_RECHECK_TOL:
+        if (np.abs(probs.max(axis=1) - conf) > CONF_RECHECK_TOL).any():
             raise ValueError("confidence does not equal max(probs)")
-        if self.entropy < 0.0:
+        if (ent < 0.0).any():
             raise ValueError("entropy must be nonnegative")
         # Zero entropy and unit confidence have to coincide.
-        if self.confidence >= 1.0 - 1e-12 and self.entropy > 1e-9:
+        if ((conf >= 1.0 - 1e-12) & (ent > 1e-9)).any():
             raise ValueError("unit confidence requires zero entropy")
-        if self.entropy <= 1e-12 and self.confidence < 1.0 - 1e-9:
+        if ((ent <= 1e-12) & (conf < 1.0 - 1e-9)).any():
             raise ValueError("zero entropy requires unit confidence")
 
     @classmethod
-    def from_probs(cls, position: int, probs) -> "PositionPrediction":
-        arr = np.asarray(probs, dtype=np.float64).copy()
-        arr.flags.writeable = False
-        confidence = float(arr.max())
-        nz = arr[arr > 0.0]
-        entropy = float(max(0.0, -(nz * np.log(nz)).sum()))
-        return cls(position=position, probs=arr, confidence=confidence, entropy=entropy)
+    def from_probs(cls, positions, probs) -> "PositionPrediction":
+        arr = np.array(probs, dtype=np.float64)
+        stats = [row_stats(row) for row in arr] if arr.ndim == 2 else []
+        return cls(positions, arr, [c for c, _ in stats], [h for _, h in stats])
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Pluggable denoiser backends and the prediction contract.
 
 A denoiser receives clean left context plus the partially masked block
-and must return exactly one prediction per masked position. Backends are
-deterministic: all sampling randomness lives in the decoder. The
-:func:`predict` wrapper enforces the contract and raises
-:class:`ContractViolation` when a backend breaks it.
+and must return one :class:`PositionPrediction` record per forward pass,
+with one row per masked position. Backends are deterministic: all
+sampling randomness lives in the decoder. The :func:`predict` wrapper
+enforces the contract and raises :class:`ContractViolation` when a
+backend breaks it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import BlockState, PositionPrediction, Vocab
+from .core import BlockState, PositionPrediction, Vocab, row_stats
 
 __all__ = [
     "ContractViolation",
@@ -39,41 +40,33 @@ class FixtureError(RuntimeError):
 class Denoiser(Protocol):
     vocab: Vocab
 
-    def predict(
-        self, context: Sequence[int], block: BlockState
-    ) -> list[PositionPrediction]: ...
+    def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction: ...
 
 
-def predict(denoiser: Denoiser, context: Sequence[int], block: BlockState) -> list[PositionPrediction]:
+def predict(denoiser: Denoiser, context: Sequence[int], block: BlockState) -> PositionPrediction:
     """Query a backend and enforce the prediction contract.
 
     Preconditions: the context is mask-free and the block has at least one
-    masked position. Postconditions: exactly one prediction per masked
-    position, full-width distributions, and zero mass on mask and pad.
+    masked position. Postconditions: one row per masked position, in
+    ascending order, full-width distributions, and zero mass on mask and pad.
     """
     vocab = denoiser.vocab
-    if any(tok == vocab.mask_id for tok in context):
+    if vocab.mask_id in context:
         raise ValueError("context must not contain mask tokens")
     masked = block.masked_positions()
     if not masked:
         raise ValueError("block has no masked positions")
 
     preds = denoiser.predict(context, block)
-    if sorted(p.position for p in preds) != masked:
-        raise ContractViolation(
-            f"backend covered positions {sorted(p.position for p in preds)}, "
-            f"expected {masked}"
-        )
-    for p in preds:
-        if p.probs.shape != (vocab.total_ids,):
-            raise ContractViolation(
-                f"distribution at position {p.position} has shape {p.probs.shape}, "
-                f"expected ({vocab.total_ids},)"
-            )
-        if p.probs[vocab.mask_id] > 0.0 or p.probs[vocab.pad_id] > 0.0:
-            raise ContractViolation(
-                f"distribution at position {p.position} puts mass on mask or pad"
-            )
+    if not isinstance(preds, PositionPrediction):
+        raise ContractViolation(f"backend returned {type(preds).__name__}, not PositionPrediction")
+    if preds.positions.tolist() != masked:
+        raise ContractViolation(f"backend covered positions {preds.positions.tolist()}, expected {masked}")
+    if preds.probs.shape[1] != vocab.total_ids:
+        raise ContractViolation(f"rows have width {preds.probs.shape[1]}, expected {vocab.total_ids}")
+    special = (preds.probs[:, vocab.mask_id] > 0.0) | (preds.probs[:, vocab.pad_id] > 0.0)
+    if special.any():
+        raise ContractViolation(f"position {preds.positions[special.argmax()]} puts mass on mask or pad")
     return preds
 
 
@@ -117,17 +110,19 @@ class MarkovDenoiser:
         self.vocab = vocab
         self._counts = {ctx: dict(table) for ctx, table in counts.items()}
         self._totals = {ctx: sum(table.values()) for ctx, table in self._counts.items()}
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        # Context -> (row, confidence, entropy); the stats come from row_stats.
+        self._cache: dict[tuple[int, ...], tuple[np.ndarray, float, float]] = {}
 
     def distribution(self, ctx: tuple[int, ...]) -> np.ndarray:
         """Smoothed next-token distribution after ``ctx``, with backoff."""
-        for length in range(min(self.order, len(ctx)), 0, -1):
-            suffix = ctx[-length:]
-            if suffix in self._counts:
-                return self._smoothed(suffix)
-        return self._smoothed(())
+        return self._entry(ctx)[0]
 
-    def _smoothed(self, ctx: tuple[int, ...]) -> np.ndarray:
+    def _entry(self, ctx: tuple[int, ...]) -> tuple[np.ndarray, float, float]:
+        # Back off to the longest suffix of ctx that has counts.
+        length = min(self.order, len(ctx))
+        while ctx[len(ctx) - length:] not in self._counts:
+            length -= 1
+        ctx = ctx[len(ctx) - length:]
         cached = self._cache.get(ctx)
         if cached is not None:
             return cached
@@ -138,15 +133,17 @@ class MarkovDenoiser:
             vec[tok] = cnt
         probs = np.zeros(self.vocab.total_ids)
         probs[:size] = (vec + self.smoothing) / (self._totals[ctx] + self.smoothing * size)
-        self._cache[ctx] = probs
-        return probs
+        probs.flags.writeable = False
+        entry = self._cache[ctx] = (probs, *row_stats(probs))
+        return entry
 
-    def predict(self, context: Sequence[int], block: BlockState) -> list[PositionPrediction]:
+    def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction:
         tokens = list(context) + block.tokens
         clean = [True] * len(context) + [not f for f in block.mask_flags]
         base = len(context)
-        preds = []
-        for pos in block.masked_positions():
+        masked = block.masked_positions()
+        entries = []
+        for pos in masked:
             idx = base + pos
             if idx > 0 and clean[idx - 1]:
                 run: list[int] = []
@@ -160,8 +157,9 @@ class MarkovDenoiser:
                 while j >= 0 and not clean[j]:
                     j -= 1
                 ctx = (tokens[j],) if j >= 0 else ()
-            preds.append(PositionPrediction.from_probs(pos, self.distribution(ctx)))
-        return preds
+            entries.append(self._entry(ctx))
+        rows, confidence, entropy = zip(*entries)
+        return PositionPrediction(masked, np.stack(rows), confidence, entropy)
 
 
 def markov_fit(corpus: Sequence[int], order: int, smoothing: float,
@@ -220,12 +218,13 @@ class OracleDenoiser:
         self.decay = decay
         self.prompt_len = prompt_len
 
-    def predict(self, context: Sequence[int], block: BlockState) -> list[PositionPrediction]:
+    def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction:
         offset = len(context) - self.prompt_len
         if offset < 0:
             raise ValueError("context is shorter than prompt_len")
-        preds = []
-        for pos in block.masked_positions():
+        masked = block.masked_positions()
+        rows = []
+        for pos in masked:
             # Distance to the nearest clean token on the left; the context
             # tail counts, and an empty context behaves like distance to
             # the sequence start.
@@ -236,10 +235,8 @@ class OracleDenoiser:
             gen_index = offset + pos
             true_tok = self.target[gen_index] if gen_index < len(self.target) else self.vocab.eos_id
             peak = max(1.0 / self.vocab.size, self.base_confidence * self.decay ** (d - 1))
-            preds.append(
-                PositionPrediction.from_probs(pos, _spiked_distribution(self.vocab, true_tok, peak))
-            )
-        return preds
+            rows.append(_spiked_distribution(self.vocab, true_tok, peak))
+        return PositionPrediction.from_probs(masked, rows)
 
 
 class ScriptedDenoiser:
@@ -281,14 +278,14 @@ class ScriptedDenoiser:
         self._block = -1
         self._step = -1
 
-    def predict(self, context: Sequence[int], block: BlockState) -> list[PositionPrediction]:
+    def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction:
         masked = block.masked_positions()
         if len(masked) == len(block):
             self._block = 0 if len(context) == self.prompt_len else self._block + 1
             self._step = 0
         else:
             self._step += 1
-        preds = []
+        rows = []
         for pos in masked:
             key = (self._block, self._step, pos)
             entry = self._script.get(key)
@@ -298,10 +295,8 @@ class ScriptedDenoiser:
                     f"step={self._step} position={pos}"
                 )
             conf, tok = entry
-            preds.append(
-                PositionPrediction.from_probs(pos, _spiked_distribution(self.vocab, tok, conf))
-            )
-        return preds
+            rows.append(_spiked_distribution(self.vocab, tok, conf))
+        return PositionPrediction.from_probs(masked, rows)
 
 
 def load_scripted(path, vocab: Vocab, prompt_len: int = 0) -> ScriptedDenoiser:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BlockState, Vocab
+from .denoisers import predict
 
 __all__ = ["LINEAR", "NoiseSchedule", "forward_mask", "nelbo_estimate"]
 
@@ -26,10 +27,6 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.kind != "linear":
             raise ValueError(f"unknown schedule kind: {self.kind!r}")
-
-    def keep_probability(self, t: float) -> float:
-        self._check(t)
-        return 1.0 - t
 
     def mask_probability(self, t: float) -> float:
         self._check(t)
@@ -79,7 +76,8 @@ def nelbo_estimate(
 
     For each noise level ``t`` the response blocks are independently
     masked, the denoiser predicts every masked position given the clean
-    prompt and the clean preceding blocks, and the negative log
+    prompt and the clean preceding blocks (through the contract wrapper
+    :func:`predict`), and the negative log
     probability of the true tokens is summed and scaled by ``1/t``. The
     returned value is the mean over ``t_samples``.
 
@@ -134,8 +132,8 @@ def nelbo_estimate(
                 if not masked:
                     continue
                 context = list(prompt) + padded[: k * block_size]
-                preds = {p.position: p for p in denoiser.predict(context, noised)}
-                for i in masked:
-                    total += -float(np.log(preds[i].probs[truth[i]]))
+                probs = predict(denoiser, context, noised).probs
+                for row, i in enumerate(masked):
+                    total += -float(np.log(probs[row, truth[i]]))
             estimates.append(total / t)
     return float(np.mean(estimates))

@@ -5,7 +5,9 @@ of masked positions to commit, and realizes their tokens (greedy at
 temperature zero, temperature-scaled sampling otherwise). Selection is
 confidence based; the threshold family shares an argmax fallback so that
 every step commits at least one position and a block of size B finishes
-in at most B passes.
+in at most B passes. The rules read one prediction record per pass; its
+rows are in ascending position order, so stable sorts and ``argmax``
+break ties toward the lower position.
 """
 
 from __future__ import annotations
@@ -88,26 +90,24 @@ class SelectionOutcome:
             raise ValueError("a selection must choose at least one position")
 
 
-def _argmax_fallback(preds: Sequence[PositionPrediction]) -> int:
-    # Highest confidence wins; equal confidences go to the lowest position.
-    best = preds[0]
-    for p in preds[1:]:
-        if p.confidence > best.confidence:
-            best = p
-    return best.position
+def _thresholded(preds: PositionPrediction, tau: float) -> tuple[np.ndarray, bool]:
+    # Rows strictly above tau, else the argmax row (lowest position on ties).
+    rows = np.flatnonzero(preds.confidence > tau)
+    if len(rows):
+        return rows, False
+    return preds.confidence.argmax(keepdims=True), True
 
 
-def select_static(preds: Sequence[PositionPrediction], n: int) -> SelectionOutcome:
+def select_static(preds: PositionPrediction, n: int) -> SelectionOutcome:
     """Commit the ``n`` most confident positions (all of them when fewer
     remain). Confidence ties break toward the lower position."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    ranked = sorted(preds, key=lambda p: (-p.confidence, p.position))
-    chosen = sorted(p.position for p in ranked[: min(n, len(ranked))])
-    return SelectionOutcome(tuple(chosen), None, False)
+    rows = np.sort(np.argsort(-preds.confidence, kind="stable")[:n])
+    return SelectionOutcome(tuple(preds.positions[rows].tolist()), None, False)
 
 
-def select_dynamic(preds: Sequence[PositionPrediction], tau: float) -> SelectionOutcome:
+def select_dynamic(preds: PositionPrediction, tau: float) -> SelectionOutcome:
     """Commit every position whose confidence strictly exceeds ``tau``.
 
     Ties at the threshold stay masked. When nothing clears it, the single
@@ -115,26 +115,18 @@ def select_dynamic(preds: Sequence[PositionPrediction], tau: float) -> Selection
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
-    chosen = [p.position for p in preds if p.confidence > tau]
-    if chosen:
-        return SelectionOutcome(tuple(sorted(chosen)), tau, False)
-    return SelectionOutcome((_argmax_fallback(preds),), tau, True)
+    rows, fallback = _thresholded(preds, tau)
+    return SelectionOutcome(tuple(preds.positions[rows].tolist()), tau, fallback)
 
 
-def select_bacd(
-    preds: Sequence[PositionPrediction], state: BacdState
-) -> tuple[SelectionOutcome, BacdState]:
+def select_bacd(preds: PositionPrediction, state: BacdState) -> tuple[SelectionOutcome, BacdState]:
     """One bounded-adaptive step: threshold from the history mean, strict
     comparison, argmax fallback, then the chosen confidences are appended
     to the history in ascending position order."""
     tau_t = state.threshold()
-    by_pos = {p.position: p for p in preds}
-    chosen = sorted(p.position for p in preds if p.confidence > tau_t)
-    fallback = not chosen
-    if fallback:
-        chosen = [_argmax_fallback(preds)]
-    new_state = state.extended([by_pos[pos].confidence for pos in chosen])
-    return SelectionOutcome(tuple(chosen), tau_t, fallback), new_state
+    rows, fallback = _thresholded(preds, tau_t)
+    new_state = state.extended(preds.confidence[rows].tolist())
+    return SelectionOutcome(tuple(preds.positions[rows].tolist()), tau_t, fallback), new_state
 
 
 def entropy_prefix_length(sorted_entropies: Sequence[float], gamma: float) -> int:
@@ -159,9 +151,7 @@ def entropy_prefix_length(sorted_entropies: Sequence[float], gamma: float) -> in
     return max(taken, 1) if sorted_entropies else 0
 
 
-def select_entropy_bounded(
-    preds: Sequence[PositionPrediction], gamma: float
-) -> SelectionOutcome:
+def select_entropy_bounded(preds: PositionPrediction, gamma: float) -> SelectionOutcome:
     """Commit the largest low-entropy prefix within the budget ``gamma``.
 
     Positions are ordered by ascending entropy (ties toward the lower
@@ -169,18 +159,22 @@ def select_entropy_bounded(
     minus its maximum stays within gamma. The singleton prefix always
     qualifies, so there is no fallback path.
     """
-    ranked = sorted(preds, key=lambda p: (p.entropy, p.position))
-    m = entropy_prefix_length([p.entropy for p in ranked], gamma)
-    chosen = sorted(p.position for p in ranked[:m])
-    return SelectionOutcome(tuple(chosen), None, False)
+    ranked = np.argsort(preds.entropy, kind="stable")
+    m = entropy_prefix_length(preds.entropy[ranked].tolist(), gamma)
+    rows = np.sort(ranked[:m])
+    return SelectionOutcome(tuple(preds.positions[rows].tolist()), None, False)
 
 
-def _realize(pred: PositionPrediction, temperature: float, rng: np.random.Generator) -> int:
+def _realize(probs: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
+    """Argmax at temperature zero; otherwise one ``rng.choice`` from ``probs``,
+    tempered (for T != 1) in log space with the max subtracted so that no
+    weight underflows into a 0/0. The committed confidence stays untempered."""
     if temperature == 0.0:
-        return int(np.argmax(pred.probs))
-    weights = np.power(pred.probs, 1.0 / temperature)
-    weights /= weights.sum()
-    return int(rng.choice(len(weights), p=weights))
+        return int(np.argmax(probs))
+    if temperature != 1.0:
+        with np.errstate(divide="ignore"):
+            probs = np.exp((np.log(probs) - math.log(probs.max())) / temperature)
+    return int(rng.choice(len(probs), p=probs / probs.sum()))
 
 
 def decode_block(
@@ -227,19 +221,20 @@ def decode_block(
         else:
             outcome = select_entropy_bounded(preds, cfg.gamma)
 
-        by_pos = {p.position: p for p in preds}
-        for pos in outcome.chosen:
-            block.assign(pos, _realize(by_pos[pos], cfg.temperature, rng))
+        rows = np.searchsorted(preds.positions, outcome.chosen)
+        for pos, row in zip(outcome.chosen, rows):
+            block.assign(pos, _realize(preds.probs[row], cfg.temperature, rng))
         records.append(
             StepRecord(
                 block_index=block_index,
                 step_index=step_index,
                 threshold_used=outcome.threshold_used,
                 unmasked_positions=outcome.chosen,
-                confidences=tuple(by_pos[pos].confidence for pos in outcome.chosen),
+                confidences=tuple(preds.confidence[rows].tolist()),
                 fallback_fired=outcome.fallback_fired,
             )
         )
+        del preds  # free this pass's [M, V] matrix before the next is built (peak RSS)
         step_index += 1
 
     return block, records

@@ -22,12 +22,10 @@ def spiked_probs(vocab: Vocab, token: int, peak: float) -> np.ndarray:
 
 
 def preds_from_confs(confs, vocab: Vocab | None = None, token: int = 0):
-    """One spiked prediction per (position, confidence) pair."""
+    """One record with a spiked row per (position, confidence) pair."""
     vocab = vocab or Vocab.standard(10)
-    out = []
-    for pos, conf in confs:
-        out.append(PositionPrediction.from_probs(pos, spiked_probs(vocab, token, conf)))
-    return out
+    return PositionPrediction.from_probs(
+        [pos for pos, _ in confs], [spiked_probs(vocab, token, conf) for _, conf in confs])
 
 
 def spike_conf_for_entropy(vocab: Vocab, target: float) -> float:
@@ -62,10 +60,8 @@ class UniformDenoiser:
     def predict(self, context, block):
         probs = np.zeros(self.vocab.total_ids)
         probs[: self.vocab.size] = 1.0 / self.vocab.size
-        return [
-            PositionPrediction.from_probs(pos, probs)
-            for pos in block.masked_positions()
-        ]
+        masked = block.masked_positions()
+        return PositionPrediction.from_probs(masked, [probs] * len(masked))
 
 
 class CountingDenoiser:

@@ -1,0 +1,41 @@
+"""The benchmark's traced split wraps blockdec by attribute name; these
+tests keep every wrapped name present and the wrappers working."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import layers  # noqa: E402
+from tracing import Tracer  # noqa: E402
+
+from blockdec import DecodingConfig, OracleDenoiser, Vocab, generate, markov_fit  # noqa: E402
+
+
+def test_every_patched_attribute_is_defined_on_its_owner():
+    for owner, attr, _ in layers.patches(Tracer()):
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+
+
+def test_traced_decode_counts_one_record_per_pass():
+    tracer = Tracer()
+    tracer.run_id = "round-1"
+    vocab = Vocab.standard(6)
+    oracle = OracleDenoiser(vocab=vocab, target=(1, 2, 3, 4, 5, 0, 1, 2),
+                            base_confidence=0.8, decay=0.7)
+    markov = markov_fit(list(np.random.default_rng(0).integers(0, 6, 300)), 2, 0.01)
+    cfg = DecodingConfig(algorithm="dynamic", tau=0.6, block_size=4, max_new_tokens=8)
+    with tracer.installed(layers.patches(tracer)):
+        result = generate(oracle, (), cfg)
+        generate(markov, (1, 2), cfg)
+    passes = sum(1 for s in tracer.spans if s[0] == "denoisers.predict")
+    from_probs = {parent: calls for (name, parent, _), (calls, _) in tracer.counters.items()
+                  if name == "core.from_probs"}
+    # only the oracle builds its record through from_probs, once per pass
+    assert from_probs == {"denoisers.predict": result.forward_passes}
+    assert passes > result.forward_passes
+    assert any(s[0] == "denoisers.backend" for s in tracer.spans)

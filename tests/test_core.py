@@ -18,6 +18,7 @@ from blockdec.core import (
     TccfConfig,
     Vocab,
     lint_config,
+    row_stats,
     validate_config,
 )
 
@@ -76,44 +77,90 @@ class TestBlockState:
         assert b.masked_positions() == []
 
 
+GOOD_ROW = [0.7, 0.3]
+GOOD_STATS = row_stats(np.array(GOOD_ROW))
+
+
+def record(rows, confidence=None, entropy=None, positions=None):
+    """A two-or-more-row record whose last row carries the given fields;
+    the rows before it are valid, so each check must scan the whole matrix."""
+    n = len(rows)
+    confs = [GOOD_STATS[0]] * (n - 1) + [confidence]
+    ents = [GOOD_STATS[1]] * (n - 1) + [entropy]
+    return PositionPrediction(positions=list(range(n)) if positions is None else positions,
+                              probs=np.array(rows), confidence=confs, entropy=ents)
+
+
 class TestPositionPrediction:
     def test_from_probs_point_mass(self):
         probs = np.zeros(6)
         probs[2] = 1.0
-        p = PositionPrediction.from_probs(0, probs)
-        assert int(np.argmax(p.probs)) == 2
-        assert p.confidence == 1.0
-        assert p.entropy == 0.0
+        p = PositionPrediction.from_probs([0], [probs])
+        assert int(np.argmax(p.probs[0])) == 2
+        assert p.confidence.tolist() == [1.0]
+        assert p.entropy.tolist() == [0.0]
 
     def test_from_probs_uniform_entropy(self):
-        probs = np.full(4, 0.25)
-        p = PositionPrediction.from_probs(3, probs)
-        assert p.confidence == 0.25
-        assert abs(p.entropy - math.log(4)) < 1e-12
+        p = PositionPrediction.from_probs([1, 3], [[0.5, 0.5, 0.0, 0.0], np.full(4, 0.25)])
+        assert p.positions.tolist() == [1, 3]
+        assert p.confidence.tolist() == [0.5, 0.25]
+        assert abs(p.entropy[0] - math.log(2)) < 1e-12
+        assert abs(p.entropy[1] - math.log(4)) < 1e-12
+
+    def test_from_probs_matches_row_stats(self):
+        rows = np.random.default_rng(0).dirichlet(np.full(7, 0.3), size=5)
+        p = PositionPrediction.from_probs(range(5), rows)
+        stats = [row_stats(row) for row in rows]
+        assert p.confidence.tolist() == [c for c, _ in stats]
+        assert p.entropy.tolist() == [h for _, h in stats]
+
+    def test_fields_are_read_only(self):
+        rows = np.array([GOOD_ROW])
+        p = PositionPrediction.from_probs([0], rows)
+        with pytest.raises(ValueError):
+            p.probs[0, 0] = 0.5
+        rows[0, 0] = 0.1  # from_probs copied its input
+        assert p.probs[0, 0] == 0.7
 
     def test_sum_checked(self):
-        probs = np.array([0.5, 0.4])  # sums to 0.9
-        with pytest.raises(ValueError):
-            PositionPrediction(position=0, probs=probs,
-                               confidence=0.5, entropy=0.3)
+        with pytest.raises(ValueError, match="sum"):
+            record([GOOD_ROW, [0.5, 0.4]], confidence=0.5, entropy=0.3)  # 0.9
 
     def test_confidence_must_match_max(self):
-        probs = np.array([0.6, 0.4])
-        with pytest.raises(ValueError):
-            PositionPrediction(position=0, probs=probs,
-                               confidence=0.4, entropy=0.3)
+        with pytest.raises(ValueError, match="max"):
+            record([GOOD_ROW, [0.6, 0.4]], confidence=0.4, entropy=0.3)
 
     def test_negative_prob_rejected(self):
-        probs = np.array([1.2, -0.2])
-        with pytest.raises(ValueError):
-            PositionPrediction.from_probs(0, probs)
+        with pytest.raises(ValueError, match="nonnegative"):
+            PositionPrediction.from_probs([0, 1], [GOOD_ROW, [1.2, -0.2]])
+
+    def test_negative_entropy_rejected(self):
+        with pytest.raises(ValueError, match="entropy"):
+            record([GOOD_ROW, [0.6, 0.4]], confidence=0.6, entropy=-0.1)
 
     def test_certainty_coupling(self):
         # confidence pinned at one forces entropy to zero, and vice versa
-        probs = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="unit confidence"):
+            record([GOOD_ROW, [1.0, 0.0]], confidence=1.0, entropy=0.5)
+        with pytest.raises(ValueError, match="zero entropy"):
+            record([GOOD_ROW, [0.6, 0.4]], confidence=0.6, entropy=0.0)
+
+    def test_positions_strictly_ascending(self):
+        with pytest.raises(ValueError, match="ascending"):
+            PositionPrediction.from_probs([1, 0], [GOOD_ROW, GOOD_ROW])
+        with pytest.raises(ValueError, match="ascending"):
+            PositionPrediction.from_probs([2, 2], [GOOD_ROW, GOOD_ROW])
+
+    def test_shapes_checked(self):
         with pytest.raises(ValueError):
-            PositionPrediction(position=0, probs=probs,
-                               confidence=1.0, entropy=0.5)
+            PositionPrediction.from_probs([], np.zeros((0, 2)))
+        with pytest.raises(ValueError):
+            PositionPrediction.from_probs([0], GOOD_ROW)  # one row, not [1, V]
+        with pytest.raises(ValueError):
+            PositionPrediction.from_probs([0, 1], [GOOD_ROW])
+        with pytest.raises(ValueError):
+            PositionPrediction(positions=[0], probs=np.array([GOOD_ROW]),
+                               confidence=[0.7, 0.7], entropy=[GOOD_STATS[1]])
 
 
 class TestValidateConfig:

@@ -90,16 +90,16 @@ class TestMarkovConditioning:
         # scenario A: clean 1 sits directly left of the masked position
         block_a = BlockState(tokens=[1, v.mask_id], mask_flags=[False, True],
                              mask_id=v.mask_id)
-        pred_a = den.predict([2, 0], block_a)[0]
+        pred_a = den.predict([2, 0], block_a).probs[0]
         # scenario B: same nearest clean token, entirely different context
         block_b = BlockState(
             tokens=[v.mask_id, 1, v.mask_id, v.mask_id],
             mask_flags=[True, False, True, True],
             mask_id=v.mask_id,
         )
-        pred_b = den.predict([0, 0, 0, 0, 0], block_b)[1]
-        assert pred_b.position == 2
-        assert np.array_equal(pred_a.probs, pred_b.probs)
+        preds_b = den.predict([0, 0, 0, 0, 0], block_b)
+        assert preds_b.positions[1] == 2
+        assert np.array_equal(pred_a, preds_b.probs[1])
 
     def test_nearest_clean_from_context_tail(self):
         den = markov_fit([0, 1, 0, 1, 0, 1], order=1, smoothing=0.1)
@@ -107,16 +107,16 @@ class TestMarkovConditioning:
         block = masked_block(3, v)
         preds = den.predict([1, 0], block)
         # position 0 is adjacent to the context tail token 0
-        assert np.array_equal(preds[0].probs, den.distribution((0,)))
+        assert np.array_equal(preds.probs[0], den.distribution((0,)))
         # positions 1 and 2 have a masked neighbour; the nearest clean token
         # is still the context tail
-        assert np.array_equal(preds[1].probs, den.distribution((0,)))
+        assert np.array_equal(preds.probs[1], den.distribution((0,)))
 
     def test_empty_context_uses_unigram(self):
         den = markov_fit([0, 1, 0, 0], order=1, smoothing=0.1)
         block = masked_block(2, den.vocab)
         preds = den.predict([], block)
-        assert np.array_equal(preds[0].probs, den.distribution(()))
+        assert np.array_equal(preds.probs[0], den.distribution(()))
 
     # corpus where the pair context genuinely disagrees with the single-token
     # context: (0, 1) always continues with 2, but (1,) alone is a coin flip
@@ -128,9 +128,9 @@ class TestMarkovConditioning:
         # block [0, 1, ?]: the masked slot sees the clean run (0, 1)
         block = BlockState(tokens=[0, 1, v.mask_id],
                            mask_flags=[False, False, True], mask_id=v.mask_id)
-        pred = den.predict([2], block)[0]
-        assert np.array_equal(pred.probs, den.distribution((0, 1)))
-        assert not np.array_equal(pred.probs, den.distribution((1,)))
+        pred = den.predict([2], block).probs[0]
+        assert np.array_equal(pred, den.distribution((0, 1)))
+        assert not np.array_equal(pred, den.distribution((1,)))
 
     def test_gap_falls_back_to_single_token_context(self):
         den = markov_fit(self.AMBIGUOUS, order=2, smoothing=0.01)
@@ -139,10 +139,10 @@ class TestMarkovConditioning:
         # single nearest clean token (0) is available
         block = BlockState(tokens=[0, v.mask_id, v.mask_id],
                            mask_flags=[False, True, True], mask_id=v.mask_id)
-        pred = den.predict([1, 2], block)[1]
-        assert pred.position == 2
-        assert np.array_equal(pred.probs, den.distribution((0,)))
-        assert not np.array_equal(pred.probs, den.distribution(()))
+        preds = den.predict([1, 2], block)
+        assert preds.positions[1] == 2
+        assert np.array_equal(preds.probs[1], den.distribution((0,)))
+        assert not np.array_equal(preds.probs[1], den.distribution(()))
 
 
 class TestOracle:
@@ -154,8 +154,8 @@ class TestOracle:
                            mask_flags=[False, True, True], mask_id=vocab.mask_id)
         preds = den.predict([], block)
         # position 1: distance 1 from the clean token at position 0
-        assert abs(preds[0].confidence - 0.9) < 1e-12
-        assert int(np.argmax(preds[0].probs)) == 1
+        assert abs(preds.confidence[0] - 0.9) < 1e-12
+        assert int(np.argmax(preds.probs[0])) == 1
 
     def test_distance_decay_with_floor(self):
         vocab = Vocab.standard(6)
@@ -166,7 +166,7 @@ class TestOracle:
             mask_flags=[False, True, True, True], mask_id=vocab.mask_id)
         preds = den.predict([], block)
         # distance 3 peak: max(1/6, 0.9 * 0.5^2) = 0.225
-        assert abs(preds[2].confidence - 0.225) < 1e-12
+        assert abs(preds.confidence[2] - 0.225) < 1e-12
 
     def test_floor_engages_for_small_vocab(self):
         vocab = Vocab.standard(3)
@@ -177,7 +177,7 @@ class TestOracle:
             mask_flags=[False, True, True, True], mask_id=vocab.mask_id)
         preds = den.predict([], block)
         # distance 3 would give 0.225, but the uniform floor is 1/3
-        assert abs(preds[2].confidence - 1.0 / 3.0) < 1e-12
+        assert abs(preds.confidence[2] - 1.0 / 3.0) < 1e-12
 
     def test_confidence_non_increasing_in_distance(self):
         rng = np.random.default_rng(0)
@@ -191,7 +191,7 @@ class TestOracle:
                                  prompt_len=1)
             block = masked_block(8, vocab)
             preds = den.predict([target[0] if target[0] < size else 0], block)
-            confs = [p.confidence for p in preds]
+            confs = preds.confidence.tolist()
             assert all(a >= b - 1e-15 for a, b in zip(confs, confs[1:]))
 
     def test_positions_beyond_target_predict_eos(self):
@@ -200,10 +200,7 @@ class TestOracle:
                              decay=1.0, prompt_len=2)
         block = masked_block(4, vocab)
         preds = den.predict([5, 5], block)
-        assert int(np.argmax(preds[0].probs)) == 3
-        assert int(np.argmax(preds[1].probs)) == 1
-        assert int(np.argmax(preds[2].probs)) == vocab.eos_id
-        assert int(np.argmax(preds[3].probs)) == vocab.eos_id
+        assert preds.probs.argmax(axis=1).tolist() == [3, 1, vocab.eos_id, vocab.eos_id]
 
     def test_prompt_offset_alignment(self):
         vocab = Vocab.standard(6)
@@ -212,8 +209,7 @@ class TestOracle:
         # two tokens already committed after the prompt
         block = masked_block(2, vocab)
         preds = den.predict([5, 5, 5, 3, 1], block)
-        assert int(np.argmax(preds[0].probs)) == 4
-        assert int(np.argmax(preds[1].probs)) == 1
+        assert preds.probs.argmax(axis=1).tolist() == [4, 1]
 
     def test_parameter_validation(self):
         vocab = Vocab.standard(4)
@@ -234,8 +230,8 @@ class TestScripted:
         script = {(0, 0, p): (0.7, p) for p in range(4)}
         den = ScriptedDenoiser(vocab=vocab, script=script, prompt_len=2)
         preds = den.predict([1, 1], masked_block(4, vocab))
-        assert [int(np.argmax(p.probs)) for p in preds] == [0, 1, 2, 3]
-        assert all(abs(p.confidence - 0.7) < 1e-12 for p in preds)
+        assert preds.probs.argmax(axis=1).tolist() == [0, 1, 2, 3]
+        assert np.all(np.abs(preds.confidence - 0.7) < 1e-12)
 
     def test_step_counter_advances_on_partial_blocks(self):
         vocab = Vocab.standard(8)
@@ -248,9 +244,9 @@ class TestScripted:
         den.predict([], block)            # step 0 on the fresh block
         block.assign(0, 5)
         preds = den.predict([], block)    # same block, one slot filled: step 1
-        assert preds[0].position == 1
-        assert int(np.argmax(preds[0].probs)) == 4
-        assert abs(preds[0].confidence - 0.8) < 1e-12
+        assert preds.positions.tolist() == [1]
+        assert int(np.argmax(preds.probs[0])) == 4
+        assert abs(preds.confidence[0] - 0.8) < 1e-12
 
     def test_block_counter_advances_on_fresh_block(self):
         vocab = Vocab.standard(8)
@@ -258,7 +254,7 @@ class TestScripted:
         den = ScriptedDenoiser(vocab=vocab, script=script, prompt_len=1)
         den.predict([3], masked_block(1, vocab))
         preds = den.predict([3, 5], masked_block(1, vocab))
-        assert int(np.argmax(preds[0].probs)) == 6
+        assert int(np.argmax(preds.probs[0])) == 6
 
     def test_prompt_length_resets_block_numbering(self):
         vocab = Vocab.standard(8)
@@ -267,7 +263,7 @@ class TestScripted:
         den.predict([3], masked_block(1, vocab))
         # a fresh all-masked query at prompt length restarts at block 0
         preds = den.predict([3], masked_block(1, vocab))
-        assert int(np.argmax(preds[0].probs)) == 5
+        assert int(np.argmax(preds.probs[0])) == 5
 
     def test_reset_rewinds_counters(self):
         vocab = Vocab.standard(8)
@@ -277,7 +273,7 @@ class TestScripted:
         den.predict([5], masked_block(1, vocab))
         den.reset()
         preds = den.predict([], masked_block(1, vocab))
-        assert int(np.argmax(preds[0].probs)) == 5
+        assert int(np.argmax(preds.probs[0])) == 5
 
     def test_missing_entry_is_a_fixture_fault(self):
         vocab = Vocab.standard(8)
@@ -300,7 +296,7 @@ class TestLoadScripted(object):
         vocab = Vocab.standard(8)
         den = load_scripted(path, vocab, prompt_len=0)
         preds = den.predict([], masked_block(2, vocab))
-        assert [int(np.argmax(p.probs)) for p in preds] == [5, 6]
+        assert preds.probs.argmax(axis=1).tolist() == [5, 6]
 
     def test_field_count_error_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -330,7 +326,7 @@ class _BrokenCoverage:
     def predict(self, context, block):
         probs = np.zeros(self.vocab.total_ids)
         probs[0] = 1.0
-        return [PositionPrediction.from_probs(0, probs)]
+        return PositionPrediction.from_probs([0], [probs])
 
 
 class _MassOnMask:
@@ -340,8 +336,8 @@ class _MassOnMask:
     def predict(self, context, block):
         probs = np.zeros(self.vocab.total_ids)
         probs[self.vocab.mask_id] = 1.0
-        return [PositionPrediction.from_probs(p, probs)
-                for p in block.masked_positions()]
+        masked = block.masked_positions()
+        return PositionPrediction.from_probs(masked, [probs] * len(masked))
 
 
 class TestPredictWrapper:
@@ -371,7 +367,7 @@ class TestPredictWrapper:
     def test_passes_well_formed_predictions(self):
         vocab = Vocab.standard(4)
         preds = predict(UniformDenoiser(vocab), [0], masked_block(3, vocab))
-        assert [p.position for p in preds] == [0, 1, 2]
+        assert preds.positions.tolist() == [0, 1, 2]
 
 
 class TestContractFuzz:
@@ -403,18 +399,18 @@ class TestContractFuzz:
             block = BlockState(tokens=tokens, mask_flags=list(map(bool, flags)),
                                mask_id=vocab.mask_id)
             preds = predict(den, context, block)
-            assert [p.position for p in preds] == block.masked_positions()
-            for p in preds:
-                assert p.probs.shape == (vocab.total_ids,)
-                assert abs(float(p.probs.sum()) - 1.0) <= 1e-9
-                assert p.probs[vocab.mask_id] == 0.0
-                assert p.probs[vocab.pad_id] == 0.0
-                assert abs(p.confidence - float(p.probs.max())) <= 1e-12
-                assert p.entropy >= 0.0
+            assert preds.positions.tolist() == block.masked_positions()
+            for probs, conf, ent in zip(preds.probs, preds.confidence, preds.entropy):
+                assert probs.shape == (vocab.total_ids,)
+                assert abs(float(probs.sum()) - 1.0) <= 1e-9
+                assert probs[vocab.mask_id] == 0.0
+                assert probs[vocab.pad_id] == 0.0
+                assert abs(conf - float(probs.max())) <= 1e-12
+                assert ent >= 0.0
 
     def test_pure_function_of_inputs(self):
         den = markov_fit([0, 1, 2, 0, 1, 2], order=1, smoothing=0.1)
         block = masked_block(3, den.vocab)
         a = predict(den, [0, 1], block)
         b = predict(den, [0, 1], block)
-        assert all(np.array_equal(x.probs, y.probs) for x, y in zip(a, b))
+        assert np.array_equal(a.probs, b.probs)

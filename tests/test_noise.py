@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from blockdec.core import BlockState, Vocab
-from blockdec.denoisers import OracleDenoiser
+from blockdec.core import BlockState, PositionPrediction, Vocab
+from blockdec.denoisers import ContractViolation, OracleDenoiser
 from blockdec.noise import LINEAR, NoiseSchedule, forward_mask, nelbo_estimate
 
 from conftest import UniformDenoiser
@@ -163,3 +163,17 @@ class TestNelbo:
         val = nelbo_estimate(wrong, prompt=[], response=[1], block_size=1,
                              t_samples=[1.0], rng=np.random.default_rng(0))
         assert math.isinf(val)
+
+    def test_contract_breaking_backend_raises(self):
+        # The estimator goes through the predict() contract wrapper, so a
+        # backend that puts mass on the mask id is caught, not scored.
+        class MassOnMask(UniformDenoiser):
+            def predict(self, context, block):
+                masked = block.masked_positions()
+                probs = np.zeros(self.vocab.total_ids)
+                probs[self.vocab.mask_id] = 1.0
+                return PositionPrediction.from_probs(masked, [probs] * len(masked))
+
+        with pytest.raises(ContractViolation):
+            nelbo_estimate(MassOnMask(VOCAB4), prompt=[0], response=[1, 2], block_size=2,
+                           t_samples=[1.0], rng=np.random.default_rng(0))

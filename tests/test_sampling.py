@@ -9,6 +9,7 @@ from blockdec.core import DecodingConfig, PositionPrediction, Vocab
 from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser, markov_fit
 from blockdec.sampling import (
     BacdState,
+    _realize,
     decode_block,
     entropy_prefix_length,
     select_bacd,
@@ -206,12 +207,8 @@ class TestEntropyPrefix:
 
 class TestEntropyBoundedSelect:
     def entropy_preds(self, targets):
-        preds = []
-        for pos, h in enumerate(targets):
-            conf = spike_conf_for_entropy(VOCAB, h)
-            preds.append(PositionPrediction.from_probs(
-                pos, spiked_probs(VOCAB, 0, conf)))
-        return preds
+        rows = [spiked_probs(VOCAB, 0, spike_conf_for_entropy(VOCAB, h)) for h in targets]
+        return PositionPrediction.from_probs(range(len(targets)), rows)
 
     def test_takes_lowest_entropy_prefix(self):
         preds = self.entropy_preds([0.5, 0.1, 0.2])
@@ -240,9 +237,9 @@ class TestEntropyBoundedSelect:
             gamma = float(rng.uniform(0.0, 1.0))
             preds = self.entropy_preds(targets)
             out = select_entropy_bounded(preds, gamma)
-            order = sorted(preds, key=lambda p: (p.entropy, p.position))
-            m = entropy_prefix_length([p.entropy for p in order], gamma)
-            assert set(out.chosen) == {p.position for p in order[:m]}
+            order = sorted(zip(preds.entropy.tolist(), preds.positions.tolist()))
+            m = entropy_prefix_length([h for h, _ in order], gamma)
+            assert set(out.chosen) == {pos for _, pos in order[:m]}
 
     def test_entropy_ties_resolved_by_position(self):
         preds = self.entropy_preds([0.4, 0.4, 0.4])
@@ -405,3 +402,50 @@ class TestDecodeBlock:
         block, records = decode_block(den, [2], 6, cfg, np.random.default_rng(0))
         assert block.tokens == [0] * 6
         assert len(records) == 1
+
+
+class _RecordingRng:
+    """Stands in for the generator: records the weights ``_realize`` passes
+    to ``choice`` and returns index 0."""
+
+    def __init__(self):
+        self.weights = []
+
+    def choice(self, n, p):
+        self.weights.append(np.array(p))
+        return 0
+
+
+class TestRealize:
+    def test_low_temperature_does_not_underflow(self):
+        # 0.06 ** 1000 and (0.94 / 19) ** 1000 both underflow to 0.0, so
+        # tempering by np.power divided 0 by 0 and rng.choice got NaN.
+        vocab = Vocab.standard(20)
+        target = tuple(int(x) for x in np.random.default_rng(0).integers(0, 20, 24))
+        den = OracleDenoiser(vocab=vocab, target=target, base_confidence=0.06,
+                             decay=1.0, prompt_len=0)
+        cfg = oracle_cfg(tau=0.9, block_size=8, temperature=0.001)
+        block, records = decode_block(den, [], 8, cfg, np.random.default_rng(0))
+        # T -> 0 approaches greedy decoding: every peak wins
+        assert block.tokens == list(target[:8])
+        # the committed confidence stays the untempered peak
+        assert all(c == 0.06 for r in records for c in r.confidences)
+
+    def test_tempering_matches_power_form(self):
+        rng = np.random.default_rng(5)
+        for temperature in (0.25, 0.7, 1.6, 3.0):
+            probs = rng.dirichlet(np.full(9, 0.5))
+            probs[3] = 0.0
+            probs /= probs.sum()
+            rec = _RecordingRng()
+            _realize(probs, temperature, rec)
+            want = probs ** (1.0 / temperature)
+            want /= want.sum()
+            assert np.allclose(rec.weights[0], want, rtol=1e-12, atol=0.0)
+            assert rec.weights[0][3] == 0.0
+
+    def test_unit_temperature_samples_from_probs_unchanged(self):
+        probs = np.random.default_rng(6).dirichlet(np.full(9, 0.5))
+        rec = _RecordingRng()
+        _realize(probs, 1.0, rec)
+        assert np.array_equal(rec.weights[0], probs / probs.sum())
