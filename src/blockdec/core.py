@@ -9,6 +9,7 @@ block decoder updates in place as positions are committed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -27,6 +28,7 @@ __all__ = [
     "Vocab",
     "lint_config",
     "row_stats",
+    "token_array",
     "validate_config",
 ]
 
@@ -129,6 +131,18 @@ class BlockState:
             raise ValueError("cannot assign the mask token")
         self.tokens[position] = token
         self.mask_flags[position] = False
+
+
+def token_array(tokens) -> np.ndarray:
+    """Tokens as a new int64 array. A token that is not an integer (``1.5``)
+    or does not fit in int64 (``2**70``) raises ValueError instead of being
+    truncated or overflowing in the cast."""
+    try:
+        return np.array([operator.index(tok) for tok in tokens], dtype=np.int64)
+    except TypeError as exc:
+        raise ValueError(f"token is not an integer: {exc}") from None
+    except OverflowError:
+        raise ValueError("token does not fit in int64") from None
 
 
 def row_stats(probs: np.ndarray) -> tuple[float, float]:
@@ -283,6 +297,10 @@ def validate_config(cfg: DecodingConfig) -> list[str]:
             problems.append("tccf marker must be nonempty")
         if tc.stage1_max_tokens is not None and tc.stage1_max_tokens < 1:
             problems.append("tccf stage1_max_tokens must be positive")
+        try:
+            token_array(tc.transition)
+        except ValueError as exc:
+            problems.append(f"tccf transition: {exc}")
     return problems
 
 

@@ -49,6 +49,8 @@ def predict(denoiser: Denoiser, context: Sequence[int], block: BlockState) -> Po
     Preconditions: the context is mask-free and the block has at least one
     masked position. Postconditions: one row per masked position, in
     ascending order, full-width distributions, and zero mass on mask and pad.
+    Any ``Sequence[int]`` context works; on the read-only int64 view the
+    session passes, the mask check is one vectorized comparison.
     """
     vocab = denoiser.vocab
     if vocab.mask_id in context:
@@ -138,9 +140,12 @@ class MarkovDenoiser:
         return entry
 
     def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction:
-        tokens = list(context) + block.tokens
-        clean = [True] * len(context) + [not f for f in block.mask_flags]
-        base = len(context)
+        # No clean run reaches further left than the last ``order`` context tokens.
+        tail = context[-self.order :]
+        tail = tail.tolist() if isinstance(tail, np.ndarray) else [int(t) for t in tail]
+        tokens = tail + block.tokens
+        clean = [True] * len(tail) + [not f for f in block.mask_flags]
+        base = len(tail)
         masked = block.masked_positions()
         entries = []
         for pos in masked:

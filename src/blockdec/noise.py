@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockState, Vocab
+from .core import BlockState, Vocab, token_array
 from .denoisers import predict
 
 __all__ = ["LINEAR", "NoiseSchedule", "forward_mask", "nelbo_estimate"]
@@ -87,7 +87,8 @@ def nelbo_estimate(
     prompt : sequence of conditioning tokens (may be empty)
     response : sequence of response tokens; padded with ``pad_id`` up to
         a multiple of ``block_size``. Pad positions are never masked and
-        never contribute loss.
+        never contribute loss. A token of either that is not an integer or
+        does not fit in int64 raises ValueError.
     t_samples : iterable of noise levels in (0, 1]; the caller owns the
         sampling strategy (uniform on (0, 1] is the usual choice).
     rng : generator driving the mask draws, consumed in block order.
@@ -100,7 +101,7 @@ def nelbo_estimate(
         receives zero mass.
     """
     vocab: Vocab = denoiser.vocab
-    response = list(response)
+    prompt, response = list(prompt), list(response)
     if not response:
         raise ValueError("response must be nonempty")
     t_samples = [float(t) for t in t_samples]
@@ -113,7 +114,10 @@ def nelbo_estimate(
         raise ValueError("block_size must be positive")
 
     pad = (-len(response)) % block_size
-    padded = response + [vocab.pad_id] * pad
+    # Each block's context is an O(1) read-only view of a prefix of this.
+    full = token_array(prompt + response + [vocab.pad_id] * pad)
+    full.flags.writeable = False
+    padded = full[len(prompt) :].tolist()
     blocks = [padded[i : i + block_size] for i in range(0, len(padded), block_size)]
 
     estimates = []
@@ -131,7 +135,7 @@ def nelbo_estimate(
                 masked = noised.masked_positions()
                 if not masked:
                     continue
-                context = list(prompt) + padded[: k * block_size]
+                context = full[: len(prompt) + k * block_size]
                 probs = predict(denoiser, context, noised).probs
                 for row, i in enumerate(masked):
                     total += -float(np.log(probs[row, truth[i]]))

@@ -22,6 +22,7 @@ from .core import (
     StepRecord,
     StopReason,
     TccfTrace,
+    token_array,
     validate_config,
 )
 from .denoisers import Denoiser
@@ -30,16 +31,17 @@ from .sampling import decode_block
 __all__ = ["GenerationSession", "find_marker", "generate", "generate_tccf"]
 
 
-def find_marker(tokens: Sequence[int], marker: Sequence[int]) -> int | None:
-    """Index of the leftmost occurrence of ``marker`` in ``tokens``."""
-    marker = tuple(marker)
+def find_marker(tokens: Sequence[int], marker: Sequence[int], start: int = 0) -> int | None:
+    """Index of the leftmost occurrence of ``marker`` in ``tokens`` that
+    begins at or after ``start``."""
+    marker = list(marker)
     if not marker:
         raise ValueError("marker must be nonempty")
-    tokens = list(tokens)
+    window = list(tokens[start:])
     span = len(marker)
-    for i in range(len(tokens) - span + 1):
-        if tuple(tokens[i : i + span]) == marker:
-            return i
+    for i in range(len(window) - span + 1):
+        if window[i : i + span] == marker:
+            return start + i
     return None
 
 
@@ -47,17 +49,20 @@ def find_marker(tokens: Sequence[int], marker: Sequence[int]) -> int | None:
 class GenerationSession:
     """Mutable state threaded through one generation.
 
-    Keeps the committed tokens, the pooled step log, and (optionally) the
-    cross-block adaptive-threshold history. The committed list never
-    contains mask tokens: blocks land here only after they are fully
-    decoded.
+    Prompt + committed tokens live in one int64 buffer, ``buf[:length]``,
+    sized from the config and grown geometrically if a run outgrows it;
+    eos truncation and the TCCF splice are :meth:`splice` calls on it. The
+    committed tokens never contain mask tokens: blocks land here only after
+    they are fully decoded. Also keeps the pooled step log and (optionally)
+    the cross-block adaptive-threshold history.
     """
 
     denoiser: Denoiser
-    prompt: tuple[int, ...]
+    prompt_len: int
     cfg: DecodingConfig
     rng: np.random.Generator
-    committed: list[int] = field(default_factory=list)
+    buf: np.ndarray
+    length: int
     records: list[StepRecord] = field(default_factory=list)
     blocks_emitted: int = 0
     bacd_carry: list[float] | None = None
@@ -67,52 +72,62 @@ class GenerationSession:
         problems = validate_config(cfg)
         if problems:
             raise ValueError("invalid config: " + "; ".join(problems))
-        carry: list[float] | None = None
-        if cfg.algorithm is Algorithm.BACD and cfg.bacd_cross_block_history:
-            carry = []
-        return cls(
-            denoiser=denoiser,
-            prompt=tuple(prompt),
-            cfg=cfg,
-            rng=np.random.default_rng(cfg.seed),
-            bacd_carry=carry,
-        )
+        prompt = token_array(prompt)
+        buf = np.empty(len(prompt) + cfg.max_new_tokens + cfg.block_size, dtype=np.int64)
+        buf[: len(prompt)] = prompt
+        carry = [] if cfg.algorithm is Algorithm.BACD and cfg.bacd_cross_block_history else None
+        return cls(denoiser=denoiser, prompt_len=len(prompt), cfg=cfg, rng=np.random.default_rng(cfg.seed),
+                   buf=buf, length=len(prompt), bacd_carry=carry)
+
+    @property
+    def committed(self) -> np.ndarray:
+        return self.buf[self.prompt_len : self.length]
+
+    def splice(self, at: int, tokens: Sequence[int] = ()) -> None:
+        """Keep the first ``at`` committed tokens, then append ``tokens``."""
+        start = min(self.length, self.prompt_len + at)
+        self.length = start + len(tokens)
+        if self.length > len(self.buf):
+            self.buf = np.resize(self.buf, 2 * self.length)
+        self.buf[start : self.length] = tokens
 
     def decode_next(self, block_size: int) -> list[int]:
         """Decode one block against the current context and commit it."""
-        block, recs = decode_block(
-            self.denoiser,
-            self.prompt + tuple(self.committed),
-            block_size,
-            self.cfg,
-            self.rng,
-            block_index=self.blocks_emitted,
-            bacd_history=tuple(self.bacd_carry) if self.bacd_carry is not None else (),
-        )
+        context = self.buf[: self.length]
+        context.flags.writeable = False  # the view only; the buffer stays writeable
+        history = tuple(self.bacd_carry) if self.bacd_carry is not None else ()
+        block, recs = decode_block(self.denoiser, context, block_size, self.cfg, self.rng,
+                                   block_index=self.blocks_emitted, bacd_history=history)
         if self.bacd_carry is not None:
             for rec in recs:
                 self.bacd_carry.extend(rec.confidences)
         self.records.extend(recs)
         self.blocks_emitted += 1
-        self.committed.extend(block.tokens)
+        self.splice(len(self.committed), block.tokens)
         return block.tokens
 
     def result(self, stop: StopReason, tccf: TccfTrace | None = None) -> GenerationResult:
-        return GenerationResult(
-            prompt_len=len(self.prompt),
-            output_tokens=tuple(self.committed),
-            forward_passes=len(self.records),
-            steps=tuple(self.records),
-            stop_reason=stop,
-            tccf=tccf,
-        )
+        return GenerationResult(prompt_len=self.prompt_len, output_tokens=tuple(self.committed.tolist()),
+                                forward_passes=len(self.records), steps=tuple(self.records),
+                                stop_reason=stop, tccf=tccf)
 
 
-def _first_eos(tokens: Sequence[int], eos_id: int, start: int = 0) -> int | None:
-    for i in range(start, len(tokens)):
-        if tokens[i] == eos_id:
-            return i
-    return None
+def _first_eos(tokens: list[int], eos_id: int) -> int | None:
+    return tokens.index(eos_id) if eos_id in tokens else None
+
+
+def _decode_to_end(session: GenerationSession, block_size: int) -> StopReason:
+    """Decode blocks until eos (truncating after the first, inclusive) or
+    until the committed length reaches ``max_new_tokens`` (trimming to it)."""
+    cap = session.cfg.max_new_tokens
+    while len(session.committed) < cap:
+        start = len(session.committed)
+        eos_at = _first_eos(session.decode_next(block_size), session.denoiser.vocab.eos_id)
+        if eos_at is not None:
+            session.splice(start + eos_at + 1)
+            return StopReason.EOS
+    session.splice(cap)
+    return StopReason.MAX_LENGTH
 
 
 def generate(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> GenerationResult:
@@ -124,23 +139,13 @@ def generate(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> GenerationResul
     length (the final block may overshoot by up to block_size - 1).
     """
     session = GenerationSession.start(denoiser, prompt, cfg)
-    eos = denoiser.vocab.eos_id
-    while True:
-        start = len(session.committed)
-        tokens = session.decode_next(cfg.block_size)
-        eos_at = _first_eos(tokens, eos)
-        if eos_at is not None:
-            del session.committed[start + eos_at + 1 :]
-            return session.result(StopReason.EOS)
-        if len(session.committed) >= cfg.max_new_tokens:
-            del session.committed[cfg.max_new_tokens :]
-            return session.result(StopReason.MAX_LENGTH)
+    return session.result(_decode_to_end(session, cfg.block_size))
 
 
 def generate_tccf(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> GenerationResult:
     """Two-stage generation: think coarse, then critique fine.
 
-    Stage 1 decodes blocks of ``b_think`` and scans the full committed
+    Stage 1 decodes blocks of ``b_think`` and searches the committed
     output after each block for the marker sequence (occurrences spanning
     block boundaries included). On a hit, the marker and everything after
     it are replaced by the transition sequence and stage 2 takes over with
@@ -160,22 +165,19 @@ def generate_tccf(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> Generation
     eos = denoiser.vocab.eos_id
     stage1_cap = tc.stage1_max_tokens if tc.stage1_max_tokens is not None else cfg.max_new_tokens
 
-    splice_at: int | None = None
     forced = False
     while True:
         start = len(session.committed)
         tokens = session.decode_next(tc.b_think)
-        marker_at = find_marker(session.committed, tc.marker)
+        # Windows ending before this block already missed the marker.
+        marker_at = find_marker(session.committed, tc.marker, max(0, start - len(tc.marker) + 1))
         eos_at = _first_eos(tokens, eos)
         eos_abs = start + eos_at if eos_at is not None else None
         if marker_at is not None and (eos_abs is None or marker_at + len(tc.marker) <= eos_abs):
-            # Drop the marker and the tail decoded after it, then bridge.
-            del session.committed[marker_at:]
-            session.committed.extend(tc.transition)
-            splice_at = marker_at
+            splice_at = marker_at  # drop the marker and the tail decoded after it
             break
         if eos_abs is not None:
-            del session.committed[eos_abs + 1 :]
+            session.splice(eos_abs + 1)
             trace = TccfTrace(
                 stage1_passes=len(session.records),
                 stage2_passes=0,
@@ -186,22 +188,12 @@ def generate_tccf(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> Generation
             return session.result(StopReason.EOS, trace)
         if len(session.committed) >= stage1_cap:
             splice_at = len(session.committed)
-            session.committed.extend(tc.transition)
             forced = True
             break
 
+    session.splice(splice_at, tc.transition)  # bridge into the critic stage
     stage1_passes = len(session.records)
-    stop = StopReason.MAX_LENGTH
-    while len(session.committed) < cfg.max_new_tokens:
-        start = len(session.committed)
-        tokens = session.decode_next(tc.b_critic)
-        eos_at = _first_eos(tokens, eos)
-        if eos_at is not None:
-            del session.committed[start + eos_at + 1 :]
-            stop = StopReason.EOS
-            break
-    if stop is StopReason.MAX_LENGTH:
-        del session.committed[cfg.max_new_tokens :]
+    stop = _decode_to_end(session, tc.b_critic)
     stage2_passes = len(session.records) - stage1_passes
     trace = TccfTrace(
         stage1_passes=stage1_passes,
