@@ -36,7 +36,7 @@ from .metrics import (
     summarize,
     tpf,
 )
-from .noise import LINEAR, NoiseSchedule, forward_mask, nelbo_estimate
+from .noise import forward_mask, nelbo_estimate
 from .sampling import (
     BacdState,
     SelectionOutcome,

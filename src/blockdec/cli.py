@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import validate_config
+from .core import Vocab, token_array, validate_config
 from .denoisers import ContractViolation, FixtureError, load_scripted
 from .experiment import (
     ConfigError,
@@ -32,14 +32,16 @@ _INT_PARAMS = {"block_size", "steps", "max_new_tokens", "seed"}
 _FLOAT_PARAMS = {"tau", "tau_h", "tau_l", "gamma", "temperature"}
 
 
-def _cmd_run(args) -> int:
-    exp = load_experiment(args.experiment)
+def _run(exp, output_dir) -> int:
     for note in lint_experiment(exp):
         print(f"warning: {note}", file=sys.stderr)
-    written = run_experiment(exp, output_dir=args.output_dir)
-    for path in written:
+    for path in run_experiment(exp, output_dir=output_dir):
         print(path)
     return 0
+
+
+def _cmd_run(args) -> int:
+    return _run(load_experiment(args.experiment), args.output_dir)
 
 
 def _cmd_sweep(args) -> int:
@@ -66,36 +68,33 @@ def _cmd_sweep(args) -> int:
         grid.append(entry)
     exp.grid = grid
     exp.prefix = f"{exp.prefix}_sweep_{args.param}"
-    for note in lint_experiment(exp):
-        print(f"warning: {note}", file=sys.stderr)
-    written = run_experiment(exp, output_dir=args.output_dir)
-    for path in written:
-        print(path)
-    return 0
+    return _run(exp, args.output_dir)
 
 
 def _cmd_fit_markov(args) -> int:
     corpus = ingest_corpus(args.corpus, args.tokenization)
-    model = markov_fit(list(corpus.tokens), args.order, args.smoothing, vocab=corpus.vocab)
+    try:
+        model = markov_fit(list(corpus.tokens), args.order, args.smoothing, vocab=corpus.vocab)
+    except ValueError as exc:  # --order or --smoothing out of range
+        raise ConfigError(str(exc)) from None
     save_markov(model, args.out)
     print(args.out)
     return 0
 
 
 def _cmd_replay(args) -> int:
-    entry: dict = {"algorithm": args.algorithm, "block_size": args.block_size,
-                   "max_new_tokens": args.max_new_tokens,
-                   "temperature": args.temperature, "seed": args.seed}
-    for key in ("steps", "tau", "tau_h", "tau_l", "gamma"):
-        value = getattr(args, key)
-        if value is not None:
-            entry[key] = value
-    cfg = config_from_dict(entry)
-
-    prompt = tuple(int(t) for t in args.prompt.split(",") if t.strip()) if args.prompt else ()
-    from .core import Vocab
-
+    keys = ("algorithm", "block_size", "max_new_tokens", "temperature", "seed",
+            "steps", "tau", "tau_h", "tau_l", "gamma")
+    cfg = config_from_dict({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
+    if args.vocab_size < 2:
+        raise ConfigError("--vocab-size must be at least 2")
     vocab = Vocab.standard(args.vocab_size)
+    try:
+        prompt = tuple(token_array(int(t) for t in args.prompt.split(",") if t.strip()).tolist())
+    except ValueError as exc:
+        raise ConfigError(f"--prompt: {exc}") from None
+    if any(not 0 <= tok < vocab.size for tok in prompt):
+        raise ConfigError(f"--prompt tokens must lie in [0, {vocab.size})")
     denoiser = load_scripted(args.fixture, vocab, prompt_len=len(prompt))
     result = generate(denoiser, prompt, cfg)
     for rec in result.steps:
@@ -149,10 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["static", "dynamic", "bacd", "entropy_bounded"])
     p_replay.add_argument("--block-size", dest="block_size", type=int, default=4)
     p_replay.add_argument("--steps", type=int, default=None)
-    p_replay.add_argument("--tau", type=float, default=None)
-    p_replay.add_argument("--tau-h", dest="tau_h", type=float, default=None)
-    p_replay.add_argument("--tau-l", dest="tau_l", type=float, default=None)
-    p_replay.add_argument("--gamma", type=float, default=None)
+    for name in ("tau", "tau_h", "tau_l", "gamma"):
+        p_replay.add_argument("--" + name.replace("_", "-"), dest=name, type=float, default=None)
     p_replay.add_argument("--max-new-tokens", dest="max_new_tokens", type=int, default=16)
     p_replay.add_argument("--temperature", type=float, default=0.0)
     p_replay.add_argument("--seed", type=int, default=0)
@@ -164,10 +161,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ContractViolation, FixtureError) as exc:

@@ -240,67 +240,82 @@ class DecodingConfig:
     seed: int = 0
     max_new_tokens: int = 128
     tccf: TccfConfig | None = None
-    bacd_cross_block_history: bool = False  # experimental: carry history across blocks
 
     def __post_init__(self):
         object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _in_unit(x) -> bool:
+    return _is_real(x) and 0.0 < x <= 1.0
+
+
 def validate_config(cfg: DecodingConfig) -> list[str]:
     """Collect every violation in ``cfg``; an empty list means valid.
 
-    Never raises: this is the one validation entry point that reports
-    instead of aborting, so callers can surface all problems at once.
+    Never raises, whatever the field types: this is the one validation
+    entry point that reports instead of aborting, so callers can surface
+    all problems at once.
     """
     problems: list[str] = []
-    if not isinstance(cfg.block_size, int) or cfg.block_size < 1:
+    if not _is_int(cfg.block_size) or cfg.block_size < 1:
         problems.append("block_size must be a positive integer")
-    if not isinstance(cfg.max_new_tokens, int) or cfg.max_new_tokens < 1:
+    if not _is_int(cfg.max_new_tokens) or cfg.max_new_tokens < 1:
         problems.append("max_new_tokens must be a positive integer")
-    if not math.isfinite(cfg.temperature) or cfg.temperature < 0.0:
+    if not _is_real(cfg.temperature) or cfg.temperature < 0.0:
         problems.append("temperature must be finite and nonnegative")
+    if not _is_int(cfg.seed) or cfg.seed < 0:
+        problems.append("seed must be a nonnegative integer")
 
     alg = cfg.algorithm
     if alg is Algorithm.STATIC:
         if cfg.steps is None:
             problems.append("steps is required for static decoding")
-        elif cfg.steps < 1:
+        elif not _is_int(cfg.steps) or cfg.steps < 1:
             problems.append("steps must be positive")
     elif alg is Algorithm.DYNAMIC:
         if cfg.tau is None:
             problems.append("tau is required for dynamic decoding")
-        elif not 0.0 < cfg.tau <= 1.0:
+        elif not _in_unit(cfg.tau):
             problems.append("tau must lie in (0, 1]")
     elif alg is Algorithm.BACD:
         if cfg.tau_h is None or cfg.tau_l is None:
             problems.append("tau_h and tau_l are required for bacd decoding")
         else:
-            if not 0.0 < cfg.tau_h <= 1.0:
+            if not _in_unit(cfg.tau_h):
                 problems.append("tau_h must lie in (0, 1]")
-            if not 0.0 < cfg.tau_l <= 1.0:
+            if not _in_unit(cfg.tau_l):
                 problems.append("tau_l must lie in (0, 1]")
-            if cfg.tau_l > cfg.tau_h:
+            if _is_real(cfg.tau_h) and _is_real(cfg.tau_l) and cfg.tau_l > cfg.tau_h:
                 problems.append("tau_l exceeds tau_h")
     elif alg is Algorithm.ENTROPY_BOUNDED:
         if cfg.gamma is None:
             problems.append("gamma is required for entropy-bounded decoding")
-        elif not (math.isfinite(cfg.gamma) and cfg.gamma >= 0.0):
+        elif not _is_real(cfg.gamma) or cfg.gamma < 0.0:
             problems.append("gamma must be finite and nonnegative")
 
     tc = cfg.tccf
     if tc is not None:
-        if tc.b_think < 1:
-            problems.append("tccf b_think must be positive")
-        if tc.b_critic < 1:
-            problems.append("tccf b_critic must be positive")
+        if not _is_int(tc.b_think) or tc.b_think < 1:
+            problems.append("tccf b_think must be a positive integer")
+        if not _is_int(tc.b_critic) or tc.b_critic < 1:
+            problems.append("tccf b_critic must be a positive integer")
         if not tc.marker:
             problems.append("tccf marker must be nonempty")
-        if tc.stage1_max_tokens is not None and tc.stage1_max_tokens < 1:
-            problems.append("tccf stage1_max_tokens must be positive")
-        try:
-            token_array(tc.transition)
-        except ValueError as exc:
-            problems.append(f"tccf transition: {exc}")
+        if tc.stage1_max_tokens is not None and (not _is_int(tc.stage1_max_tokens) or tc.stage1_max_tokens < 1):
+            problems.append("tccf stage1_max_tokens must be a positive integer")
+        for name in ("marker", "transition"):
+            try:
+                token_array(getattr(tc, name))
+            except ValueError as exc:
+                problems.append(f"tccf {name}: {exc}")
     return problems
 
 

@@ -10,16 +10,14 @@ bytes are reproducible run over run:
 * ``<prefix>_aggregate.csv`` one row per grid entry
 * ``<prefix>_steps.jsonl``   one record per decoding step
 
-``BLOCKDEC_JOBS`` sets the worker-thread count for runs within a grid
-entry; output order never depends on it.
+Every field is checked where the file is parsed: a malformed file raises
+:class:`ConfigError`, never a bare ``KeyError``/``TypeError``/``ValueError``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -32,6 +30,7 @@ from .core import (
     TccfConfig,
     Vocab,
     lint_config,
+    token_array,
     validate_config,
 )
 from .denoisers import MarkovDenoiser, OracleDenoiser, load_scripted, markov_fit
@@ -52,23 +51,15 @@ __all__ = [
     "save_markov",
 ]
 
-JOBS_ENV_VAR = "BLOCKDEC_JOBS"
-
+_CONFIG_FIELDS = ("algorithm", "block_size", "steps", "tau", "tau_l", "tau_h", "gamma", "temperature")
+_CONFIG_COLUMNS = [*_CONFIG_FIELDS, "b_think", "b_critic"]
 SUMMARY_COLUMNS = [
-    "grid_index", "trial", "prompt_index", "seed",
-    "algorithm", "block_size", "steps", "tau", "tau_l", "tau_h", "gamma",
-    "temperature", "b_think", "b_critic",
-    "tpf", "mean_confidence", "category", "output_len", "forward_passes",
-    "stop_reason",
+    "grid_index", "trial", "prompt_index", "seed", *_CONFIG_COLUMNS,
+    "tpf", "mean_confidence", "category", "output_len", "forward_passes", "stop_reason",
 ]
-
 AGGREGATE_COLUMNS = [
-    "grid_index",
-    "algorithm", "block_size", "steps", "tau", "tau_l", "tau_h", "gamma",
-    "temperature", "b_think", "b_critic",
-    "runs", "mean_tpf", "mean_confidence",
-    "freq_answer_match", "freq_answer_mismatch", "freq_repetition",
-    "freq_insufficient_length", "freq_unchecked",
+    "grid_index", *_CONFIG_COLUMNS, "runs", "mean_tpf", "mean_confidence",
+    *(f"freq_{cat.value}" for cat in Category),
 ]
 
 
@@ -98,7 +89,10 @@ def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
     ``whitespace_ints`` parses nonnegative integers and sizes the vocab as
     max + 1. Malformed input raises :class:`ConfigError` naming the line.
     """
-    tokenization = Tokenization(tokenization)
+    try:
+        tokenization = Tokenization(tokenization)
+    except ValueError:
+        raise ConfigError(f"unknown tokenization {tokenization!r}") from None
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -156,29 +150,76 @@ def load_markov(path) -> MarkovDenoiser:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load markov model {path}: {exc}") from exc
-    if payload.get("kind") != "markov":
+    if not isinstance(payload, dict) or payload.get("kind") != "markov":
         raise ConfigError(f"{path} is not a markov model file")
-    counts: dict[tuple[int, ...], dict[int, int]] = {}
-    for key, table in payload["counts"].items():
-        ctx = tuple(int(x) for x in key.split(",")) if key else ()
-        counts[ctx] = {int(t): int(c) for t, c in table.items()}
-    return MarkovDenoiser(
-        order=int(payload["order"]),
-        smoothing=float(payload["smoothing"]),
-        vocab=Vocab.standard(int(payload["vocab_size"])),
-        counts=counts,
-    )
+    try:
+        counts: dict[tuple[int, ...], dict[int, int]] = {}
+        for key, table in payload["counts"].items():
+            ctx = tuple(int(x) for x in key.split(",")) if key else ()
+            counts[ctx] = {int(t): int(c) for t, c in table.items()}
+        return MarkovDenoiser(
+            order=int(payload["order"]),
+            smoothing=float(payload["smoothing"]),
+            vocab=Vocab.standard(int(payload["vocab_size"])),
+            counts=counts,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad markov model {path}: {exc!r}") from None
 
 
 _CONFIG_KEYS = {
     "algorithm", "block_size", "steps", "tau", "tau_h", "tau_l", "gamma",
-    "temperature", "seed", "max_new_tokens", "tccf", "bacd_cross_block_history",
+    "temperature", "seed", "max_new_tokens", "tccf",
 }
 _TCCF_KEYS = {"b_think", "b_critic", "marker", "transition", "stage1_max_tokens"}
+_DENOISER_KEYS = {
+    "markov": {"kind", "corpus", "tokenization", "order", "smoothing"},
+    "markov_model": {"kind", "path"},
+    "oracle": {"kind", "vocab_size", "target", "base_confidence", "decay"},
+    "scripted": {"kind", "vocab_size", "fixture"},
+}
+_REQUIRED = object()
+
+
+def _section(value, where: str, allowed: set[str]) -> dict:
+    """``value`` as a JSON object with no keys outside ``allowed``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(value) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return value
+
+
+def _field(section: dict, key: str, kind: type, default=_REQUIRED, *, where: str):
+    """``section[key]`` as a JSON value of type ``kind`` (int, float, str or
+    list; an integer passes as a float, a boolean as neither). A missing or
+    null key takes ``default``; without one it is an error."""
+    value = section.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where} is missing {key!r}")
+        return default
+    if kind is float and isinstance(value, int):
+        value = float(value)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{where}.{key} must be {kind.__name__}, not {value!r}")
+    return value
+
+
+def _tokens(value, where: str) -> tuple[int, ...]:
+    """A JSON token list; ``1.5`` or ``"1"`` is an error, not a truncation."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list of integer tokens, not {value!r}")
+    try:
+        return tuple(token_array(value).tolist())
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def config_from_dict(data: dict) -> DecodingConfig:
-    """Parse one grid entry; unknown keys and violations are errors."""
+    """Parse one grid entry; unknown keys and violations (a mistyped value
+    included: :func:`validate_config` checks types) are errors."""
     if not isinstance(data, dict):
         raise ConfigError("each grid entry must be an object")
     unknown = set(data) - _CONFIG_KEYS
@@ -189,29 +230,18 @@ def config_from_dict(data: dict) -> DecodingConfig:
     kwargs = dict(data)
     tccf_data = kwargs.pop("tccf", None)
     if tccf_data is not None:
-        bad = set(tccf_data) - _TCCF_KEYS
-        if bad:
-            raise ConfigError(f"unknown tccf keys: {sorted(bad)}")
-        try:
-            kwargs["tccf"] = TccfConfig(
-                b_think=int(tccf_data["b_think"]),
-                b_critic=int(tccf_data["b_critic"]),
-                marker=tuple(int(t) for t in tccf_data["marker"]),
-                transition=tuple(int(t) for t in tccf_data.get("transition", ())),
-                stage1_max_tokens=(
-                    int(tccf_data["stage1_max_tokens"])
-                    if tccf_data.get("stage1_max_tokens") is not None
-                    else None
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad tccf section: {exc}") from exc
+        _section(tccf_data, "tccf", _TCCF_KEYS)
+        kwargs["tccf"] = TccfConfig(
+            **{key: tccf_data.get(key) for key in ("b_think", "b_critic", "stage1_max_tokens")},
+            marker=_tokens(tccf_data.get("marker", ()), "tccf.marker"),
+            transition=_tokens(tccf_data.get("transition", ()), "tccf.transition"),
+        )
+    for key in ("tau", "tau_h", "tau_l", "gamma", "temperature"):
+        if type(kwargs.get(key)) is int:  # written as 1.0 in the CSVs, not 1
+            kwargs[key] = float(kwargs[key])
     try:
-        for key in ("tau", "tau_h", "tau_l", "gamma", "temperature"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = float(kwargs[key])
         cfg = DecodingConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad config entry: {exc}") from exc
     problems = validate_config(cfg)
     if problems:
@@ -232,7 +262,6 @@ def config_to_dict(cfg: DecodingConfig) -> dict:
         "temperature": cfg.temperature,
         "seed": cfg.seed,
         "max_new_tokens": cfg.max_new_tokens,
-        "bacd_cross_block_history": cfg.bacd_cross_block_history,
         "tccf": None,
     }
     if cfg.tccf is not None:
@@ -266,20 +295,23 @@ def _build_prompts(spec, corpus: Corpus | None) -> list[tuple[int, ...]]:
         raise ConfigError("task.prompts must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "tokens":
+        _section(spec, "task.prompts", {"kind", "values"})
         values = spec.get("values")
-        if not values:
+        if not values or not isinstance(values, list):
             raise ConfigError("task.prompts.values must be a nonempty list of token lists")
-        return [tuple(int(t) for t in row) for row in values]
+        return [_tokens(row, f"task.prompts.values[{i}]") for i, row in enumerate(values)]
     if kind == "corpus_snippets":
+        _section(spec, "task.prompts", {"kind", "count", "length", "seed"})
         if corpus is None:
             raise ConfigError("corpus_snippets prompts need a markov corpus denoiser")
-        count = int(spec.get("count", 1))
-        length = int(spec.get("length", 4))
-        if count < 1 or length < 1:
-            raise ConfigError("corpus_snippets count and length must be positive")
+        count = _field(spec, "count", int, 1, where="task.prompts")
+        length = _field(spec, "length", int, 4, where="task.prompts")
+        seed = _field(spec, "seed", int, 0, where="task.prompts")
+        if count < 1 or length < 1 or seed < 0:
+            raise ConfigError("corpus_snippets count and length must be positive, seed nonnegative")
         if length > len(corpus.tokens):
             raise ConfigError("corpus_snippets length exceeds the corpus")
-        rng = np.random.default_rng(int(spec.get("seed", 0)))
+        rng = np.random.default_rng(seed)
         starts = rng.integers(0, len(corpus.tokens) - length + 1, size=count)
         return [tuple(corpus.tokens[s : s + length]) for s in starts]
     raise ConfigError(f"unknown prompts kind {kind!r}")
@@ -289,39 +321,43 @@ class _DenoiserFactory:
     """Builds the per-run backend; shares immutable backends across runs."""
 
     def __init__(self, spec: dict, root: Path):
-        self.spec = spec
+        kind = spec.get("kind")
+        if not isinstance(kind, str) or kind not in _DENOISER_KEYS:
+            raise ConfigError(f"unknown denoiser kind {kind!r}")
+        _section(spec, "denoiser", _DENOISER_KEYS[kind])
+
+        def field(key, type_, default=_REQUIRED):
+            return _field(spec, key, type_, default, where="denoiser")
+
+        self.kind = kind
         self.corpus: Corpus | None = None
         self._shared = None
-        kind = spec.get("kind")
-        if kind == "markov":
-            self.corpus = ingest_corpus(root / spec["corpus"], spec.get("tokenization", "chars"))
-            self._shared = markov_fit(
-                list(self.corpus.tokens),
-                order=int(spec.get("order", 1)),
-                smoothing=float(spec.get("smoothing", 0.01)),
-                vocab=self.corpus.vocab,
-            )
-        elif kind == "markov_model":
-            self._shared = load_markov(root / spec["path"])
-        elif kind == "oracle":
-            self.vocab = Vocab.standard(int(spec["vocab_size"]))
-            self.target = tuple(int(t) for t in spec["target"])
-            self.base_confidence = float(spec.get("base_confidence", 0.9))
-            self.decay = float(spec.get("decay", 0.9))
-        elif kind == "scripted":
-            self.vocab = Vocab.standard(int(spec["vocab_size"]))
-            self.fixture = root / spec["fixture"]
-            # Parse once to fail fast; per-run instances are rebuilt fresh.
-            load_scripted(self.fixture, self.vocab)
-        else:
-            raise ConfigError(f"unknown denoiser kind {spec.get('kind')!r}")
-        self.kind = kind
-
-    @property
-    def vocab_size(self) -> int:
+        try:
+            if kind == "markov":
+                self.corpus = ingest_corpus(root / field("corpus", str), field("tokenization", str, "chars"))
+                self._shared = markov_fit(
+                    list(self.corpus.tokens),
+                    order=field("order", int, 1),
+                    smoothing=field("smoothing", float, 0.01),
+                    vocab=self.corpus.vocab,
+                )
+            elif kind == "markov_model":
+                self._shared = load_markov(root / field("path", str))
+            elif kind == "oracle":
+                self.vocab = Vocab.standard(field("vocab_size", int))
+                self.target = _tokens(field("target", list), "denoiser.target")
+                self.base_confidence = field("base_confidence", float, 0.9)
+                self.decay = field("decay", float, 0.9)
+                self.for_run(())  # one up front, so bad fields fail before any run
+            else:
+                self.vocab = Vocab.standard(field("vocab_size", int))
+                self.fixture = root / field("fixture", str)
+                # Parse once to fail fast; per-run instances are rebuilt fresh.
+                load_scripted(self.fixture, self.vocab)
+        except ValueError as exc:  # a ConfigError, or a backend constructor rejecting a field
+            raise ConfigError(f"bad {kind} denoiser: {exc}") from None
         if self._shared is not None:
-            return self._shared.vocab.size
-        return self.vocab.size
+            self.vocab = self._shared.vocab
 
     def for_run(self, prompt: tuple[int, ...]):
         if self._shared is not None:
@@ -343,10 +379,7 @@ def load_experiment(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"experiment {path} is not valid JSON: {exc}") from exc
 
-    allowed = {"base_seed", "trials", "denoiser", "task", "grid", "output"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
+    _section(data, "experiment", {"base_seed", "trials", "denoiser", "task", "grid", "output"})
     for required in ("denoiser", "task", "grid"):
         if required not in data:
             raise ConfigError(f"experiment is missing {required!r}")
@@ -355,23 +388,24 @@ def load_experiment(path) -> ExperimentConfig:
         raise ConfigError("grid must be a nonempty list")
     grid = [config_from_dict(entry) for entry in grid_data]
 
-    task = data["task"]
-    if not isinstance(task, dict) or "prompts" not in task:
+    task = _section(data["task"], "task", {"prompts", "target"})
+    if "prompts" not in task:
         raise ConfigError("task must be an object with 'prompts'")
     target = task.get("target")
-    output = data.get("output", {})
-    trials = int(data.get("trials", 1))
-    if trials < 1:
-        raise ConfigError("trials must be positive")
+    output = _section(data.get("output", {}), "output", {"dir", "prefix"})
+    trials = _field(data, "trials", int, 1, where="experiment")
+    base_seed = _field(data, "base_seed", int, 0, where="experiment")
+    if trials < 1 or base_seed < 0:
+        raise ConfigError("trials must be positive and base_seed nonnegative")
     return ExperimentConfig(
-        base_seed=int(data.get("base_seed", 0)),
+        base_seed=base_seed,
         trials=trials,
-        denoiser=dict(data["denoiser"]),
+        denoiser=_section(data["denoiser"], "denoiser", set().union(*_DENOISER_KEYS.values())),
         task=task,
-        target=tuple(int(t) for t in target) if target is not None else None,
+        target=_tokens(target, "task.target") if target is not None else None,
         grid=grid,
-        output_dir=path.parent / output.get("dir", "out"),
-        prefix=str(output.get("prefix", path.stem)),
+        output_dir=path.parent / _field(output, "dir", str, "out", where="output"),
+        prefix=_field(output, "prefix", str, path.stem, where="output"),
         root=path.parent,
     )
 
@@ -387,19 +421,10 @@ def _format_cell(value) -> str:
 
 
 def _config_cells(cfg: DecodingConfig) -> dict[str, str]:
-    tc = cfg.tccf
-    return {
-        "algorithm": cfg.algorithm.value,
-        "block_size": _format_cell(cfg.block_size),
-        "steps": _format_cell(cfg.steps),
-        "tau": _format_cell(cfg.tau),
-        "tau_l": _format_cell(cfg.tau_l),
-        "tau_h": _format_cell(cfg.tau_h),
-        "gamma": _format_cell(cfg.gamma),
-        "temperature": _format_cell(cfg.temperature),
-        "b_think": _format_cell(tc.b_think if tc else None),
-        "b_critic": _format_cell(tc.b_critic if tc else None),
-    }
+    cells = {name: _format_cell(getattr(cfg, name)) for name in _CONFIG_FIELDS}
+    for name in ("b_think", "b_critic"):
+        cells[name] = _format_cell(getattr(cfg.tccf, name) if cfg.tccf else None)
+    return cells
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
@@ -411,99 +436,57 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
     """
     factory = _DenoiserFactory(cfg.denoiser, cfg.root)
     prompts = _build_prompts(cfg.task["prompts"], factory.corpus)
-    for prompt in prompts:
-        for tok in prompt:
-            if not 0 <= tok < factory.vocab_size:
-                raise ConfigError(f"prompt token {tok} outside the ordinary range")
+    spliced = [tok for g in cfg.grid if g.tccf for tok in g.tccf.marker + g.tccf.transition]
+    for tok in [tok for prompt in prompts for tok in prompt] + spliced:
+        if not 0 <= tok < factory.vocab.size:
+            raise ConfigError(f"prompt or tccf token {tok} outside the ordinary range [0, {factory.vocab.size})")
 
-    jobs = max(1, int(os.environ.get(JOBS_ENV_VAR, "1")))
     out_dir = Path(output_dir) if output_dir is not None else cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def one_run(args):
-        grid_index, trial, prompt_index, seed = args
-        run_cfg = replace(cfg.grid[grid_index], seed=seed)
-        denoiser = factory.for_run(prompts[prompt_index])
-        runner = generate_tccf if run_cfg.tccf is not None else generate
-        result = runner(denoiser, prompts[prompt_index], run_cfg)
-        return summarize(result, cfg.target), result
-
     summary_rows: list[dict[str, str]] = []
     step_lines: list[str] = []
-    cells: dict[str, list[RunSummary]] = {}
-    grid_keys: dict[str, int] = {}
-    for grid_index, run_cfg in enumerate(cfg.grid):
-        runs = [
-            (grid_index, trial, prompt_index,
-             cfg.base_seed + trial * len(prompts) + prompt_index)
-            for trial in range(cfg.trials)
-            for prompt_index in range(len(prompts))
-        ]
-        if jobs == 1:
-            outcomes = [one_run(r) for r in runs]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(one_run, runs))
-
-        key = f"g{grid_index:04d}"
-        grid_keys[key] = grid_index
-        cells[key] = [summary for summary, _ in outcomes]
-        for (gi, trial, prompt_index, seed), (summary, result) in zip(runs, outcomes):
-            run_id = f"g{gi}-t{trial}-p{prompt_index}"
-            row = {"grid_index": str(gi), "trial": str(trial),
-                   "prompt_index": str(prompt_index), "seed": str(seed)}
-            row.update(_config_cells(run_cfg))
-            row.update(
-                tpf=repr(summary.tpf),
-                mean_confidence=repr(summary.mean_confidence),
-                category=summary.category.value,
-                output_len=str(summary.output_len),
-                forward_passes=str(result.forward_passes),
-                stop_reason=result.stop_reason.value,
-            )
-            summary_rows.append(row)
-            for rec in result.steps:
-                step_lines.append(json.dumps(
-                    {
-                        "run_id": run_id,
-                        "grid_index": gi,
-                        "trial": trial,
-                        "prompt_index": prompt_index,
-                        "block_index": rec.block_index,
-                        "step_index": rec.step_index,
-                        "threshold_used": rec.threshold_used,
-                        "unmasked_positions": list(rec.unmasked_positions),
-                        "confidences": list(rec.confidences),
-                        "fallback_fired": rec.fallback_fired,
-                    },
-                    sort_keys=True, separators=(",", ":"),
+    cells: dict[int, list[RunSummary]] = {}
+    for gi, grid_cfg in enumerate(cfg.grid):
+        runner = generate_tccf if grid_cfg.tccf is not None else generate
+        cells[gi] = []
+        for trial in range(cfg.trials):
+            for prompt_index, prompt in enumerate(prompts):
+                seed = cfg.base_seed + trial * len(prompts) + prompt_index
+                result = runner(factory.for_run(prompt), prompt, replace(grid_cfg, seed=seed))
+                summary = summarize(result, cfg.target)
+                cells[gi].append(summary)
+                summary_rows.append(dict(
+                    grid_index=str(gi), trial=str(trial), prompt_index=str(prompt_index), seed=str(seed),
+                    **_config_cells(grid_cfg),
+                    tpf=repr(summary.tpf), mean_confidence=repr(summary.mean_confidence),
+                    category=summary.category.value, output_len=str(summary.output_len),
+                    forward_passes=str(result.forward_passes), stop_reason=result.stop_reason.value,
                 ))
+                for rec in result.steps:
+                    step_lines.append(json.dumps(dict(
+                        run_id=f"g{gi}-t{trial}-p{prompt_index}", grid_index=gi, trial=trial,
+                        prompt_index=prompt_index, block_index=rec.block_index, step_index=rec.step_index,
+                        threshold_used=rec.threshold_used, unmasked_positions=list(rec.unmasked_positions),
+                        confidences=list(rec.confidences), fallback_fired=rec.fallback_fired,
+                    ), sort_keys=True, separators=(",", ":")))
 
-    agg_rows = aggregate(cells)
-    summary_path = out_dir / f"{cfg.prefix}_summary.csv"
-    aggregate_path = out_dir / f"{cfg.prefix}_aggregate.csv"
-    steps_path = out_dir / f"{cfg.prefix}_steps.jsonl"
-    written = [summary_path, aggregate_path, steps_path]
+    aggregate_rows = [
+        dict(grid_index=str(row.key), **_config_cells(cfg.grid[row.key]), runs=str(row.runs),
+             mean_tpf=repr(row.mean_tpf), mean_confidence=repr(row.mean_confidence),
+             **{f"freq_{cat.value}": repr(row.frequencies.get(cat, 0.0)) for cat in Category})
+        for row in aggregate(cells)
+    ]
+    written = [out_dir / f"{cfg.prefix}_{name}" for name in ("summary.csv", "aggregate.csv", "steps.jsonl")]
     try:
-        with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(summary_rows)
-        with open(aggregate_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=AGGREGATE_COLUMNS, lineterminator="\n")
-            writer.writeheader()
-            for row in agg_rows:
-                gi = grid_keys[row.key]
-                record = {"grid_index": str(gi), "runs": str(row.runs),
-                          "mean_tpf": repr(row.mean_tpf),
-                          "mean_confidence": repr(row.mean_confidence)}
-                record.update(_config_cells(cfg.grid[gi]))
-                for cat in Category:
-                    record[f"freq_{cat.value}"] = repr(row.frequencies.get(cat, 0.0))
-                writer.writerow(record)
-        with open(steps_path, "w", encoding="utf-8", newline="") as fh:
-            for line in step_lines:
-                fh.write(line + "\n")
+        for path, columns, rows in zip(written, (SUMMARY_COLUMNS, AGGREGATE_COLUMNS),
+                                       (summary_rows, aggregate_rows)):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(rows)
+        with open(written[2], "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(line + "\n" for line in step_lines)
     except BaseException:
         for p in written:
             Path(p).unlink(missing_ok=True)

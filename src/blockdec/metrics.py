@@ -56,7 +56,7 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class AggregateRow:
-    key: str
+    key: str | int  # a label or a grid index; rows sort by it
     runs: int
     mean_tpf: float
     mean_confidence: float
@@ -150,7 +150,7 @@ def summarize(
     )
 
 
-def aggregate(cells: Mapping[str, Sequence[RunSummary]]) -> list[AggregateRow]:
+def aggregate(cells: Mapping[str | int, Sequence[RunSummary]]) -> list[AggregateRow]:
     """Reduce grouped summaries to one row per config cell.
 
     Rows come back sorted by key; frequencies cover only the categories

@@ -8,57 +8,29 @@ caller-supplied noise levels, block by block with clean left context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import BlockState, Vocab, token_array
 from .denoisers import predict
 
-__all__ = ["LINEAR", "NoiseSchedule", "forward_mask", "nelbo_estimate"]
+__all__ = ["forward_mask", "nelbo_estimate"]
 
 
-@dataclass(frozen=True)
-class NoiseSchedule:
-    """Masking schedule; only the linear family is implemented."""
-
-    kind: str = "linear"
-
-    def __post_init__(self):
-        if self.kind != "linear":
-            raise ValueError(f"unknown schedule kind: {self.kind!r}")
-
-    def mask_probability(self, t: float) -> float:
-        self._check(t)
-        return t
-
-    @staticmethod
-    def _check(t: float) -> None:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"noise level t={t!r} outside [0, 1]")
-
-
-LINEAR = NoiseSchedule()
-
-
-def forward_mask(
-    block: BlockState,
-    t: float,
-    rng: np.random.Generator,
-    schedule: NoiseSchedule = LINEAR,
-) -> BlockState:
-    """Mask each position of a clean block independently.
+def forward_mask(block: BlockState, t: float, rng: np.random.Generator) -> BlockState:
+    """Mask each position of a clean block independently with probability ``t``.
 
     Consumes exactly ``len(block)`` uniform draws in position order, so a
     seeded generator reproduces the same mask pattern bit for bit.
-    ``t = 0`` masks nothing and ``t = 1`` masks everything.
+    ``t = 0`` masks nothing and ``t = 1`` masks everything; ``t`` outside
+    ``[0, 1]`` raises ValueError.
     """
     if block.masked_positions():
         raise ValueError("forward_mask expects a fully clean block")
-    p = schedule.mask_probability(t)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"noise level t={t!r} outside [0, 1]")
     draws = rng.random(len(block))
     tokens = [
-        block.mask_id if u < p else tok for tok, u in zip(block.tokens, draws)
+        block.mask_id if u < t else tok for tok, u in zip(block.tokens, draws)
     ]
     return BlockState.from_tokens(tokens, block.mask_id)
 
@@ -70,7 +42,6 @@ def nelbo_estimate(
     block_size: int,
     t_samples,
     rng: np.random.Generator,
-    schedule: NoiseSchedule = LINEAR,
 ) -> float:
     """Monte-Carlo estimate of the masked reconstruction bound.
 
@@ -125,9 +96,7 @@ def nelbo_estimate(
         for t in t_samples:
             total = 0.0
             for k, truth in enumerate(blocks):
-                noised = forward_mask(
-                    BlockState.from_tokens(truth, vocab.mask_id), t, rng, schedule
-                )
+                noised = forward_mask(BlockState.from_tokens(truth, vocab.mask_id), t, rng)
                 # Pads stay clean regardless of the draw.
                 for i, tok in enumerate(truth):
                     if tok == vocab.pad_id and noised.mask_flags[i]:

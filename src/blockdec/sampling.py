@@ -50,8 +50,7 @@ class BacdState:
 
     The threshold for the next step is the mean of all previously
     committed confidences, clipped to ``[tau_l, tau_h]``; with an empty
-    history it starts at ``tau_h``. History resets per block unless the
-    caller deliberately carries it across.
+    history it starts at ``tau_h``. History resets per block.
     """
 
     tau_h: float
@@ -185,7 +184,6 @@ def decode_block(
     rng: np.random.Generator,
     *,
     block_index: int = 0,
-    bacd_history: Sequence[float] = (),
 ) -> tuple[BlockState, list[StepRecord]]:
     """Decode one block from fully masked to fully committed.
 
@@ -194,9 +192,6 @@ def decode_block(
     position order (which fixes the rng consumption order when sampling).
     Returns the clean block and one :class:`StepRecord` per pass, at most
     ``block_size`` of them.
-
-    ``bacd_history`` seeds the adaptive threshold history; by default it
-    starts empty for each block.
     """
     problems = validate_config(cfg)
     if problems:
@@ -206,7 +201,7 @@ def decode_block(
 
     block = BlockState.fully_masked(block_size, denoiser.vocab.mask_id)
     records: list[StepRecord] = []
-    bacd_state = BacdState(cfg.tau_h, cfg.tau_l, tuple(bacd_history)) if cfg.algorithm is Algorithm.BACD else None
+    bacd_state = BacdState(cfg.tau_h, cfg.tau_l) if cfg.algorithm is Algorithm.BACD else None
     static_n = math.ceil(block_size / cfg.steps) if cfg.algorithm is Algorithm.STATIC else None
 
     step_index = 0

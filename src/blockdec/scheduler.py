@@ -5,7 +5,8 @@ finished block into the context for the next one, until eos or the length
 cap. :func:`generate_tccf` runs the same loop in two stages: coarse
 blocks until a marker sequence appears in the committed output, then a
 splice that swaps the marker for a transition sequence, then fine blocks
-to the end. Forward passes are pooled across stages.
+to the end. Both are calls of one block loop, :func:`_decode`. Forward
+passes are pooled across stages.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    Algorithm,
     DecodingConfig,
     GenerationResult,
     StepRecord,
@@ -53,8 +53,7 @@ class GenerationSession:
     sized from the config and grown geometrically if a run outgrows it;
     eos truncation and the TCCF splice are :meth:`splice` calls on it. The
     committed tokens never contain mask tokens: blocks land here only after
-    they are fully decoded. Also keeps the pooled step log and (optionally)
-    the cross-block adaptive-threshold history.
+    they are fully decoded. Also keeps the pooled step log.
     """
 
     denoiser: Denoiser
@@ -65,7 +64,6 @@ class GenerationSession:
     length: int
     records: list[StepRecord] = field(default_factory=list)
     blocks_emitted: int = 0
-    bacd_carry: list[float] | None = None
 
     @classmethod
     def start(cls, denoiser: Denoiser, prompt, cfg: DecodingConfig) -> "GenerationSession":
@@ -75,9 +73,8 @@ class GenerationSession:
         prompt = token_array(prompt)
         buf = np.empty(len(prompt) + cfg.max_new_tokens + cfg.block_size, dtype=np.int64)
         buf[: len(prompt)] = prompt
-        carry = [] if cfg.algorithm is Algorithm.BACD and cfg.bacd_cross_block_history else None
         return cls(denoiser=denoiser, prompt_len=len(prompt), cfg=cfg, rng=np.random.default_rng(cfg.seed),
-                   buf=buf, length=len(prompt), bacd_carry=carry)
+                   buf=buf, length=len(prompt))
 
     @property
     def committed(self) -> np.ndarray:
@@ -95,51 +92,63 @@ class GenerationSession:
         """Decode one block against the current context and commit it."""
         context = self.buf[: self.length]
         context.flags.writeable = False  # the view only; the buffer stays writeable
-        history = tuple(self.bacd_carry) if self.bacd_carry is not None else ()
         block, recs = decode_block(self.denoiser, context, block_size, self.cfg, self.rng,
-                                   block_index=self.blocks_emitted, bacd_history=history)
-        if self.bacd_carry is not None:
-            for rec in recs:
-                self.bacd_carry.extend(rec.confidences)
+                                   block_index=self.blocks_emitted)
         self.records.extend(recs)
         self.blocks_emitted += 1
         self.splice(len(self.committed), block.tokens)
         return block.tokens
 
     def result(self, stop: StopReason, tccf: TccfTrace | None = None) -> GenerationResult:
+        """The run so far, trimmed to ``max_new_tokens``."""
+        self.splice(self.cfg.max_new_tokens)
         return GenerationResult(prompt_len=self.prompt_len, output_tokens=tuple(self.committed.tolist()),
                                 forward_passes=len(self.records), steps=tuple(self.records),
                                 stop_reason=stop, tccf=tccf)
 
 
-def _first_eos(tokens: list[int], eos_id: int) -> int | None:
-    return tokens.index(eos_id) if eos_id in tokens else None
+def _decode(session: GenerationSession, block_size: int, cap: int,
+            marker: Sequence[int] = ()) -> tuple[StopReason | None, int | None]:
+    """Decode blocks of ``block_size`` until one of three things happens:
 
+    * an eos lands inside the output budget (committed offset below
+      ``max_new_tokens``): truncate after the first one, return ``(EOS, None)``;
+    * ``marker`` completes before any such eos (occurrences spanning block
+      boundaries included): return ``(None, offset of the marker)``;
+    * the committed length reaches ``cap``: return ``(MAX_LENGTH, None)``.
 
-def _decode_to_end(session: GenerationSession, block_size: int) -> StopReason:
-    """Decode blocks until eos (truncating after the first, inclusive) or
-    until the committed length reaches ``max_new_tokens`` (trimming to it)."""
-    cap = session.cfg.max_new_tokens
+    An eos at or past ``max_new_tokens`` would be cut by the final trim, so
+    it does not end the run.
+    """
+    budget = session.cfg.max_new_tokens
+    eos = session.denoiser.vocab.eos_id
     while len(session.committed) < cap:
         start = len(session.committed)
-        eos_at = _first_eos(session.decode_next(block_size), session.denoiser.vocab.eos_id)
-        if eos_at is not None:
-            session.splice(start + eos_at + 1)
-            return StopReason.EOS
-    session.splice(cap)
-    return StopReason.MAX_LENGTH
+        tokens = session.decode_next(block_size)
+        eos_at = start + tokens.index(eos) if eos in tokens else budget  # >= budget: no eos
+        if marker:
+            # Windows ending before this block already missed the marker.
+            marker_at = find_marker(session.committed, marker, max(0, start - len(marker) + 1))
+            if marker_at is not None and (eos_at >= budget or marker_at + len(marker) <= eos_at):
+                return None, marker_at
+        if eos_at < budget:
+            session.splice(eos_at + 1)
+            return StopReason.EOS, None
+    return StopReason.MAX_LENGTH, None
 
 
 def generate(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> GenerationResult:
     """Decode blocks of ``cfg.block_size`` until eos or the length cap.
 
-    A block containing eos ends the run: the output is truncated at the
-    first eos, inclusive. Otherwise the run stops once the committed
-    length reaches ``max_new_tokens`` and is trimmed to exactly that
-    length (the final block may overshoot by up to block_size - 1).
+    An eos within the first ``max_new_tokens`` output slots ends the run:
+    the output is truncated at the first eos, inclusive. Otherwise the run
+    stops once the committed length reaches ``max_new_tokens``. Either way
+    the output never exceeds ``max_new_tokens`` (the final block may
+    overshoot internally by up to block_size - 1 slots).
     """
     session = GenerationSession.start(denoiser, prompt, cfg)
-    return session.result(_decode_to_end(session, cfg.block_size))
+    stop, _ = _decode(session, cfg.block_size, cfg.max_new_tokens)
+    return session.result(stop)
 
 
 def generate_tccf(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> GenerationResult:
@@ -162,44 +171,16 @@ def generate_tccf(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> Generation
     if tc is None:
         raise ValueError("generate_tccf requires cfg.tccf")
     session = GenerationSession.start(denoiser, prompt, cfg)
-    eos = denoiser.vocab.eos_id
     stage1_cap = tc.stage1_max_tokens if tc.stage1_max_tokens is not None else cfg.max_new_tokens
-
-    forced = False
-    while True:
-        start = len(session.committed)
-        tokens = session.decode_next(tc.b_think)
-        # Windows ending before this block already missed the marker.
-        marker_at = find_marker(session.committed, tc.marker, max(0, start - len(tc.marker) + 1))
-        eos_at = _first_eos(tokens, eos)
-        eos_abs = start + eos_at if eos_at is not None else None
-        if marker_at is not None and (eos_abs is None or marker_at + len(tc.marker) <= eos_abs):
-            splice_at = marker_at  # drop the marker and the tail decoded after it
-            break
-        if eos_abs is not None:
-            session.splice(eos_abs + 1)
-            trace = TccfTrace(
-                stage1_passes=len(session.records),
-                stage2_passes=0,
-                splice_position=None,
-                forced_splice=False,
-                critic_ran=False,
-            )
-            return session.result(StopReason.EOS, trace)
-        if len(session.committed) >= stage1_cap:
-            splice_at = len(session.committed)
-            forced = True
-            break
-
-    session.splice(splice_at, tc.transition)  # bridge into the critic stage
+    stop, splice_at = _decode(session, tc.b_think, stage1_cap, tc.marker)
     stage1_passes = len(session.records)
-    stop = _decode_to_end(session, tc.b_critic)
+    if stop is StopReason.EOS:
+        return session.result(stop, TccfTrace(stage1_passes, 0, None, False, False))
+    forced = splice_at is None
+    splice_at = len(session.committed) if forced else splice_at
+    session.splice(splice_at, tc.transition)  # bridge into the critic stage
+    stop, _ = _decode(session, tc.b_critic, cfg.max_new_tokens)
     stage2_passes = len(session.records) - stage1_passes
-    trace = TccfTrace(
-        stage1_passes=stage1_passes,
-        stage2_passes=stage2_passes,
-        splice_position=splice_at,
-        forced_splice=forced,
-        critic_ran=stage2_passes > 0,
-    )
+    trace = TccfTrace(stage1_passes=stage1_passes, stage2_passes=stage2_passes, splice_position=splice_at,
+                      forced_splice=forced, critic_ran=stage2_passes > 0)
     return session.result(stop, trace)

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockdec.cli import main
 from blockdec.experiment import load_markov
@@ -55,6 +62,138 @@ class TestRun:
                                "--output-dir", str(tmp_path / "alt"))
         assert code == 0
         assert (tmp_path / "alt" / "t_summary.csv").exists()
+
+
+ORACLE_TASK = {"prompts": {"kind": "tokens", "values": [[0, 1]]}, "target": None}
+
+
+def oracle_spec(**fields):
+    return {"denoiser": dict({"kind": "oracle", "vocab_size": 6, "target": [1, 2, 3]}, **fields),
+            "task": ORACLE_TASK}
+
+
+def markov_spec(**fields):
+    spec = dict({"kind": "markov", "corpus": "corpus.txt"}, **fields)
+    return {"denoiser": {k: v for k, v in spec.items() if v is not None}}
+
+
+def tccf_grid(**fields):
+    tccf = dict({"b_think": 4, "b_critic": 2, "marker": [1]}, **fields)
+    return {"grid": [{"algorithm": "dynamic", "tau": 0.9, "tccf": tccf}]}
+
+
+# Each malformed experiment file must end in exit 1 with an ``error:`` line.
+MALFORMED = {
+    "trials_not_int": {"trials": "abc"},
+    "trials_not_whole": {"trials": 2.5},
+    "base_seed_not_int": {"base_seed": "x"},
+    "base_seed_negative": {"base_seed": -1},
+    "top_level_not_object": None,
+    "denoiser_is_string": {"denoiser": "markov"},
+    "denoiser_unknown_key": markov_spec(ordr=2),
+    "oracle_without_vocab_size": oracle_spec(vocab_size=None),
+    "oracle_vocab_size_1": oracle_spec(vocab_size=1),
+    "oracle_base_confidence_2": oracle_spec(base_confidence=2.0),
+    "oracle_target_out_of_range": oracle_spec(target=[99]),
+    "oracle_target_not_integer": oracle_spec(target=[1.5, 2]),
+    "oracle_target_not_list": oracle_spec(target=5),
+    "markov_without_corpus": markov_spec(corpus=None),
+    "markov_corpus_not_string": markov_spec(corpus=5),
+    "markov_order_0": markov_spec(order=0),
+    "markov_order_string": markov_spec(order="2"),
+    "markov_smoothing_negative": markov_spec(smoothing=-1),
+    "markov_tokenization_bytes": markov_spec(tokenization="bytes"),
+    "scripted_without_fixture": {"denoiser": {"kind": "scripted", "vocab_size": 6},
+                                 "task": ORACLE_TASK},
+    "snippets_count_string": {"task": {"prompts": {"kind": "corpus_snippets", "count": "x"}}},
+    "snippets_seed_negative": {"task": {"prompts": {"kind": "corpus_snippets", "seed": -1}}},
+    "prompt_tokens_not_integer": {"task": {"prompts": {"kind": "tokens", "values": [[1.5, 2.9]]}}},
+    "prompt_row_not_list": {"task": {"prompts": {"kind": "tokens", "values": [3]}}},
+    "task_not_object": {"task": [1]},
+    "target_not_list": {"task": {"prompts": ORACLE_TASK["prompts"], "target": 5}},
+    "target_not_integer": {"task": {"prompts": ORACLE_TASK["prompts"], "target": [1.5]}},
+    "steps_string": {"grid": [{"algorithm": "static", "steps": "4"}]},
+    "tau_string": {"grid": [{"algorithm": "dynamic", "tau": "0.5"}]},
+    "seed_negative": {"grid": [{"algorithm": "dynamic", "tau": 0.5, "seed": -3}]},
+    "algorithm_not_string": {"grid": [{"algorithm": [1]}]},
+    "tccf_not_object": {"grid": [{"algorithm": "dynamic", "tau": 0.9, "tccf": 5}]},
+    "tccf_marker_not_integer": tccf_grid(marker=[7.7]),
+    "tccf_transition_not_integer": tccf_grid(transition=[2.9]),
+    "tccf_b_think_string": tccf_grid(b_think="8"),
+    "tccf_transition_is_mask_id": tccf_grid(transition=[4]),  # the corpus has 4 symbols
+    "tccf_marker_out_of_range": tccf_grid(marker=[99]),
+    "output_is_string": {"output": "x"},
+    "output_prefix_not_string": {"output": {"prefix": 3}},
+}
+
+
+@pytest.mark.parametrize("overrides", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_experiment_is_config_error(tmp_path, capsys, overrides):
+    if overrides is None:
+        exp = tmp_path / "exp.json"
+        exp.write_text("[1, 2]")
+    else:
+        exp = write_experiment(tmp_path, **overrides)
+    code, out, err = run_cli(capsys, "run", str(exp))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+FUZZ_BASE = {
+    "base_seed": 1, "trials": 1,
+    "denoiser": {"kind": "oracle", "vocab_size": 6, "target": [1, 2, 3, 4], "base_confidence": 0.9,
+                 "decay": 0.8},
+    "task": {"prompts": {"kind": "tokens", "values": [[0, 1]]}, "target": [1, 2, 3, 4]},
+    "grid": [{"algorithm": "dynamic", "tau": 0.5, "block_size": 4, "max_new_tokens": 8},
+             {"algorithm": "bacd", "tau_h": 0.9, "tau_l": 0.5, "block_size": 2, "max_new_tokens": 8,
+              "tccf": {"b_think": 4, "b_critic": 2, "marker": [2, 3], "transition": [5]}}],
+    "output": {"dir": "out", "prefix": "f"},
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-2, 40) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _slots(node, path=()):
+    """Every (path, key) in a JSON tree where a value can be replaced or added."""
+    if isinstance(node, dict):
+        yield path, "extra"
+        for key, child in node.items():
+            yield path, key
+            yield from _slots(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield path, i
+            yield from _slots(child, path + (i,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(_slots(FUZZ_BASE))), JSON_VALUES), min_size=1, max_size=2))
+def test_fuzzed_experiment_ends_in_a_labelled_exit(edits):
+    spec = copy.deepcopy(FUZZ_BASE)
+    for (path, key), value in edits:
+        node = spec
+        for step in path:
+            node = node[step] if isinstance(node, (dict, list)) and _has(node, step) else None
+        if isinstance(node, (dict, list)) and (isinstance(node, dict) or _has(node, key)):
+            node[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        exp = Path(tmp) / "exp.json"
+        exp.write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", str(exp)])
+    text = err.getvalue()
+    if code == 0:
+        assert all(line.startswith("warning:") for line in text.splitlines()), text
+    else:
+        assert (code, text[:6]) in {(1, "error:"), (2, "fault:")}, text
+
+
+def _has(node, step) -> bool:
+    return step in node if isinstance(node, dict) else isinstance(step, int) and step < len(node)
 
 
 class TestSweep:
@@ -112,6 +251,15 @@ class TestFitMarkov:
                              "--out", str(out))
         assert code == 0
         assert load_markov(out).vocab.size == 2
+
+    @pytest.mark.parametrize("argv", [["--order", "0"], ["--smoothing", "-1"], ["--smoothing", "nan"]])
+    def test_bad_order_or_smoothing_is_config_error(self, tmp_path, capsys, argv):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("abcabc")
+        code, _, err = run_cli(capsys, "fit-markov", "--corpus", str(corpus),
+                               "--out", str(tmp_path / "m.json"), *argv)
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_missing_corpus_is_config_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "fit-markov", "--corpus",
@@ -191,6 +339,16 @@ class TestReplay:
             "--block-size", "2", "--max-new-tokens", "2")
         assert code == 0
         assert "stop=max_length output=[3, 4]" in out
+
+    @pytest.mark.parametrize("argv", [["--prompt", "1.5"], ["--prompt", "1,x"], ["--prompt", "9"],
+                                      ["--prompt", str(2**70)], ["--vocab-size", "1"]])
+    def test_bad_prompt_or_vocab_is_config_error(self, tmp_path, capsys, argv):
+        fixture = self.write_fixture(tmp_path)
+        code, _, err = run_cli(
+            capsys, "replay", "--fixture", str(fixture), "--vocab-size", "8",
+            "--algorithm", "dynamic", "--tau", "0.9", *argv)
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_bad_config_is_config_error(self, tmp_path, capsys):
         fixture = self.write_fixture(tmp_path)

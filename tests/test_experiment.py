@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import csv
 import json
-import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blockdec import experiment
 from blockdec.core import DecodingConfig, TccfConfig
 from blockdec.denoisers import FixtureError, markov_fit
 from blockdec.experiment import (
     AGGREGATE_COLUMNS,
-    JOBS_ENV_VAR,
     SUMMARY_COLUMNS,
     ConfigError,
     Tokenization,
@@ -96,7 +97,6 @@ def random_config(rng):
         hi = float(rng.uniform(0.5, 1.0))
         kw["tau_h"] = hi
         kw["tau_l"] = float(rng.uniform(0.1, hi))
-        kw["bacd_cross_block_history"] = bool(rng.integers(2))
     else:
         kw["gamma"] = float(rng.uniform(0.0, 1.5))
     if rng.integers(3) == 0:
@@ -162,6 +162,17 @@ class TestMarkovSerialization:
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")
+        with pytest.raises(ConfigError):
+            load_markov(path)
+
+    @pytest.mark.parametrize("payload", [
+        [1], {"kind": "markov"}, {"kind": "markov", "order": 1, "smoothing": 0.0, "vocab_size": 4},
+        {"kind": "markov", "order": 0, "smoothing": 0.0, "vocab_size": 4, "counts": {"": {"0": 1}}},
+        {"kind": "markov", "order": 1, "smoothing": 0.0, "vocab_size": 4, "counts": {"": {"x": 1}}},
+    ])
+    def test_load_rejects_missing_or_bad_fields(self, tmp_path, payload):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError):
             load_markov(path)
 
@@ -244,13 +255,6 @@ class TestRunExperiment:
             want = 10 + int(row["trial"]) * 2 + int(row["prompt_index"])
             assert int(row["seed"]) == want
 
-    def test_parallel_run_matches_serial(self, tmp_path, monkeypatch):
-        cfg = load_experiment(write_experiment(tmp_path))
-        serial = {p.name: p.read_bytes() for p in run_experiment(cfg)}
-        monkeypatch.setenv(JOBS_ENV_VAR, "4")
-        parallel = {p.name: p.read_bytes() for p in run_experiment(cfg)}
-        assert serial == parallel
-
     def test_failed_run_leaves_no_partial_files(self, tmp_path):
         fixture = tmp_path / "script.txt"
         fixture.write_text("0 0 0 0.9 1\n")  # far too sparse to finish
@@ -322,3 +326,15 @@ class TestLoadExperiment:
             rows = list(csv.DictReader(fh))
         assert rows[0]["category"] == "answer_match"
         assert rows[0]["stop_reason"] == "eos"
+
+
+def test_readme_grammar_lists_the_parsed_config_keys():
+    """The grid and tccf keys in README's experiment grammar are exactly the
+    keys the parser accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullet = re.search(r"^\* `grid`:(.*?)(?=^\* )", readme, re.M | re.S).group(1)
+    grid_part, tccf_part = re.sub(r"\([^)]*\)", "", bullet).split("optionally `tccf` with")
+    grid_keys = set(re.findall(r"`(\w+)`", grid_part)) | {"tccf"}
+    tccf_keys = set(re.findall(r"`(\w+)`", tccf_part.split(".")[0]))
+    assert grid_keys == experiment._CONFIG_KEYS
+    assert tccf_keys == experiment._TCCF_KEYS

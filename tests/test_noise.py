@@ -9,7 +9,7 @@ import pytest
 
 from blockdec.core import BlockState, PositionPrediction, Vocab
 from blockdec.denoisers import ContractViolation, OracleDenoiser
-from blockdec.noise import LINEAR, NoiseSchedule, forward_mask, nelbo_estimate
+from blockdec.noise import forward_mask, nelbo_estimate
 
 from conftest import UniformDenoiser
 
@@ -21,24 +21,12 @@ def clean_block(tokens, vocab=VOCAB4):
     return BlockState.from_tokens(list(tokens), mask_id=vocab.mask_id)
 
 
-class TestSchedule:
-    def test_linear_identity(self):
-        assert LINEAR.mask_probability(0.0) == 0.0
-        assert LINEAR.mask_probability(0.37) == 0.37
-        assert LINEAR.mask_probability(1.0) == 1.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            LINEAR.mask_probability(1.5)
-        with pytest.raises(ValueError):
-            LINEAR.mask_probability(-0.1)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSchedule(kind="cosine")
-
-
 class TestForwardMask:
+    def test_rejects_out_of_range(self):
+        for t in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                forward_mask(clean_block([0, 1, 2, 3]), t, np.random.default_rng(0))
+
     def test_t_zero_masks_nothing(self):
         b = clean_block([0, 1, 2, 3])
         out = forward_mask(b, 0.0, np.random.default_rng(0))

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockdec.core import DecodingConfig, StopReason, TccfConfig, Vocab
 from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser
@@ -307,3 +311,67 @@ class TestGenerateTccf:
         def tpf(res):
             return res.generated_slots / res.forward_passes
         assert tpf(fine) <= tpf(pooled) <= tpf(coarse)
+
+
+class TestOutputBudget:
+    """The output never exceeds ``max_new_tokens``: an eos past the budget
+    is cut by the trim, so it does not end the run."""
+
+    def test_eos_past_budget_is_trimmed(self):
+        vocab = Vocab.standard(10)
+        target = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]  # eos lands at offset 12
+        cfg = dyn_cfg(tau=0.5, block_size=8, max_new_tokens=10)
+        plain = generate(oracle(vocab, target), [], cfg)
+        staged = generate_tccf(oracle(vocab, target), [],
+                               replace(cfg, tccf=TccfConfig(8, 4, marker=(7, 7), transition=())))
+        for res in (plain, staged):
+            assert res.output_tokens == tuple(target[:10])
+            assert res.stop_reason is StopReason.MAX_LENGTH
+
+    def test_eos_on_the_last_budget_slot_ends_the_run(self):
+        vocab = Vocab.standard(10)
+        res = generate(oracle(vocab, [3, 1, 4]), [], dyn_cfg(max_new_tokens=4))
+        assert res.output_tokens == (3, 1, 4, vocab.eos_id)
+        assert res.stop_reason is StopReason.EOS
+
+
+RULE_FIELDS = {"static": {"steps": 2}, "dynamic": {"tau": 0.5},
+               "bacd": {"tau_h": 0.9, "tau_l": 0.4}, "entropy_bounded": {"gamma": 0.7}}
+ORDINARY = st.integers(0, 5)
+
+
+@st.composite
+def budget_runs(draw):
+    """An oracle run of plain or two-stage generation at random lengths."""
+    rule = draw(st.sampled_from(sorted(RULE_FIELDS)))
+    tccf = None
+    if draw(st.booleans()):
+        tccf = TccfConfig(
+            b_think=draw(st.integers(1, 8)), b_critic=draw(st.integers(1, 4)),
+            marker=tuple(draw(st.lists(ORDINARY, min_size=1, max_size=2))),
+            transition=tuple(draw(st.lists(ORDINARY, max_size=3))),
+            stage1_max_tokens=draw(st.none() | st.integers(1, 30)),
+        )
+    cfg = DecodingConfig(algorithm=rule, block_size=draw(st.integers(1, 8)),
+                         max_new_tokens=draw(st.integers(1, 24)),
+                         temperature=draw(st.sampled_from([0.0, 1.0])),
+                         seed=draw(st.integers(0, 3)), tccf=tccf, **RULE_FIELDS[rule])
+    prompt = draw(st.lists(ORDINARY, max_size=3))
+    den = OracleDenoiser(vocab=Vocab.standard(6), target=draw(st.lists(ORDINARY, max_size=30)),
+                         base_confidence=draw(st.sampled_from([0.3, 0.9, 1.0])),
+                         decay=draw(st.sampled_from([0.5, 1.0])), prompt_len=len(prompt))
+    return den, prompt, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(budget_runs())
+def test_output_respects_budget_and_stop_reason(run):
+    den, prompt, cfg = run
+    res = (generate_tccf if cfg.tccf is not None else generate)(den, prompt, cfg)
+    out, eos = res.output_tokens, den.vocab.eos_id
+    assert len(out) <= cfg.max_new_tokens
+    assert eos not in out[:-1]
+    ends_in_eos = out[-1:] == (eos,)
+    assert (res.stop_reason is StopReason.EOS) == ends_in_eos
+    # An eos on the last budget slot is an eos stop, not a max_length one.
+    assert (res.stop_reason is StopReason.MAX_LENGTH) == (len(out) == cfg.max_new_tokens and not ends_in_eos)
