@@ -28,7 +28,7 @@ from .experiment import (
 from .metrics import mean_confidence, tpf
 from .scheduler import generate
 
-_INT_PARAMS = {"block_size", "steps", "max_new_tokens", "seed"}
+_INT_PARAMS = {"block_size", "steps", "max_new_tokens"}
 _FLOAT_PARAMS = {"tau", "tau_h", "tau_l", "gamma", "temperature"}
 
 
@@ -45,6 +45,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.param == "seed":
+        raise ConfigError("cannot sweep 'seed': run seeds derive from base_seed "
+                          "(base_seed + trial * num_prompts + prompt_index)")
     if args.param not in _INT_PARAMS | _FLOAT_PARAMS:
         raise ConfigError(f"cannot sweep {args.param!r}")
     cast = int if args.param in _INT_PARAMS else float

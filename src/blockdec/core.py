@@ -153,43 +153,68 @@ def row_stats(probs: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class PositionPrediction:
-    """Denoiser output for one forward pass: row ``i`` of ``probs`` [M, V] is
-    a categorical over the full id space for ``positions[i]`` (strictly
-    ascending), ``confidence[i]`` its max and ``entropy[i]`` its entropy in
-    nats. The constructor checks the whole matrix once and keeps read-only
-    views; :meth:`from_probs` derives the stats with :func:`row_stats`."""
+    """Denoiser output for one forward pass. ``positions`` [M] (strictly
+    ascending) are the masked positions; ``probs`` [U, V] holds categoricals
+    over the full id space, ``row_confidence`` and ``row_entropy`` [U] their
+    max and entropy in nats. Position ``positions[i]`` reads row ``row[i]``;
+    without an index (``row=None``) it reads row ``i`` and U == M, so a
+    backend whose positions share a distribution can pass it once. The
+    per-position ``confidence`` and ``entropy`` [M] that selection reads are
+    gathered once at construction. Every check runs once per row; the record
+    keeps read-only views. :meth:`from_probs` derives the row stats with
+    :func:`row_stats`."""
 
     positions: np.ndarray
     probs: np.ndarray
-    confidence: np.ndarray
-    entropy: np.ndarray
+    row_confidence: np.ndarray
+    row_entropy: np.ndarray
+    row: np.ndarray | None = None
+    confidence: np.ndarray = field(init=False, repr=False)
+    entropy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, dtype in (("positions", np.int64), ("probs", np.float64),
-                            ("confidence", np.float64), ("entropy", np.float64)):
+                            ("row_confidence", np.float64), ("row_entropy", np.float64)):
             view = np.asarray(getattr(self, name), dtype=dtype).view()
             view.flags.writeable = False  # the caller's own array stays writeable
             object.__setattr__(self, name, view)
-        pos, probs, conf, ent = self.positions, self.probs, self.confidence, self.entropy
-        m = probs.shape[0] if probs.ndim == 2 else 0
-        if m < 1 or {pos.shape, conf.shape, ent.shape} != {(m,)}:
-            raise ValueError("need [M, V] probs and [M] positions, confidence and entropy, M >= 1")
+        pos, probs, conf, ent, row = (self.positions, self.probs, self.row_confidence,
+                                      self.row_entropy, self.row)
+        if row is not None and not (isinstance(row, np.ndarray) and row.dtype == np.int64
+                                    and row.ndim == 1 and not row.flags.writeable):
+            raise ValueError("row must be a read-only int64 vector")
+        u = probs.shape[0] if probs.ndim == 2 else 0
+        if (u < 1 or {conf.shape, ent.shape} != {(u,)} or pos.size < 1
+                or pos.shape != (row.shape if row is not None else (u,))):
+            raise ValueError("need [U, V] probs, [U] row stats and [M] positions "
+                             "(and row; M == U without it), M, U >= 1")
+        if row is not None:
+            index = row.tolist()
+            if min(index) < 0 or max(index) >= u:
+                raise ValueError(f"row values must lie in [0, {u})")
         if (pos[1:] <= pos[:-1]).any():
             raise ValueError("positions must be strictly ascending")
-        totals = probs.sum(axis=1)
-        if not (np.abs(totals - 1.0) <= PROB_SUM_TOL).all():  # NaN sums fail too
-            raise ValueError(f"probs sum to {totals.tolist()!r}, not all 1")
+        # Per-row scalar checks on Python floats: U is small, a numpy call is not.
+        totals = probs.sum(axis=1).tolist()
+        if not all(abs(t - 1.0) <= PROB_SUM_TOL for t in totals):  # NaN sums fail too
+            raise ValueError(f"probs sum to {totals!r}, not all 1")
         if probs.min() < 0.0:
             raise ValueError("probs must be nonnegative")
-        if (np.abs(probs.max(axis=1) - conf) > CONF_RECHECK_TOL).any():
+        stats = list(zip(probs.max(axis=1).tolist(), conf.tolist(), ent.tolist()))
+        if any(abs(top - c) > CONF_RECHECK_TOL for top, c, _ in stats):
             raise ValueError("confidence does not equal max(probs)")
-        if (ent < 0.0).any():
+        if any(h < 0.0 for _, _, h in stats):
             raise ValueError("entropy must be nonnegative")
         # Zero entropy and unit confidence have to coincide.
-        if ((conf >= 1.0 - 1e-12) & (ent > 1e-9)).any():
+        if any(c >= 1.0 - 1e-12 and h > 1e-9 for _, c, h in stats):
             raise ValueError("unit confidence requires zero entropy")
-        if ((ent <= 1e-12) & (conf < 1.0 - 1e-9)).any():
+        if any(h <= 1e-12 and c < 1.0 - 1e-9 for _, c, h in stats):
             raise ValueError("zero entropy requires unit confidence")
+        if row is not None:
+            conf, ent = conf[row], ent[row]
+            conf.flags.writeable = ent.flags.writeable = False
+        object.__setattr__(self, "confidence", conf)
+        object.__setattr__(self, "entropy", ent)
 
     @classmethod
     def from_probs(cls, positions, probs) -> "PositionPrediction":
@@ -324,6 +349,9 @@ def lint_config(cfg: DecodingConfig) -> list[str]:
     notes: list[str] = []
     if cfg.tccf is not None and cfg.tccf.b_critic >= cfg.tccf.b_think:
         notes.append("b_critic is not smaller than b_think; staging has no effect")
+    if cfg.tccf is not None and (cfg.tccf.stage1_max_tokens or 0) > cfg.max_new_tokens:
+        notes.append("tccf stage1_max_tokens exceeds max_new_tokens; "
+                     "coarse tokens past the budget are decoded, then trimmed")
     if cfg.algorithm is Algorithm.DYNAMIC and cfg.tau == 1.0:
         notes.append("tau == 1.0 never clears the threshold; every step decodes one token")
     return notes

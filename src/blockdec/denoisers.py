@@ -2,7 +2,8 @@
 
 A denoiser receives clean left context plus the partially masked block
 and must return one :class:`PositionPrediction` record per forward pass,
-with one row per masked position. Backends are deterministic: all
+covering every masked position (positions that share a distribution may
+share a row). Backends are deterministic: all
 sampling randomness lives in the decoder. The :func:`predict` wrapper
 enforces the contract and raises :class:`ContractViolation` when a
 backend breaks it.
@@ -47,8 +48,9 @@ def predict(denoiser: Denoiser, context: Sequence[int], block: BlockState) -> Po
     """Query a backend and enforce the prediction contract.
 
     Preconditions: the context is mask-free and the block has at least one
-    masked position. Postconditions: one row per masked position, in
-    ascending order, full-width distributions, and zero mass on mask and pad.
+    masked position. Postconditions: the record covers exactly the masked
+    positions, in ascending order, with full-width distributions and zero
+    mass on mask and pad; each distinct row is checked once.
     Any ``Sequence[int]`` context works; on the read-only int64 view the
     session passes, the mask check is one vectorized comparison.
     """
@@ -68,6 +70,8 @@ def predict(denoiser: Denoiser, context: Sequence[int], block: BlockState) -> Po
         raise ContractViolation(f"rows have width {preds.probs.shape[1]}, expected {vocab.total_ids}")
     special = (preds.probs[:, vocab.mask_id] > 0.0) | (preds.probs[:, vocab.pad_id] > 0.0)
     if special.any():
+        if preds.row is not None:
+            special = special[preds.row]
         raise ContractViolation(f"position {preds.positions[special.argmax()]} puts mass on mask or pad")
     return preds
 
@@ -95,6 +99,9 @@ class MarkovDenoiser:
     the unigram distribution is used. Unseen contexts back off to shorter
     suffixes and finally to the unigram. Distributions cover ordinary
     tokens only, so Markov-driven generation stops at the length cap.
+    Positions that condition on the same context share one row of the
+    record: every position of a masked run after its first reads the same
+    nearest clean token.
 
     Instances are immutable after fitting and safe to share.
     """
@@ -140,31 +147,40 @@ class MarkovDenoiser:
         return entry
 
     def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction:
+        # One left-to-right scan. ``run`` holds the last ``order`` tokens of
+        # the clean run ending just left of the current position (empty right
+        # after a masked one); a masked position after a masked one reads
+        # ``last``, the nearest clean token as a context, whose row is ``gap``.
         # No clean run reaches further left than the last ``order`` context tokens.
-        tail = context[-self.order :]
-        tail = tail.tolist() if isinstance(tail, np.ndarray) else [int(t) for t in tail]
-        tokens = tail + block.tokens
-        clean = [True] * len(tail) + [not f for f in block.mask_flags]
-        base = len(tail)
-        masked = block.masked_positions()
-        entries = []
-        for pos in masked:
-            idx = base + pos
-            if idx > 0 and clean[idx - 1]:
-                run: list[int] = []
-                j = idx - 1
-                while j >= 0 and clean[j] and len(run) < self.order:
-                    run.append(tokens[j])
-                    j -= 1
-                ctx = tuple(reversed(run))
+        order = self.order
+        tail = context[-order:]
+        run = tail.tolist() if isinstance(tail, np.ndarray) else [int(t) for t in tail]
+        last, gap = run[-1:], None
+        tokens = block.tokens
+        masked: list[int] = []
+        index: list[int] = []
+        rows: dict[tuple[int, ...], int] = {}  # distinct context -> row
+        for pos, flag in enumerate(block.mask_flags):
+            if not flag:
+                run.append(tokens[pos])
+                if len(run) > order:
+                    del run[0]
+                continue
+            if run:
+                u = rows.setdefault(tuple(run), len(rows))
+                last, run, gap = run[-1:], [], None
             else:
-                j = idx - 1
-                while j >= 0 and not clean[j]:
-                    j -= 1
-                ctx = (tokens[j],) if j >= 0 else ()
-            entries.append(self._entry(ctx))
-        rows, confidence, entropy = zip(*entries)
-        return PositionPrediction(masked, np.stack(rows), confidence, entropy)
+                if gap is None:
+                    gap = rows.setdefault(tuple(last), len(rows))
+                u = gap
+            masked.append(pos)
+            index.append(u)
+        probs, confidence, entropy = zip(*[self._entry(ctx) for ctx in rows])
+        if len(rows) == len(masked):
+            return PositionPrediction(masked, np.stack(probs), confidence, entropy)
+        row = np.array(index, dtype=np.int64)
+        row.flags.writeable = False
+        return PositionPrediction(masked, np.stack(probs), confidence, entropy, row)
 
 
 def markov_fit(corpus: Sequence[int], order: int, smoothing: float,

@@ -28,11 +28,9 @@ def forward_mask(block: BlockState, t: float, rng: np.random.Generator) -> Block
         raise ValueError("forward_mask expects a fully clean block")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"noise level t={t!r} outside [0, 1]")
-    draws = rng.random(len(block))
-    tokens = [
-        block.mask_id if u < t else tok for tok, u in zip(block.tokens, draws)
-    ]
-    return BlockState.from_tokens(tokens, block.mask_id)
+    flags = (rng.random(len(block)) < t).tolist()
+    tokens = [block.mask_id if f else tok for tok, f in zip(block.tokens, flags)]
+    return BlockState(tokens, flags, block.mask_id)
 
 
 def nelbo_estimate(
@@ -105,8 +103,10 @@ def nelbo_estimate(
                 if not masked:
                     continue
                 context = full[: len(prompt) + k * block_size]
-                probs = predict(denoiser, context, noised).probs
-                for row, i in enumerate(masked):
-                    total += -float(np.log(probs[row, truth[i]]))
+                preds = predict(denoiser, context, noised)
+                probs = preds.probs
+                rows = range(len(masked)) if preds.row is None else preds.row.tolist()
+                for r, i in zip(rows, masked):
+                    total += -float(np.log(probs[r, truth[i]]))
             estimates.append(total / t)
     return float(np.mean(estimates))

@@ -5,9 +5,9 @@ of masked positions to commit, and realizes their tokens (greedy at
 temperature zero, temperature-scaled sampling otherwise). Selection is
 confidence based; the threshold family shares an argmax fallback so that
 every step commits at least one position and a block of size B finishes
-in at most B passes. The rules read one prediction record per pass; its
-rows are in ascending position order, so stable sorts and ``argmax``
-break ties toward the lower position.
+in at most B passes. The rules read the per-position confidence and
+entropy vectors of one prediction record per pass; positions ascend, so
+stable sorts and ``argmax`` break ties toward the lower position.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ __all__ = [
 # Absolute slack for the entropy-budget comparison; grid-valued entropies
 # otherwise fail the inequality on the last ulp of a prefix sum.
 ENTROPY_BUDGET_SLACK = 1e-12
+# Generator.choice's tolerance on the sum of its weights.
+CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -90,10 +92,10 @@ class SelectionOutcome:
 
 
 def _thresholded(preds: PositionPrediction, tau: float) -> tuple[np.ndarray, bool]:
-    # Rows strictly above tau, else the argmax row (lowest position on ties).
-    rows = np.flatnonzero(preds.confidence > tau)
-    if len(rows):
-        return rows, False
+    # Indices strictly above tau, else the argmax one (lowest position on ties).
+    idx = np.flatnonzero(preds.confidence > tau)
+    if len(idx):
+        return idx, False
     return preds.confidence.argmax(keepdims=True), True
 
 
@@ -102,8 +104,8 @@ def select_static(preds: PositionPrediction, n: int) -> SelectionOutcome:
     remain). Confidence ties break toward the lower position."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    rows = np.sort(np.argsort(-preds.confidence, kind="stable")[:n])
-    return SelectionOutcome(tuple(preds.positions[rows].tolist()), None, False)
+    idx = np.sort(np.argsort(-preds.confidence, kind="stable")[:n])
+    return SelectionOutcome(tuple(preds.positions[idx].tolist()), None, False)
 
 
 def select_dynamic(preds: PositionPrediction, tau: float) -> SelectionOutcome:
@@ -114,8 +116,8 @@ def select_dynamic(preds: PositionPrediction, tau: float) -> SelectionOutcome:
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
-    rows, fallback = _thresholded(preds, tau)
-    return SelectionOutcome(tuple(preds.positions[rows].tolist()), tau, fallback)
+    idx, fallback = _thresholded(preds, tau)
+    return SelectionOutcome(tuple(preds.positions[idx].tolist()), tau, fallback)
 
 
 def select_bacd(preds: PositionPrediction, state: BacdState) -> tuple[SelectionOutcome, BacdState]:
@@ -123,9 +125,9 @@ def select_bacd(preds: PositionPrediction, state: BacdState) -> tuple[SelectionO
     comparison, argmax fallback, then the chosen confidences are appended
     to the history in ascending position order."""
     tau_t = state.threshold()
-    rows, fallback = _thresholded(preds, tau_t)
-    new_state = state.extended(preds.confidence[rows].tolist())
-    return SelectionOutcome(tuple(preds.positions[rows].tolist()), tau_t, fallback), new_state
+    idx, fallback = _thresholded(preds, tau_t)
+    new_state = state.extended(preds.confidence[idx].tolist())
+    return SelectionOutcome(tuple(preds.positions[idx].tolist()), tau_t, fallback), new_state
 
 
 def entropy_prefix_length(sorted_entropies: Sequence[float], gamma: float) -> int:
@@ -160,20 +162,52 @@ def select_entropy_bounded(preds: PositionPrediction, gamma: float) -> Selection
     """
     ranked = np.argsort(preds.entropy, kind="stable")
     m = entropy_prefix_length(preds.entropy[ranked].tolist(), gamma)
-    rows = np.sort(ranked[:m])
-    return SelectionOutcome(tuple(preds.positions[rows].tolist()), None, False)
+    idx = np.sort(ranked[:m])
+    return SelectionOutcome(tuple(preds.positions[idx].tolist()), None, False)
 
 
-def _realize(probs: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
-    """Argmax at temperature zero; otherwise one ``rng.choice`` from ``probs``,
-    tempered (for T != 1) in log space with the max subtracted so that no
-    weight underflows into a 0/0. The committed confidence stays untempered."""
-    if temperature == 0.0:
-        return int(np.argmax(probs))
+def _weights(probs: np.ndarray, temperature: float) -> np.ndarray:
+    """Sampling weights of one row: tempered (for T != 1) in log space with
+    the max subtracted, so that no weight underflows into a 0/0, then
+    normalized as ``rng.choice`` was given them."""
     if temperature != 1.0:
         with np.errstate(divide="ignore"):
             probs = np.exp((np.log(probs) - math.log(probs.max())) / temperature)
-    return int(rng.choice(len(probs), p=probs / probs.sum()))
+    return probs / probs.sum()
+
+
+def _cdf(probs: np.ndarray, temperature: float) -> np.ndarray:
+    """CDF of one row's :func:`_weights`, with the input checks and the
+    arithmetic of ``Generator.choice(len(p), p=p)``."""
+    p = _weights(probs, temperature)
+    if p.min() < 0.0:
+        raise ValueError("probabilities are not non-negative")
+    cdf = p.cumsum()
+    if not abs(cdf[-1] - 1.0) <= CHOICE_SUM_TOL:  # NaN fails too
+        raise ValueError("probabilities do not sum to 1")
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _realize(preds: PositionPrediction, chosen: np.ndarray, temperature: float,
+             rng: np.random.Generator) -> list[int]:
+    """Tokens for the record's positions at indices ``chosen`` (ascending).
+
+    Argmax at temperature zero. Otherwise one uniform per position, drawn in
+    ascending position order, picks through the :func:`_cdf` of its row,
+    built once per distinct row: the tokens and the generator state of one
+    ``rng.choice`` per position. The committed confidence stays untempered."""
+    rows = (chosen if preds.row is None else preds.row[chosen]).tolist()
+    if temperature == 0.0:
+        top = preds.probs.argmax(axis=1).tolist()
+        return [top[r] for r in rows]
+    cdfs: dict[int, np.ndarray] = {}
+    tokens = []
+    for r, u in zip(rows, rng.random(len(rows)).tolist()):
+        if r not in cdfs:
+            cdfs[r] = _cdf(preds.probs[r], temperature)
+        tokens.append(int(cdfs[r].searchsorted(u, "right")))
+    return tokens
 
 
 def decode_block(
@@ -216,16 +250,16 @@ def decode_block(
         else:
             outcome = select_entropy_bounded(preds, cfg.gamma)
 
-        rows = np.searchsorted(preds.positions, outcome.chosen)
-        for pos, row in zip(outcome.chosen, rows):
-            block.assign(pos, _realize(preds.probs[row], cfg.temperature, rng))
+        idx = np.searchsorted(preds.positions, outcome.chosen)
+        for pos, tok in zip(outcome.chosen, _realize(preds, idx, cfg.temperature, rng)):
+            block.assign(pos, tok)
         records.append(
             StepRecord(
                 block_index=block_index,
                 step_index=step_index,
                 threshold_used=outcome.threshold_used,
                 unmasked_positions=outcome.chosen,
-                confidences=tuple(preds.confidence[rows].tolist()),
+                confidences=tuple(preds.confidence[idx].tolist()),
                 fallback_fired=outcome.fallback_fired,
             )
         )

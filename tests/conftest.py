@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from blockdec.core import GenerationResult, PositionPrediction, StepRecord, StopReason, Vocab
+from blockdec.core import GenerationResult, PositionPrediction, StepRecord, StopReason, Vocab, row_stats
 
 
 def spiked_probs(vocab: Vocab, token: int, peak: float) -> np.ndarray:
@@ -26,6 +26,20 @@ def preds_from_confs(confs, vocab: Vocab | None = None, token: int = 0):
     vocab = vocab or Vocab.standard(10)
     return PositionPrediction.from_probs(
         [pos for pos, _ in confs], [spiked_probs(vocab, token, conf) for _, conf in confs])
+
+
+def shared_record(positions, rows, row) -> PositionPrediction:
+    """A record whose positions read ``rows`` through the row index ``row``."""
+    rows = np.asarray(rows, dtype=np.float64)
+    stats = [row_stats(r) for r in rows]
+    index = np.array(row, dtype=np.int64)
+    index.flags.writeable = False
+    return PositionPrediction(positions, rows, [c for c, _ in stats], [h for _, h in stats], index)
+
+
+def position_probs(preds: PositionPrediction) -> np.ndarray:
+    """The [M, V] matrix of a record: row ``i`` is position ``i``'s row."""
+    return preds.probs if preds.row is None else preds.probs[preds.row]
 
 
 def spike_conf_for_entropy(vocab: Vocab, target: float) -> float:

@@ -3,6 +3,7 @@ tests keep every wrapped name present and the wrappers working."""
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -13,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layers  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
+import blockdec.noise as noise  # noqa: E402
 from blockdec import DecodingConfig, OracleDenoiser, Vocab, generate, markov_fit  # noqa: E402
 
 
@@ -39,3 +41,24 @@ def test_traced_decode_counts_one_record_per_pass():
     assert from_probs == {"denoisers.predict": result.forward_passes}
     assert passes > result.forward_passes
     assert any(s[0] == "denoisers.backend" for s in tracer.spans)
+
+
+def test_traced_sampled_markov_generate_and_nelbo_complete():
+    # T=1 decoding draws through shared-row CDFs; the NELBO estimate reaches
+    # the backend through the wrapper from inside noise, not from sampling.
+    model = markov_fit(list(np.random.default_rng(1).integers(0, 40, 2000)), 2, 0.01)
+    cfg = DecodingConfig(algorithm="dynamic", tau=0.3, block_size=8, temperature=1.0,
+                         max_new_tokens=24, seed=3)
+    tracer = Tracer()
+    tracer.run_id = "round-1"
+    with tracer.installed(layers.patches(tracer)):
+        result = generate(model, (1, 2), cfg)
+        score = noise.nelbo_estimate(model, (1, 2), result.output_tokens, 8, [0.5, 1.0],
+                                     np.random.default_rng(0))
+    assert result == generate(model, (1, 2), cfg)
+    assert score == noise.nelbo_estimate(model, (1, 2), result.output_tokens, 8, [0.5, 1.0],
+                                         np.random.default_rng(0))
+    assert len(result.output_tokens) == 24 and math.isfinite(score)
+    names = [s[0] for s in tracer.spans]
+    assert names.count("denoisers.backend") == result.forward_passes
+    assert {"noise.nelbo_estimate", "noise.forward_mask", "noise.backend"} <= set(names)

@@ -214,6 +214,16 @@ class TestSweep:
                                "algorithm", "--values", "static")
         assert code == 1
 
+    def test_seed_sweep_is_refused(self, tmp_path, capsys):
+        # every run's seed is base_seed + trial * num_prompts + prompt_index,
+        # so a seed sweep would run identical variants
+        exp = write_experiment(tmp_path)
+        code, out, err = run_cli(capsys, "sweep", str(exp), "--param", "seed",
+                                 "--values", "1,2,3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "base_seed" in err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_value_rejected(self, tmp_path, capsys):
         exp = write_experiment(tmp_path)
         code, _, err = run_cli(capsys, "sweep", str(exp), "--param", "tau",

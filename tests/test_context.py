@@ -17,7 +17,8 @@ from blockdec.experiment import ConfigError, config_from_dict
 from blockdec.noise import nelbo_estimate
 from blockdec.scheduler import GenerationSession, generate, generate_tccf
 
-from markov_reference import reference_predict
+from conftest import position_probs
+from markov_reference import reference_contexts, reference_predict
 
 VOCAB = Vocab.standard(10)
 MARK3 = (7, 8, 9)
@@ -206,8 +207,9 @@ def queries(draw):
 
 
 def assert_same_record(got, want):
+    """``want`` has one row per position; ``got`` may share rows."""
     assert got.positions.tolist() == want.positions.tolist()
-    assert got.probs.tobytes() == want.probs.tobytes()
+    assert position_probs(got).tobytes() == want.probs.tobytes()
     assert got.confidence.tobytes() == want.confidence.tobytes()
     assert got.entropy.tobytes() == want.entropy.tobytes()
 
@@ -222,6 +224,19 @@ def test_markov_matches_full_context_reference(query, kind):
     got = predict(model, ctx, block)
     assert all(type(t) is int for key in model._cache for t in key)
     assert_same_record(got, reference_predict(model, context, block))
+
+
+@settings(max_examples=300, deadline=None)
+@given(queries())
+def test_markov_rows_are_the_distinct_contexts(query):
+    model, context, block = query
+    preds = predict(model, context, block)
+    contexts = reference_contexts(model, context, block)
+    rows = list(range(len(contexts))) if preds.row is None else preds.row.tolist()
+    # one row per distinct context, numbered in order of first appearance
+    assert rows == [list(dict.fromkeys(contexts)).index(c) for c in contexts]
+    assert len(preds.probs) == len(set(contexts)) <= len(contexts)
+    assert (preds.row is None) == (len(preds.probs) == len(contexts))
 
 
 class TailOnly(Sequence):

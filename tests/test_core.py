@@ -88,7 +88,13 @@ def record(rows, confidence=None, entropy=None, positions=None):
     confs = [GOOD_STATS[0]] * (n - 1) + [confidence]
     ents = [GOOD_STATS[1]] * (n - 1) + [entropy]
     return PositionPrediction(positions=list(range(n)) if positions is None else positions,
-                              probs=np.array(rows), confidence=confs, entropy=ents)
+                              probs=np.array(rows), row_confidence=confs, row_entropy=ents)
+
+
+def index(values):
+    row = np.array(values, dtype=np.int64)
+    row.flags.writeable = False
+    return row
 
 
 class TestPositionPrediction:
@@ -160,7 +166,54 @@ class TestPositionPrediction:
             PositionPrediction.from_probs([0, 1], [GOOD_ROW])
         with pytest.raises(ValueError):
             PositionPrediction(positions=[0], probs=np.array([GOOD_ROW]),
-                               confidence=[0.7, 0.7], entropy=[GOOD_STATS[1]])
+                               row_confidence=[0.7, 0.7], row_entropy=[GOOD_STATS[1]])
+
+
+class TestSharedRows:
+    ROWS = np.array([GOOD_ROW, [0.4, 0.6]])
+
+    def shared(self, row, positions=(0, 2, 3, 5)):
+        stats = [row_stats(r) for r in self.ROWS]
+        return PositionPrediction(positions, self.ROWS, [c for c, _ in stats],
+                                  [h for _, h in stats], row)
+
+    def test_per_position_stats_are_one_gather(self):
+        p = self.shared(index([1, 0, 1, 1]))
+        assert p.probs.shape == (2, 2)
+        assert p.confidence.tolist() == [0.6, 0.7, 0.6, 0.6]
+        assert p.entropy.tolist() == [row_stats(self.ROWS[r])[1] for r in (1, 0, 1, 1)]
+        assert p.row_confidence.tolist() == [0.7, 0.6]
+        for arr in (p.confidence, p.entropy, p.row):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_without_index_rows_are_positions(self):
+        p = PositionPrediction.from_probs([4, 9], self.ROWS)
+        assert p.row is None
+        assert p.confidence is p.row_confidence and p.entropy is p.row_entropy
+
+    @pytest.mark.parametrize("values", [[0, 1, 2, 1], [0, -1, 1, 1], [0, 1, 1], [0, 1, 1, 0, 1]])
+    def test_out_of_range_negative_or_wrong_length_index_rejected(self, values):
+        with pytest.raises(ValueError, match="row"):
+            self.shared(index(values))
+
+    def test_writable_or_untyped_index_rejected(self):
+        with pytest.raises(ValueError, match="read-only int64"):
+            self.shared(np.array([0, 1, 1, 0], dtype=np.int64))
+        with pytest.raises(ValueError, match="read-only int64"):
+            self.shared([0, 1, 1, 0])
+        with pytest.raises(ValueError, match="read-only int64"):
+            self.shared(index([0.0, 1.0, 1.0, 0.0]).astype(np.float64))
+
+    def test_checks_run_on_every_row(self):
+        # the bad row is the last one; positions read it through the index
+        stats = row_stats(np.array(GOOD_ROW))
+        with pytest.raises(ValueError, match="sum"):
+            PositionPrediction([0, 1, 2], np.array([GOOD_ROW, [0.5, 0.4]]),
+                               [stats[0], 0.5], [stats[1], 0.3], index([0, 1, 0]))
+        with pytest.raises(ValueError, match="max"):
+            PositionPrediction([0, 1, 2], np.array([GOOD_ROW, [0.6, 0.4]]),
+                               [stats[0], 0.4], [stats[1], 0.3], index([1, 0, 1]))
 
 
 class TestValidateConfig:
@@ -227,6 +280,15 @@ class TestLintConfig:
     def test_clean_config_silent(self):
         cfg = DecodingConfig(algorithm="dynamic", tau=0.9)
         assert lint_config(cfg) == []
+
+    @pytest.mark.parametrize("stage1, flagged", [(None, False), (31, False), (32, False), (33, True)])
+    def test_stage1_cap_past_the_budget_flagged(self, stage1, flagged):
+        tccf = TccfConfig(b_think=8, b_critic=2, marker=(1,), transition=(2,),
+                          stage1_max_tokens=stage1)
+        notes = lint_config(DecodingConfig(algorithm="dynamic", tau=0.9, max_new_tokens=32,
+                                           tccf=tccf))
+        assert any("stage1_max_tokens exceeds max_new_tokens" in n for n in notes) == flagged
+        assert len(notes) == flagged
 
 
 class TestStepRecord:

@@ -17,7 +17,7 @@ from blockdec.denoisers import (
     predict,
 )
 
-from conftest import UniformDenoiser
+from conftest import UniformDenoiser, position_probs, shared_record
 
 
 def masked_block(size, vocab):
@@ -106,11 +106,13 @@ class TestMarkovConditioning:
         v = den.vocab
         block = masked_block(3, v)
         preds = den.predict([1, 0], block)
+        probs = position_probs(preds)
         # position 0 is adjacent to the context tail token 0
-        assert np.array_equal(preds.probs[0], den.distribution((0,)))
+        assert np.array_equal(probs[0], den.distribution((0,)))
         # positions 1 and 2 have a masked neighbour; the nearest clean token
-        # is still the context tail
-        assert np.array_equal(preds.probs[1], den.distribution((0,)))
+        # is still the context tail, so all three share one row
+        assert np.array_equal(probs[1], den.distribution((0,)))
+        assert preds.row.tolist() == [0, 0, 0] and len(preds.probs) == 1
 
     def test_empty_context_uses_unigram(self):
         den = markov_fit([0, 1, 0, 0], order=1, smoothing=0.1)
@@ -364,6 +366,26 @@ class TestPredictWrapper:
         with pytest.raises(ContractViolation):
             predict(_MassOnMask(vocab), [0], masked_block(2, vocab))
 
+    @pytest.mark.parametrize("special", ["mask_id", "pad_id"])
+    def test_mass_on_a_shared_row_names_a_position(self, special):
+        vocab = Vocab.standard(4)
+        good, bad = np.zeros((2, vocab.total_ids))
+        good[: vocab.size] = 0.25
+        bad[:3] = bad[getattr(vocab, special)] = 0.25
+
+        class Shared:
+            def __init__(self):
+                self.vocab = vocab
+
+            def predict(self, context, block):
+                # positions 3 and 4 read the bad row 1
+                return shared_record(block.masked_positions(), [good, bad], [0, 0, 1, 1])
+
+        block = BlockState.from_tokens([vocab.mask_id, vocab.mask_id, 2, vocab.mask_id,
+                                        vocab.mask_id], vocab.mask_id)
+        with pytest.raises(ContractViolation, match=r"^position 3 puts mass on mask or pad$"):
+            predict(Shared(), [0], block)
+
     def test_passes_well_formed_predictions(self):
         vocab = Vocab.standard(4)
         preds = predict(UniformDenoiser(vocab), [0], masked_block(3, vocab))
@@ -400,7 +422,7 @@ class TestContractFuzz:
                                mask_id=vocab.mask_id)
             preds = predict(den, context, block)
             assert preds.positions.tolist() == block.masked_positions()
-            for probs, conf, ent in zip(preds.probs, preds.confidence, preds.entropy):
+            for probs, conf, ent in zip(position_probs(preds), preds.confidence, preds.entropy):
                 assert probs.shape == (vocab.total_ids,)
                 assert abs(float(probs.sum()) - 1.0) <= 1e-9
                 assert probs[vocab.mask_id] == 0.0

@@ -9,7 +9,7 @@ from blockdec.core import DecodingConfig, PositionPrediction, Vocab
 from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser, markov_fit
 from blockdec.sampling import (
     BacdState,
-    _realize,
+    _weights,
     decode_block,
     entropy_prefix_length,
     select_bacd,
@@ -404,18 +404,6 @@ class TestDecodeBlock:
         assert len(records) == 1
 
 
-class _RecordingRng:
-    """Stands in for the generator: records the weights ``_realize`` passes
-    to ``choice`` and returns index 0."""
-
-    def __init__(self):
-        self.weights = []
-
-    def choice(self, n, p):
-        self.weights.append(np.array(p))
-        return 0
-
-
 class TestRealize:
     def test_low_temperature_does_not_underflow(self):
         # 0.06 ** 1000 and (0.94 / 19) ** 1000 both underflow to 0.0, so
@@ -437,15 +425,12 @@ class TestRealize:
             probs = rng.dirichlet(np.full(9, 0.5))
             probs[3] = 0.0
             probs /= probs.sum()
-            rec = _RecordingRng()
-            _realize(probs, temperature, rec)
+            weights = _weights(probs, temperature)
             want = probs ** (1.0 / temperature)
             want /= want.sum()
-            assert np.allclose(rec.weights[0], want, rtol=1e-12, atol=0.0)
-            assert rec.weights[0][3] == 0.0
+            assert np.allclose(weights, want, rtol=1e-12, atol=0.0)
+            assert weights[3] == 0.0
 
     def test_unit_temperature_samples_from_probs_unchanged(self):
         probs = np.random.default_rng(6).dirichlet(np.full(9, 0.5))
-        rec = _RecordingRng()
-        _realize(probs, 1.0, rec)
-        assert np.array_equal(rec.weights[0], probs / probs.sum())
+        assert np.array_equal(_weights(probs, 1.0), probs / probs.sum())

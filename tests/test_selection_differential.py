@@ -24,6 +24,8 @@ from blockdec.sampling import (
     select_static,
 )
 
+from conftest import shared_record
+
 WIDTH = 5
 WEIGHT_ROWS = [(4, 0, 0, 0, 0), (3, 1, 0, 0, 0), (2, 2, 0, 0, 0), (1, 1, 1, 1, 0),
                (2, 1, 1, 0, 0), (1, 1, 1, 1, 1), (0, 0, 3, 1, 0)]
@@ -31,15 +33,21 @@ WEIGHT_ROWS = [(4, 0, 0, 0, 0), (3, 1, 0, 0, 0), (2, 2, 0, 0, 0), (1, 1, 1, 1, 0
 
 @st.composite
 def records(draw):
-    """A valid record over 1..10 positions with ties forced in often."""
+    """A valid record over 1..10 positions with ties forced in often; half
+    of them share rows through a row index, as the Markov backend does."""
     m = draw(st.integers(1, 10))
     positions = sorted(draw(st.sets(st.integers(0, 31), min_size=m, max_size=m)))
     pool = st.sampled_from(WEIGHT_ROWS) | st.lists(st.integers(0, 4), min_size=WIDTH,
                                                    max_size=WIDTH).filter(any)
-    weights = [draw(pool) for _ in range(m)]
+    shared = draw(st.booleans())
+    u = draw(st.integers(1, m)) if shared else m
+    weights = [draw(pool) for _ in range(u)]
     probs = np.array(weights, dtype=np.float64)
     probs /= probs.sum(axis=1, keepdims=True)
-    return PositionPrediction.from_probs(positions, probs)
+    if not shared:
+        return PositionPrediction.from_probs(positions, probs)
+    return shared_record(positions, probs, draw(st.lists(st.integers(0, u - 1), min_size=m,
+                                                         max_size=m)))
 
 
 def outcome(out):
