@@ -6,6 +6,7 @@ from .core import (
     DecodingConfig,
     GenerationResult,
     PositionPrediction,
+    RowTable,
     StepRecord,
     StopReason,
     TccfConfig,

@@ -2,13 +2,15 @@
 
 Everything here is plain data: vocabularies, per-pass prediction records,
 decoding configuration, and the step/result records emitted by the
-generation loop. The only mutable type is :class:`BlockState`, which the
-block decoder updates in place as positions are committed.
+generation loop. The mutable types are :class:`BlockState`, which the
+block decoder updates in place as positions are committed, and the
+append-only :class:`RowTable` that prediction records index into.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,6 +23,7 @@ __all__ = [
     "DecodingConfig",
     "GenerationResult",
     "PositionPrediction",
+    "RowTable",
     "StepRecord",
     "StopReason",
     "TccfConfig",
@@ -151,76 +154,116 @@ def row_stats(probs: np.ndarray) -> tuple[float, float]:
     return float(probs.max()), float(max(0.0, -(nz * np.log(nz)).sum()))
 
 
+class RowTable:
+    """Append-only table of checked categoricals: ``probs`` [R, V] over the
+    full id space with their ``confidence`` (max), ``entropy`` (nats) and
+    ``argmax`` [R], all read-only ``[:size]`` views of storage sized once for
+    ``capacity`` rows. :meth:`add` checks a row once, when it enters.
+    ``checked`` is the contract wrapper's watermark: rows below it passed
+    its mask/pad check."""
+
+    def __init__(self, capacity: int, width: int):
+        self.capacity, self.width = capacity, width
+        self.size = self.checked = 0
+        # A mapping of its own: pages are committed as rows are written, and
+        # the empty tail holds no heap that short-lived objects would reuse.
+        self._probs = np.frombuffer(mmap.mmap(-1, capacity * width * 8)).reshape(capacity, width)
+        self._confidence = np.empty(capacity)
+        self._entropy = np.empty(capacity)
+        self._argmax = np.empty(capacity, dtype=np.int64)
+
+    def _view(self, storage: np.ndarray) -> np.ndarray:
+        view = storage[: self.size]
+        view.flags.writeable = False
+        return view
+
+    probs = property(lambda self: self._view(self._probs))
+    confidence = property(lambda self: self._view(self._confidence))
+    entropy = property(lambda self: self._view(self._entropy))
+    argmax = property(lambda self: self._view(self._argmax))
+
+    def add(self, probs, confidence: float, entropy: float) -> int:
+        """Check one [V] row with its stats and append it; returns its id."""
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.shape != (self.width,):
+            raise ValueError(f"need one row of width {self.width}, not shape {probs.shape}")
+        if self.size == self.capacity:
+            raise ValueError(f"row table is full ({self.capacity} rows)")
+        total = float(probs.sum())
+        if not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN sum fails too
+            raise ValueError(f"probs sum to {total!r}, not 1")
+        if probs.min() < 0.0:
+            raise ValueError("probs must be nonnegative")
+        if abs(float(probs.max()) - confidence) > CONF_RECHECK_TOL:
+            raise ValueError("confidence does not equal max(probs)")
+        if entropy < 0.0:
+            raise ValueError("entropy must be nonnegative")
+        # Zero entropy and unit confidence have to coincide.
+        if confidence >= 1.0 - 1e-12 and entropy > 1e-9:
+            raise ValueError("unit confidence requires zero entropy")
+        if entropy <= 1e-12 and confidence < 1.0 - 1e-9:
+            raise ValueError("zero entropy requires unit confidence")
+        row = self.size
+        self._probs[row] = probs
+        self._confidence[row], self._entropy[row] = confidence, entropy
+        self._argmax[row] = probs.argmax()
+        self.size += 1
+        return row
+
+
 @dataclass(frozen=True, eq=False)
 class PositionPrediction:
-    """Denoiser output for one forward pass. ``positions`` [M] (strictly
-    ascending) are the masked positions; ``probs`` [U, V] holds categoricals
-    over the full id space, ``row_confidence`` and ``row_entropy`` [U] their
-    max and entropy in nats. Position ``positions[i]`` reads row ``row[i]``;
-    without an index (``row=None``) it reads row ``i`` and U == M, so a
-    backend whose positions share a distribution can pass it once. The
+    """Denoiser output for one forward pass: the masked ``positions`` [M]
+    (strictly ascending) and the id ``row[i]`` of each one's distribution in
+    ``table``, a read-only int64 [M] index; positions that share a
+    distribution share an id. Rows are checked once, when they enter the
+    table, so a pass checks only the shapes, the order and the ids. The
     per-position ``confidence`` and ``entropy`` [M] that selection reads are
-    gathered once at construction. Every check runs once per row; the record
-    keeps read-only views. :meth:`from_probs` derives the row stats with
-    :func:`row_stats`."""
+    gathered once at construction. :meth:`from_probs` builds a fresh table
+    with one row per position and the row stats of :func:`row_stats`."""
 
     positions: np.ndarray
-    probs: np.ndarray
-    row_confidence: np.ndarray
-    row_entropy: np.ndarray
-    row: np.ndarray | None = None
+    table: RowTable
+    row: np.ndarray
     confidence: np.ndarray = field(init=False, repr=False)
     entropy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, dtype in (("positions", np.int64), ("probs", np.float64),
-                            ("row_confidence", np.float64), ("row_entropy", np.float64)):
-            view = np.asarray(getattr(self, name), dtype=dtype).view()
-            view.flags.writeable = False  # the caller's own array stays writeable
-            object.__setattr__(self, name, view)
-        pos, probs, conf, ent, row = (self.positions, self.probs, self.row_confidence,
-                                      self.row_entropy, self.row)
-        if row is not None and not (isinstance(row, np.ndarray) and row.dtype == np.int64
-                                    and row.ndim == 1 and not row.flags.writeable):
+        pos = np.asarray(self.positions, dtype=np.int64).view()
+        pos.flags.writeable = False  # the caller's own array stays writeable
+        object.__setattr__(self, "positions", pos)
+        table, row = self.table, self.row
+        if not (isinstance(row, np.ndarray) and row.dtype == np.int64
+                and row.ndim == 1 and not row.flags.writeable):
             raise ValueError("row must be a read-only int64 vector")
-        u = probs.shape[0] if probs.ndim == 2 else 0
-        if (u < 1 or {conf.shape, ent.shape} != {(u,)} or pos.size < 1
-                or pos.shape != (row.shape if row is not None else (u,))):
-            raise ValueError("need [U, V] probs, [U] row stats and [M] positions "
-                             "(and row; M == U without it), M, U >= 1")
-        if row is not None:
-            index = row.tolist()
-            if min(index) < 0 or max(index) >= u:
-                raise ValueError(f"row values must lie in [0, {u})")
+        if pos.size < 1 or pos.shape != row.shape:
+            raise ValueError("need [M] positions and an [M] row index, M >= 1")
+        ids = row.tolist()
+        if min(ids) < 0 or max(ids) >= table.size:
+            raise ValueError(f"row values must lie in [0, {table.size})")
         if (pos[1:] <= pos[:-1]).any():
             raise ValueError("positions must be strictly ascending")
-        # Per-row scalar checks on Python floats: U is small, a numpy call is not.
-        totals = probs.sum(axis=1).tolist()
-        if not all(abs(t - 1.0) <= PROB_SUM_TOL for t in totals):  # NaN sums fail too
-            raise ValueError(f"probs sum to {totals!r}, not all 1")
-        if probs.min() < 0.0:
-            raise ValueError("probs must be nonnegative")
-        stats = list(zip(probs.max(axis=1).tolist(), conf.tolist(), ent.tolist()))
-        if any(abs(top - c) > CONF_RECHECK_TOL for top, c, _ in stats):
-            raise ValueError("confidence does not equal max(probs)")
-        if any(h < 0.0 for _, _, h in stats):
-            raise ValueError("entropy must be nonnegative")
-        # Zero entropy and unit confidence have to coincide.
-        if any(c >= 1.0 - 1e-12 and h > 1e-9 for _, c, h in stats):
-            raise ValueError("unit confidence requires zero entropy")
-        if any(h <= 1e-12 and c < 1.0 - 1e-9 for _, c, h in stats):
-            raise ValueError("zero entropy requires unit confidence")
-        if row is not None:
-            conf, ent = conf[row], ent[row]
-            conf.flags.writeable = ent.flags.writeable = False
+        conf, ent = table._confidence[row], table._entropy[row]
+        conf.flags.writeable = ent.flags.writeable = False
         object.__setattr__(self, "confidence", conf)
         object.__setattr__(self, "entropy", ent)
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The table's rows: position ``i`` reads ``probs[row[i]]``."""
+        return self.table.probs
 
     @classmethod
     def from_probs(cls, positions, probs) -> "PositionPrediction":
         arr = np.array(probs, dtype=np.float64)
-        stats = [row_stats(row) for row in arr] if arr.ndim == 2 else []
-        return cls(positions, arr, [c for c, _ in stats], [h for _, h in stats])
+        if arr.ndim != 2 or not len(arr):
+            raise ValueError("need [M, V] probs, M >= 1")
+        table = RowTable(len(arr), arr.shape[1])
+        for probs_row in arr:
+            table.add(probs_row, *row_stats(probs_row))
+        row = np.arange(len(arr), dtype=np.int64)
+        row.flags.writeable = False
+        return cls(positions, table, row)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Pluggable denoiser backends and the prediction contract.
 
 A denoiser receives clean left context plus the partially masked block
-and must return one :class:`PositionPrediction` record per forward pass,
-covering every masked position (positions that share a distribution may
-share a row). Backends are deterministic: all
+and must return one :class:`PositionPrediction` record per forward pass:
+every masked position with the id of its distribution in a
+:class:`~blockdec.core.RowTable` (positions that share a distribution may
+share an id). Backends are deterministic: all
 sampling randomness lives in the decoder. The :func:`predict` wrapper
 enforces the contract and raises :class:`ContractViolation` when a
 backend breaks it.
@@ -15,9 +16,10 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import BlockState, PositionPrediction, Vocab, row_stats
+from .core import BlockState, PositionPrediction, RowTable, Vocab, row_stats
 
 __all__ = [
+    "ROW_TABLE_ROWS",
     "ContractViolation",
     "Denoiser",
     "FixtureError",
@@ -28,6 +30,10 @@ __all__ = [
     "markov_fit",
     "predict",
 ]
+
+
+# Rows a Markov backend's table holds before it starts a new one.
+ROW_TABLE_ROWS = 4096
 
 
 class ContractViolation(RuntimeError):
@@ -50,7 +56,8 @@ def predict(denoiser: Denoiser, context: Sequence[int], block: BlockState) -> Po
     Preconditions: the context is mask-free and the block has at least one
     masked position. Postconditions: the record covers exactly the masked
     positions, in ascending order, with full-width distributions and zero
-    mass on mask and pad; each distinct row is checked once.
+    mass on mask and pad. The mask/pad check runs once per table row: on the
+    rows above the table's ``checked`` watermark, which it then advances.
     Any ``Sequence[int]`` context works; on the read-only int64 view the
     session passes, the mask check is one vectorized comparison.
     """
@@ -66,13 +73,18 @@ def predict(denoiser: Denoiser, context: Sequence[int], block: BlockState) -> Po
         raise ContractViolation(f"backend returned {type(preds).__name__}, not PositionPrediction")
     if preds.positions.tolist() != masked:
         raise ContractViolation(f"backend covered positions {preds.positions.tolist()}, expected {masked}")
-    if preds.probs.shape[1] != vocab.total_ids:
-        raise ContractViolation(f"rows have width {preds.probs.shape[1]}, expected {vocab.total_ids}")
-    special = (preds.probs[:, vocab.mask_id] > 0.0) | (preds.probs[:, vocab.pad_id] > 0.0)
-    if special.any():
-        if preds.row is not None:
-            special = special[preds.row]
-        raise ContractViolation(f"position {preds.positions[special.argmax()]} puts mass on mask or pad")
+    table = preds.table
+    if table.width != vocab.total_ids:
+        raise ContractViolation(f"rows have width {table.width}, expected {vocab.total_ids}")
+    if table.checked < table.size:
+        fresh = table.probs[table.checked :]
+        special = (fresh[:, vocab.mask_id] > 0.0) | (fresh[:, vocab.pad_id] > 0.0)
+        if special.any():
+            reads = np.isin(preds.row, table.checked + np.flatnonzero(special))
+            where = (f"position {preds.positions[reads.argmax()]}" if reads.any()
+                     else f"table row {table.checked + special.argmax()}")
+            raise ContractViolation(f"{where} puts mass on mask or pad")
+        table.checked = table.size
     return preds
 
 
@@ -95,15 +107,16 @@ class MarkovDenoiser:
     A masked position conditions on the contiguous clean run immediately to
     its left (at most ``order`` tokens, block interior first, then the
     context tail). When the adjacent position is itself masked, the single
-    nearest clean token to the left stands in; with no clean token at all
-    the unigram distribution is used. Unseen contexts back off to shorter
-    suffixes and finally to the unigram. Distributions cover ordinary
-    tokens only, so Markov-driven generation stops at the length cap.
-    Positions that condition on the same context share one row of the
-    record: every position of a masked run after its first reads the same
-    nearest clean token.
+    nearest clean token to the left stands in, an approximation: ``d`` steps
+    right of clean token ``l`` it reads ``T[l]`` where the chain gives
+    ``T^d[l]``. With no clean token at all the unigram is used. Unseen
+    contexts back off to shorter suffixes and finally to the unigram.
+    Distributions cover ordinary tokens only, so Markov-driven generation
+    stops at the length cap.
 
-    Instances are immutable after fitting and safe to share.
+    Each distinct context's row is built and checked once, into a
+    :class:`~blockdec.core.RowTable` of ``ROW_TABLE_ROWS`` rows that every
+    record indexes; a pass that might not fit starts a new table and cache.
     """
 
     def __init__(self, order: int, smoothing: float, vocab: Vocab,
@@ -119,47 +132,54 @@ class MarkovDenoiser:
         self.vocab = vocab
         self._counts = {ctx: dict(table) for ctx, table in counts.items()}
         self._totals = {ctx: sum(table.values()) for ctx, table in self._counts.items()}
-        # Context -> (row, confidence, entropy); the stats come from row_stats.
-        self._cache: dict[tuple[int, ...], tuple[np.ndarray, float, float]] = {}
+        self._roll_over(0)
+
+    def _roll_over(self, rows: int) -> None:  # a new table, room for at least ``rows``
+        self._table = RowTable(max(ROW_TABLE_ROWS, rows), self.vocab.total_ids)
+        self._cache: dict[tuple[int, ...], int] = {}  # context -> row id in _table
 
     def distribution(self, ctx: tuple[int, ...]) -> np.ndarray:
         """Smoothed next-token distribution after ``ctx``, with backoff."""
-        return self._entry(ctx)[0]
+        row = self._entry(ctx)
+        return self._table.probs[row]
 
-    def _entry(self, ctx: tuple[int, ...]) -> tuple[np.ndarray, float, float]:
+    def _entry(self, ctx: tuple[int, ...]) -> int:
         # Back off to the longest suffix of ctx that has counts.
         length = min(self.order, len(ctx))
         while ctx[len(ctx) - length:] not in self._counts:
             length -= 1
         ctx = ctx[len(ctx) - length:]
-        cached = self._cache.get(ctx)
-        if cached is not None:
-            return cached
+        row = self._cache.get(ctx)
+        if row is not None:
+            return row
+        if self._table.size == self._table.capacity:
+            self._roll_over(1)
         size = self.vocab.size
-        table = self._counts[ctx]
         vec = np.zeros(size)
-        for tok, cnt in table.items():
+        for tok, cnt in self._counts[ctx].items():
             vec[tok] = cnt
         probs = np.zeros(self.vocab.total_ids)
         probs[:size] = (vec + self.smoothing) / (self._totals[ctx] + self.smoothing * size)
-        probs.flags.writeable = False
-        entry = self._cache[ctx] = (probs, *row_stats(probs))
-        return entry
+        row = self._cache[ctx] = self._table.add(probs, *row_stats(probs))
+        return row
 
     def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction:
+        # A pass adds at most one row per position: start a new table first
+        # if that might not fit, so that a record never spans two tables.
+        if self._table.capacity - self._table.size < len(block):
+            self._roll_over(len(block))
         # One left-to-right scan. ``run`` holds the last ``order`` tokens of
         # the clean run ending just left of the current position (empty right
         # after a masked one); a masked position after a masked one reads
         # ``last``, the nearest clean token as a context, whose row is ``gap``.
         # No clean run reaches further left than the last ``order`` context tokens.
-        order = self.order
+        order, entry = self.order, self._entry
         tail = context[-order:]
         run = tail.tolist() if isinstance(tail, np.ndarray) else [int(t) for t in tail]
         last, gap = run[-1:], None
         tokens = block.tokens
         masked: list[int] = []
         index: list[int] = []
-        rows: dict[tuple[int, ...], int] = {}  # distinct context -> row
         for pos, flag in enumerate(block.mask_flags):
             if not flag:
                 run.append(tokens[pos])
@@ -167,20 +187,17 @@ class MarkovDenoiser:
                     del run[0]
                 continue
             if run:
-                u = rows.setdefault(tuple(run), len(rows))
+                u = entry(tuple(run))
                 last, run, gap = run[-1:], [], None
             else:
                 if gap is None:
-                    gap = rows.setdefault(tuple(last), len(rows))
+                    gap = entry(tuple(last))
                 u = gap
             masked.append(pos)
             index.append(u)
-        probs, confidence, entropy = zip(*[self._entry(ctx) for ctx in rows])
-        if len(rows) == len(masked):
-            return PositionPrediction(masked, np.stack(probs), confidence, entropy)
         row = np.array(index, dtype=np.int64)
         row.flags.writeable = False
-        return PositionPrediction(masked, np.stack(probs), confidence, entropy, row)
+        return PositionPrediction(masked, self._table, row)
 
 
 def markov_fit(corpus: Sequence[int], order: int, smoothing: float,

@@ -43,7 +43,6 @@ __all__ = [
     "ExperimentConfig",
     "Tokenization",
     "config_from_dict",
-    "config_to_dict",
     "ingest_corpus",
     "load_experiment",
     "load_markov",
@@ -171,6 +170,8 @@ _CONFIG_KEYS = {
     "algorithm", "block_size", "steps", "tau", "tau_h", "tau_l", "gamma",
     "temperature", "seed", "max_new_tokens", "tccf",
 }
+# A grid entry sets no seed: each run's derives from base_seed.
+_GRID_KEYS = _CONFIG_KEYS - {"seed"}
 _TCCF_KEYS = {"b_think", "b_critic", "marker", "transition", "stage1_max_tokens"}
 _DENOISER_KEYS = {
     "markov": {"kind", "corpus", "tokenization", "order", "smoothing"},
@@ -217,12 +218,16 @@ def _tokens(value, where: str) -> tuple[int, ...]:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def config_from_dict(data: dict) -> DecodingConfig:
-    """Parse one grid entry; unknown keys and violations (a mistyped value
-    included: :func:`validate_config` checks types) are errors."""
+def config_from_dict(data: dict, keys: set[str] = _CONFIG_KEYS) -> DecodingConfig:
+    """Parse one config (a grid entry accepts ``_GRID_KEYS``); keys outside
+    ``keys`` and violations (a mistyped value included: :func:`validate_config`
+    checks types) are errors."""
     if not isinstance(data, dict):
         raise ConfigError("each grid entry must be an object")
-    unknown = set(data) - _CONFIG_KEYS
+    if "seed" in data and "seed" not in keys:
+        raise ConfigError("a grid entry cannot set 'seed': run seeds derive from base_seed "
+                          "(base_seed + trial * num_prompts + prompt_index)")
+    unknown = set(data) - keys
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "algorithm" not in data:
@@ -247,32 +252,6 @@ def config_from_dict(data: dict) -> DecodingConfig:
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
     return cfg
-
-
-def config_to_dict(cfg: DecodingConfig) -> dict:
-    """Inverse of :func:`config_from_dict` (structural round-trip)."""
-    out = {
-        "algorithm": cfg.algorithm.value,
-        "block_size": cfg.block_size,
-        "steps": cfg.steps,
-        "tau": cfg.tau,
-        "tau_h": cfg.tau_h,
-        "tau_l": cfg.tau_l,
-        "gamma": cfg.gamma,
-        "temperature": cfg.temperature,
-        "seed": cfg.seed,
-        "max_new_tokens": cfg.max_new_tokens,
-        "tccf": None,
-    }
-    if cfg.tccf is not None:
-        out["tccf"] = {
-            "b_think": cfg.tccf.b_think,
-            "b_critic": cfg.tccf.b_critic,
-            "marker": list(cfg.tccf.marker),
-            "transition": list(cfg.tccf.transition),
-            "stage1_max_tokens": cfg.tccf.stage1_max_tokens,
-        }
-    return out
 
 
 @dataclass
@@ -318,7 +297,7 @@ def _build_prompts(spec, corpus: Corpus | None) -> list[tuple[int, ...]]:
 
 
 class _DenoiserFactory:
-    """Builds the per-run backend; shares immutable backends across runs."""
+    """Builds the per-run backend; shares one fitted backend across runs."""
 
     def __init__(self, spec: dict, root: Path):
         kind = spec.get("kind")
@@ -386,7 +365,7 @@ def load_experiment(path) -> ExperimentConfig:
     grid_data = data["grid"]
     if not isinstance(grid_data, list) or not grid_data:
         raise ConfigError("grid must be a nonempty list")
-    grid = [config_from_dict(entry) for entry in grid_data]
+    grid = [config_from_dict(entry, _GRID_KEYS) for entry in grid_data]
 
     task = _section(data["task"], "task", {"prompts", "target"})
     if "prompts" not in task:

@@ -51,7 +51,6 @@ class RunSummary:
     mean_confidence: float
     output_len: int
     category: Category
-    stage_split: tuple[int, int] | None = None  # (stage1_passes, stage2_passes)
 
 
 @dataclass(frozen=True)
@@ -138,15 +137,11 @@ def summarize(
     params: RepetitionParams = RepetitionParams(),
     count_eos: bool = True,
 ) -> RunSummary:
-    split = None
-    if result.tccf is not None:
-        split = (result.tccf.stage1_passes, result.tccf.stage2_passes)
     return RunSummary(
         tpf=tpf(result, count_eos=count_eos),
         mean_confidence=mean_confidence(result),
         output_len=len(result.output_tokens),
         category=classify(result, target, params),
-        stage_split=split,
     )
 
 

@@ -105,8 +105,7 @@ def nelbo_estimate(
                 context = full[: len(prompt) + k * block_size]
                 preds = predict(denoiser, context, noised)
                 probs = preds.probs
-                rows = range(len(masked)) if preds.row is None else preds.row.tolist()
-                for r, i in zip(rows, masked):
+                for r, i in zip(preds.row.tolist(), masked):
                     total += -float(np.log(probs[r, truth[i]]))
             estimates.append(total / t)
     return float(np.mean(estimates))

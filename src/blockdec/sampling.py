@@ -79,16 +79,12 @@ class BacdState:
 
 @dataclass(frozen=True)
 class SelectionOutcome:
-    """Positions chosen by one selection step (ascending order)."""
+    """Positions chosen by one selection step (ascending order, nonempty:
+    the :class:`StepRecord` built from it checks that)."""
 
     chosen: tuple[int, ...]
     threshold_used: float | None
     fallback_fired: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "chosen", tuple(self.chosen))
-        if not self.chosen:
-            raise ValueError("a selection must choose at least one position")
 
 
 def _thresholded(preds: PositionPrediction, tau: float) -> tuple[np.ndarray, bool]:
@@ -193,19 +189,20 @@ def _realize(preds: PositionPrediction, chosen: np.ndarray, temperature: float,
              rng: np.random.Generator) -> list[int]:
     """Tokens for the record's positions at indices ``chosen`` (ascending).
 
-    Argmax at temperature zero. Otherwise one uniform per position, drawn in
-    ascending position order, picks through the :func:`_cdf` of its row,
-    built once per distinct row: the tokens and the generator state of one
-    ``rng.choice`` per position. The committed confidence stays untempered."""
-    rows = (chosen if preds.row is None else preds.row[chosen]).tolist()
+    The table's stored argmax of each row at temperature zero. Otherwise one
+    uniform per position, drawn in ascending position order, picks through
+    the :func:`_cdf` of its row, built once per distinct row: the tokens and
+    the generator state of one ``rng.choice`` per position. The committed
+    confidence stays untempered."""
+    rows = preds.row[chosen]
     if temperature == 0.0:
-        top = preds.probs.argmax(axis=1).tolist()
-        return [top[r] for r in rows]
+        return preds.table.argmax[rows].tolist()
+    probs = preds.probs
     cdfs: dict[int, np.ndarray] = {}
     tokens = []
-    for r, u in zip(rows, rng.random(len(rows)).tolist()):
+    for r, u in zip(rows.tolist(), rng.random(len(rows)).tolist()):
         if r not in cdfs:
-            cdfs[r] = _cdf(preds.probs[r], temperature)
+            cdfs[r] = _cdf(probs[r], temperature)
         tokens.append(int(cdfs[r].searchsorted(u, "right")))
     return tokens
 
@@ -263,7 +260,7 @@ def decode_block(
                 fallback_fired=outcome.fallback_fired,
             )
         )
-        del preds  # free this pass's [M, V] matrix before the next is built (peak RSS)
+        del preds  # free this pass's record (and a from_probs table) before the next (peak RSS)
         step_index += 1
 
     return block, records

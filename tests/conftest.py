@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from blockdec.core import GenerationResult, PositionPrediction, StepRecord, StopReason, Vocab, row_stats
+from blockdec.core import GenerationResult, PositionPrediction, RowTable, StepRecord, StopReason, Vocab, row_stats
 
 
 def spiked_probs(vocab: Vocab, token: int, peak: float) -> np.ndarray:
@@ -28,18 +28,29 @@ def preds_from_confs(confs, vocab: Vocab | None = None, token: int = 0):
         [pos for pos, _ in confs], [spiked_probs(vocab, token, conf) for _, conf in confs])
 
 
+def table_of(rows) -> RowTable:
+    """A full table holding ``rows`` with their :func:`row_stats`."""
+    rows = np.asarray(rows, dtype=np.float64)
+    table = RowTable(len(rows), rows.shape[1])
+    for r in rows:
+        table.add(r, *row_stats(r))
+    return table
+
+
+def read_only(values) -> np.ndarray:
+    index = np.array(values, dtype=np.int64)
+    index.flags.writeable = False
+    return index
+
+
 def shared_record(positions, rows, row) -> PositionPrediction:
     """A record whose positions read ``rows`` through the row index ``row``."""
-    rows = np.asarray(rows, dtype=np.float64)
-    stats = [row_stats(r) for r in rows]
-    index = np.array(row, dtype=np.int64)
-    index.flags.writeable = False
-    return PositionPrediction(positions, rows, [c for c, _ in stats], [h for _, h in stats], index)
+    return PositionPrediction(positions, table_of(rows), read_only(row))
 
 
 def position_probs(preds: PositionPrediction) -> np.ndarray:
     """The [M, V] matrix of a record: row ``i`` is position ``i``'s row."""
-    return preds.probs if preds.row is None else preds.probs[preds.row]
+    return preds.probs[preds.row]
 
 
 def spike_conf_for_entropy(vocab: Vocab, target: float) -> float:

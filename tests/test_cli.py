@@ -214,6 +214,15 @@ class TestSweep:
                                "algorithm", "--values", "static")
         assert code == 1
 
+    def test_grid_seed_is_refused(self, tmp_path, capsys):
+        # two entries at seed 1 and 2 would otherwise write identical rows
+        entry = {"algorithm": "dynamic", "tau": 0.9, "block_size": 4, "max_new_tokens": 12}
+        exp = write_experiment(tmp_path, grid=[dict(entry, seed=1), dict(entry, seed=2)])
+        code, out, err = run_cli(capsys, "run", str(exp))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "base_seed" in err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_sweep_is_refused(self, tmp_path, capsys):
         # every run's seed is base_seed + trial * num_prompts + prompt_index,
         # so a seed sweep would run identical variants

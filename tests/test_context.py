@@ -18,7 +18,7 @@ from blockdec.noise import nelbo_estimate
 from blockdec.scheduler import GenerationSession, generate, generate_tccf
 
 from conftest import position_probs
-from markov_reference import reference_contexts, reference_predict
+from markov_reference import backoff, reference_contexts, reference_predict
 
 VOCAB = Vocab.standard(10)
 MARK3 = (7, 8, 9)
@@ -207,9 +207,10 @@ def queries(draw):
 
 
 def assert_same_record(got, want):
-    """``want`` has one row per position; ``got`` may share rows."""
+    """``want`` has a fresh row per position; ``got`` indexes its backend's
+    table, where positions may share a row."""
     assert got.positions.tolist() == want.positions.tolist()
-    assert position_probs(got).tobytes() == want.probs.tobytes()
+    assert position_probs(got).tobytes() == position_probs(want).tobytes()
     assert got.confidence.tobytes() == want.confidence.tobytes()
     assert got.entropy.tobytes() == want.entropy.tobytes()
 
@@ -231,12 +232,16 @@ def test_markov_matches_full_context_reference(query, kind):
 def test_markov_rows_are_the_distinct_contexts(query):
     model, context, block = query
     preds = predict(model, context, block)
-    contexts = reference_contexts(model, context, block)
-    rows = list(range(len(contexts))) if preds.row is None else preds.row.tolist()
-    # one row per distinct context, numbered in order of first appearance
-    assert rows == [list(dict.fromkeys(contexts)).index(c) for c in contexts]
-    assert len(preds.probs) == len(set(contexts)) <= len(contexts)
-    assert (preds.row is None) == (len(preds.probs) == len(contexts))
+    keys = [backoff(model, ctx) for ctx in reference_contexts(model, context, block)]
+    ids = preds.row.tolist()
+    # one table row per distinct context after backoff, numbered in order of
+    # first appearance by a fresh backend
+    assert ids == [list(dict.fromkeys(keys)).index(k) for k in keys]
+    assert preds.table.size == len(set(keys)) <= len(keys)
+    # a repeated pass reads the same rows and adds none
+    again = predict(model, context, block)
+    assert again.table is preds.table and again.row.tolist() == ids
+    assert preds.table.size == preds.table.checked == len(set(keys))
 
 
 class TailOnly(Sequence):

@@ -13,6 +13,7 @@ from blockdec.core import (
     DecodingConfig,
     GenerationResult,
     PositionPrediction,
+    RowTable,
     StepRecord,
     StopReason,
     TccfConfig,
@@ -81,14 +82,14 @@ GOOD_ROW = [0.7, 0.3]
 GOOD_STATS = row_stats(np.array(GOOD_ROW))
 
 
-def record(rows, confidence=None, entropy=None, positions=None):
-    """A two-or-more-row record whose last row carries the given fields;
-    the rows before it are valid, so each check must scan the whole matrix."""
-    n = len(rows)
-    confs = [GOOD_STATS[0]] * (n - 1) + [confidence]
-    ents = [GOOD_STATS[1]] * (n - 1) + [entropy]
-    return PositionPrediction(positions=list(range(n)) if positions is None else positions,
-                              probs=np.array(rows), row_confidence=confs, row_entropy=ents)
+def add_last(rows, confidence=None, entropy=None) -> RowTable:
+    """Add valid rows, then a last row with the given fields, to one table:
+    each check must run on a row as it enters, whatever came before it."""
+    table = RowTable(len(rows), len(rows[-1]))
+    for good in rows[:-1]:
+        table.add(good, *GOOD_STATS)
+    table.add(rows[-1], confidence, entropy)
+    return table
 
 
 def index(values):
@@ -130,26 +131,30 @@ class TestPositionPrediction:
 
     def test_sum_checked(self):
         with pytest.raises(ValueError, match="sum"):
-            record([GOOD_ROW, [0.5, 0.4]], confidence=0.5, entropy=0.3)  # 0.9
+            add_last([GOOD_ROW, [0.5, 0.4]], confidence=0.5, entropy=0.3)  # 0.9
+        with pytest.raises(ValueError, match="sum"):
+            PositionPrediction.from_probs([0, 1], [GOOD_ROW, [0.5, 0.4]])
 
     def test_confidence_must_match_max(self):
         with pytest.raises(ValueError, match="max"):
-            record([GOOD_ROW, [0.6, 0.4]], confidence=0.4, entropy=0.3)
+            add_last([GOOD_ROW, [0.6, 0.4]], confidence=0.4, entropy=0.3)
 
     def test_negative_prob_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             PositionPrediction.from_probs([0, 1], [GOOD_ROW, [1.2, -0.2]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            add_last([GOOD_ROW, [1.2, -0.2]], confidence=1.2, entropy=0.3)
 
     def test_negative_entropy_rejected(self):
         with pytest.raises(ValueError, match="entropy"):
-            record([GOOD_ROW, [0.6, 0.4]], confidence=0.6, entropy=-0.1)
+            add_last([GOOD_ROW, [0.6, 0.4]], confidence=0.6, entropy=-0.1)
 
     def test_certainty_coupling(self):
         # confidence pinned at one forces entropy to zero, and vice versa
         with pytest.raises(ValueError, match="unit confidence"):
-            record([GOOD_ROW, [1.0, 0.0]], confidence=1.0, entropy=0.5)
+            add_last([GOOD_ROW, [1.0, 0.0]], confidence=1.0, entropy=0.5)
         with pytest.raises(ValueError, match="zero entropy"):
-            record([GOOD_ROW, [0.6, 0.4]], confidence=0.6, entropy=0.0)
+            add_last([GOOD_ROW, [0.6, 0.4]], confidence=0.6, entropy=0.0)
 
     def test_positions_strictly_ascending(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -164,33 +169,70 @@ class TestPositionPrediction:
             PositionPrediction.from_probs([0], GOOD_ROW)  # one row, not [1, V]
         with pytest.raises(ValueError):
             PositionPrediction.from_probs([0, 1], [GOOD_ROW])
-        with pytest.raises(ValueError):
-            PositionPrediction(positions=[0], probs=np.array([GOOD_ROW]),
-                               row_confidence=[0.7, 0.7], row_entropy=[GOOD_STATS[1]])
+        table = RowTable(2, 2)
+        with pytest.raises(ValueError, match="need one row of width 2"):
+            table.add([0.5, 0.3, 0.2], 0.5, 1.0)  # wrong width
+        with pytest.raises(ValueError, match="need one row of width 2"):
+            table.add([GOOD_ROW], *GOOD_STATS)  # [1, V], not one row
+
+
+class TestRowTable:
+    def test_add_returns_consecutive_ids_and_stores_the_stats(self):
+        table = RowTable(3, 3)
+        rows = [[0.2, 0.4, 0.4], [0.5, 0.25, 0.25]]
+        assert [table.add(r, *row_stats(np.array(r))) for r in rows] == [0, 1]
+        assert table.size == 2 and table.capacity == 3
+        assert table.probs.tolist() == rows
+        assert table.confidence.tolist() == [0.4, 0.5]
+        assert table.entropy.tolist() == [row_stats(np.array(r))[1] for r in rows]
+        assert table.argmax.tolist() == [1, 0]  # ties go to the lower id, as np.argmax
+
+    def test_views_are_read_only_and_copies(self):
+        row = np.array(GOOD_ROW)
+        table = RowTable(2, 2)
+        table.add(row, *GOOD_STATS)
+        row[0] = 0.0  # add copied it
+        for view in (table.probs, table.confidence, table.entropy, table.argmax):
+            assert len(view) == 1
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0
+        assert table.probs.tolist() == [GOOD_ROW]
+
+    def test_full_table_and_refused_rows_append_nothing(self):
+        table = RowTable(1, 2)
+        with pytest.raises(ValueError, match="sum"):
+            table.add([0.5, 0.4], 0.5, 0.3)
+        assert table.size == 0
+        table.add(GOOD_ROW, *GOOD_STATS)
+        with pytest.raises(ValueError, match="full"):
+            table.add(GOOD_ROW, *GOOD_STATS)
+        assert table.size == 1
 
 
 class TestSharedRows:
     ROWS = np.array([GOOD_ROW, [0.4, 0.6]])
 
     def shared(self, row, positions=(0, 2, 3, 5)):
-        stats = [row_stats(r) for r in self.ROWS]
-        return PositionPrediction(positions, self.ROWS, [c for c, _ in stats],
-                                  [h for _, h in stats], row)
+        table = RowTable(3, 2)  # one free slot: ids must be below size, not capacity
+        for r in self.ROWS:
+            table.add(r, *row_stats(r))
+        return PositionPrediction(positions, table, row)
 
     def test_per_position_stats_are_one_gather(self):
         p = self.shared(index([1, 0, 1, 1]))
         assert p.probs.shape == (2, 2)
         assert p.confidence.tolist() == [0.6, 0.7, 0.6, 0.6]
         assert p.entropy.tolist() == [row_stats(self.ROWS[r])[1] for r in (1, 0, 1, 1)]
-        assert p.row_confidence.tolist() == [0.7, 0.6]
+        assert p.table.confidence.tolist() == [0.7, 0.6]
         for arr in (p.confidence, p.entropy, p.row):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
-    def test_without_index_rows_are_positions(self):
+    def test_from_probs_index_is_the_identity(self):
         p = PositionPrediction.from_probs([4, 9], self.ROWS)
-        assert p.row is None
-        assert p.confidence is p.row_confidence and p.entropy is p.row_entropy
+        assert p.row.tolist() == [0, 1] and not p.row.flags.writeable
+        assert p.table.size == p.table.capacity == 2
+        assert p.confidence.tolist() == p.table.confidence.tolist()
 
     @pytest.mark.parametrize("values", [[0, 1, 2, 1], [0, -1, 1, 1], [0, 1, 1], [0, 1, 1, 0, 1]])
     def test_out_of_range_negative_or_wrong_length_index_rejected(self, values):
@@ -206,14 +248,11 @@ class TestSharedRows:
             self.shared(index([0.0, 1.0, 1.0, 0.0]).astype(np.float64))
 
     def test_checks_run_on_every_row(self):
-        # the bad row is the last one; positions read it through the index
-        stats = row_stats(np.array(GOOD_ROW))
+        # the bad row is the last one; every row is checked as it enters
         with pytest.raises(ValueError, match="sum"):
-            PositionPrediction([0, 1, 2], np.array([GOOD_ROW, [0.5, 0.4]]),
-                               [stats[0], 0.5], [stats[1], 0.3], index([0, 1, 0]))
+            PositionPrediction.from_probs([0, 1, 2], [GOOD_ROW, GOOD_ROW, [0.5, 0.4]])
         with pytest.raises(ValueError, match="max"):
-            PositionPrediction([0, 1, 2], np.array([GOOD_ROW, [0.6, 0.4]]),
-                               [stats[0], 0.4], [stats[1], 0.3], index([1, 0, 1]))
+            add_last([GOOD_ROW, GOOD_ROW, [0.6, 0.4]], confidence=0.4, entropy=0.3)
 
 
 class TestValidateConfig:

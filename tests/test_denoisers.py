@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from blockdec.core import BlockState, PositionPrediction, Vocab
+from blockdec import denoisers
+from blockdec.core import BlockState, DecodingConfig, PositionPrediction, RowTable, Vocab, row_stats
 from blockdec.denoisers import (
     ContractViolation,
     FixtureError,
@@ -16,8 +17,10 @@ from blockdec.denoisers import (
     markov_fit,
     predict,
 )
+from blockdec.noise import nelbo_estimate
+from blockdec.scheduler import generate
 
-from conftest import UniformDenoiser, position_probs, shared_record
+from conftest import UniformDenoiser, position_probs, read_only, shared_record
 
 
 def masked_block(size, vocab):
@@ -90,7 +93,7 @@ class TestMarkovConditioning:
         # scenario A: clean 1 sits directly left of the masked position
         block_a = BlockState(tokens=[1, v.mask_id], mask_flags=[False, True],
                              mask_id=v.mask_id)
-        pred_a = den.predict([2, 0], block_a).probs[0]
+        pred_a = position_probs(den.predict([2, 0], block_a))[0]
         # scenario B: same nearest clean token, entirely different context
         block_b = BlockState(
             tokens=[v.mask_id, 1, v.mask_id, v.mask_id],
@@ -99,7 +102,7 @@ class TestMarkovConditioning:
         )
         preds_b = den.predict([0, 0, 0, 0, 0], block_b)
         assert preds_b.positions[1] == 2
-        assert np.array_equal(pred_a, preds_b.probs[1])
+        assert np.array_equal(pred_a, position_probs(preds_b)[1])
 
     def test_nearest_clean_from_context_tail(self):
         den = markov_fit([0, 1, 0, 1, 0, 1], order=1, smoothing=0.1)
@@ -112,13 +115,13 @@ class TestMarkovConditioning:
         # positions 1 and 2 have a masked neighbour; the nearest clean token
         # is still the context tail, so all three share one row
         assert np.array_equal(probs[1], den.distribution((0,)))
-        assert preds.row.tolist() == [0, 0, 0] and len(preds.probs) == 1
+        assert len(set(preds.row.tolist())) == 1 and preds.table.size == 1
 
     def test_empty_context_uses_unigram(self):
         den = markov_fit([0, 1, 0, 0], order=1, smoothing=0.1)
         block = masked_block(2, den.vocab)
         preds = den.predict([], block)
-        assert np.array_equal(preds.probs[0], den.distribution(()))
+        assert np.array_equal(position_probs(preds)[0], den.distribution(()))
 
     # corpus where the pair context genuinely disagrees with the single-token
     # context: (0, 1) always continues with 2, but (1,) alone is a coin flip
@@ -130,7 +133,7 @@ class TestMarkovConditioning:
         # block [0, 1, ?]: the masked slot sees the clean run (0, 1)
         block = BlockState(tokens=[0, 1, v.mask_id],
                            mask_flags=[False, False, True], mask_id=v.mask_id)
-        pred = den.predict([2], block).probs[0]
+        pred = position_probs(den.predict([2], block))[0]
         assert np.array_equal(pred, den.distribution((0, 1)))
         assert not np.array_equal(pred, den.distribution((1,)))
 
@@ -143,8 +146,8 @@ class TestMarkovConditioning:
                            mask_flags=[False, True, True], mask_id=v.mask_id)
         preds = den.predict([1, 2], block)
         assert preds.positions[1] == 2
-        assert np.array_equal(preds.probs[1], den.distribution((0,)))
-        assert not np.array_equal(preds.probs[1], den.distribution(()))
+        assert np.array_equal(position_probs(preds)[1], den.distribution((0,)))
+        assert not np.array_equal(position_probs(preds)[1], den.distribution(()))
 
 
 class TestOracle:
@@ -392,6 +395,142 @@ class TestPredictWrapper:
         assert preds.positions.tolist() == [0, 1, 2]
 
 
+V4 = Vocab.standard(4)
+UNIFORM4 = np.array([0.25] * 4 + [0.0] * 3)
+
+
+def special_row(special: str) -> np.ndarray:
+    row = UNIFORM4.copy()
+    row[3] = 0.0
+    row[getattr(V4, special)] = 0.25
+    return row
+
+
+class TableBackend:
+    """Keeps one table across passes. Each pass appends the rows queued for
+    it, then reads the ids queued for it (masked positions in order);
+    ``table`` may be swapped between passes."""
+
+    def __init__(self):
+        self.vocab, self.table, self.passes = V4, RowTable(8, V4.total_ids), []
+
+    def predict(self, context, block):
+        rows, ids = self.passes.pop(0)
+        for r in rows:
+            self.table.add(r, *row_stats(r))
+        return PositionPrediction(block.masked_positions(), self.table, read_only(ids))
+
+
+class TestTableWatermark:
+    """The wrapper checks mask/pad mass once per table row, on the rows above
+    the table's ``checked`` watermark."""
+
+    @pytest.mark.parametrize("special", ["mask_id", "pad_id"])
+    def test_a_row_added_after_a_checked_pass_is_checked(self, special):
+        backend = TableBackend()
+        backend.passes = [([UNIFORM4], [0, 0, 0]), ([special_row(special)], [0, 1, 0])]
+        predict(backend, [0], masked_block(3, V4))
+        assert backend.table.checked == backend.table.size == 1
+        with pytest.raises(ContractViolation, match=r"^position 1 puts mass on mask or pad$"):
+            predict(backend, [0], masked_block(3, V4))
+        assert backend.table.checked == 1  # the bad row never passes
+
+    def test_an_unread_bad_row_is_named_by_its_id(self):
+        backend = TableBackend()
+        backend.passes = [([UNIFORM4, special_row("pad_id")], [0, 0])]
+        with pytest.raises(ContractViolation, match=r"^table row 1 puts mass on mask or pad$"):
+            predict(backend, [0], masked_block(2, V4))
+
+    def test_a_new_table_is_checked_from_zero(self):
+        backend = TableBackend()
+        backend.passes = [([UNIFORM4], [0, 0]), ([special_row("mask_id")], [0, 0])]
+        predict(backend, [0], masked_block(2, V4))
+        backend.table = RowTable(8, V4.total_ids)
+        with pytest.raises(ContractViolation, match=r"^position 0 puts mass on mask or pad$"):
+            predict(backend, [0], masked_block(2, V4))
+
+    def test_rows_below_the_watermark_are_not_scanned_again(self):
+        backend = TableBackend()
+        backend.passes = [([UNIFORM4], [0, 0]), ([], [0, 0])]
+        predict(backend, [0], masked_block(2, V4))
+        backend.table._probs[0, V4.mask_id] = 1.0  # corrupts private storage: not a backend's move
+        predict(backend, [0], masked_block(2, V4))
+
+    def test_markov_rows_are_checked_once(self):
+        den = markov_fit([0, 1, 2, 0, 1, 2], order=1, smoothing=0.1)
+        predict(den, [0, 1], masked_block(3, den.vocab))
+        table = den._table
+        assert table.checked == table.size > 0
+        den.distribution((2, 0))  # a row added outside a pass waits for the next one
+        assert table.checked < table.size
+        predict(den, [1], masked_block(2, den.vocab))
+        assert table.checked == table.size
+
+
+def chain_model(vocab_size=40, order=2):
+    """An order-2 fit on a sparse random chain over ``vocab_size`` tokens."""
+    rng = np.random.default_rng(5)
+    succ = rng.integers(0, vocab_size, size=(vocab_size, 3))
+    tok, corpus = 0, []
+    for u in rng.integers(0, 3, size=4000).tolist():
+        corpus.append(tok)
+        tok = int(succ[tok, u])
+    return markov_fit(corpus, order, 0.05, vocab=Vocab.standard(vocab_size))
+
+
+class CheckedTables:
+    """Delegates to a Markov backend and checks every record it returns:
+    the record indexes the backend's current table, its ids lie in that
+    table, and the table stays within the cap (or the block, if larger)."""
+
+    def __init__(self, model, cap):
+        self.model, self.vocab, self.cap, self.tables = model, model.vocab, cap, []
+
+    def predict(self, context, block):
+        preds = self.model.predict(context, block)
+        table = preds.table
+        assert table is self.model._table
+        assert table.size <= table.capacity == max(self.cap, len(block))
+        assert 0 <= preds.row.min() and preds.row.max() < table.size
+        if not self.tables or self.tables[-1] is not table:
+            self.tables.append(table)
+        return preds
+
+
+RULES = [dict(algorithm="static", steps=3), dict(algorithm="dynamic", tau=0.6),
+         dict(algorithm="bacd", tau_h=0.9, tau_l=0.5), dict(algorithm="entropy_bounded", gamma=1.0)]
+
+
+class TestTableCap:
+    @pytest.mark.parametrize("cap, block_size", [(6, 4), (3, 5)])
+    def test_capped_tables_roll_over_without_moving_any_output(self, monkeypatch, cap, block_size):
+        fresh = chain_model()
+        monkeypatch.setattr(denoisers, "ROW_TABLE_ROWS", cap)
+        capped = CheckedTables(chain_model(), cap)
+        prompts = [[1, 2, 3], [7], [30, 31, 32, 33]]
+        for rule in RULES:
+            for temperature in (0.0, 1.0):
+                for seed, prompt in enumerate(prompts):
+                    cfg = DecodingConfig(**rule, block_size=block_size, temperature=temperature,
+                                         seed=seed, max_new_tokens=24)
+                    want, got = generate(fresh, prompt, cfg), generate(capped, prompt, cfg)
+                    assert got.output_tokens == want.output_tokens
+                    assert got.steps == want.steps
+                    score = [nelbo_estimate(m, prompt, got.output_tokens, block_size, [0.3, 0.7, 1.0],
+                                            np.random.default_rng(seed)) for m in (fresh, capped)]
+                    assert score[0] == score[1]
+        assert len(capped.tables) > 20  # the cap was hit over and over
+        assert fresh._table.capacity == 4096 and fresh._table.size > 10 * cap
+
+    def test_distribution_rolls_over_a_full_table(self, monkeypatch):
+        fresh = chain_model()
+        monkeypatch.setattr(denoisers, "ROW_TABLE_ROWS", 2)
+        capped = chain_model()
+        for ctx in [(1,), (2,), (3,), (1, 2), (), (1,)]:
+            assert capped.distribution(ctx).tobytes() == fresh.distribution(ctx).tobytes()
+            assert capped._table.size <= 2
+
+
 class TestContractFuzz:
     def test_random_queries_satisfy_contract(self):
         rng = np.random.default_rng(2024)
@@ -435,4 +574,5 @@ class TestContractFuzz:
         block = masked_block(3, den.vocab)
         a = predict(den, [0, 1], block)
         b = predict(den, [0, 1], block)
-        assert np.array_equal(a.probs, b.probs)
+        assert np.array_equal(position_probs(a), position_probs(b))
+        assert a.table is b.table and a.row.tolist() == b.row.tolist()

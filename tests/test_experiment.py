@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -19,7 +20,6 @@ from blockdec.experiment import (
     ConfigError,
     Tokenization,
     config_from_dict,
-    config_to_dict,
     ingest_corpus,
     lint_experiment,
     load_experiment,
@@ -111,10 +111,11 @@ def random_config(rng):
 
 class TestConfigSerialization:
     def test_round_trip_random_configs(self):
+        # every DecodingConfig field parses back under its own name
         rng = np.random.default_rng(99)
         for _ in range(100):
             cfg = random_config(rng)
-            assert config_from_dict(config_to_dict(cfg)) == cfg
+            assert config_from_dict(dataclasses.asdict(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -303,6 +304,15 @@ class TestLoadExperiment:
         with pytest.raises(ConfigError):
             load_experiment(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("seed", [1, 2, -3, "x"])
+    def test_grid_seed_is_refused(self, tmp_path, seed):
+        # run seeds derive from base_seed, so a grid seed would be ignored
+        entry = {"algorithm": "dynamic", "tau": 0.9, "block_size": 4, "max_new_tokens": 12}
+        path = write_experiment(tmp_path, grid=[entry, dict(entry, seed=seed)])
+        with pytest.raises(ConfigError, match="cannot set 'seed'.*base_seed"):
+            load_experiment(path)
+        assert config_from_dict(dict(entry, seed=2)).seed == 2  # a lone config keeps its seed
+
     def test_lint_flags_suspicious_grid(self, tmp_path):
         path = write_experiment(
             tmp_path,
@@ -330,11 +340,11 @@ class TestLoadExperiment:
 
 def test_readme_grammar_lists_the_parsed_config_keys():
     """The grid and tccf keys in README's experiment grammar are exactly the
-    keys the parser accepts."""
+    keys a grid entry accepts."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     bullet = re.search(r"^\* `grid`:(.*?)(?=^\* )", readme, re.M | re.S).group(1)
     grid_part, tccf_part = re.sub(r"\([^)]*\)", "", bullet).split("optionally `tccf` with")
     grid_keys = set(re.findall(r"`(\w+)`", grid_part)) | {"tccf"}
     tccf_keys = set(re.findall(r"`(\w+)`", tccf_part.split(".")[0]))
-    assert grid_keys == experiment._CONFIG_KEYS
+    assert grid_keys == experiment._GRID_KEYS
     assert tccf_keys == experiment._TCCF_KEYS

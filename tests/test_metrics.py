@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from blockdec.core import StopReason, TccfTrace
+from blockdec.core import StopReason
 from blockdec.metrics import (
     Category,
     RepetitionParams,
@@ -140,14 +140,6 @@ class TestSummarize:
         assert abs(s.mean_confidence - 0.75) < 1e-12
         assert s.output_len == 4
         assert s.category is Category.ANSWER_MATCH
-        assert s.stage_split is None
-
-    def test_stage_split_copied_from_trace(self):
-        trace = TccfTrace(stage1_passes=3, stage2_passes=2, splice_position=5,
-                          forced_splice=False, critic_ran=True)
-        res = make_result([1, 2, 3, 4, 5], slot_groups=[1] * 5, tccf=trace)
-        s = summarize(res)
-        assert s.stage_split == (3, 2)
 
     def test_count_eos_forwarded(self):
         res = make_result([1, EOS], stop=StopReason.EOS, slot_groups=[2])

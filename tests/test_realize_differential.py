@@ -55,12 +55,12 @@ def test_shared_row_sampler_matches_one_choice_per_position(preds, temperature, 
 @pytest.mark.parametrize("bad", [[0.5, -0.1, 0.6], [np.nan, 0.5, 0.5], [0.2, np.nan, 0.8]])
 def test_nan_or_negative_weights_raise_value_error(bad, temperature):
     # records refuse such rows, so a bare stand-in reaches the sampler's own checks
-    preds = SimpleNamespace(probs=np.array([[0.5, 0.5, 0.0], bad]), row=None)
+    preds = SimpleNamespace(probs=np.array([[0.5, 0.5, 0.0], bad]), row=np.array([0, 1]))
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError):
             _realize(preds, np.array([0, 1]), temperature, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            reference_realize(preds.probs, None, [0, 1], temperature, np.random.default_rng(0))
+            reference_realize(preds.probs, preds.row, [0, 1], temperature, np.random.default_rng(0))
 
 
 def test_weights_are_bit_identical_to_the_reference():
