@@ -28,7 +28,6 @@ from .denoisers import (
 )
 from .metrics import (
     Category,
-    RepetitionParams,
     RunSummary,
     aggregate,
     classify,
@@ -40,7 +39,6 @@ from .metrics import (
 from .noise import forward_mask, nelbo_estimate
 from .sampling import (
     BacdState,
-    SelectionOutcome,
     decode_block,
     select_bacd,
     select_dynamic,

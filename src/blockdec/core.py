@@ -272,8 +272,8 @@ class TccfConfig:
 
     The marker is the token sequence whose appearance ends stage 1; it is
     spliced out and replaced by ``transition`` before stage 2 begins.
-    ``stage1_max_tokens`` caps stage 1 on its own (defaults to the run's
-    max_new_tokens); hitting it forces the transition without a marker.
+    Stage 1 stops at ``stage1_max_tokens`` or the run's max_new_tokens,
+    whichever is smaller; hitting that cap forces the transition without a marker.
     """
 
     b_think: int
@@ -392,9 +392,6 @@ def lint_config(cfg: DecodingConfig) -> list[str]:
     notes: list[str] = []
     if cfg.tccf is not None and cfg.tccf.b_critic >= cfg.tccf.b_think:
         notes.append("b_critic is not smaller than b_think; staging has no effect")
-    if cfg.tccf is not None and (cfg.tccf.stage1_max_tokens or 0) > cfg.max_new_tokens:
-        notes.append("tccf stage1_max_tokens exceeds max_new_tokens; "
-                     "coarse tokens past the budget are decoded, then trimmed")
     if cfg.algorithm is Algorithm.DYNAMIC and cfg.tau == 1.0:
         notes.append("tau == 1.0 never clears the threshold; every step decodes one token")
     return notes

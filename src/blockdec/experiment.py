@@ -73,12 +73,10 @@ class Tokenization(str, Enum):
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ingested corpus: ordinary token ids plus the symbol table that maps
-    ids back to source characters (None for integer corpora)."""
+    """Ingested corpus: ordinary token ids and the vocab that covers them."""
 
     tokens: tuple[int, ...]
     vocab: Vocab
-    symbols: tuple[str, ...] | None = None
 
 
 def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
@@ -107,7 +105,7 @@ def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
         if not tokens:
             raise ConfigError(f"corpus {path} is empty")
         vocab = Vocab.standard(max(2, len(ids)))
-        return Corpus(tuple(tokens), vocab, tuple(ids))
+        return Corpus(tuple(tokens), vocab)
 
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -123,7 +121,7 @@ def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
             tokens.append(value)
     if not tokens:
         raise ConfigError(f"corpus {path} is empty")
-    return Corpus(tuple(tokens), Vocab.standard(max(2, max(tokens) + 1)), None)
+    return Corpus(tuple(tokens), Vocab.standard(max(2, max(tokens) + 1)))
 
 
 def save_markov(denoiser: MarkovDenoiser, path) -> None:

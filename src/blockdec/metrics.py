@@ -17,7 +17,6 @@ from .core import GenerationResult, StopReason
 __all__ = [
     "AggregateRow",
     "Category",
-    "RepetitionParams",
     "RunSummary",
     "aggregate",
     "classify",
@@ -34,15 +33,6 @@ class Category(str, Enum):
     REPETITION = "repetition"
     INSUFFICIENT_LENGTH = "insufficient_length"
     UNCHECKED = "unchecked"
-
-
-@dataclass(frozen=True)
-class RepetitionParams:
-    """Suffix-periodicity knobs: a tail cycle of length <= max_period must
-    repeat at least min_repeats times to count as degenerate."""
-
-    max_period: int = 32
-    min_repeats: int = 4
 
 
 @dataclass(frozen=True)
@@ -113,7 +103,6 @@ def _pre_eos(result: GenerationResult) -> list[int]:
 def classify(
     result: GenerationResult,
     target: Sequence[int] | None = None,
-    params: RepetitionParams = RepetitionParams(),
 ) -> Category:
     """Bucket a run, most degenerate condition first.
 
@@ -122,7 +111,7 @@ def classify(
     target when one is given, and runs without a target are unchecked.
     """
     body = _pre_eos(result)
-    if detect_repetition(body, params.max_period, params.min_repeats):
+    if detect_repetition(body):
         return Category.REPETITION
     if result.stop_reason is StopReason.MAX_LENGTH:
         return Category.INSUFFICIENT_LENGTH
@@ -134,14 +123,13 @@ def classify(
 def summarize(
     result: GenerationResult,
     target: Sequence[int] | None = None,
-    params: RepetitionParams = RepetitionParams(),
     count_eos: bool = True,
 ) -> RunSummary:
     return RunSummary(
         tpf=tpf(result, count_eos=count_eos),
         mean_confidence=mean_confidence(result),
         output_len=len(result.output_tokens),
-        category=classify(result, target, params),
+        category=classify(result, target),
     )
 
 

@@ -13,7 +13,7 @@ stable sorts and ``argmax`` break ties toward the lower position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ from .denoisers import Denoiser, predict
 
 __all__ = [
     "BacdState",
-    "SelectionOutcome",
     "decode_block",
     "entropy_prefix_length",
     "select_bacd",
@@ -46,45 +45,34 @@ ENTROPY_BUDGET_SLACK = 1e-12
 CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
-@dataclass(frozen=True)
+@dataclass
 class BacdState:
-    """Running confidence history for bounded adaptive thresholding.
+    """Running confidence sum for bounded adaptive thresholding.
 
-    The threshold for the next step is the mean of all previously
-    committed confidences, clipped to ``[tau_l, tau_h]``; with an empty
-    history it starts at ``tau_h``. History resets per block.
+    The threshold for the next step is the mean of the confidences
+    committed so far, ``total / count``, clipped to ``[tau_l, tau_h]``;
+    before the first commit it is ``tau_h``. :func:`select_bacd` adds each
+    committed confidence to ``total`` one at a time, left to right, so the
+    mean has one arithmetic on every Python version. One state per block.
     """
 
     tau_h: float
     tau_l: float
-    history: tuple[float, ...] = ()
+    total: float = field(default=0.0, init=False)
+    count: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not 0.0 < self.tau_l <= self.tau_h <= 1.0:
             raise ValueError("need 0 < tau_l <= tau_h <= 1")
-        object.__setattr__(self, "history", tuple(self.history))
-        for c in self.history:
-            if not 0.0 < c <= 1.0:
-                raise ValueError("history confidences must lie in (0, 1]")
 
     def threshold(self) -> float:
-        if not self.history:
+        if not self.count:
             return self.tau_h
-        mean = sum(self.history) / len(self.history)
-        return min(max(mean, self.tau_l), self.tau_h)
-
-    def extended(self, confidences: Sequence[float]) -> "BacdState":
-        return BacdState(self.tau_h, self.tau_l, self.history + tuple(confidences))
+        return min(max(self.total / self.count, self.tau_l), self.tau_h)
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
-    """Positions chosen by one selection step (ascending order, nonempty:
-    the :class:`StepRecord` built from it checks that)."""
-
-    chosen: tuple[int, ...]
-    threshold_used: float | None
-    fallback_fired: bool
+# A rule's pick: ascending record indices, the threshold used (or None), fallback fired.
+Selection = tuple[np.ndarray, float | None, bool]
 
 
 def _thresholded(preds: PositionPrediction, tau: float) -> tuple[np.ndarray, bool]:
@@ -95,16 +83,15 @@ def _thresholded(preds: PositionPrediction, tau: float) -> tuple[np.ndarray, boo
     return preds.confidence.argmax(keepdims=True), True
 
 
-def select_static(preds: PositionPrediction, n: int) -> SelectionOutcome:
+def select_static(preds: PositionPrediction, n: int) -> Selection:
     """Commit the ``n`` most confident positions (all of them when fewer
     remain). Confidence ties break toward the lower position."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    idx = np.sort(np.argsort(-preds.confidence, kind="stable")[:n])
-    return SelectionOutcome(tuple(preds.positions[idx].tolist()), None, False)
+    return np.sort(np.argsort(-preds.confidence, kind="stable")[:n]), None, False
 
 
-def select_dynamic(preds: PositionPrediction, tau: float) -> SelectionOutcome:
+def select_dynamic(preds: PositionPrediction, tau: float) -> Selection:
     """Commit every position whose confidence strictly exceeds ``tau``.
 
     Ties at the threshold stay masked. When nothing clears it, the single
@@ -113,17 +100,19 @@ def select_dynamic(preds: PositionPrediction, tau: float) -> SelectionOutcome:
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
     idx, fallback = _thresholded(preds, tau)
-    return SelectionOutcome(tuple(preds.positions[idx].tolist()), tau, fallback)
+    return idx, tau, fallback
 
 
-def select_bacd(preds: PositionPrediction, state: BacdState) -> tuple[SelectionOutcome, BacdState]:
-    """One bounded-adaptive step: threshold from the history mean, strict
-    comparison, argmax fallback, then the chosen confidences are appended
-    to the history in ascending position order."""
+def select_bacd(preds: PositionPrediction, state: BacdState) -> Selection:
+    """One bounded-adaptive step: threshold from the running mean, strict
+    comparison, argmax fallback, then the chosen confidences are added to
+    ``state`` in ascending position order."""
     tau_t = state.threshold()
     idx, fallback = _thresholded(preds, tau_t)
-    new_state = state.extended(preds.confidence[idx].tolist())
-    return SelectionOutcome(tuple(preds.positions[idx].tolist()), tau_t, fallback), new_state
+    for c in preds.confidence[idx].tolist():
+        state.total += c
+    state.count += len(idx)
+    return idx, tau_t, fallback
 
 
 def entropy_prefix_length(sorted_entropies: Sequence[float], gamma: float) -> int:
@@ -148,7 +137,7 @@ def entropy_prefix_length(sorted_entropies: Sequence[float], gamma: float) -> in
     return max(taken, 1) if sorted_entropies else 0
 
 
-def select_entropy_bounded(preds: PositionPrediction, gamma: float) -> SelectionOutcome:
+def select_entropy_bounded(preds: PositionPrediction, gamma: float) -> Selection:
     """Commit the largest low-entropy prefix within the budget ``gamma``.
 
     Positions are ordered by ascending entropy (ties toward the lower
@@ -158,8 +147,7 @@ def select_entropy_bounded(preds: PositionPrediction, gamma: float) -> Selection
     """
     ranked = np.argsort(preds.entropy, kind="stable")
     m = entropy_prefix_length(preds.entropy[ranked].tolist(), gamma)
-    idx = np.sort(ranked[:m])
-    return SelectionOutcome(tuple(preds.positions[idx].tolist()), None, False)
+    return np.sort(ranked[:m]), None, False
 
 
 def _weights(probs: np.ndarray, temperature: float) -> np.ndarray:
@@ -185,16 +173,16 @@ def _cdf(probs: np.ndarray, temperature: float) -> np.ndarray:
     return cdf
 
 
-def _realize(preds: PositionPrediction, chosen: np.ndarray, temperature: float,
+def _realize(preds: PositionPrediction, idx: np.ndarray, temperature: float,
              rng: np.random.Generator) -> list[int]:
-    """Tokens for the record's positions at indices ``chosen`` (ascending).
+    """Tokens for the record's positions at indices ``idx`` (ascending).
 
     The table's stored argmax of each row at temperature zero. Otherwise one
     uniform per position, drawn in ascending position order, picks through
     the :func:`_cdf` of its row, built once per distinct row: the tokens and
     the generator state of one ``rng.choice`` per position. The committed
     confidence stays untempered."""
-    rows = preds.row[chosen]
+    rows = preds.row[idx]
     if temperature == 0.0:
         return preds.table.argmax[rows].tolist()
     probs = preds.probs
@@ -235,32 +223,30 @@ def decode_block(
     bacd_state = BacdState(cfg.tau_h, cfg.tau_l) if cfg.algorithm is Algorithm.BACD else None
     static_n = math.ceil(block_size / cfg.steps) if cfg.algorithm is Algorithm.STATIC else None
 
-    step_index = 0
     while not block.fully_decoded:
         preds = predict(denoiser, context, block)
         if cfg.algorithm is Algorithm.STATIC:
-            outcome = select_static(preds, static_n)
+            idx, threshold_used, fallback_fired = select_static(preds, static_n)
         elif cfg.algorithm is Algorithm.DYNAMIC:
-            outcome = select_dynamic(preds, cfg.tau)
+            idx, threshold_used, fallback_fired = select_dynamic(preds, cfg.tau)
         elif cfg.algorithm is Algorithm.BACD:
-            outcome, bacd_state = select_bacd(preds, bacd_state)
+            idx, threshold_used, fallback_fired = select_bacd(preds, bacd_state)
         else:
-            outcome = select_entropy_bounded(preds, cfg.gamma)
+            idx, threshold_used, fallback_fired = select_entropy_bounded(preds, cfg.gamma)
 
-        idx = np.searchsorted(preds.positions, outcome.chosen)
-        for pos, tok in zip(outcome.chosen, _realize(preds, idx, cfg.temperature, rng)):
+        chosen = preds.positions[idx].tolist()
+        for pos, tok in zip(chosen, _realize(preds, idx, cfg.temperature, rng)):
             block.assign(pos, tok)
         records.append(
             StepRecord(
                 block_index=block_index,
-                step_index=step_index,
-                threshold_used=outcome.threshold_used,
-                unmasked_positions=outcome.chosen,
+                step_index=len(records),
+                threshold_used=threshold_used,
+                unmasked_positions=tuple(chosen),
                 confidences=tuple(preds.confidence[idx].tolist()),
-                fallback_fired=outcome.fallback_fired,
+                fallback_fired=fallback_fired,
             )
         )
         del preds  # free this pass's record (and a from_probs table) before the next (peak RSS)
-        step_index += 1
 
     return block, records

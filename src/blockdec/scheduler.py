@@ -171,7 +171,7 @@ def generate_tccf(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> Generation
     if tc is None:
         raise ValueError("generate_tccf requires cfg.tccf")
     session = GenerationSession.start(denoiser, prompt, cfg)
-    stage1_cap = tc.stage1_max_tokens if tc.stage1_max_tokens is not None else cfg.max_new_tokens
+    stage1_cap = min(tc.stage1_max_tokens or cfg.max_new_tokens, cfg.max_new_tokens)
     stop, splice_at = _decode(session, tc.b_think, stage1_cap, tc.marker)
     stage1_passes = len(session.records)
     if stop is StopReason.EOS:

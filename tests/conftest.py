@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from blockdec.core import GenerationResult, PositionPrediction, RowTable, StepRecord, StopReason, Vocab, row_stats
+from blockdec.sampling import BacdState
 
 
 def spiked_probs(vocab: Vocab, token: int, peak: float) -> np.ndarray:
@@ -26,6 +27,15 @@ def preds_from_confs(confs, vocab: Vocab | None = None, token: int = 0):
     vocab = vocab or Vocab.standard(10)
     return PositionPrediction.from_probs(
         [pos for pos, _ in confs], [spiked_probs(vocab, token, conf) for _, conf in confs])
+
+
+def bacd_after(history, tau_l: float, tau_h: float) -> BacdState:
+    """A BACD state that has committed the confidences ``history``, in order."""
+    state = BacdState(tau_h=tau_h, tau_l=tau_l)
+    for c in history:
+        state.total += c
+        state.count += 1
+    return state
 
 
 def table_of(rows) -> RowTable:

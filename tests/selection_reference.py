@@ -46,10 +46,19 @@ def select_dynamic(rows, tau: float):
     return (argmax_fallback(rows),), tau, True
 
 
+def left_to_right_sum(values) -> float:
+    # An explicit loop: sum() of floats is compensated from Python 3.12 on,
+    # and the rule's running sum is not.
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def bacd_threshold(tau_h: float, tau_l: float, history) -> float:
     if not history:
         return tau_h
-    return min(max(sum(history) / len(history), tau_l), tau_h)
+    return min(max(left_to_right_sum(history) / len(history), tau_l), tau_h)
 
 
 def select_bacd(rows, tau_h: float, tau_l: float, history):

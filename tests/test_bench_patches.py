@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -41,6 +42,24 @@ def test_traced_decode_counts_one_record_per_pass():
     assert from_probs == {"denoisers.predict": result.forward_passes}
     assert passes > result.forward_passes
     assert any(s[0] == "denoisers.backend" for s in tracer.spans)
+
+
+@pytest.mark.parametrize("rule, fields", [("static", {"steps": 2}), ("dynamic", {"tau": 0.6}),
+                                          ("bacd", {"tau_h": 0.9, "tau_l": 0.5}),
+                                          ("entropy_bounded", {"gamma": 0.7})])
+def test_each_rule_is_spanned_once_per_pass(rule, fields):
+    # The split times each rule by wrapping its module global; a rule that
+    # decode_block no longer calls through that name would read 0 silently.
+    tracer = Tracer()
+    tracer.run_id = "round-1"
+    oracle = OracleDenoiser(vocab=Vocab.standard(6), target=(1, 2, 3, 4, 5, 0, 1, 2),
+                            base_confidence=0.8, decay=0.7)
+    cfg = DecodingConfig(algorithm=rule, block_size=4, max_new_tokens=8, **fields)
+    with tracer.installed(layers.patches(tracer)):
+        result = generate(oracle, (), cfg)
+    names = [s[0] for s in tracer.spans]
+    assert names.count(f"sampling.select_{rule}") == result.forward_passes > 0
+    assert sum(name.startswith("sampling.select_") for name in names) == result.forward_passes
 
 
 def test_traced_sampled_markov_generate_and_nelbo_complete():

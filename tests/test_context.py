@@ -108,13 +108,13 @@ class TestSchedulerContext:
         check_contexts(rec, [], res, (6,))
 
     def test_forced_splice_past_the_initial_buffer(self):
-        # stage 1 may run past max_new_tokens, and the transition is long:
+        # stage 1 stops at max_new_tokens, and the transition is long:
         # the buffer has to grow, and every context stays right.
         transition = (6,) * 20
         rec = oracle([i % 5 for i in range(60)])
         res = generate_tccf(rec, [4], cfg(tccf(stage1_max_tokens=30, transition=transition),
                                           max_new_tokens=8))
-        assert res.tccf.forced_splice and res.tccf.splice_position == 32
+        assert res.tccf.forced_splice and res.tccf.splice_position == 8
         check_contexts(rec, [4], res, transition)
 
     def test_splice_grows_and_cuts_the_buffer(self):

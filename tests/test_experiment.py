@@ -36,7 +36,6 @@ class TestIngestCorpus:
         corpus = ingest_corpus(p, Tokenization.CHARS)
         assert corpus.tokens == (0, 1, 0, 1)
         assert corpus.vocab.size == 2
-        assert corpus.symbols == ("a", "b")
 
     def test_chars_mixed_text(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -58,7 +57,6 @@ class TestIngestCorpus:
         corpus = ingest_corpus(p, Tokenization.WHITESPACE_INTS)
         assert corpus.tokens == (3, 1, 4, 1, 5)
         assert corpus.vocab.size == 6
-        assert corpus.symbols is None
 
     def test_parse_error_names_line(self, tmp_path):
         p = tmp_path / "c.txt"

@@ -7,7 +7,6 @@ import pytest
 from blockdec.core import StopReason
 from blockdec.metrics import (
     Category,
-    RepetitionParams,
     RunSummary,
     aggregate,
     classify,
@@ -122,12 +121,6 @@ class TestClassify:
 
     def test_no_target_is_unchecked(self):
         res = make_result([1, 2, 3, EOS], stop=StopReason.EOS)
-        assert classify(res) is Category.UNCHECKED
-
-    def test_repetition_params_threaded_through(self):
-        res = make_result([5, 5, 5, EOS], stop=StopReason.EOS)
-        strict = RepetitionParams(max_period=4, min_repeats=3)
-        assert classify(res, params=strict) is Category.REPETITION
         assert classify(res) is Category.UNCHECKED
 
 

@@ -20,6 +20,7 @@ from blockdec.sampling import (
 
 from conftest import (
     CountingDenoiser,
+    bacd_after,
     full_random_script,
     preds_from_confs,
     spike_conf_for_entropy,
@@ -30,54 +31,65 @@ from conftest import (
 VOCAB = Vocab.standard(10)
 
 
+def at(preds, idx):
+    """The positions at record indices ``idx``, as a selection rule picks them."""
+    return tuple(preds.positions[idx].tolist())
+
+
 class TestStatic:
     def test_top_n_by_confidence(self):
         preds = preds_from_confs([(0, 0.5), (1, 0.9), (2, 0.7)])
-        out = select_static(preds, 2)
-        assert out.chosen == (1, 2)
-        assert out.fallback_fired is False
-        assert out.threshold_used is None
+        idx, threshold, fallback = select_static(preds, 2)
+        assert at(preds, idx) == (1, 2)
+        assert fallback is False
+        assert threshold is None
 
     def test_tie_breaks_to_lower_position(self):
         preds = preds_from_confs([(0, 0.7), (1, 0.7), (2, 0.7)])
-        assert select_static(preds, 2).chosen == (0, 1)
+        assert at(preds, select_static(preds, 2)[0]) == (0, 1)
 
     def test_n_capped_at_remaining(self):
         preds = preds_from_confs([(0, 0.5), (1, 0.9)])
-        assert select_static(preds, 5).chosen == (0, 1)
+        assert at(preds, select_static(preds, 5)[0]) == (0, 1)
 
     def test_n_must_be_positive(self):
         preds = preds_from_confs([(0, 0.5)])
         with pytest.raises(ValueError):
             select_static(preds, 0)
 
+    def test_returns_ascending_record_indices(self):
+        preds = preds_from_confs([(3, 0.5), (8, 0.9), (20, 0.7)])
+        idx, _, _ = select_static(preds, 2)
+        assert idx.tolist() == [1, 2]
+        assert at(preds, idx) == (8, 20)
+
 
 class TestDynamic:
     def test_strictly_above_threshold(self):
         preds = preds_from_confs([(0, 0.95), (1, 0.9), (2, 0.8)])
-        out = select_dynamic(preds, 0.9)
+        idx, threshold, fallback = select_dynamic(preds, 0.9)
         # 0.9 is not strictly above 0.9
-        assert out.chosen == (0,)
-        assert out.fallback_fired is False
-        assert out.threshold_used == 0.9
+        assert at(preds, idx) == (0,)
+        assert fallback is False
+        assert threshold == 0.9
 
     def test_fallback_takes_single_argmax(self):
         preds = preds_from_confs([(0, 0.5), (1, 0.8), (2, 0.6)])
-        out = select_dynamic(preds, 0.9)
-        assert out.chosen == (1,)
-        assert out.fallback_fired is True
+        idx, _, fallback = select_dynamic(preds, 0.9)
+        assert at(preds, idx) == (1,)
+        assert fallback is True
 
     def test_fallback_tie_breaks_to_lower_position(self):
         preds = preds_from_confs([(0, 0.7), (1, 0.7)])
-        out = select_dynamic(preds, 0.9)
-        assert out.chosen == (0,)
-        assert out.fallback_fired is True
+        idx, _, fallback = select_dynamic(preds, 0.9)
+        assert at(preds, idx) == (0,)
+        assert fallback is True
 
     def test_tau_one_with_subunit_confidence_always_falls_back(self):
         preds = preds_from_confs([(0, 0.99), (1, 0.97)])
-        out = select_dynamic(preds, 1.0)
-        assert out.fallback_fired is True
-        assert len(out.chosen) == 1
+        idx, _, fallback = select_dynamic(preds, 1.0)
+        assert fallback is True
+        assert len(idx) == 1
 
     def test_tau_validated(self):
         preds = preds_from_confs([(0, 0.5)])
@@ -94,8 +106,8 @@ class TestDynamic:
             preds = preds_from_confs(confs)
             tau_hi = float(rng.uniform(0.2, 1.0))
             tau_lo = float(rng.uniform(0.1, tau_hi))
-            hi = set(select_dynamic(preds, tau_hi).chosen)
-            lo = set(select_dynamic(preds, tau_lo).chosen)
+            hi = set(at(preds, select_dynamic(preds, tau_hi)[0]))
+            lo = set(at(preds, select_dynamic(preds, tau_lo)[0]))
             assert hi <= lo
 
 
@@ -103,45 +115,52 @@ class TestBacd:
     def test_first_step_uses_high_threshold(self):
         preds = preds_from_confs([(0, 0.95), (1, 0.5)])
         state = BacdState(tau_l=0.6, tau_h=0.9)
-        out, new_state = select_bacd(preds, state)
-        assert out.threshold_used == 0.9
-        assert out.chosen == (0,)
-        assert new_state.history == (0.95,)
+        idx, threshold, _ = select_bacd(preds, state)
+        assert threshold == 0.9
+        assert at(preds, idx) == (0,)
+        assert (state.total, state.count) == (0.95, 1)
 
     def test_history_mean_becomes_threshold(self):
         preds = preds_from_confs([(0, 0.8), (1, 0.7)])
-        state = BacdState(tau_l=0.6, tau_h=0.9, history=(0.7, 0.8))
-        out, _ = select_bacd(preds, state)
-        assert abs(out.threshold_used - 0.75) < 1e-12
-        assert out.chosen == (0,)
+        idx, threshold, _ = select_bacd(preds, bacd_after((0.7, 0.8), tau_l=0.6, tau_h=0.9))
+        assert abs(threshold - 0.75) < 1e-12
+        assert at(preds, idx) == (0,)
 
     def test_mean_clipped_from_below(self):
         preds = preds_from_confs([(0, 0.65)])
-        state = BacdState(tau_l=0.6, tau_h=0.9, history=(0.5, 0.5))
-        out, _ = select_bacd(preds, state)
-        assert out.threshold_used == 0.6
-        assert out.chosen == (0,)
-        assert out.fallback_fired is False
+        idx, threshold, fallback = select_bacd(preds, bacd_after((0.5, 0.5), tau_l=0.6, tau_h=0.9))
+        assert threshold == 0.6
+        assert at(preds, idx) == (0,)
+        assert fallback is False
 
     def test_mean_clipped_from_above(self):
         preds = preds_from_confs([(0, 0.95)])
-        state = BacdState(tau_l=0.6, tau_h=0.9, history=(0.99, 0.97))
-        out, _ = select_bacd(preds, state)
-        assert out.threshold_used == 0.9
+        _, threshold, _ = select_bacd(preds, bacd_after((0.99, 0.97), tau_l=0.6, tau_h=0.9))
+        assert threshold == 0.9
 
     def test_fallback_confidence_enters_history(self):
         preds = preds_from_confs([(0, 0.5), (1, 0.4)])
         state = BacdState(tau_l=0.6, tau_h=0.9)
-        out, new_state = select_bacd(preds, state)
-        assert out.fallback_fired is True
-        assert new_state.history == (0.5,)
+        _, _, fallback = select_bacd(preds, state)
+        assert fallback is True
+        assert (state.total, state.count) == (0.5, 1)
 
     def test_history_appends_in_position_order(self):
         preds = preds_from_confs([(0, 0.92), (1, 0.97), (2, 0.95)])
         state = BacdState(tau_l=0.6, tau_h=0.9)
-        out, new_state = select_bacd(preds, state)
-        assert out.chosen == (0, 1, 2)
-        assert new_state.history == (0.92, 0.97, 0.95)
+        idx, _, _ = select_bacd(preds, state)
+        assert at(preds, idx) == (0, 1, 2)
+        assert (state.total, state.count) == (0.92 + 0.97 + 0.95, 3)
+
+    def test_running_sum_adds_left_to_right(self):
+        # Ten commits of 0.1 add up to 0.9999999999999999 from the left;
+        # a compensated sum (math.fsum, or sum() from Python 3.12) gives 1.0.
+        preds = preds_from_confs([(0, 0.1)], vocab=Vocab.standard(20))
+        state = BacdState(tau_l=0.05, tau_h=0.9)
+        for _ in range(10):
+            select_bacd(preds, state)
+        assert (state.total, state.count) == (0.9999999999999999, 10)
+        assert state.threshold() == 0.09999999999999999
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -156,14 +175,12 @@ class TestBacd:
             confs = [(i, float(c)) for i, c in
                      enumerate(rng.uniform(0.11, 1.0, size=5))]
             preds = preds_from_confs(confs)
-            state = BacdState(tau_l=tau, tau_h=tau,
-                              history=tuple(float(x) for x in
-                                            rng.uniform(0.2, 1.0, size=3)))
-            got, _ = select_bacd(preds, state)
-            want = select_dynamic(preds, tau)
-            assert got.chosen == want.chosen
-            assert got.fallback_fired == want.fallback_fired
-            assert got.threshold_used == want.threshold_used
+            state = bacd_after([float(x) for x in rng.uniform(0.2, 1.0, size=3)],
+                               tau_l=tau, tau_h=tau)
+            got_idx, *got = select_bacd(preds, state)
+            want_idx, *want = select_dynamic(preds, tau)
+            assert got_idx.tolist() == want_idx.tolist()
+            assert got == want
 
 
 class TestEntropyPrefix:
@@ -214,20 +231,20 @@ class TestEntropyBoundedSelect:
         preds = self.entropy_preds([0.5, 0.1, 0.2])
         # ascending entropies: 0.1 (pos 1), 0.2 (pos 2), 0.5 (pos 0);
         # a 0.15 budget pays for the first two (cost 0.1) but not all three
-        out = select_entropy_bounded(preds, 0.15)
-        assert out.chosen == (1, 2)
-        assert out.fallback_fired is False
+        idx, _, fallback = select_entropy_bounded(preds, 0.15)
+        assert at(preds, idx) == (1, 2)
+        assert fallback is False
 
     def test_generous_budget_takes_all(self):
         preds = self.entropy_preds([0.5, 0.1, 0.2])
-        out = select_entropy_bounded(preds, 1.0)
-        assert out.chosen == (0, 1, 2)
+        idx, _, _ = select_entropy_bounded(preds, 1.0)
+        assert at(preds, idx) == (0, 1, 2)
 
     def test_never_empty(self):
         preds = self.entropy_preds([1.4, 1.3])
-        out = select_entropy_bounded(preds, 0.0)
-        assert out.chosen == (1,)
-        assert out.fallback_fired is False
+        idx, _, fallback = select_entropy_bounded(preds, 0.0)
+        assert at(preds, idx) == (1,)
+        assert fallback is False
 
     def test_selected_set_matches_prefix_rule(self):
         rng = np.random.default_rng(31)
@@ -236,16 +253,16 @@ class TestEntropyBoundedSelect:
             targets = [float(x) for x in rng.uniform(0.0, 1.5, size=n)]
             gamma = float(rng.uniform(0.0, 1.0))
             preds = self.entropy_preds(targets)
-            out = select_entropy_bounded(preds, gamma)
+            idx, _, _ = select_entropy_bounded(preds, gamma)
             order = sorted(zip(preds.entropy.tolist(), preds.positions.tolist()))
             m = entropy_prefix_length([h for h, _ in order], gamma)
-            assert set(out.chosen) == {pos for _, pos in order[:m]}
+            assert set(at(preds, idx)) == {pos for _, pos in order[:m]}
 
     def test_entropy_ties_resolved_by_position(self):
         preds = self.entropy_preds([0.4, 0.4, 0.4])
         # budget fits exactly one beyond the cheapest: 0.4 <= 0.5, 0.8 > 0.5
-        out = select_entropy_bounded(preds, 0.5)
-        assert out.chosen == (0, 1)
+        idx, _, _ = select_entropy_bounded(preds, 0.5)
+        assert at(preds, idx) == (0, 1)
 
 
 def oracle_cfg(**kw):

@@ -328,6 +328,18 @@ class TestOutputBudget:
             assert res.output_tokens == tuple(target[:10])
             assert res.stop_reason is StopReason.MAX_LENGTH
 
+    def test_stage_one_stops_at_the_budget(self):
+        # A stage-1 cap past max_new_tokens does not decode coarse blocks
+        # beyond the budget only for the final trim to discard them.
+        vocab = Vocab.standard(8)
+        target = [3, 1, 4, 1, 5, 2, 6, 5, 3, 5, 0, 2]
+        tccf = TccfConfig(b_think=8, b_critic=2, marker=(7, 7), transition=(0,), stage1_max_tokens=40)
+        res = generate_tccf(oracle(vocab, target, base=0.95), [],
+                            dyn_cfg(tau=0.5, block_size=8, max_new_tokens=10, tccf=tccf))
+        assert res.output_tokens == tuple(target[:10])
+        assert (res.forward_passes, res.generated_slots) == (4, 16)
+        assert res.tccf.forced_splice and res.tccf.splice_position == 16
+
     def test_eos_on_the_last_budget_slot_ends_the_run(self):
         vocab = Vocab.standard(10)
         res = generate(oracle(vocab, [3, 1, 4]), [], dyn_cfg(max_new_tokens=4))

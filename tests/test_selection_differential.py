@@ -17,14 +17,13 @@ from hypothesis import strategies as st
 import selection_reference as ref
 from blockdec.core import PositionPrediction
 from blockdec.sampling import (
-    BacdState,
     select_bacd,
     select_dynamic,
     select_entropy_bounded,
     select_static,
 )
 
-from conftest import shared_record
+from conftest import bacd_after, shared_record
 
 WIDTH = 5
 WEIGHT_ROWS = [(4, 0, 0, 0, 0), (3, 1, 0, 0, 0), (2, 2, 0, 0, 0), (1, 1, 1, 1, 0),
@@ -50,14 +49,16 @@ def records(draw):
                                                          max_size=m)))
 
 
-def outcome(out):
-    return out.chosen, out.threshold_used, out.fallback_fired
+def outcome(preds, out):
+    """A rule's selection with its record indices mapped to positions."""
+    idx, threshold_used, fallback_fired = out
+    return tuple(preds.positions[idx].tolist()), threshold_used, fallback_fired
 
 
 @settings(max_examples=200, deadline=None)
 @given(records(), st.integers(1, 12))
 def test_static_matches_reference(preds, n):
-    assert outcome(select_static(preds, n)) == ref.select_static(ref.rows_of(preds), n)
+    assert outcome(preds, select_static(preds, n)) == ref.select_static(ref.rows_of(preds), n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -66,7 +67,7 @@ def test_dynamic_matches_reference(preds, data):
     confs = preds.confidence.tolist()
     # tau equal to a confidence (ties at the threshold) or anywhere in (0, 1]
     tau = data.draw(st.sampled_from(confs) | st.floats(0.01, 1.0))
-    assert outcome(select_dynamic(preds, tau)) == ref.select_dynamic(ref.rows_of(preds), tau)
+    assert outcome(preds, select_dynamic(preds, tau)) == ref.select_dynamic(ref.rows_of(preds), tau)
 
 
 @settings(max_examples=200, deadline=None)
@@ -78,10 +79,12 @@ def test_bacd_matches_reference(preds, data):
     # empty history, a history whose mean is exactly a confidence, or a mixed one
     history = data.draw(st.sampled_from([(), (confs[0],), (confs[-1], confs[-1])])
                         | st.lists(value, max_size=6).map(tuple))
-    got, state = select_bacd(preds, BacdState(tau_h, tau_l, history))
+    state = bacd_after(history, tau_l, tau_h)
+    got = select_bacd(preds, state)
     chosen, tau_t, fallback, new_history = ref.select_bacd(ref.rows_of(preds), tau_h, tau_l, history)
-    assert outcome(got) == (chosen, tau_t, fallback)
-    assert state.history == new_history
+    assert outcome(preds, got) == (chosen, tau_t, fallback)
+    assert state.count == len(new_history)
+    assert state.total == ref.left_to_right_sum(new_history)
 
 
 @settings(max_examples=200, deadline=None)
@@ -94,4 +97,4 @@ def test_entropy_bounded_matches_reference(preds, data):
     # a budget that some prefix attains exactly, or anywhere in [0, 3]
     gamma = data.draw(st.sampled_from(prefix_sums) | st.floats(0.0, 3.0))
     got = select_entropy_bounded(preds, gamma)
-    assert outcome(got) == ref.select_entropy_bounded(ref.rows_of(preds), gamma)
+    assert outcome(preds, got) == ref.select_entropy_bounded(ref.rows_of(preds), gamma)
