@@ -91,7 +91,7 @@ def _cmd_replay(args) -> int:
     cfg = config_from_dict({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
     if args.vocab_size < 2:
         raise ConfigError("--vocab-size must be at least 2")
-    vocab = Vocab.standard(args.vocab_size)
+    vocab = Vocab(args.vocab_size)
     try:
         prompt = tuple(token_array(int(t) for t in args.prompt.split(",") if t.strip()).tolist())
     except ValueError as exc:

@@ -58,82 +58,53 @@ class StopReason(str, Enum):
 class Vocab:
     """Token id layout: ordinary ids first, special ids at the top.
 
-    Ordinary tokens occupy ``0 .. size-1``; the mask, eos, and pad ids sit
-    above them so that denoiser distributions over ordinary tokens are a
-    contiguous prefix of the id space.
+    Ordinary tokens occupy ``0 .. size-1``; the mask, eos, and pad ids are
+    ``size``, ``size + 1`` and ``size + 2``, so that denoiser distributions
+    over ordinary tokens are a contiguous prefix of the id space.
     """
 
     size: int  # number of ordinary tokens
-    mask_id: int
-    eos_id: int
-    pad_id: int
 
     def __post_init__(self):
         if self.size < 2:
             raise ValueError("vocab needs at least 2 ordinary tokens")
-        specials = (self.mask_id, self.eos_id, self.pad_id)
-        if len(set(specials)) != 3:
-            raise ValueError("mask/eos/pad ids must be distinct")
-        for tok in specials:
-            if tok < self.size:
-                raise ValueError("special ids must sit above the ordinary range")
 
-    @classmethod
-    def standard(cls, size: int) -> "Vocab":
-        """Vocab with mask/eos/pad packed directly above the ordinary ids."""
-        return cls(size=size, mask_id=size, eos_id=size + 1, pad_id=size + 2)
-
-    @property
-    def total_ids(self) -> int:
-        return max(self.mask_id, self.eos_id, self.pad_id) + 1
+    mask_id = property(lambda self: self.size)
+    eos_id = property(lambda self: self.size + 1)
+    pad_id = property(lambda self: self.size + 2)
+    total_ids = property(lambda self: self.size + 3)
 
 
 @dataclass
 class BlockState:
-    """Mutable state of the block currently being decoded.
-
-    Invariant: ``tokens[i] == mask_id`` exactly where ``mask_flags[i]`` is
-    true. All mutation goes through :meth:`assign`, which clears the flag.
-    """
+    """Mutable state of the block currently being decoded: a position is
+    masked exactly when it holds ``mask_id``. All mutation goes through
+    :meth:`assign`."""
 
     tokens: list[int]
-    mask_flags: list[bool]
     mask_id: int
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.mask_flags):
-            raise ValueError("tokens and mask_flags must have equal length")
-        for tok, flag in zip(self.tokens, self.mask_flags):
-            if flag != (tok == self.mask_id):
-                raise ValueError("mask_flags must mirror mask_id placement")
 
     @classmethod
     def fully_masked(cls, size: int, mask_id: int) -> "BlockState":
-        return cls([mask_id] * size, [True] * size, mask_id)
-
-    @classmethod
-    def from_tokens(cls, tokens, mask_id: int) -> "BlockState":
-        toks = list(tokens)
-        return cls(toks, [t == mask_id for t in toks], mask_id)
+        return cls([mask_id] * size, mask_id)
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def masked_positions(self) -> list[int]:
-        return [i for i, flag in enumerate(self.mask_flags) if flag]
+        return [i for i, tok in enumerate(self.tokens) if tok == self.mask_id]
 
     @property
     def fully_decoded(self) -> bool:
-        return not any(self.mask_flags)
+        return self.mask_id not in self.tokens
 
     def assign(self, position: int, token: int) -> None:
         """Commit a token at a still-masked position."""
-        if not self.mask_flags[position]:
+        if self.tokens[position] != self.mask_id:
             raise ValueError(f"position {position} is already decoded")
         if token == self.mask_id:
             raise ValueError("cannot assign the mask token")
         self.tokens[position] = token
-        self.mask_flags[position] = False
 
 
 def token_array(tokens) -> np.ndarray:
@@ -432,7 +403,7 @@ class TccfTrace:
     stage2_passes: int
     splice_position: int | None  # committed offset where the marker was removed
     forced_splice: bool
-    critic_ran: bool
+    critic_ran = property(lambda self: self.stage2_passes > 0)
 
 
 @dataclass(frozen=True)
@@ -447,16 +418,14 @@ class GenerationResult:
 
     prompt_len: int
     output_tokens: tuple[int, ...]
-    forward_passes: int
     steps: tuple[StepRecord, ...]
     stop_reason: StopReason
     tccf: TccfTrace | None = None
+    forward_passes = property(lambda self: len(self.steps))
 
     def __post_init__(self):
         object.__setattr__(self, "output_tokens", tuple(self.output_tokens))
         object.__setattr__(self, "steps", tuple(self.steps))
-        if self.forward_passes != len(self.steps):
-            raise ValueError("forward_passes must equal the number of step records")
 
     @property
     def generated_slots(self) -> int:

@@ -177,12 +177,12 @@ class MarkovDenoiser:
         tail = context[-order:]
         run = tail.tolist() if isinstance(tail, np.ndarray) else [int(t) for t in tail]
         last, gap = run[-1:], None
-        tokens = block.tokens
+        mask_id = block.mask_id
         masked: list[int] = []
         index: list[int] = []
-        for pos, flag in enumerate(block.mask_flags):
-            if not flag:
-                run.append(tokens[pos])
+        for pos, tok in enumerate(block.tokens):
+            if tok != mask_id:
+                run.append(tok)
                 if len(run) > order:
                     del run[0]
                 continue
@@ -210,7 +210,7 @@ def markov_fit(corpus: Sequence[int], order: int, smoothing: float,
     if order < 1:
         raise ValueError("order must be at least 1")
     if vocab is None:
-        vocab = Vocab.standard(max(2, max(corpus) + 1))
+        vocab = Vocab(max(2, max(corpus) + 1))
     for tok in corpus:
         if not 0 <= tok < vocab.size:
             raise ValueError(f"corpus token {tok} outside the ordinary range")
@@ -267,7 +267,7 @@ class OracleDenoiser:
             # tail counts, and an empty context behaves like distance to
             # the sequence start.
             j = pos - 1
-            while j >= 0 and block.mask_flags[j]:
+            while j >= 0 and block.tokens[j] == block.mask_id:
                 j -= 1
             d = pos - j
             gen_index = offset + pos

@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -104,7 +103,7 @@ def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
             tokens.append(ids[ch])
         if not tokens:
             raise ConfigError(f"corpus {path} is empty")
-        vocab = Vocab.standard(max(2, len(ids)))
+        vocab = Vocab(max(2, len(ids)))
         return Corpus(tuple(tokens), vocab)
 
     tokens = []
@@ -121,7 +120,7 @@ def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
             tokens.append(value)
     if not tokens:
         raise ConfigError(f"corpus {path} is empty")
-    return Corpus(tuple(tokens), Vocab.standard(max(2, max(tokens) + 1)))
+    return Corpus(tuple(tokens), Vocab(max(2, max(tokens) + 1)))
 
 
 def save_markov(denoiser: MarkovDenoiser, path) -> None:
@@ -143,24 +142,33 @@ def save_markov(denoiser: MarkovDenoiser, path) -> None:
 
 
 def load_markov(path) -> MarkovDenoiser:
+    """Parse a file written by :func:`save_markov`, checked where it enters:
+    ``order`` and ``vocab_size`` are JSON integers, every token lies in
+    ``[0, vocab_size)`` and every count is a JSON integer >= 1."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load markov model {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("kind") != "markov":
         raise ConfigError(f"{path} is not a markov model file")
+    order = _field(payload, "order", int, where=f"markov model {path}")
+    vocab_size = _field(payload, "vocab_size", int, where=f"markov model {path}")
     try:
         counts: dict[tuple[int, ...], dict[int, int]] = {}
         for key, table in payload["counts"].items():
             ctx = tuple(int(x) for x in key.split(",")) if key else ()
-            counts[ctx] = {int(t): int(c) for t, c in table.items()}
+            counts[ctx] = {int(t): c for t, c in table.items()}
+            if not counts[ctx] or not all(0 <= tok < vocab_size for tok in (*ctx, *counts[ctx])):
+                raise ValueError(f"context {key!r}: counts must be nonempty, tokens in [0, {vocab_size})")
+            if any(type(c) is not int or c < 1 for c in counts[ctx].values()):  # a bool is not an int here
+                raise ValueError(f"context {key!r}: every count must be an integer >= 1")
         return MarkovDenoiser(
-            order=int(payload["order"]),
+            order=order,
             smoothing=float(payload["smoothing"]),
-            vocab=Vocab.standard(int(payload["vocab_size"])),
+            vocab=Vocab(vocab_size),
             counts=counts,
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad markov model {path}: {exc!r}") from None
 
 
@@ -321,13 +329,13 @@ class _DenoiserFactory:
             elif kind == "markov_model":
                 self._shared = load_markov(root / field("path", str))
             elif kind == "oracle":
-                self.vocab = Vocab.standard(field("vocab_size", int))
+                self.vocab = Vocab(field("vocab_size", int))
                 self.target = _tokens(field("target", list), "denoiser.target")
                 self.base_confidence = field("base_confidence", float, 0.9)
                 self.decay = field("decay", float, 0.9)
                 self.for_run(())  # one up front, so bad fields fail before any run
             else:
-                self.vocab = Vocab.standard(field("vocab_size", int))
+                self.vocab = Vocab(field("vocab_size", int))
                 self.fixture = root / field("fixture", str)
                 # Parse once to fail fast; per-run instances are rebuilt fresh.
                 load_scripted(self.fixture, self.vocab)

@@ -52,23 +52,22 @@ class AggregateRow:
     frequencies: Mapping[Category, float]
 
 
-def tpf(result: GenerationResult, count_eos: bool = True) -> float:
-    """Tokens per forward pass.
+def tpf(result: GenerationResult) -> float:
+    """Tokens per forward pass."""
+    return result.generated_slots / result.forward_passes
 
-    With ``count_eos=False`` the terminating eos slot is excluded from the
-    numerator (only that one: per-step realized tokens are not recorded,
-    so discarded tail slots cannot be re-attributed after the fact).
-    """
-    slots = result.generated_slots
-    if not count_eos and result.stop_reason is StopReason.EOS:
-        slots -= 1
-    return slots / result.forward_passes
+
+def _mean(values: Sequence[float]) -> float:
+    """Mean summed left to right: Python 3.12's ``sum()`` rounds differently."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def mean_confidence(result: GenerationResult) -> float:
     """Mean confidence over every committed position of every step."""
-    confs = [c for rec in result.steps for c in rec.confidences]
-    return sum(confs) / len(confs)
+    return _mean([c for rec in result.steps for c in rec.confidences])
 
 
 def detect_repetition(tokens: Sequence[int], max_period: int = 32, min_repeats: int = 4) -> bool:
@@ -123,10 +122,9 @@ def classify(
 def summarize(
     result: GenerationResult,
     target: Sequence[int] | None = None,
-    count_eos: bool = True,
 ) -> RunSummary:
     return RunSummary(
-        tpf=tpf(result, count_eos=count_eos),
+        tpf=tpf(result),
         mean_confidence=mean_confidence(result),
         output_len=len(result.output_tokens),
         category=classify(result, target),
@@ -153,8 +151,8 @@ def aggregate(cells: Mapping[str | int, Sequence[RunSummary]]) -> list[Aggregate
             AggregateRow(
                 key=key,
                 runs=len(group),
-                mean_tpf=sum(s.tpf for s in group) / len(group),
-                mean_confidence=sum(s.mean_confidence for s in group) / len(group),
+                mean_tpf=_mean([s.tpf for s in group]),
+                mean_confidence=_mean([s.mean_confidence for s in group]),
                 frequencies=freqs,
             )
         )

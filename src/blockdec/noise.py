@@ -30,7 +30,7 @@ def forward_mask(block: BlockState, t: float, rng: np.random.Generator) -> Block
         raise ValueError(f"noise level t={t!r} outside [0, 1]")
     flags = (rng.random(len(block)) < t).tolist()
     tokens = [block.mask_id if f else tok for tok, f in zip(block.tokens, flags)]
-    return BlockState(tokens, flags, block.mask_id)
+    return BlockState(tokens, block.mask_id)
 
 
 def nelbo_estimate(
@@ -94,10 +94,10 @@ def nelbo_estimate(
         for t in t_samples:
             total = 0.0
             for k, truth in enumerate(blocks):
-                noised = forward_mask(BlockState.from_tokens(truth, vocab.mask_id), t, rng)
+                noised = forward_mask(BlockState(truth, vocab.mask_id), t, rng)
                 # Pads stay clean regardless of the draw.
                 for i, tok in enumerate(truth):
-                    if tok == vocab.pad_id and noised.mask_flags[i]:
+                    if tok == vocab.pad_id and noised.tokens[i] == vocab.mask_id:
                         noised.assign(i, tok)
                 masked = noised.masked_positions()
                 if not masked:

@@ -103,8 +103,7 @@ class GenerationSession:
         """The run so far, trimmed to ``max_new_tokens``."""
         self.splice(self.cfg.max_new_tokens)
         return GenerationResult(prompt_len=self.prompt_len, output_tokens=tuple(self.committed.tolist()),
-                                forward_passes=len(self.records), steps=tuple(self.records),
-                                stop_reason=stop, tccf=tccf)
+                                steps=tuple(self.records), stop_reason=stop, tccf=tccf)
 
 
 def _decode(session: GenerationSession, block_size: int, cap: int,
@@ -144,8 +143,11 @@ def generate(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> GenerationResul
     the output is truncated at the first eos, inclusive. Otherwise the run
     stops once the committed length reaches ``max_new_tokens``. Either way
     the output never exceeds ``max_new_tokens`` (the final block may
-    overshoot internally by up to block_size - 1 slots).
+    overshoot internally by up to block_size - 1 slots). Set ``cfg.tccf``
+    only for :func:`generate_tccf`: here it raises ValueError.
     """
+    if cfg.tccf is not None:
+        raise ValueError("cfg.tccf is set: use generate_tccf for two-stage runs")
     session = GenerationSession.start(denoiser, prompt, cfg)
     stop, _ = _decode(session, cfg.block_size, cfg.max_new_tokens)
     return session.result(stop)
@@ -175,12 +177,11 @@ def generate_tccf(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> Generation
     stop, splice_at = _decode(session, tc.b_think, stage1_cap, tc.marker)
     stage1_passes = len(session.records)
     if stop is StopReason.EOS:
-        return session.result(stop, TccfTrace(stage1_passes, 0, None, False, False))
+        return session.result(stop, TccfTrace(stage1_passes, 0, None, False))
     forced = splice_at is None
     splice_at = len(session.committed) if forced else splice_at
     session.splice(splice_at, tc.transition)  # bridge into the critic stage
     stop, _ = _decode(session, tc.b_critic, cfg.max_new_tokens)
-    stage2_passes = len(session.records) - stage1_passes
-    trace = TccfTrace(stage1_passes=stage1_passes, stage2_passes=stage2_passes, splice_position=splice_at,
-                      forced_splice=forced, critic_ran=stage2_passes > 0)
+    trace = TccfTrace(stage1_passes=stage1_passes, stage2_passes=len(session.records) - stage1_passes,
+                      splice_position=splice_at, forced_splice=forced)
     return session.result(stop, trace)

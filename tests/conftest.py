@@ -24,7 +24,7 @@ def spiked_probs(vocab: Vocab, token: int, peak: float) -> np.ndarray:
 
 def preds_from_confs(confs, vocab: Vocab | None = None, token: int = 0):
     """One record with a spiked row per (position, confidence) pair."""
-    vocab = vocab or Vocab.standard(10)
+    vocab = vocab or Vocab(10)
     return PositionPrediction.from_probs(
         [pos for pos, _ in confs], [spiked_probs(vocab, token, conf) for _, conf in confs])
 
@@ -153,7 +153,6 @@ def make_result(output, stop=StopReason.MAX_LENGTH, slot_groups=None,
     return GenerationResult(
         prompt_len=prompt_len,
         output_tokens=tuple(output),
-        forward_passes=len(steps),
         steps=tuple(steps),
         stop_reason=stop,
         tccf=tccf,

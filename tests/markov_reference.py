@@ -17,7 +17,7 @@ from blockdec.core import PositionPrediction
 def reference_contexts(model, context, block) -> list[tuple[int, ...]]:
     """The context each masked position conditions on, before backoff."""
     tokens = list(context) + block.tokens
-    clean = [True] * len(context) + [not f for f in block.mask_flags]
+    clean = [True] * len(context) + [tok != block.mask_id for tok in block.tokens]
     base = len(context)
     contexts = []
     for pos in block.masked_positions():

@@ -54,7 +54,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def test_01_pinched_band_reduces_to_fixed_threshold():
     t0 = time.monotonic()
-    vocab = Vocab.standard(6)
+    vocab = Vocab(6)
     rng = np.random.default_rng(20_001)
     mismatches = 0
     for instance in range(200):
@@ -102,7 +102,7 @@ def test_01_pinched_band_reduces_to_fixed_threshold():
 
 def test_02_single_token_limits():
     t0 = time.monotonic()
-    vocab = Vocab.standard(12)
+    vocab = Vocab(12)
     bad = 0
     for i in range(100):
         rng = np.random.default_rng(21_000 + i)
@@ -156,7 +156,7 @@ def test_02_single_token_limits():
 # ---------------------------------------------------------------------------
 
 def test_03_adaptive_threshold_band_respected():
-    vocab = Vocab.standard(10)
+    vocab = Vocab(10)
     violations = 0
     blocks_seen = 0
     for run in range(250):
@@ -257,9 +257,9 @@ def test_04_entropy_prefix_exhaustive():
 # ---------------------------------------------------------------------------
 
 def test_05_forward_mask_statistics():
-    vocab = Vocab.standard(8)
+    vocab = Vocab(8)
     n = 10_000
-    clean = BlockState.from_tokens([3] * n, vocab.mask_id)
+    clean = BlockState([3] * n, vocab.mask_id)
     failures = []
     for t in (0.1, 0.3, 0.5, 0.9):
         sigma = (t * (1.0 - t) / n) ** 0.5
@@ -290,7 +290,7 @@ def test_05_forward_mask_statistics():
 # ---------------------------------------------------------------------------
 
 def test_06_nelbo_anchors():
-    vocab = Vocab.standard(10)
+    vocab = Vocab(10)
     prompt = (0, 1, 2)
     target = tuple(int(x) for x in np.random.default_rng(23_000).integers(0, 10, size=12))
     perfect = OracleDenoiser(
@@ -305,7 +305,7 @@ def test_06_nelbo_anchors():
         rng=np.random.default_rng(5),
     )
 
-    uni_vocab = Vocab.standard(4)
+    uni_vocab = Vocab(4)
     uniform_val = nelbo_estimate(
         UniformDenoiser(uni_vocab),
         tuple(),
@@ -413,7 +413,7 @@ def test_07_threshold_speed_ordering():
 # ---------------------------------------------------------------------------
 
 def test_08_two_stage_structure():
-    vocab = Vocab.standard(20)
+    vocab = Vocab(20)
     marker = (15, 16, 17)
     transition = (18, 19)
     violations = []
@@ -531,7 +531,7 @@ def test_09_deterministic_reruns(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_10_accuracy_speed_lever():
-    vocab = Vocab.standard(30)
+    vocab = Vocab(30)
     target_rng = np.random.default_rng(99)
     targets = [
         tuple(int(x) for x in target_rng.integers(0, 30, size=6)) for _ in range(200)

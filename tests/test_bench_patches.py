@@ -27,7 +27,7 @@ def test_every_patched_attribute_is_defined_on_its_owner():
 def test_traced_decode_counts_one_record_per_pass():
     tracer = Tracer()
     tracer.run_id = "round-1"
-    vocab = Vocab.standard(6)
+    vocab = Vocab(6)
     oracle = OracleDenoiser(vocab=vocab, target=(1, 2, 3, 4, 5, 0, 1, 2),
                             base_confidence=0.8, decay=0.7)
     markov = markov_fit(list(np.random.default_rng(0).integers(0, 6, 300)), 2, 0.01)
@@ -52,7 +52,7 @@ def test_each_rule_is_spanned_once_per_pass(rule, fields):
     # decode_block no longer calls through that name would read 0 silently.
     tracer = Tracer()
     tracer.run_id = "round-1"
-    oracle = OracleDenoiser(vocab=Vocab.standard(6), target=(1, 2, 3, 4, 5, 0, 1, 2),
+    oracle = OracleDenoiser(vocab=Vocab(6), target=(1, 2, 3, 4, 5, 0, 1, 2),
                             base_confidence=0.8, decay=0.7)
     cfg = DecodingConfig(algorithm=rule, block_size=4, max_new_tokens=8, **fields)
     with tracer.installed(layers.patches(tracer)):

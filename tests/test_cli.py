@@ -20,6 +20,8 @@ from blockdec.experiment import load_markov
 
 from test_experiment import write_experiment
 
+DEMO_DIR = Path(__file__).resolve().parents[1] / "experiments"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -55,6 +57,40 @@ class TestRun:
         run_cli(capsys, "run", str(exp))
         second = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
         assert first == second
+
+    def test_lint_notes_print_as_warnings(self, tmp_path, capsys):
+        exp = write_experiment(tmp_path, grid=[{"algorithm": "dynamic", "tau": 1.0, "block_size": 4,
+                                                 "max_new_tokens": 8}])
+        code, _, err = run_cli(capsys, "run", str(exp))
+        assert code == 0
+        assert err.splitlines() == ["warning: grid[0]: tau == 1.0 never clears the threshold; "
+                                    "every step decodes one token"]
+
+    def test_failed_write_leaves_no_partial_output(self, tmp_path, capsys):
+        exp = write_experiment(tmp_path)
+        (tmp_path / "out" / "t_steps.jsonl").mkdir(parents=True)  # the last file cannot be opened
+        code, out, err = run_cli(capsys, "run", str(exp))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["t_steps.jsonl"]
+
+    def test_fitted_model_file_matches_the_markov_kind(self, tmp_path, capsys):
+        corpus = tmp_path / "demo_corpus.txt"
+        corpus.write_bytes((DEMO_DIR / "demo_corpus.txt").read_bytes())
+        code, _, _ = run_cli(capsys, "fit-markov", "--corpus", str(corpus), "--order", "2",
+                             "--smoothing", "0.01", "--out", str(tmp_path / "model.json"))
+        assert code == 0
+        spec = json.loads((DEMO_DIR / "demo.json").read_text())
+        spec["task"]["prompts"] = {"kind": "tokens", "values": [[0, 1, 2], [5, 3]]}
+        outputs = {}
+        for kind, denoiser in [("markov", spec["denoiser"]),
+                               ("markov_model", {"kind": "markov_model", "path": "model.json"})]:
+            (tmp_path / "exp.json").write_text(json.dumps(dict(spec, denoiser=denoiser)))
+            out_dir = tmp_path / kind
+            assert run_cli(capsys, "run", str(tmp_path / "exp.json"), "--output-dir", str(out_dir))[0] == 0
+            outputs[kind] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert len(outputs["markov"]) == 3
+        assert outputs["markov_model"] == outputs["markov"]
 
     def test_output_dir_flag(self, tmp_path, capsys):
         exp = write_experiment(tmp_path)
@@ -137,6 +173,46 @@ def test_malformed_experiment_is_config_error(tmp_path, capsys, overrides):
     code, out, err = run_cli(capsys, "run", str(exp))
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# Each malformed model file (vocab_size 4, order 1, smoothing 0 unless the
+# case says otherwise) must end in exit 1 with an ``error:`` line.
+GOOD_MODEL = {"kind": "markov", "order": 1, "smoothing": 0, "vocab_size": 4,
+              "counts": {"": {"0": 1, "1": 1}}}
+MALFORMED_MODELS = {
+    "context_token_past_vocab": {"counts": {"": {"0": 1}, "9": {"1": 1}}},
+    "next_token_past_vocab": {"counts": {"": {"0": 1}, "0": {"9": 1}}},
+    "negative_token": {"counts": {"": {"-1": 2}}},
+    "negative_count": {"counts": {"": {"1": -2}}},
+    "zero_count": {"counts": {"": {"0": 0}}},
+    "float_count": {"counts": {"": {"0": 2.5}}},
+    "bool_count": {"counts": {"": {"0": True}}},
+    "empty_context_table": {"counts": {"": {"0": 1}, "0": {}}},
+    "float_order": {"order": 1.5},
+    "string_order": {"order": "1"},
+    "float_vocab_size": {"vocab_size": 4.0},
+    "vocab_size_past_int64": {"vocab_size": 10**16},  # the row table's size overflows
+    "missing_vocab_size": {"vocab_size": None},
+}
+
+
+@pytest.mark.parametrize("fields", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
+def test_malformed_markov_model_is_config_error(tmp_path, capsys, fields):
+    payload = {k: v for k, v in dict(GOOD_MODEL, **fields).items() if v is not None}
+    (tmp_path / "model.json").write_text(json.dumps(payload))
+    exp = write_experiment(tmp_path, denoiser={"kind": "markov_model", "path": "model.json"},
+                           task=ORACLE_TASK)
+    code, out, err = run_cli(capsys, "run", str(exp))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_well_formed_markov_model_runs(tmp_path, capsys):
+    (tmp_path / "model.json").write_text(json.dumps(GOOD_MODEL))
+    exp = write_experiment(tmp_path, denoiser={"kind": "markov_model", "path": "model.json"},
+                           task=ORACLE_TASK)
+    code, _, err = run_cli(capsys, "run", str(exp))
+    assert (code, err) == (0, "")
 
 
 FUZZ_BASE = {

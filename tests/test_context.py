@@ -20,7 +20,7 @@ from blockdec.scheduler import GenerationSession, generate, generate_tccf
 from conftest import position_probs
 from markov_reference import backoff, reference_contexts, reference_predict
 
-VOCAB = Vocab.standard(10)
+VOCAB = Vocab(10)
 MARK3 = (7, 8, 9)
 
 
@@ -189,7 +189,7 @@ class TestNelboContext:
 def models():
     return st.builds(
         lambda size, order, walk: markov_fit([w % size for w in walk], order, 0.1,
-                                             vocab=Vocab.standard(size)),
+                                             vocab=Vocab(size)),
         st.integers(2, 6), st.integers(1, 3), st.lists(st.integers(0, 50), min_size=1, max_size=60))
 
 
@@ -203,7 +203,7 @@ def queries(draw):
         context.append(v.eos_id)
     flags = draw(st.lists(st.booleans(), min_size=1, max_size=8).filter(any))
     tokens = [v.mask_id if f else draw(tok) for f in flags]
-    return model, context, BlockState.from_tokens(tokens, v.mask_id)
+    return model, context, BlockState(tokens, v.mask_id)
 
 
 def assert_same_record(got, want):
@@ -269,6 +269,6 @@ def test_markov_reads_only_the_last_order_tokens(order):
     model = markov_fit([i * 7 % 5 for i in range(300)], order, 0.1, vocab=VOCAB)
     tail = [4, 1, 3][:order]
     m = VOCAB.mask_id
-    block = BlockState.from_tokens([m, 2, m, m, 0], m)
+    block = BlockState([m, 2, m, m, 0], m)
     got = model.predict(TailOnly(10**6, tail), block)
     assert_same_record(got, reference_predict(model, [0, 1, 2] + tail, block))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from blockdec.core import (
     StepRecord,
     StopReason,
     TccfConfig,
+    TccfTrace,
     Vocab,
     lint_config,
     row_stats,
@@ -26,28 +28,23 @@ from blockdec.core import (
 
 class TestVocab:
     def test_standard_layout(self):
-        v = Vocab.standard(5)
+        v = Vocab(5)
         assert (v.size, v.mask_id, v.eos_id, v.pad_id) == (5, 5, 6, 7)
         assert v.total_ids == 8
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
-            Vocab.standard(1)
+            Vocab(1)
 
-    def test_specials_must_be_distinct(self):
-        with pytest.raises(ValueError):
-            Vocab(size=4, mask_id=4, eos_id=4, pad_id=6)
-
-    def test_specials_must_sit_above_ordinary(self):
-        with pytest.raises(ValueError):
-            Vocab(size=4, mask_id=2, eos_id=5, pad_id=6)
+    def test_size_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(Vocab)] == ["size"]
+        assert Vocab(size=4) == Vocab(4)
 
 
 class TestBlockState:
     def test_fully_masked(self):
         b = BlockState.fully_masked(4, mask_id=9)
         assert b.tokens == [9, 9, 9, 9]
-        assert b.mask_flags == [True, True, True, True]
         assert b.masked_positions() == [0, 1, 2, 3]
         assert not b.fully_decoded
 
@@ -63,19 +60,16 @@ class TestBlockState:
         with pytest.raises(ValueError):
             b.assign(1, 5)
 
-    def test_mirror_invariant_checked(self):
-        # a masked flag whose token slot is not the mask id is corrupt
-        with pytest.raises(ValueError):
-            BlockState(tokens=[3, 9], mask_flags=[True, False], mask_id=9)
-
-    def test_clean_token_equal_to_mask_id_rejected(self):
-        with pytest.raises(ValueError):
-            BlockState(tokens=[9, 9], mask_flags=[True, False], mask_id=9)
-
     def test_from_tokens_round_trip(self):
-        b = BlockState.from_tokens([1, 2, 3], mask_id=9)
+        b = BlockState([1, 2, 3], mask_id=9)
         assert b.fully_decoded
         assert b.masked_positions() == []
+        b = BlockState([9, 2, 9], mask_id=9)
+        assert b.masked_positions() == [0, 2]
+        assert not b.fully_decoded
+
+    def test_fields_are_tokens_and_mask_id(self):
+        assert [f.name for f in dataclasses.fields(BlockState)] == ["tokens", "mask_id"]
 
 
 GOOD_ROW = [0.7, 0.3]
@@ -351,15 +345,6 @@ class TestStepRecord:
 
 
 class TestGenerationResult:
-    def test_pass_count_must_match_steps(self):
-        step = StepRecord(block_index=0, step_index=0, threshold_used=None,
-                          unmasked_positions=(0,), confidences=(0.9,),
-                          fallback_fired=False)
-        with pytest.raises(ValueError):
-            GenerationResult(prompt_len=0, output_tokens=(1,),
-                             forward_passes=2, steps=(step,),
-                             stop_reason=StopReason.MAX_LENGTH, tccf=None)
-
     def test_generated_slots_sums_step_widths(self):
         steps = (
             StepRecord(block_index=0, step_index=0, threshold_used=None,
@@ -369,10 +354,25 @@ class TestGenerationResult:
                        unmasked_positions=(3,), confidences=(0.8,),
                        fallback_fired=False),
         )
-        res = GenerationResult(prompt_len=0, output_tokens=(1, 2, 3, 4),
-                               forward_passes=2, steps=steps,
+        res = GenerationResult(prompt_len=0, output_tokens=(1, 2, 3, 4), steps=steps,
                                stop_reason=StopReason.MAX_LENGTH, tccf=None)
         assert res.generated_slots == 4
+        assert res.forward_passes == 2
+
+    def test_pass_count_is_derived_from_steps(self):
+        assert "forward_passes" not in [f.name for f in dataclasses.fields(GenerationResult)]
+        res = GenerationResult(prompt_len=0, output_tokens=(), steps=(),
+                               stop_reason=StopReason.MAX_LENGTH)
+        assert res.forward_passes == 0
+
+
+class TestTccfTrace:
+    @pytest.mark.parametrize("stage2_passes, ran", [(0, False), (1, True), (3, True)])
+    def test_critic_ran_is_derived_from_stage_two_passes(self, stage2_passes, ran):
+        trace = TccfTrace(stage1_passes=2, stage2_passes=stage2_passes,
+                          splice_position=None, forced_splice=False)
+        assert trace.critic_ran is ran
+        assert len(dataclasses.fields(TccfTrace)) == 4
 
 
 def test_algorithm_values():

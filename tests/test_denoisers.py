@@ -77,7 +77,7 @@ class TestMarkovFit:
             assert dist[v.pad_id] == 0.0
 
     def test_rejects_out_of_range_tokens(self):
-        vocab = Vocab.standard(2)
+        vocab = Vocab(2)
         with pytest.raises(ValueError):
             markov_fit([0, 5], order=1, smoothing=0.1, vocab=vocab)
 
@@ -91,13 +91,11 @@ class TestMarkovConditioning:
         den = markov_fit([0, 1, 2, 0, 1, 2, 0, 1, 2], order=1, smoothing=0.1)
         v = den.vocab
         # scenario A: clean 1 sits directly left of the masked position
-        block_a = BlockState(tokens=[1, v.mask_id], mask_flags=[False, True],
-                             mask_id=v.mask_id)
+        block_a = BlockState(tokens=[1, v.mask_id], mask_id=v.mask_id)
         pred_a = position_probs(den.predict([2, 0], block_a))[0]
         # scenario B: same nearest clean token, entirely different context
         block_b = BlockState(
             tokens=[v.mask_id, 1, v.mask_id, v.mask_id],
-            mask_flags=[True, False, True, True],
             mask_id=v.mask_id,
         )
         preds_b = den.predict([0, 0, 0, 0, 0], block_b)
@@ -131,8 +129,7 @@ class TestMarkovConditioning:
         den = markov_fit(self.AMBIGUOUS, order=2, smoothing=0.01)
         v = den.vocab
         # block [0, 1, ?]: the masked slot sees the clean run (0, 1)
-        block = BlockState(tokens=[0, 1, v.mask_id],
-                           mask_flags=[False, False, True], mask_id=v.mask_id)
+        block = BlockState(tokens=[0, 1, v.mask_id], mask_id=v.mask_id)
         pred = position_probs(den.predict([2], block))[0]
         assert np.array_equal(pred, den.distribution((0, 1)))
         assert not np.array_equal(pred, den.distribution((1,)))
@@ -142,8 +139,7 @@ class TestMarkovConditioning:
         v = den.vocab
         # block [0, ?, ?]: position 2's left neighbour is masked, so only the
         # single nearest clean token (0) is available
-        block = BlockState(tokens=[0, v.mask_id, v.mask_id],
-                           mask_flags=[False, True, True], mask_id=v.mask_id)
+        block = BlockState(tokens=[0, v.mask_id, v.mask_id], mask_id=v.mask_id)
         preds = den.predict([1, 2], block)
         assert preds.positions[1] == 2
         assert np.array_equal(position_probs(preds)[1], den.distribution((0,)))
@@ -152,34 +148,33 @@ class TestMarkovConditioning:
 
 class TestOracle:
     def test_adjacent_clean_gives_base_confidence(self):
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         den = OracleDenoiser(vocab=vocab, target=(3, 1, 4), base_confidence=0.9,
                              decay=0.5, prompt_len=0)
-        block = BlockState(tokens=[3, vocab.mask_id, vocab.mask_id],
-                           mask_flags=[False, True, True], mask_id=vocab.mask_id)
+        block = BlockState(tokens=[3, vocab.mask_id, vocab.mask_id], mask_id=vocab.mask_id)
         preds = den.predict([], block)
         # position 1: distance 1 from the clean token at position 0
         assert abs(preds.confidence[0] - 0.9) < 1e-12
         assert int(np.argmax(preds.probs[0])) == 1
 
     def test_distance_decay_with_floor(self):
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         den = OracleDenoiser(vocab=vocab, target=(3, 1, 4, 1), base_confidence=0.9,
                              decay=0.5, prompt_len=0)
         block = BlockState(
             tokens=[3, vocab.mask_id, vocab.mask_id, vocab.mask_id],
-            mask_flags=[False, True, True, True], mask_id=vocab.mask_id)
+            mask_id=vocab.mask_id)
         preds = den.predict([], block)
         # distance 3 peak: max(1/6, 0.9 * 0.5^2) = 0.225
         assert abs(preds.confidence[2] - 0.225) < 1e-12
 
     def test_floor_engages_for_small_vocab(self):
-        vocab = Vocab.standard(3)
+        vocab = Vocab(3)
         den = OracleDenoiser(vocab=vocab, target=(0, 1, 2, 0), base_confidence=0.9,
                              decay=0.5, prompt_len=0)
         block = BlockState(
             tokens=[0, vocab.mask_id, vocab.mask_id, vocab.mask_id],
-            mask_flags=[False, True, True, True], mask_id=vocab.mask_id)
+            mask_id=vocab.mask_id)
         preds = den.predict([], block)
         # distance 3 would give 0.225, but the uniform floor is 1/3
         assert abs(preds.confidence[2] - 1.0 / 3.0) < 1e-12
@@ -188,7 +183,7 @@ class TestOracle:
         rng = np.random.default_rng(0)
         for _ in range(25):
             size = int(rng.integers(4, 12))
-            vocab = Vocab.standard(size)
+            vocab = Vocab(size)
             target = tuple(int(rng.integers(0, size)) for _ in range(8))
             den = OracleDenoiser(vocab=vocab, target=target,
                                  base_confidence=float(rng.uniform(0.5, 0.99)),
@@ -200,7 +195,7 @@ class TestOracle:
             assert all(a >= b - 1e-15 for a, b in zip(confs, confs[1:]))
 
     def test_positions_beyond_target_predict_eos(self):
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         den = OracleDenoiser(vocab=vocab, target=(3, 1), base_confidence=0.9,
                              decay=1.0, prompt_len=2)
         block = masked_block(4, vocab)
@@ -208,7 +203,7 @@ class TestOracle:
         assert preds.probs.argmax(axis=1).tolist() == [3, 1, vocab.eos_id, vocab.eos_id]
 
     def test_prompt_offset_alignment(self):
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         den = OracleDenoiser(vocab=vocab, target=(3, 1, 4, 1), base_confidence=0.9,
                              decay=1.0, prompt_len=3)
         # two tokens already committed after the prompt
@@ -217,7 +212,7 @@ class TestOracle:
         assert preds.probs.argmax(axis=1).tolist() == [4, 1]
 
     def test_parameter_validation(self):
-        vocab = Vocab.standard(4)
+        vocab = Vocab(4)
         with pytest.raises(ValueError):
             OracleDenoiser(vocab=vocab, target=(0,), base_confidence=0.1,
                            decay=0.5, prompt_len=0)  # below uniform floor
@@ -231,7 +226,7 @@ class TestOracle:
 
 class TestScripted:
     def test_entry_applies_at_addressed_step(self):
-        vocab = Vocab.standard(8)
+        vocab = Vocab(8)
         script = {(0, 0, p): (0.7, p) for p in range(4)}
         den = ScriptedDenoiser(vocab=vocab, script=script, prompt_len=2)
         preds = den.predict([1, 1], masked_block(4, vocab))
@@ -239,7 +234,7 @@ class TestScripted:
         assert np.all(np.abs(preds.confidence - 0.7) < 1e-12)
 
     def test_step_counter_advances_on_partial_blocks(self):
-        vocab = Vocab.standard(8)
+        vocab = Vocab(8)
         script = {
             (0, 0, 0): (0.9, 5), (0, 0, 1): (0.9, 6),
             (0, 1, 0): (0.8, 7), (0, 1, 1): (0.8, 4),
@@ -254,7 +249,7 @@ class TestScripted:
         assert abs(preds.confidence[0] - 0.8) < 1e-12
 
     def test_block_counter_advances_on_fresh_block(self):
-        vocab = Vocab.standard(8)
+        vocab = Vocab(8)
         script = {(0, 0, 0): (0.9, 5), (1, 0, 0): (0.6, 6)}
         den = ScriptedDenoiser(vocab=vocab, script=script, prompt_len=1)
         den.predict([3], masked_block(1, vocab))
@@ -262,7 +257,7 @@ class TestScripted:
         assert int(np.argmax(preds.probs[0])) == 6
 
     def test_prompt_length_resets_block_numbering(self):
-        vocab = Vocab.standard(8)
+        vocab = Vocab(8)
         script = {(0, 0, 0): (0.9, 5)}
         den = ScriptedDenoiser(vocab=vocab, script=script, prompt_len=1)
         den.predict([3], masked_block(1, vocab))
@@ -271,7 +266,7 @@ class TestScripted:
         assert int(np.argmax(preds.probs[0])) == 5
 
     def test_reset_rewinds_counters(self):
-        vocab = Vocab.standard(8)
+        vocab = Vocab(8)
         script = {(0, 0, 0): (0.9, 5), (1, 0, 0): (0.6, 6)}
         den = ScriptedDenoiser(vocab=vocab, script=script, prompt_len=0)
         den.predict([], masked_block(1, vocab))
@@ -281,14 +276,14 @@ class TestScripted:
         assert int(np.argmax(preds.probs[0])) == 5
 
     def test_missing_entry_is_a_fixture_fault(self):
-        vocab = Vocab.standard(8)
+        vocab = Vocab(8)
         den = ScriptedDenoiser(vocab=vocab, script={(0, 0, 0): (0.9, 5)},
                                prompt_len=0)
         with pytest.raises(FixtureError):
             den.predict([], masked_block(2, vocab))
 
     def test_confidence_floor_validated(self):
-        vocab = Vocab.standard(8)
+        vocab = Vocab(8)
         with pytest.raises(FixtureError):
             ScriptedDenoiser(vocab=vocab, script={(0, 0, 0): (0.01, 5)},
                              prompt_len=0)
@@ -298,7 +293,7 @@ class TestLoadScripted(object):
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ok.txt"
         path.write_text("# comment line\n0 0 0 0.9 5\n\n0 0 1 0.8 6\n")
-        vocab = Vocab.standard(8)
+        vocab = Vocab(8)
         den = load_scripted(path, vocab, prompt_len=0)
         preds = den.predict([], masked_block(2, vocab))
         assert preds.probs.argmax(axis=1).tolist() == [5, 6]
@@ -307,19 +302,19 @@ class TestLoadScripted(object):
         path = tmp_path / "bad.txt"
         path.write_text("0 0 0 0.9 5\n0 0 0.9 5\n")
         with pytest.raises(FixtureError, match="line 2"):
-            load_scripted(path, Vocab.standard(8), prompt_len=0)
+            load_scripted(path, Vocab(8), prompt_len=0)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("0 0 0 0.9 5\n0 0 0 0.8 6\n")
         with pytest.raises(FixtureError, match="line 2"):
-            load_scripted(path, Vocab.standard(8), prompt_len=0)
+            load_scripted(path, Vocab(8), prompt_len=0)
 
     def test_empty_script_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing here\n")
         with pytest.raises(FixtureError):
-            load_scripted(path, Vocab.standard(8), prompt_len=0)
+            load_scripted(path, Vocab(8), prompt_len=0)
 
 
 class _BrokenCoverage:
@@ -347,31 +342,31 @@ class _MassOnMask:
 
 class TestPredictWrapper:
     def test_rejects_mask_in_context(self):
-        vocab = Vocab.standard(4)
+        vocab = Vocab(4)
         den = UniformDenoiser(vocab)
         with pytest.raises(ValueError):
             predict(den, [0, vocab.mask_id], masked_block(2, vocab))
 
     def test_rejects_block_without_masks(self):
-        vocab = Vocab.standard(4)
+        vocab = Vocab(4)
         den = UniformDenoiser(vocab)
-        block = BlockState.from_tokens([0, 1], mask_id=vocab.mask_id)
+        block = BlockState([0, 1], mask_id=vocab.mask_id)
         with pytest.raises(ValueError):
             predict(den, [0], block)
 
     def test_flags_coverage_mismatch(self):
-        vocab = Vocab.standard(4)
+        vocab = Vocab(4)
         with pytest.raises(ContractViolation):
             predict(_BrokenCoverage(vocab), [0], masked_block(3, vocab))
 
     def test_flags_mass_on_special_ids(self):
-        vocab = Vocab.standard(4)
+        vocab = Vocab(4)
         with pytest.raises(ContractViolation):
             predict(_MassOnMask(vocab), [0], masked_block(2, vocab))
 
     @pytest.mark.parametrize("special", ["mask_id", "pad_id"])
     def test_mass_on_a_shared_row_names_a_position(self, special):
-        vocab = Vocab.standard(4)
+        vocab = Vocab(4)
         good, bad = np.zeros((2, vocab.total_ids))
         good[: vocab.size] = 0.25
         bad[:3] = bad[getattr(vocab, special)] = 0.25
@@ -384,18 +379,17 @@ class TestPredictWrapper:
                 # positions 3 and 4 read the bad row 1
                 return shared_record(block.masked_positions(), [good, bad], [0, 0, 1, 1])
 
-        block = BlockState.from_tokens([vocab.mask_id, vocab.mask_id, 2, vocab.mask_id,
-                                        vocab.mask_id], vocab.mask_id)
+        block = BlockState([vocab.mask_id, vocab.mask_id, 2, vocab.mask_id, vocab.mask_id], vocab.mask_id)
         with pytest.raises(ContractViolation, match=r"^position 3 puts mass on mask or pad$"):
             predict(Shared(), [0], block)
 
     def test_passes_well_formed_predictions(self):
-        vocab = Vocab.standard(4)
+        vocab = Vocab(4)
         preds = predict(UniformDenoiser(vocab), [0], masked_block(3, vocab))
         assert preds.positions.tolist() == [0, 1, 2]
 
 
-V4 = Vocab.standard(4)
+V4 = Vocab(4)
 UNIFORM4 = np.array([0.25] * 4 + [0.0] * 3)
 
 
@@ -475,7 +469,7 @@ def chain_model(vocab_size=40, order=2):
     for u in rng.integers(0, 3, size=4000).tolist():
         corpus.append(tok)
         tok = int(succ[tok, u])
-    return markov_fit(corpus, order, 0.05, vocab=Vocab.standard(vocab_size))
+    return markov_fit(corpus, order, 0.05, vocab=Vocab(vocab_size))
 
 
 class CheckedTables:
@@ -536,7 +530,7 @@ class TestContractFuzz:
         rng = np.random.default_rng(2024)
         corpus = list(rng.integers(0, 6, size=500))
         markov = markov_fit(corpus, order=2, smoothing=0.05)
-        oracle_vocab = Vocab.standard(6)
+        oracle_vocab = Vocab(6)
         for trial in range(1000):
             den = markov if trial % 2 == 0 else OracleDenoiser(
                 vocab=oracle_vocab,
@@ -557,8 +551,7 @@ class TestContractFuzz:
                 vocab.mask_id if f else int(rng.integers(0, vocab.size))
                 for f in flags
             ]
-            block = BlockState(tokens=tokens, mask_flags=list(map(bool, flags)),
-                               mask_id=vocab.mask_id)
+            block = BlockState(tokens=tokens, mask_id=vocab.mask_id)
             preds = predict(den, context, block)
             assert preds.positions.tolist() == block.masked_positions()
             for probs, conf, ent in zip(position_probs(preds), preds.confidence, preds.entropy):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from blockdec import experiment
-from blockdec.core import DecodingConfig, TccfConfig
+from blockdec.core import DecodingConfig, TccfConfig, Vocab
 from blockdec.denoisers import FixtureError, markov_fit
 from blockdec.experiment import (
     AGGREGATE_COLUMNS,
@@ -157,6 +157,16 @@ class TestMarkovSerialization:
         assert back.vocab == den.vocab
         for ctx in [(), (0,), (3,), (1, 2), (4, 4)]:
             assert np.array_equal(back.distribution(ctx), den.distribution(ctx))
+
+    @pytest.mark.parametrize("size", [2, 5, 9])
+    def test_round_trip_keeps_the_vocab(self, tmp_path, size):
+        # A vocab wider than the corpus keeps its width, and with it every special id.
+        den = markov_fit([0, 1, 0, 1, 1], order=1, smoothing=0.5, vocab=Vocab(size))
+        save_markov(den, tmp_path / "model.json")
+        back = load_markov(tmp_path / "model.json")
+        assert back.vocab == den.vocab
+        assert (back.vocab.mask_id, back.vocab.total_ids) == (size, size + 3)
+        assert np.array_equal(back.distribution((1,)), den.distribution((1,)))
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "model.json"

@@ -32,14 +32,6 @@ class TestTpf:
         res = make_result([1, 2, EOS], stop=StopReason.EOS, slot_groups=[4])
         assert tpf(res) == 4.0
 
-    def test_count_eos_false_subtracts_terminator(self):
-        res = make_result([1, 2, EOS], stop=StopReason.EOS, slot_groups=[4])
-        assert tpf(res, count_eos=False) == 3.0
-
-    def test_count_eos_ignored_on_length_stop(self):
-        res = make_result([1, 2, 3, 4], slot_groups=[2, 2])
-        assert tpf(res, count_eos=False) == tpf(res)
-
     def test_never_below_one(self):
         res = make_result([1, 2, 3], slot_groups=[1, 1, 1])
         assert tpf(res) == 1.0
@@ -50,6 +42,11 @@ class TestMeanConfidence:
         res = make_result([1, 2, 3], slot_groups=[2, 1],
                           confidences=[(0.8, 0.9), (1.0,)])
         assert abs(mean_confidence(res) - 0.9) < 1e-12
+
+    def test_adds_left_to_right(self):
+        # Compensated summation (Python 3.12's sum()) would give 0.1 exactly.
+        res = make_result([1] * 10, slot_groups=[1] * 10, confidences=0.1)
+        assert mean_confidence(res) == 0.09999999999999999
 
 
 class TestDetectRepetition:
@@ -134,10 +131,6 @@ class TestSummarize:
         assert s.output_len == 4
         assert s.category is Category.ANSWER_MATCH
 
-    def test_count_eos_forwarded(self):
-        res = make_result([1, EOS], stop=StopReason.EOS, slot_groups=[2])
-        assert summarize(res, count_eos=False).tpf == 1.0
-
 
 def srun(tpf_val, conf=0.8, cat=Category.UNCHECKED):
     return RunSummary(tpf=tpf_val, mean_confidence=conf, output_len=4,
@@ -157,6 +150,12 @@ class TestAggregate:
     def test_means_are_flat_averages(self):
         rows = aggregate({"cell": [srun(1.0), srun(3.0)]})
         assert rows[0].mean_tpf == 2.0
+
+    def test_means_add_left_to_right(self):
+        # Compensated summation (Python 3.12's sum()) would give 1.1 and 0.1.
+        rows = aggregate({"cell": [srun(1.1, conf=0.1)] * 10})
+        assert rows[0].mean_tpf == 1.0999999999999999
+        assert rows[0].mean_confidence == 0.09999999999999999
 
     def test_category_frequencies(self):
         rows = aggregate({"cell": [

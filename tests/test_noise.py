@@ -14,11 +14,11 @@ from blockdec.noise import forward_mask, nelbo_estimate
 from conftest import UniformDenoiser
 
 
-VOCAB4 = Vocab.standard(4)
+VOCAB4 = Vocab(4)
 
 
 def clean_block(tokens, vocab=VOCAB4):
-    return BlockState.from_tokens(list(tokens), mask_id=vocab.mask_id)
+    return BlockState(list(tokens), mask_id=vocab.mask_id)
 
 
 class TestForwardMask:
@@ -50,8 +50,8 @@ class TestForwardMask:
 
     def test_deterministic_for_seed(self):
         b = clean_block([0, 1, 2, 3, 0, 1, 2, 3])
-        m1 = forward_mask(b, 0.5, np.random.default_rng(7)).mask_flags
-        m2 = forward_mask(b, 0.5, np.random.default_rng(7)).mask_flags
+        m1 = forward_mask(b, 0.5, np.random.default_rng(7)).tokens
+        m2 = forward_mask(b, 0.5, np.random.default_rng(7)).tokens
         assert m1 == m2
 
     def test_consumes_one_draw_per_position_in_order(self):
@@ -62,7 +62,7 @@ class TestForwardMask:
         out = forward_mask(b, 0.4, rng_a)
         rng_b = np.random.default_rng(11)
         draws = rng_b.random(len(tokens))
-        assert out.mask_flags == list(draws < 0.4)
+        assert out.masked_positions() == np.flatnonzero(draws < 0.4).tolist()
         # both generators must now be in the same state
         assert rng_a.random() == rng_b.random()
 
@@ -75,7 +75,7 @@ class TestForwardMask:
 
 class TestNelbo:
     def test_perfect_denoiser_scores_zero(self):
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         response = [3, 1, 4, 1, 5]
         den = OracleDenoiser(vocab=vocab, target=tuple(response),
                              base_confidence=1.0, decay=1.0, prompt_len=2)
@@ -106,7 +106,7 @@ class TestNelbo:
         assert abs(np.mean(vals) - 8 * math.log(4)) < 0.05 * 8 * math.log(4)
 
     def test_weaker_denoiser_scores_worse(self):
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         response = [3, 1, 4, 1, 5, 0, 2, 4]
         sharp = OracleDenoiser(vocab=vocab, target=tuple(response),
                                base_confidence=0.95, decay=1.0, prompt_len=0)
@@ -122,7 +122,7 @@ class TestNelbo:
 
     def test_padding_costs_nothing(self):
         # response shorter than one block: pad slots must not enter the sum
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         response = [3, 1, 4]
         den = OracleDenoiser(vocab=vocab, target=tuple(response),
                              base_confidence=1.0, decay=1.0, prompt_len=0)
@@ -145,7 +145,7 @@ class TestNelbo:
 
     def test_zero_mass_on_truth_gives_inf(self):
         # a denoiser that puts zero probability on the true token
-        vocab = Vocab.standard(4)
+        vocab = Vocab(4)
         wrong = OracleDenoiser(vocab=vocab, target=(2,), base_confidence=1.0,
                                decay=1.0, prompt_len=0)
         val = nelbo_estimate(wrong, prompt=[], response=[1], block_size=1,

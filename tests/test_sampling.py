@@ -28,7 +28,7 @@ from conftest import (
 )
 
 
-VOCAB = Vocab.standard(10)
+VOCAB = Vocab(10)
 
 
 def at(preds, idx):
@@ -155,7 +155,7 @@ class TestBacd:
     def test_running_sum_adds_left_to_right(self):
         # Ten commits of 0.1 add up to 0.9999999999999999 from the left;
         # a compensated sum (math.fsum, or sum() from Python 3.12) gives 1.0.
-        preds = preds_from_confs([(0, 0.1)], vocab=Vocab.standard(20))
+        preds = preds_from_confs([(0, 0.1)], vocab=Vocab(20))
         state = BacdState(tau_l=0.05, tau_h=0.9)
         for _ in range(10):
             select_bacd(preds, state)
@@ -274,7 +274,7 @@ def oracle_cfg(**kw):
 
 class TestDecodeBlock:
     def test_single_step_when_all_clear(self):
-        vocab = Vocab.standard(8)
+        vocab = Vocab(8)
         script = {(0, 0, p): (0.95, p + 1) for p in range(4)}
         den = ScriptedDenoiser(script=script, vocab=vocab, prompt_len=0)
         cfg = oracle_cfg(algorithm="dynamic", tau=0.9)
@@ -284,7 +284,7 @@ class TestDecodeBlock:
         assert records[0].unmasked_positions == (0, 1, 2, 3)
 
     def test_static_schedule_two_by_two(self):
-        vocab = Vocab.standard(8)
+        vocab = Vocab(8)
         script = {(0, s, p): (0.9 - 0.1 * ((p + s) % 3), p + 1)
                   for s in range(4) for p in range(4)}
         den = ScriptedDenoiser(script=script, vocab=vocab, prompt_len=0)
@@ -294,7 +294,7 @@ class TestDecodeBlock:
         assert block.fully_decoded
 
     def test_static_ceil_division(self):
-        vocab = Vocab.standard(8)
+        vocab = Vocab(8)
         script = full_random_script(np.random.default_rng(3), vocab, 1, 5)
         den = ScriptedDenoiser(script=script, vocab=vocab, prompt_len=0)
         cfg = oracle_cfg(algorithm="static", steps=2, tau=None, block_size=5)
@@ -303,7 +303,7 @@ class TestDecodeBlock:
         assert [len(r.unmasked_positions) for r in records] == [3, 2]
 
     def test_one_forward_pass_per_step(self):
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         inner = OracleDenoiser(vocab=vocab, target=(1, 2, 3, 4),
                                base_confidence=0.9, decay=0.6, prompt_len=0)
         den = CountingDenoiser(inner)
@@ -313,7 +313,7 @@ class TestDecodeBlock:
 
     def test_terminates_within_block_size_steps(self):
         rng = np.random.default_rng(77)
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         for algorithm in ("static", "dynamic", "bacd", "entropy_bounded"):
             for trial in range(10):
                 target = tuple(int(x) for x in rng.integers(0, 6, size=8))
@@ -329,7 +329,7 @@ class TestDecodeBlock:
                 assert 1 <= len(records) <= 8
 
     def test_tau_one_decodes_one_per_step(self):
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         den = OracleDenoiser(vocab=vocab, target=(1, 2, 3, 4),
                              base_confidence=0.98, decay=0.9, prompt_len=0)
         cfg = oracle_cfg(tau=1.0)
@@ -339,7 +339,7 @@ class TestDecodeBlock:
         assert all(len(r.unmasked_positions) == 1 for r in records)
 
     def test_step_records_describe_trajectory(self):
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         den = OracleDenoiser(vocab=vocab, target=(1, 2, 3, 4),
                              base_confidence=0.9, decay=0.5, prompt_len=0)
         cfg = oracle_cfg(tau=0.7, block_size=4)
@@ -351,7 +351,7 @@ class TestDecodeBlock:
         assert sorted(seen) == [0, 1, 2, 3]
 
     def test_greedy_realization_at_zero_temperature(self):
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         den = OracleDenoiser(vocab=vocab, target=(1, 2, 3, 4),
                              base_confidence=0.9, decay=0.9, prompt_len=0)
         cfg = oracle_cfg(tau=0.5)
@@ -359,7 +359,7 @@ class TestDecodeBlock:
         assert block.tokens == [1, 2, 3, 4]
 
     def test_sampled_realization_is_seed_deterministic(self):
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         den = OracleDenoiser(vocab=vocab, target=(1, 2, 3, 4),
                              base_confidence=0.4, decay=0.9, prompt_len=0)
         cfg = oracle_cfg(tau=0.3, temperature=1.0)
@@ -368,7 +368,7 @@ class TestDecodeBlock:
         assert a.tokens == b.tokens
 
     def test_sampled_realization_varies_across_seeds(self):
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         den = OracleDenoiser(vocab=vocab, target=(1, 2, 3, 4),
                              base_confidence=0.4, decay=0.9, prompt_len=0)
         cfg = oracle_cfg(tau=0.3, temperature=1.0)
@@ -379,7 +379,7 @@ class TestDecodeBlock:
         assert len(outcomes) > 1
 
     def test_bacd_thresholds_follow_history(self):
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         den = OracleDenoiser(vocab=vocab, target=(1, 2, 3, 4, 5, 0, 1, 2),
                              base_confidence=0.85, decay=0.7, prompt_len=0)
         cfg = oracle_cfg(algorithm="bacd", tau=None, tau_h=0.9, tau_l=0.4,
@@ -393,7 +393,7 @@ class TestDecodeBlock:
             history.extend(rec.confidences)
 
     def test_invalid_config_rejected(self):
-        vocab = Vocab.standard(6)
+        vocab = Vocab(6)
         den = OracleDenoiser(vocab=vocab, target=(1,), base_confidence=0.9,
                              decay=0.9, prompt_len=0)
         cfg = oracle_cfg(algorithm="static", steps=None, tau=None)
@@ -425,7 +425,7 @@ class TestRealize:
     def test_low_temperature_does_not_underflow(self):
         # 0.06 ** 1000 and (0.94 / 19) ** 1000 both underflow to 0.0, so
         # tempering by np.power divided 0 by 0 and rng.choice got NaN.
-        vocab = Vocab.standard(20)
+        vocab = Vocab(20)
         target = tuple(int(x) for x in np.random.default_rng(0).integers(0, 20, 24))
         den = OracleDenoiser(vocab=vocab, target=target, base_confidence=0.06,
                              decay=1.0, prompt_len=0)

@@ -52,7 +52,7 @@ class TestFindMarker:
 
 class TestGenerate:
     def test_oracle_completes_target_and_stops_at_eos(self):
-        vocab = Vocab.standard(10)
+        vocab = Vocab(10)
         target = [3, 1, 4, 1, 5, 9, 2]
         den = oracle(vocab, target, base=0.9, decay=0.9, prompt_len=1)
         res = generate(den, [7], dyn_cfg())
@@ -62,7 +62,7 @@ class TestGenerate:
 
     def test_static_full_width_pass_count(self):
         # one token per step: 7 content tokens + eos over 2 blocks of 4
-        vocab = Vocab.standard(10)
+        vocab = Vocab(10)
         target = [3, 1, 4, 1, 5, 9, 2]
         den = oracle(vocab, target, base=0.9, decay=0.9, prompt_len=1)
         cfg = dyn_cfg(algorithm="static", steps=4, tau=None)
@@ -71,7 +71,7 @@ class TestGenerate:
         assert res.output_tokens == tuple(target) + (vocab.eos_id,)
 
     def test_confident_oracle_finishes_blocks_in_one_pass(self):
-        vocab = Vocab.standard(10)
+        vocab = Vocab(10)
         target = [3, 1, 4, 1, 5, 9, 2]
         den = oracle(vocab, target, base=0.9, decay=0.9, prompt_len=1)
         res = generate(den, [7], dyn_cfg(tau=0.5))
@@ -80,7 +80,7 @@ class TestGenerate:
         assert res.generated_slots == 8
 
     def test_max_length_trims_to_budget(self):
-        vocab = Vocab.standard(10)
+        vocab = Vocab(10)
         target = list(range(9)) * 3  # long, never reaches eos within budget
         den = oracle(vocab, target, base=0.9, decay=0.9, prompt_len=0)
         res = generate(den, [], dyn_cfg(max_new_tokens=4))
@@ -89,7 +89,7 @@ class TestGenerate:
         assert res.output_tokens == (0, 1, 2, 3)
 
     def test_max_length_budget_not_block_aligned(self):
-        vocab = Vocab.standard(10)
+        vocab = Vocab(10)
         target = list(range(9)) * 3
         den = oracle(vocab, target, base=0.9, decay=0.9, prompt_len=0)
         res = generate(den, [], dyn_cfg(max_new_tokens=6))
@@ -98,7 +98,7 @@ class TestGenerate:
         assert res.generated_slots == 8
 
     def test_eos_mid_block_truncates_but_counts_slots(self):
-        vocab = Vocab.standard(10)
+        vocab = Vocab(10)
         target = [3, 1]  # eos lands at block position 2
         den = oracle(vocab, target, base=0.9, decay=0.9, prompt_len=0)
         res = generate(den, [], dyn_cfg(tau=0.5))
@@ -108,14 +108,14 @@ class TestGenerate:
         assert res.generated_slots == 4
 
     def test_empty_prompt_is_legal(self):
-        vocab = Vocab.standard(10)
+        vocab = Vocab(10)
         den = oracle(vocab, [2, 4], base=0.9, decay=0.9, prompt_len=0)
         res = generate(den, [], dyn_cfg())
         assert res.output_tokens == (2, 4, vocab.eos_id)
 
     def test_output_never_exceeds_budget_plus_partial_block(self):
         rng = np.random.default_rng(8)
-        vocab = Vocab.standard(10)
+        vocab = Vocab(10)
         for _ in range(20):
             target = [int(x) for x in rng.integers(0, 10, size=40)]
             block = int(rng.integers(1, 7))
@@ -129,7 +129,7 @@ class TestGenerate:
                 assert len(res.output_tokens) <= budget + block - 1
 
     def test_sampled_run_is_seed_deterministic(self):
-        vocab = Vocab.standard(10)
+        vocab = Vocab(10)
         target = [3, 1, 4, 1, 5, 9]
         a = generate(oracle(vocab, target, base=0.5, decay=0.9),
                      [], dyn_cfg(temperature=1.0, tau=0.4, seed=11))
@@ -139,7 +139,7 @@ class TestGenerate:
         assert a.steps == b.steps
 
     def test_sampled_runs_differ_across_seeds(self):
-        vocab = Vocab.standard(10)
+        vocab = Vocab(10)
         target = [3, 1, 4, 1, 5, 9]
         outs = {
             generate(oracle(vocab, target, base=0.4, decay=0.9),
@@ -151,7 +151,7 @@ class TestGenerate:
     def test_tpf_floor_of_one(self):
         # even a hopeless denoiser commits at least one slot per pass
         rng = np.random.default_rng(3)
-        vocab = Vocab.standard(10)
+        vocab = Vocab(10)
         for s in range(10):
             target = [int(x) for x in rng.integers(0, 10, size=12)]
             den = oracle(vocab, target, base=0.2, decay=0.5)
@@ -173,7 +173,7 @@ def tccf_cfg(b_think=4, b_critic=1, marker=MARK, transition=GO, **kw):
 
 class TestGenerateTccf:
     def vocab(self):
-        return Vocab.standard(10)
+        return Vocab(10)
 
     def target_with_marker(self, head_len, tail):
         # deterministic filler, then the marker, then the tail content
@@ -217,6 +217,14 @@ class TestGenerateTccf:
         stage2 = [r for r in res.steps][res.tccf.stage1_passes:]
         assert stage2, "critic stage produced no steps"
         assert all(len(r.unmasked_positions) == 1 for r in stage2)
+
+    def test_plain_generate_refuses_a_tccf_config(self):
+        # Without the guard the marker would come back unspliced, tccf=None.
+        den = oracle(self.vocab(), self.target_with_marker(2, [3, 4]), base=0.95, decay=0.9)
+        with pytest.raises(ValueError, match="generate_tccf"):
+            generate(den, [], tccf_cfg(max_new_tokens=24))
+        with pytest.raises(ValueError, match="cfg.tccf"):
+            generate_tccf(den, [], dyn_cfg())
 
     def test_eos_before_marker_skips_critic(self):
         vocab = self.vocab()
@@ -318,7 +326,7 @@ class TestOutputBudget:
     is cut by the trim, so it does not end the run."""
 
     def test_eos_past_budget_is_trimmed(self):
-        vocab = Vocab.standard(10)
+        vocab = Vocab(10)
         target = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]  # eos lands at offset 12
         cfg = dyn_cfg(tau=0.5, block_size=8, max_new_tokens=10)
         plain = generate(oracle(vocab, target), [], cfg)
@@ -331,7 +339,7 @@ class TestOutputBudget:
     def test_stage_one_stops_at_the_budget(self):
         # A stage-1 cap past max_new_tokens does not decode coarse blocks
         # beyond the budget only for the final trim to discard them.
-        vocab = Vocab.standard(8)
+        vocab = Vocab(8)
         target = [3, 1, 4, 1, 5, 2, 6, 5, 3, 5, 0, 2]
         tccf = TccfConfig(b_think=8, b_critic=2, marker=(7, 7), transition=(0,), stage1_max_tokens=40)
         res = generate_tccf(oracle(vocab, target, base=0.95), [],
@@ -341,7 +349,7 @@ class TestOutputBudget:
         assert res.tccf.forced_splice and res.tccf.splice_position == 16
 
     def test_eos_on_the_last_budget_slot_ends_the_run(self):
-        vocab = Vocab.standard(10)
+        vocab = Vocab(10)
         res = generate(oracle(vocab, [3, 1, 4]), [], dyn_cfg(max_new_tokens=4))
         assert res.output_tokens == (3, 1, 4, vocab.eos_id)
         assert res.stop_reason is StopReason.EOS
@@ -369,7 +377,7 @@ def budget_runs(draw):
                          temperature=draw(st.sampled_from([0.0, 1.0])),
                          seed=draw(st.integers(0, 3)), tccf=tccf, **RULE_FIELDS[rule])
     prompt = draw(st.lists(ORDINARY, max_size=3))
-    den = OracleDenoiser(vocab=Vocab.standard(6), target=draw(st.lists(ORDINARY, max_size=30)),
+    den = OracleDenoiser(vocab=Vocab(6), target=draw(st.lists(ORDINARY, max_size=30)),
                          base_confidence=draw(st.sampled_from([0.3, 0.9, 1.0])),
                          decay=draw(st.sampled_from([0.5, 1.0])), prompt_len=len(prompt))
     return den, prompt, cfg
