@@ -98,7 +98,7 @@ def _cmd_replay(args) -> int:
         raise ConfigError(f"--prompt: {exc}") from None
     if any(not 0 <= tok < vocab.size for tok in prompt):
         raise ConfigError(f"--prompt tokens must lie in [0, {vocab.size})")
-    denoiser = load_scripted(args.fixture, vocab, prompt_len=len(prompt))
+    denoiser = load_scripted(args.fixture, vocab)
     result = generate(denoiser, prompt, cfg)
     for rec in result.steps:
         confs = ",".join(f"{c:.6f}" for c in rec.confidences)

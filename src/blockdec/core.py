@@ -30,14 +30,12 @@ __all__ = [
     "TccfTrace",
     "Vocab",
     "lint_config",
-    "row_stats",
     "token_array",
     "validate_config",
 ]
 
-# Tolerances used by prediction self-checks.
+# Tolerance used by prediction self-checks.
 PROB_SUM_TOL = 1e-9
-CONF_RECHECK_TOL = 1e-12
 
 
 class Algorithm(str, Enum):
@@ -119,26 +117,19 @@ def token_array(tokens) -> np.ndarray:
         raise ValueError("token does not fit in int64") from None
 
 
-def row_stats(probs: np.ndarray) -> tuple[float, float]:
-    """Max and Shannon entropy (nats) of one row, summed in one fixed order."""
-    nz = probs[probs > 0.0]
-    return float(probs.max()), float(max(0.0, -(nz * np.log(nz)).sum()))
-
-
 class RowTable:
-    """Append-only table of checked categoricals: ``probs`` [R, V] over the
-    full id space with their ``confidence`` (max), ``entropy`` (nats) and
-    ``argmax`` [R], all read-only ``[:size]`` views of storage sized once for
-    ``capacity`` rows. :meth:`add` checks a row once, when it enters.
-    ``checked`` is the contract wrapper's watermark: rows below it passed
-    its mask/pad check."""
+    """Append-only table of checked categoricals: ``probs`` [R, V] over
+    ``vocab``'s full id space with their ``confidence`` (max), ``entropy``
+    (nats) and ``argmax`` [R], all read-only ``[:size]`` views of storage
+    sized once for ``capacity`` rows. :meth:`add` checks a row once, when it
+    enters, and derives its stats."""
 
-    def __init__(self, capacity: int, width: int):
-        self.capacity, self.width = capacity, width
-        self.size = self.checked = 0
+    def __init__(self, capacity: int, vocab: Vocab):
+        self.capacity, self.vocab, self.width = capacity, vocab, vocab.total_ids
+        self.size = 0
         # A mapping of its own: pages are committed as rows are written, and
         # the empty tail holds no heap that short-lived objects would reuse.
-        self._probs = np.frombuffer(mmap.mmap(-1, capacity * width * 8)).reshape(capacity, width)
+        self._probs = np.frombuffer(mmap.mmap(-1, capacity * self.width * 8)).reshape(capacity, self.width)
         self._confidence = np.empty(capacity)
         self._entropy = np.empty(capacity)
         self._argmax = np.empty(capacity, dtype=np.int64)
@@ -153,8 +144,9 @@ class RowTable:
     entropy = property(lambda self: self._view(self._entropy))
     argmax = property(lambda self: self._view(self._argmax))
 
-    def add(self, probs, confidence: float, entropy: float) -> int:
-        """Check one [V] row with its stats and append it; returns its id."""
+    def add(self, probs) -> int:
+        """Check one [V] row, derive its stats and append it; returns its id.
+        A row must sum to 1, be nonnegative and put no mass on mask or pad."""
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (self.width,):
             raise ValueError(f"need one row of width {self.width}, not shape {probs.shape}")
@@ -165,15 +157,12 @@ class RowTable:
             raise ValueError(f"probs sum to {total!r}, not 1")
         if probs.min() < 0.0:
             raise ValueError("probs must be nonnegative")
-        if abs(float(probs.max()) - confidence) > CONF_RECHECK_TOL:
-            raise ValueError("confidence does not equal max(probs)")
-        if entropy < 0.0:
-            raise ValueError("entropy must be nonnegative")
-        # Zero entropy and unit confidence have to coincide.
+        if probs[self.vocab.mask_id] > 0.0 or probs[self.vocab.pad_id] > 0.0:
+            raise ValueError("row puts mass on mask or pad")
+        nz = probs[probs > 0.0]  # max and Shannon entropy (nats), summed in one fixed order
+        confidence, entropy = float(probs.max()), float(max(0.0, -(nz * np.log(nz)).sum()))
         if confidence >= 1.0 - 1e-12 and entropy > 1e-9:
             raise ValueError("unit confidence requires zero entropy")
-        if entropy <= 1e-12 and confidence < 1.0 - 1e-9:
-            raise ValueError("zero entropy requires unit confidence")
         row = self.size
         self._probs[row] = probs
         self._confidence[row], self._entropy[row] = confidence, entropy
@@ -191,7 +180,7 @@ class PositionPrediction:
     table, so a pass checks only the shapes, the order and the ids. The
     per-position ``confidence`` and ``entropy`` [M] that selection reads are
     gathered once at construction. :meth:`from_probs` builds a fresh table
-    with one row per position and the row stats of :func:`row_stats`."""
+    with one row per position, its width ``size + 3`` for a ``Vocab(size)``."""
 
     positions: np.ndarray
     table: RowTable
@@ -219,19 +208,14 @@ class PositionPrediction:
         object.__setattr__(self, "confidence", conf)
         object.__setattr__(self, "entropy", ent)
 
-    @property
-    def probs(self) -> np.ndarray:
-        """The table's rows: position ``i`` reads ``probs[row[i]]``."""
-        return self.table.probs
-
     @classmethod
     def from_probs(cls, positions, probs) -> "PositionPrediction":
         arr = np.array(probs, dtype=np.float64)
         if arr.ndim != 2 or not len(arr):
             raise ValueError("need [M, V] probs, M >= 1")
-        table = RowTable(len(arr), arr.shape[1])
+        table = RowTable(len(arr), Vocab(arr.shape[1] - 3))
         for probs_row in arr:
-            table.add(probs_row, *row_stats(probs_row))
+            table.add(probs_row)
         row = np.arange(len(arr), dtype=np.int64)
         row.flags.writeable = False
         return cls(positions, table, row)
@@ -416,7 +400,6 @@ class GenerationResult:
     metrics count slots, since those forward passes really ran.
     """
 
-    prompt_len: int
     output_tokens: tuple[int, ...]
     steps: tuple[StepRecord, ...]
     stop_reason: StopReason

@@ -16,7 +16,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import BlockState, PositionPrediction, RowTable, Vocab, row_stats
+from .core import BlockState, PositionPrediction, RowTable, Vocab
 
 __all__ = [
     "ROW_TABLE_ROWS",
@@ -55,9 +55,8 @@ def predict(denoiser: Denoiser, context: Sequence[int], block: BlockState) -> Po
 
     Preconditions: the context is mask-free and the block has at least one
     masked position. Postconditions: the record covers exactly the masked
-    positions, in ascending order, with full-width distributions and zero
-    mass on mask and pad. The mask/pad check runs once per table row: on the
-    rows above the table's ``checked`` watermark, which it then advances.
+    positions, in ascending order, with full-width distributions; each row
+    was checked as it entered its table, zero mass on mask and pad included.
     Any ``Sequence[int]`` context works; on the read-only int64 view the
     session passes, the mask check is one vectorized comparison.
     """
@@ -73,18 +72,8 @@ def predict(denoiser: Denoiser, context: Sequence[int], block: BlockState) -> Po
         raise ContractViolation(f"backend returned {type(preds).__name__}, not PositionPrediction")
     if preds.positions.tolist() != masked:
         raise ContractViolation(f"backend covered positions {preds.positions.tolist()}, expected {masked}")
-    table = preds.table
-    if table.width != vocab.total_ids:
-        raise ContractViolation(f"rows have width {table.width}, expected {vocab.total_ids}")
-    if table.checked < table.size:
-        fresh = table.probs[table.checked :]
-        special = (fresh[:, vocab.mask_id] > 0.0) | (fresh[:, vocab.pad_id] > 0.0)
-        if special.any():
-            reads = np.isin(preds.row, table.checked + np.flatnonzero(special))
-            where = (f"position {preds.positions[reads.argmax()]}" if reads.any()
-                     else f"table row {table.checked + special.argmax()}")
-            raise ContractViolation(f"{where} puts mass on mask or pad")
-        table.checked = table.size
+    if preds.table.width != vocab.total_ids:
+        raise ContractViolation(f"rows have width {preds.table.width}, expected {vocab.total_ids}")
     return preds
 
 
@@ -135,7 +124,7 @@ class MarkovDenoiser:
         self._roll_over(0)
 
     def _roll_over(self, rows: int) -> None:  # a new table, room for at least ``rows``
-        self._table = RowTable(max(ROW_TABLE_ROWS, rows), self.vocab.total_ids)
+        self._table = RowTable(max(ROW_TABLE_ROWS, rows), self.vocab)
         self._cache: dict[tuple[int, ...], int] = {}  # context -> row id in _table
 
     def distribution(self, ctx: tuple[int, ...]) -> np.ndarray:
@@ -160,7 +149,7 @@ class MarkovDenoiser:
             vec[tok] = cnt
         probs = np.zeros(self.vocab.total_ids)
         probs[:size] = (vec + self.smoothing) / (self._totals[ctx] + self.smoothing * size)
-        row = self._cache[ctx] = self._table.add(probs, *row_stats(probs))
+        row = self._cache[ctx] = self._table.add(probs)
         return row
 
     def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction:
@@ -288,14 +277,12 @@ class ScriptedDenoiser:
     The predict signature carries no step counter, so the instance tracks
     one itself: a fully masked block always starts step 0 of the next
     block (inside one block decode the masked set strictly shrinks), and
-    a context of ``prompt_len`` tokens restarts block numbering. This is
-    per-instance mutable state: use one instance per decoded sequence, or
-    call :meth:`reset` between generations.
+    blocks are numbered from construction, across a two-stage splice too.
+    This is per-instance mutable state: use one instance per decoded sequence.
     """
 
-    def __init__(self, script, vocab: Vocab, prompt_len: int = 0):
+    def __init__(self, script, vocab: Vocab):
         self.vocab = vocab
-        self.prompt_len = prompt_len
         self._script: dict[tuple[int, int, int], tuple[float, int]] = {}
         floor = 1.0 / vocab.size
         for key, (conf, tok) in dict(script).items():
@@ -312,14 +299,10 @@ class ScriptedDenoiser:
         self._block = -1
         self._step = -1
 
-    def reset(self) -> None:
-        self._block = -1
-        self._step = -1
-
     def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction:
         masked = block.masked_positions()
         if len(masked) == len(block):
-            self._block = 0 if len(context) == self.prompt_len else self._block + 1
+            self._block += 1
             self._step = 0
         else:
             self._step += 1
@@ -337,7 +320,7 @@ class ScriptedDenoiser:
         return PositionPrediction.from_probs(masked, rows)
 
 
-def load_scripted(path, vocab: Vocab, prompt_len: int = 0) -> ScriptedDenoiser:
+def load_scripted(path, vocab: Vocab) -> ScriptedDenoiser:
     """Parse a script fixture: one ``block step position conf token_id``
     entry per line, blank lines and ``#`` comments ignored."""
     script: dict[tuple[int, int, int], tuple[float, int]] = {}
@@ -361,4 +344,4 @@ def load_scripted(path, vocab: Vocab, prompt_len: int = 0) -> ScriptedDenoiser:
             script[key] = entry
     if not script:
         raise FixtureError(f"{path}: script fixture is empty")
-    return ScriptedDenoiser(script, vocab, prompt_len=prompt_len)
+    return ScriptedDenoiser(script, vocab)

@@ -143,7 +143,9 @@ def save_markov(denoiser: MarkovDenoiser, path) -> None:
 
 def load_markov(path) -> MarkovDenoiser:
     """Parse a file written by :func:`save_markov`, checked where it enters:
-    ``order`` and ``vocab_size`` are JSON integers, every token lies in
+    ``order`` and ``vocab_size`` are JSON integers, every key is written as
+    :func:`save_markov` writes it (``"00"``, ``" 1"`` and ``"+1"`` are not),
+    no context is longer than ``order``, every token lies in
     ``[0, vocab_size)`` and every count is a JSON integer >= 1."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -158,6 +160,8 @@ def load_markov(path) -> MarkovDenoiser:
         for key, table in payload["counts"].items():
             ctx = tuple(int(x) for x in key.split(",")) if key else ()
             counts[ctx] = {int(t): c for t, c in table.items()}
+            if key != ",".join(map(str, ctx)) or len(ctx) > order or list(map(str, counts[ctx])) != list(table):
+                raise ValueError(f"context {key!r}: keys must be canonical integers, contexts at most {order} long")
             if not counts[ctx] or not all(0 <= tok < vocab_size for tok in (*ctx, *counts[ctx])):
                 raise ValueError(f"context {key!r}: counts must be nonempty, tokens in [0, {vocab_size})")
             if any(type(c) is not int or c < 1 for c in counts[ctx].values()):  # a bool is not an int here
@@ -352,7 +356,7 @@ class _DenoiserFactory:
                 self.target, self.vocab, self.base_confidence, self.decay,
                 prompt_len=len(prompt),
             )
-        return load_scripted(self.fixture, self.vocab, prompt_len=len(prompt))
+        return load_scripted(self.fixture, self.vocab)
 
 
 def load_experiment(path) -> ExperimentConfig:

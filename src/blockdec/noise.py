@@ -104,7 +104,7 @@ def nelbo_estimate(
                     continue
                 context = full[: len(prompt) + k * block_size]
                 preds = predict(denoiser, context, noised)
-                probs = preds.probs
+                probs = preds.table.probs
                 for r, i in zip(preds.row.tolist(), masked):
                     total += -float(np.log(probs[r, truth[i]]))
             estimates.append(total / t)

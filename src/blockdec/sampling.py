@@ -155,7 +155,7 @@ def _weights(probs: np.ndarray, temperature: float) -> np.ndarray:
     the max subtracted, so that no weight underflows into a 0/0, then
     normalized as ``rng.choice`` was given them."""
     if temperature != 1.0:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             probs = np.exp((np.log(probs) - math.log(probs.max())) / temperature)
     return probs / probs.sum()
 
@@ -185,7 +185,7 @@ def _realize(preds: PositionPrediction, idx: np.ndarray, temperature: float,
     rows = preds.row[idx]
     if temperature == 0.0:
         return preds.table.argmax[rows].tolist()
-    probs = preds.probs
+    probs = preds.table.probs
     cdfs: dict[int, np.ndarray] = {}
     tokens = []
     for r, u in zip(rows.tolist(), rng.random(len(rows)).tolist()):

@@ -102,7 +102,7 @@ class GenerationSession:
     def result(self, stop: StopReason, tccf: TccfTrace | None = None) -> GenerationResult:
         """The run so far, trimmed to ``max_new_tokens``."""
         self.splice(self.cfg.max_new_tokens)
-        return GenerationResult(prompt_len=self.prompt_len, output_tokens=tuple(self.committed.tolist()),
+        return GenerationResult(output_tokens=tuple(self.committed.tolist()),
                                 steps=tuple(self.records), stop_reason=stop, tccf=tccf)
 
 

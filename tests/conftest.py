@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from blockdec.core import GenerationResult, PositionPrediction, RowTable, StepRecord, StopReason, Vocab, row_stats
+from blockdec.core import GenerationResult, PositionPrediction, RowTable, StepRecord, StopReason, Vocab
 from blockdec.sampling import BacdState
 
 
@@ -39,11 +39,11 @@ def bacd_after(history, tau_l: float, tau_h: float) -> BacdState:
 
 
 def table_of(rows) -> RowTable:
-    """A full table holding ``rows`` with their :func:`row_stats`."""
+    """A full table holding ``rows``, [R, size + 3] for a ``Vocab(size)``."""
     rows = np.asarray(rows, dtype=np.float64)
-    table = RowTable(len(rows), rows.shape[1])
+    table = RowTable(len(rows), Vocab(rows.shape[1] - 3))
     for r in rows:
-        table.add(r, *row_stats(r))
+        table.add(r)
     return table
 
 
@@ -60,7 +60,7 @@ def shared_record(positions, rows, row) -> PositionPrediction:
 
 def position_probs(preds: PositionPrediction) -> np.ndarray:
     """The [M, V] matrix of a record: row ``i`` is position ``i``'s row."""
-    return preds.probs[preds.row]
+    return preds.table.probs[preds.row]
 
 
 def spike_conf_for_entropy(vocab: Vocab, target: float) -> float:
@@ -127,7 +127,7 @@ def full_random_script(rng: np.random.Generator, vocab: Vocab, blocks: int,
 
 
 def make_result(output, stop=StopReason.MAX_LENGTH, slot_groups=None,
-                confidences=0.8, prompt_len=0, tccf=None):
+                confidences=0.8, tccf=None):
     """Fabricate a GenerationResult whose steps carry the given slot counts.
 
     ``confidences`` is either a flat value or one tuple per step.
@@ -151,7 +151,6 @@ def make_result(output, stop=StopReason.MAX_LENGTH, slot_groups=None,
             )
         )
     return GenerationResult(
-        prompt_len=prompt_len,
         output_tokens=tuple(output),
         steps=tuple(steps),
         stop_reason=stop,

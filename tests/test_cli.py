@@ -193,6 +193,10 @@ MALFORMED_MODELS = {
     "float_vocab_size": {"vocab_size": 4.0},
     "vocab_size_past_int64": {"vocab_size": 10**16},  # the row table's size overflows
     "missing_vocab_size": {"vocab_size": None},
+    # keys that int() reads but save_markov never writes ("0" and "00" would
+    # merge into one count), and a context longer than the order
+    **{f"token_key_{key!r}": {"counts": {"": {"0": 1, key: 5}}} for key in ("00", " 1", "+1")},
+    **{f"context_key_{key!r}": {"counts": {"": {"0": 1}, key: {"1": 1}}} for key in ("00", " 1", "+1", "1,2,3")},
 }
 
 
@@ -213,6 +217,38 @@ def test_well_formed_markov_model_runs(tmp_path, capsys):
                            task=ORACLE_TASK)
     code, _, err = run_cli(capsys, "run", str(exp))
     assert (code, err) == (0, "")
+
+
+# Experiment files that reach error branches no other case runs: each must
+# end in exit 1 with ``error:`` and the fragment. ``None`` drops a key.
+UNCOVERED = {
+    "grid_empty_list": ({"grid": []}, "grid must be a nonempty list"),
+    "grid_object": ({"grid": {}}, "grid must be a nonempty list"),
+    "task_missing": ({"task": None}, "experiment is missing 'task'"),
+    "task_without_prompts": ({"task": {}}, "task must be an object with 'prompts'"),
+    "prompts_string": ({"task": {"prompts": "x"}}, "task.prompts must be an object with a 'kind'"),
+    "prompts_kind_unknown": ({"task": {"prompts": {"kind": "zzz"}}}, "unknown prompts kind 'zzz'"),
+    "prompt_values_empty": ({"task": {"prompts": {"kind": "tokens", "values": []}}},
+                            "task.prompts.values must be a nonempty list"),
+    "snippets_with_oracle": (dict(oracle_spec(), task={"prompts": {"kind": "corpus_snippets"}}),
+                             "corpus_snippets prompts need a markov corpus denoiser"),
+    "snippet_past_corpus": ({"task": {"prompts": {"kind": "corpus_snippets", "length": 2001}}},
+                            "corpus_snippets length exceeds the corpus"),
+    "grid_entry_list": ({"grid": [[1]]}, "each grid entry must be an object"),
+    "whitespace_ints_corpus_empty": (markov_spec(corpus="blank.txt", tokenization="whitespace_ints"),
+                                     "blank.txt is empty"),
+}
+
+
+@pytest.mark.parametrize("overrides, fragment", UNCOVERED.values(), ids=UNCOVERED.keys())
+def test_uncovered_experiment_error_is_config_error(tmp_path, capsys, overrides, fragment):
+    (tmp_path / "blank.txt").write_text(" \n\t\n")
+    exp = write_experiment(tmp_path, **overrides)
+    spec = json.loads(exp.read_text())
+    exp.write_text(json.dumps({k: v for k, v in spec.items() if v is not None}))
+    code, out, err = run_cli(capsys, "run", str(exp))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and fragment in err
 
 
 FUZZ_BASE = {
@@ -315,6 +351,14 @@ class TestSweep:
                                "--values", "0.5,2.0")
         assert code == 1
         assert "tau" in err
+
+    @pytest.mark.parametrize("values, fragment", [("a", "bad sweep values"),
+                                                  (",", "sweep needs at least one value")])
+    def test_unparsable_or_empty_values_rejected(self, tmp_path, capsys, values, fragment):
+        exp = write_experiment(tmp_path)
+        code, out, err = run_cli(capsys, "sweep", str(exp), "--param", "tau", "--values", values)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and fragment in err
 
     def test_grid_index_out_of_range(self, tmp_path, capsys):
         exp = write_experiment(tmp_path)

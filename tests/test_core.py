@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockdec.core import (
     Algorithm,
@@ -21,7 +23,6 @@ from blockdec.core import (
     TccfTrace,
     Vocab,
     lint_config,
-    row_stats,
     validate_config,
 )
 
@@ -60,6 +61,12 @@ class TestBlockState:
         with pytest.raises(ValueError):
             b.assign(1, 5)
 
+    def test_assign_mask_rejected(self):
+        b = BlockState.fully_masked(3, mask_id=9)
+        with pytest.raises(ValueError, match="cannot assign the mask token"):
+            b.assign(0, 9)
+        assert b.masked_positions() == [0, 1, 2]
+
     def test_from_tokens_round_trip(self):
         b = BlockState([1, 2, 3], mask_id=9)
         assert b.fully_decoded
@@ -72,17 +79,29 @@ class TestBlockState:
         assert [f.name for f in dataclasses.fields(BlockState)] == ["tokens", "mask_id"]
 
 
-GOOD_ROW = [0.7, 0.3]
-GOOD_STATS = row_stats(np.array(GOOD_ROW))
+def wide(*ordinary, width=5):
+    """A row of ``width`` ids (``Vocab(width - 3)``) that starts ``ordinary``
+    and puts zero on the rest."""
+    return [*ordinary] + [0.0] * (width - len(ordinary))
 
 
-def add_last(rows, confidence=None, entropy=None) -> RowTable:
-    """Add valid rows, then a last row with the given fields, to one table:
-    each check must run on a row as it enters, whatever came before it."""
-    table = RowTable(len(rows), len(rows[-1]))
+GOOD_ROW = wide(0.7, 0.3)
+
+
+def entropy_of(row) -> float:
+    """Shannon entropy (nats), summed as the table sums it."""
+    row = np.asarray(row, dtype=np.float64)
+    nz = row[row > 0.0]
+    return float(max(0.0, -(nz * np.log(nz)).sum()))
+
+
+def add_last(rows) -> RowTable:
+    """Add valid rows, then a last row, to one table: each check must run on
+    a row as it enters, whatever came before it."""
+    table = RowTable(len(rows), Vocab(len(rows[-1]) - 3))
     for good in rows[:-1]:
-        table.add(good, *GOOD_STATS)
-    table.add(rows[-1], confidence, entropy)
+        table.add(good)
+    table.add(rows[-1])
     return table
 
 
@@ -97,58 +116,49 @@ class TestPositionPrediction:
         probs = np.zeros(6)
         probs[2] = 1.0
         p = PositionPrediction.from_probs([0], [probs])
-        assert int(np.argmax(p.probs[0])) == 2
+        assert int(np.argmax(p.table.probs[0])) == 2
         assert p.confidence.tolist() == [1.0]
         assert p.entropy.tolist() == [0.0]
 
     def test_from_probs_uniform_entropy(self):
-        p = PositionPrediction.from_probs([1, 3], [[0.5, 0.5, 0.0, 0.0], np.full(4, 0.25)])
+        p = PositionPrediction.from_probs([1, 3], [wide(0.5, 0.5, width=7), wide(*[0.25] * 4, width=7)])
         assert p.positions.tolist() == [1, 3]
         assert p.confidence.tolist() == [0.5, 0.25]
         assert abs(p.entropy[0] - math.log(2)) < 1e-12
         assert abs(p.entropy[1] - math.log(4)) < 1e-12
 
     def test_from_probs_matches_row_stats(self):
-        rows = np.random.default_rng(0).dirichlet(np.full(7, 0.3), size=5)
+        rows = np.zeros((5, 7))  # Vocab(4): ordinary ids 0-3 and eos 5 carry mass
+        rows[:, [0, 1, 2, 3, 5]] = np.random.default_rng(0).dirichlet(np.full(5, 0.3), size=5)
         p = PositionPrediction.from_probs(range(5), rows)
-        stats = [row_stats(row) for row in rows]
-        assert p.confidence.tolist() == [c for c, _ in stats]
-        assert p.entropy.tolist() == [h for _, h in stats]
+        assert p.confidence.tolist() == rows.max(axis=1).tolist()
+        assert p.entropy.tolist() == [entropy_of(row) for row in rows]
 
     def test_fields_are_read_only(self):
         rows = np.array([GOOD_ROW])
         p = PositionPrediction.from_probs([0], rows)
         with pytest.raises(ValueError):
-            p.probs[0, 0] = 0.5
+            p.table.probs[0, 0] = 0.5
         rows[0, 0] = 0.1  # from_probs copied its input
-        assert p.probs[0, 0] == 0.7
+        assert p.table.probs[0, 0] == 0.7
 
     def test_sum_checked(self):
         with pytest.raises(ValueError, match="sum"):
-            add_last([GOOD_ROW, [0.5, 0.4]], confidence=0.5, entropy=0.3)  # 0.9
+            add_last([GOOD_ROW, wide(0.5, 0.4)])  # 0.9
         with pytest.raises(ValueError, match="sum"):
-            PositionPrediction.from_probs([0, 1], [GOOD_ROW, [0.5, 0.4]])
-
-    def test_confidence_must_match_max(self):
-        with pytest.raises(ValueError, match="max"):
-            add_last([GOOD_ROW, [0.6, 0.4]], confidence=0.4, entropy=0.3)
+            PositionPrediction.from_probs([0, 1], [GOOD_ROW, wide(0.5, 0.4)])
 
     def test_negative_prob_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            PositionPrediction.from_probs([0, 1], [GOOD_ROW, [1.2, -0.2]])
+            PositionPrediction.from_probs([0, 1], [GOOD_ROW, wide(1.2, -0.2)])
         with pytest.raises(ValueError, match="nonnegative"):
-            add_last([GOOD_ROW, [1.2, -0.2]], confidence=1.2, entropy=0.3)
-
-    def test_negative_entropy_rejected(self):
-        with pytest.raises(ValueError, match="entropy"):
-            add_last([GOOD_ROW, [0.6, 0.4]], confidence=0.6, entropy=-0.1)
+            add_last([GOOD_ROW, wide(1.2, -0.2)])
 
     def test_certainty_coupling(self):
-        # confidence pinned at one forces entropy to zero, and vice versa
+        # confidence pinned at one forces entropy to zero: 1e-10 of stray
+        # mass passes the sum check but carries 2.3e-9 nats
         with pytest.raises(ValueError, match="unit confidence"):
-            add_last([GOOD_ROW, [1.0, 0.0]], confidence=1.0, entropy=0.5)
-        with pytest.raises(ValueError, match="zero entropy"):
-            add_last([GOOD_ROW, [0.6, 0.4]], confidence=0.6, entropy=0.0)
+            add_last([GOOD_ROW, wide(1.0, 1e-10)])
 
     def test_positions_strictly_ascending(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -163,28 +173,76 @@ class TestPositionPrediction:
             PositionPrediction.from_probs([0], GOOD_ROW)  # one row, not [1, V]
         with pytest.raises(ValueError):
             PositionPrediction.from_probs([0, 1], [GOOD_ROW])
-        table = RowTable(2, 2)
-        with pytest.raises(ValueError, match="need one row of width 2"):
-            table.add([0.5, 0.3, 0.2], 0.5, 1.0)  # wrong width
-        with pytest.raises(ValueError, match="need one row of width 2"):
-            table.add([GOOD_ROW], *GOOD_STATS)  # [1, V], not one row
+        table = RowTable(2, Vocab(2))
+        with pytest.raises(ValueError, match="need one row of width 5"):
+            table.add(wide(0.5, 0.3, 0.2, width=6))  # wrong width
+        with pytest.raises(ValueError, match="need one row of width 5"):
+            table.add([GOOD_ROW])  # [1, V], not one row
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_rows_narrower_than_a_vocab_rejected(self, width):
+        # five columns is the narrowest vocab: two ordinary ids, mask, eos, pad
+        with pytest.raises(ValueError, match="at least 2 ordinary tokens"):
+            PositionPrediction.from_probs([0], [wide(1.0, width=width)])
 
 
 class TestRowTable:
     def test_add_returns_consecutive_ids_and_stores_the_stats(self):
-        table = RowTable(3, 3)
-        rows = [[0.2, 0.4, 0.4], [0.5, 0.25, 0.25]]
-        assert [table.add(r, *row_stats(np.array(r))) for r in rows] == [0, 1]
-        assert table.size == 2 and table.capacity == 3
+        table = RowTable(3, Vocab(3))
+        rows = [wide(0.2, 0.4, 0.4, width=6), wide(0.5, 0.25, 0.25, width=6)]
+        assert [table.add(r) for r in rows] == [0, 1]
+        assert table.size == 2 and table.capacity == 3 and table.width == 6
         assert table.probs.tolist() == rows
         assert table.confidence.tolist() == [0.4, 0.5]
-        assert table.entropy.tolist() == [row_stats(np.array(r))[1] for r in rows]
+        assert table.entropy.tolist() == [entropy_of(r) for r in rows]
         assert table.argmax.tolist() == [1, 0]  # ties go to the lower id, as np.argmax
+
+    @pytest.mark.parametrize("special", [2, 4])  # Vocab(2): mask 2, pad 4
+    def test_mass_on_mask_or_pad_rejected(self, special):
+        table = RowTable(2, Vocab(2))
+        row = wide(0.7, 0.2)
+        row[special] = 0.1
+        with pytest.raises(ValueError, match=r"^row puts mass on mask or pad$"):
+            table.add(row)
+        assert table.size == 0
+        table.add(wide(0.7, 0.2, 0.0, 0.1))  # eos may carry mass
+        assert table.size == 1
+
+    def test_add_checks_in_order(self):
+        # shape, room, sum, sign, then mask/pad: each row fails the first
+        full = RowTable(1, Vocab(2))
+        full.add(GOOD_ROW)
+        with pytest.raises(ValueError, match="width"):
+            full.add(wide(0.5, 0.5, width=6))
+        with pytest.raises(ValueError, match="full"):
+            full.add(wide(0.5, 0.4, 0.1))
+        table = RowTable(1, Vocab(2))
+        with pytest.raises(ValueError, match="sum"):
+            table.add(wide(1.2, -0.1, 0.1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            table.add(wide(1.1, -0.2, 0.1))
+        with pytest.raises(ValueError, match="mask or pad"):
+            table.add(wide(1.0, 0.0, 1e-10))  # would fail "unit confidence" too
+        assert table.size == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-20.0, 0.0), st.floats(0.0, 1.0))
+    def test_zero_entropy_comes_with_unit_confidence(self, log_rest, split):
+        # Derived stats make this true: a max c < 1 - 1e-9 alone carries
+        # -c ln c > 1e-9 nats, so no accepted row has near-zero entropy below it.
+        rest = 10.0 ** log_rest
+        table = RowTable(1, Vocab(3))
+        try:
+            table.add(wide(1.0 - rest, rest * split, rest * (1.0 - split), width=6))
+        except ValueError as exc:
+            assert "unit confidence" in str(exc)
+            return
+        assert table.entropy[0] > 1e-12 or table.confidence[0] >= 1.0 - 1e-9
 
     def test_views_are_read_only_and_copies(self):
         row = np.array(GOOD_ROW)
-        table = RowTable(2, 2)
-        table.add(row, *GOOD_STATS)
+        table = RowTable(2, Vocab(2))
+        table.add(row)
         row[0] = 0.0  # add copied it
         for view in (table.probs, table.confidence, table.entropy, table.argmax):
             assert len(view) == 1
@@ -193,30 +251,30 @@ class TestRowTable:
         assert table.probs.tolist() == [GOOD_ROW]
 
     def test_full_table_and_refused_rows_append_nothing(self):
-        table = RowTable(1, 2)
+        table = RowTable(1, Vocab(2))
         with pytest.raises(ValueError, match="sum"):
-            table.add([0.5, 0.4], 0.5, 0.3)
+            table.add(wide(0.5, 0.4))
         assert table.size == 0
-        table.add(GOOD_ROW, *GOOD_STATS)
+        table.add(GOOD_ROW)
         with pytest.raises(ValueError, match="full"):
-            table.add(GOOD_ROW, *GOOD_STATS)
+            table.add(GOOD_ROW)
         assert table.size == 1
 
 
 class TestSharedRows:
-    ROWS = np.array([GOOD_ROW, [0.4, 0.6]])
+    ROWS = np.array([GOOD_ROW, wide(0.4, 0.6)])
 
     def shared(self, row, positions=(0, 2, 3, 5)):
-        table = RowTable(3, 2)  # one free slot: ids must be below size, not capacity
+        table = RowTable(3, Vocab(2))  # one free slot: ids must be below size, not capacity
         for r in self.ROWS:
-            table.add(r, *row_stats(r))
+            table.add(r)
         return PositionPrediction(positions, table, row)
 
     def test_per_position_stats_are_one_gather(self):
         p = self.shared(index([1, 0, 1, 1]))
-        assert p.probs.shape == (2, 2)
+        assert p.table.probs.shape == (2, 5)
         assert p.confidence.tolist() == [0.6, 0.7, 0.6, 0.6]
-        assert p.entropy.tolist() == [row_stats(self.ROWS[r])[1] for r in (1, 0, 1, 1)]
+        assert p.entropy.tolist() == [entropy_of(self.ROWS[r]) for r in (1, 0, 1, 1)]
         assert p.table.confidence.tolist() == [0.7, 0.6]
         for arr in (p.confidence, p.entropy, p.row):
             with pytest.raises(ValueError):
@@ -244,9 +302,9 @@ class TestSharedRows:
     def test_checks_run_on_every_row(self):
         # the bad row is the last one; every row is checked as it enters
         with pytest.raises(ValueError, match="sum"):
-            PositionPrediction.from_probs([0, 1, 2], [GOOD_ROW, GOOD_ROW, [0.5, 0.4]])
-        with pytest.raises(ValueError, match="max"):
-            add_last([GOOD_ROW, GOOD_ROW, [0.6, 0.4]], confidence=0.4, entropy=0.3)
+            PositionPrediction.from_probs([0, 1, 2], [GOOD_ROW, GOOD_ROW, wide(0.5, 0.4)])
+        with pytest.raises(ValueError, match="mask or pad"):
+            add_last([GOOD_ROW, GOOD_ROW, wide(0.6, 0.0, 0.4)])
 
 
 class TestValidateConfig:
@@ -257,6 +315,15 @@ class TestValidateConfig:
     def test_steps_must_be_positive(self):
         cfg = DecodingConfig(algorithm="static", block_size=8, steps=0)
         assert "steps must be positive" in validate_config(cfg)
+
+    @pytest.mark.parametrize("fields, problem", [
+        (dict(algorithm="dynamic", tau=0.5, seed=-1), "seed must be a nonnegative integer"),
+        (dict(algorithm="bacd", tau_h=0.9), "tau_h and tau_l are required for bacd decoding"),
+        (dict(algorithm="dynamic", tau=0.5, tccf=TccfConfig(4, 2, (1,), (), stage1_max_tokens=0)),
+         "tccf stage1_max_tokens must be a positive integer"),
+    ])
+    def test_single_problem_reported(self, fields, problem):
+        assert validate_config(DecodingConfig(**fields)) == [problem]
 
     def test_tau_l_exceeds_tau_h(self):
         cfg = DecodingConfig(algorithm="bacd", tau_h=0.5, tau_l=0.9)
@@ -354,14 +421,15 @@ class TestGenerationResult:
                        unmasked_positions=(3,), confidences=(0.8,),
                        fallback_fired=False),
         )
-        res = GenerationResult(prompt_len=0, output_tokens=(1, 2, 3, 4), steps=steps,
+        res = GenerationResult(output_tokens=(1, 2, 3, 4), steps=steps,
                                stop_reason=StopReason.MAX_LENGTH, tccf=None)
         assert res.generated_slots == 4
         assert res.forward_passes == 2
 
     def test_pass_count_is_derived_from_steps(self):
-        assert "forward_passes" not in [f.name for f in dataclasses.fields(GenerationResult)]
-        res = GenerationResult(prompt_len=0, output_tokens=(), steps=(),
+        fields = [f.name for f in dataclasses.fields(GenerationResult)]
+        assert fields == ["output_tokens", "steps", "stop_reason", "tccf"]
+        res = GenerationResult(output_tokens=(), steps=(),
                                stop_reason=StopReason.MAX_LENGTH)
         assert res.forward_passes == 0
 

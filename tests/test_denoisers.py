@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blockdec import denoisers
-from blockdec.core import BlockState, DecodingConfig, PositionPrediction, RowTable, Vocab, row_stats
+from blockdec.core import BlockState, DecodingConfig, PositionPrediction, RowTable, Vocab
 from blockdec.denoisers import (
     ContractViolation,
     FixtureError,
@@ -85,6 +85,11 @@ class TestMarkovFit:
         with pytest.raises(ValueError):
             markov_fit([], order=1, smoothing=0.1)
 
+    @pytest.mark.parametrize("counts", [{(0,): {1: 2}}, {(): {}, (0,): {1: 2}}])
+    def test_rejects_counts_without_a_unigram_table(self, counts):
+        with pytest.raises(ValueError, match="nonempty unigram table"):
+            MarkovDenoiser(1, 0.1, Vocab(4), counts)
+
 
 class TestMarkovConditioning:
     def test_depends_only_on_nearest_clean_left_at_order_one(self):
@@ -155,7 +160,7 @@ class TestOracle:
         preds = den.predict([], block)
         # position 1: distance 1 from the clean token at position 0
         assert abs(preds.confidence[0] - 0.9) < 1e-12
-        assert int(np.argmax(preds.probs[0])) == 1
+        assert int(np.argmax(preds.table.probs[0])) == 1
 
     def test_distance_decay_with_floor(self):
         vocab = Vocab(6)
@@ -200,7 +205,7 @@ class TestOracle:
                              decay=1.0, prompt_len=2)
         block = masked_block(4, vocab)
         preds = den.predict([5, 5], block)
-        assert preds.probs.argmax(axis=1).tolist() == [3, 1, vocab.eos_id, vocab.eos_id]
+        assert preds.table.probs.argmax(axis=1).tolist() == [3, 1, vocab.eos_id, vocab.eos_id]
 
     def test_prompt_offset_alignment(self):
         vocab = Vocab(6)
@@ -209,7 +214,7 @@ class TestOracle:
         # two tokens already committed after the prompt
         block = masked_block(2, vocab)
         preds = den.predict([5, 5, 5, 3, 1], block)
-        assert preds.probs.argmax(axis=1).tolist() == [4, 1]
+        assert preds.table.probs.argmax(axis=1).tolist() == [4, 1]
 
     def test_parameter_validation(self):
         vocab = Vocab(4)
@@ -228,9 +233,9 @@ class TestScripted:
     def test_entry_applies_at_addressed_step(self):
         vocab = Vocab(8)
         script = {(0, 0, p): (0.7, p) for p in range(4)}
-        den = ScriptedDenoiser(vocab=vocab, script=script, prompt_len=2)
+        den = ScriptedDenoiser(vocab=vocab, script=script)
         preds = den.predict([1, 1], masked_block(4, vocab))
-        assert preds.probs.argmax(axis=1).tolist() == [0, 1, 2, 3]
+        assert preds.table.probs.argmax(axis=1).tolist() == [0, 1, 2, 3]
         assert np.all(np.abs(preds.confidence - 0.7) < 1e-12)
 
     def test_step_counter_advances_on_partial_blocks(self):
@@ -239,54 +244,53 @@ class TestScripted:
             (0, 0, 0): (0.9, 5), (0, 0, 1): (0.9, 6),
             (0, 1, 0): (0.8, 7), (0, 1, 1): (0.8, 4),
         }
-        den = ScriptedDenoiser(vocab=vocab, script=script, prompt_len=0)
+        den = ScriptedDenoiser(vocab=vocab, script=script)
         block = masked_block(2, vocab)
         den.predict([], block)            # step 0 on the fresh block
         block.assign(0, 5)
         preds = den.predict([], block)    # same block, one slot filled: step 1
         assert preds.positions.tolist() == [1]
-        assert int(np.argmax(preds.probs[0])) == 4
+        assert int(np.argmax(preds.table.probs[0])) == 4
         assert abs(preds.confidence[0] - 0.8) < 1e-12
 
     def test_block_counter_advances_on_fresh_block(self):
         vocab = Vocab(8)
         script = {(0, 0, 0): (0.9, 5), (1, 0, 0): (0.6, 6)}
-        den = ScriptedDenoiser(vocab=vocab, script=script, prompt_len=1)
+        den = ScriptedDenoiser(vocab=vocab, script=script)
         den.predict([3], masked_block(1, vocab))
         preds = den.predict([3, 5], masked_block(1, vocab))
-        assert int(np.argmax(preds.probs[0])) == 6
+        assert int(np.argmax(preds.table.probs[0])) == 6
 
-    def test_prompt_length_resets_block_numbering(self):
-        vocab = Vocab(8)
-        script = {(0, 0, 0): (0.9, 5)}
-        den = ScriptedDenoiser(vocab=vocab, script=script, prompt_len=1)
-        den.predict([3], masked_block(1, vocab))
-        # a fresh all-masked query at prompt length restarts at block 0
-        preds = den.predict([3], masked_block(1, vocab))
-        assert int(np.argmax(preds.probs[0])) == 5
-
-    def test_reset_rewinds_counters(self):
+    def test_blocks_are_numbered_from_construction(self):
         vocab = Vocab(8)
         script = {(0, 0, 0): (0.9, 5), (1, 0, 0): (0.6, 6)}
-        den = ScriptedDenoiser(vocab=vocab, script=script, prompt_len=0)
-        den.predict([], masked_block(1, vocab))
-        den.predict([5], masked_block(1, vocab))
-        den.reset()
-        preds = den.predict([], masked_block(1, vocab))
-        assert int(np.argmax(preds.probs[0])) == 5
+        den = ScriptedDenoiser(vocab=vocab, script=script)
+        den.predict([3], masked_block(1, vocab))
+        # a context as short as the first one does not restart the numbering
+        preds = den.predict([3], masked_block(1, vocab))
+        assert int(np.argmax(preds.table.probs[0])) == 6
+        with pytest.raises(FixtureError, match="block=2"):
+            den.predict([3], masked_block(1, vocab))
 
     def test_missing_entry_is_a_fixture_fault(self):
         vocab = Vocab(8)
-        den = ScriptedDenoiser(vocab=vocab, script={(0, 0, 0): (0.9, 5)},
-                               prompt_len=0)
+        den = ScriptedDenoiser(vocab=vocab, script={(0, 0, 0): (0.9, 5)})
         with pytest.raises(FixtureError):
             den.predict([], masked_block(2, vocab))
 
     def test_confidence_floor_validated(self):
         vocab = Vocab(8)
         with pytest.raises(FixtureError):
-            ScriptedDenoiser(vocab=vocab, script={(0, 0, 0): (0.01, 5)},
-                             prompt_len=0)
+            ScriptedDenoiser(vocab=vocab, script={(0, 0, 0): (0.01, 5)})
+
+    def test_negative_key_rejected(self):
+        with pytest.raises(FixtureError, match="negative component"):
+            ScriptedDenoiser(vocab=Vocab(8), script={(0, -1, 0): (0.9, 5)})
+
+    @pytest.mark.parametrize("tok", [-1, 8, 10])  # Vocab(8): mask 8, pad 10
+    def test_bad_token_id_rejected(self, tok):
+        with pytest.raises(FixtureError, match=f"bad token id {tok}"):
+            ScriptedDenoiser(vocab=Vocab(8), script={(0, 0, 0): (0.9, tok)})
 
 
 class TestLoadScripted(object):
@@ -294,27 +298,34 @@ class TestLoadScripted(object):
         path = tmp_path / "ok.txt"
         path.write_text("# comment line\n0 0 0 0.9 5\n\n0 0 1 0.8 6\n")
         vocab = Vocab(8)
-        den = load_scripted(path, vocab, prompt_len=0)
+        den = load_scripted(path, vocab)
         preds = den.predict([], masked_block(2, vocab))
-        assert preds.probs.argmax(axis=1).tolist() == [5, 6]
+        assert preds.table.probs.argmax(axis=1).tolist() == [5, 6]
 
     def test_field_count_error_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 0 0 0.9 5\n0 0 0.9 5\n")
         with pytest.raises(FixtureError, match="line 2"):
-            load_scripted(path, Vocab(8), prompt_len=0)
+            load_scripted(path, Vocab(8))
+
+    @pytest.mark.parametrize("line", ["0 0 x 0.9 5", "0 0 0 high 5", "0 0 0 0.9 5.0"])
+    def test_unparsable_line_names_line(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0 0 0 0.9 5\n{line}\n")
+        with pytest.raises(FixtureError, match="line 2"):
+            load_scripted(path, Vocab(8))
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("0 0 0 0.9 5\n0 0 0 0.8 6\n")
         with pytest.raises(FixtureError, match="line 2"):
-            load_scripted(path, Vocab(8), prompt_len=0)
+            load_scripted(path, Vocab(8))
 
     def test_empty_script_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing here\n")
         with pytest.raises(FixtureError):
-            load_scripted(path, Vocab(8), prompt_len=0)
+            load_scripted(path, Vocab(8))
 
 
 class _BrokenCoverage:
@@ -359,9 +370,25 @@ class TestPredictWrapper:
         with pytest.raises(ContractViolation):
             predict(_BrokenCoverage(vocab), [0], masked_block(3, vocab))
 
+    def test_flags_a_return_that_is_not_a_record(self):
+        class Rows(UniformDenoiser):
+            def predict(self, context, block):
+                return position_probs(super().predict(context, block))
+
+        with pytest.raises(ContractViolation, match="^backend returned ndarray, not PositionPrediction$"):
+            predict(Rows(Vocab(4)), [0], masked_block(2, Vocab(4)))
+
+    def test_flags_a_width_mismatch(self):
+        class Wide(UniformDenoiser):  # rows valid for Vocab(5) are one id too wide
+            def predict(self, context, block):
+                return UniformDenoiser(Vocab(5)).predict(context, block)
+
+        with pytest.raises(ContractViolation, match="^rows have width 8, expected 7$"):
+            predict(Wide(Vocab(4)), [0], masked_block(2, Vocab(4)))
+
     def test_flags_mass_on_special_ids(self):
         vocab = Vocab(4)
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ValueError, match="^row puts mass on mask or pad$"):
             predict(_MassOnMask(vocab), [0], masked_block(2, vocab))
 
     @pytest.mark.parametrize("special", ["mask_id", "pad_id"])
@@ -380,7 +407,7 @@ class TestPredictWrapper:
                 return shared_record(block.masked_positions(), [good, bad], [0, 0, 1, 1])
 
         block = BlockState([vocab.mask_id, vocab.mask_id, 2, vocab.mask_id, vocab.mask_id], vocab.mask_id)
-        with pytest.raises(ContractViolation, match=r"^position 3 puts mass on mask or pad$"):
+        with pytest.raises(ValueError, match=r"^row puts mass on mask or pad$"):
             predict(Shared(), [0], block)
 
     def test_passes_well_formed_predictions(self):
@@ -406,59 +433,35 @@ class TableBackend:
     ``table`` may be swapped between passes."""
 
     def __init__(self):
-        self.vocab, self.table, self.passes = V4, RowTable(8, V4.total_ids), []
+        self.vocab, self.table, self.passes = V4, RowTable(8, V4), []
 
     def predict(self, context, block):
         rows, ids = self.passes.pop(0)
         for r in rows:
-            self.table.add(r, *row_stats(r))
+            self.table.add(r)
         return PositionPrediction(block.masked_positions(), self.table, read_only(ids))
 
 
 class TestTableWatermark:
-    """The wrapper checks mask/pad mass once per table row, on the rows above
-    the table's ``checked`` watermark."""
+    """A row with mass on mask or pad never enters a table, whichever pass
+    adds it and whether or not a position reads it: ``RowTable.add`` refuses
+    it, so no table keeps a watermark of checked rows."""
 
     @pytest.mark.parametrize("special", ["mask_id", "pad_id"])
     def test_a_row_added_after_a_checked_pass_is_checked(self, special):
         backend = TableBackend()
         backend.passes = [([UNIFORM4], [0, 0, 0]), ([special_row(special)], [0, 1, 0])]
         predict(backend, [0], masked_block(3, V4))
-        assert backend.table.checked == backend.table.size == 1
-        with pytest.raises(ContractViolation, match=r"^position 1 puts mass on mask or pad$"):
+        with pytest.raises(ValueError, match=r"^row puts mass on mask or pad$"):
             predict(backend, [0], masked_block(3, V4))
-        assert backend.table.checked == 1  # the bad row never passes
+        assert backend.table.size == 1  # the bad row never enters
 
     def test_an_unread_bad_row_is_named_by_its_id(self):
         backend = TableBackend()
         backend.passes = [([UNIFORM4, special_row("pad_id")], [0, 0])]
-        with pytest.raises(ContractViolation, match=r"^table row 1 puts mass on mask or pad$"):
+        with pytest.raises(ValueError, match=r"^row puts mass on mask or pad$"):
             predict(backend, [0], masked_block(2, V4))
-
-    def test_a_new_table_is_checked_from_zero(self):
-        backend = TableBackend()
-        backend.passes = [([UNIFORM4], [0, 0]), ([special_row("mask_id")], [0, 0])]
-        predict(backend, [0], masked_block(2, V4))
-        backend.table = RowTable(8, V4.total_ids)
-        with pytest.raises(ContractViolation, match=r"^position 0 puts mass on mask or pad$"):
-            predict(backend, [0], masked_block(2, V4))
-
-    def test_rows_below_the_watermark_are_not_scanned_again(self):
-        backend = TableBackend()
-        backend.passes = [([UNIFORM4], [0, 0]), ([], [0, 0])]
-        predict(backend, [0], masked_block(2, V4))
-        backend.table._probs[0, V4.mask_id] = 1.0  # corrupts private storage: not a backend's move
-        predict(backend, [0], masked_block(2, V4))
-
-    def test_markov_rows_are_checked_once(self):
-        den = markov_fit([0, 1, 2, 0, 1, 2], order=1, smoothing=0.1)
-        predict(den, [0, 1], masked_block(3, den.vocab))
-        table = den._table
-        assert table.checked == table.size > 0
-        den.distribution((2, 0))  # a row added outside a pass waits for the next one
-        assert table.checked < table.size
-        predict(den, [1], masked_block(2, den.vocab))
-        assert table.checked == table.size
+        assert backend.table.size == 1
 
 
 def chain_model(vocab_size=40, order=2):

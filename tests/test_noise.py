@@ -143,6 +143,15 @@ class TestNelbo:
             nelbo_estimate(den, prompt=[0], response=[], block_size=2,
                            t_samples=[1.0], rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("t_samples, block_size, message", [
+        ([], 2, "t_samples must be nonempty"),
+        ([1.0], 0, "block_size must be positive"),
+    ])
+    def test_rejects_no_noise_levels_or_empty_blocks(self, t_samples, block_size, message):
+        with pytest.raises(ValueError, match=message):
+            nelbo_estimate(UniformDenoiser(VOCAB4), prompt=[0], response=[1, 2], block_size=block_size,
+                           t_samples=t_samples, rng=np.random.default_rng(0))
+
     def test_zero_mass_on_truth_gives_inf(self):
         # a denoiser that puts zero probability on the true token
         vocab = Vocab(4)
@@ -154,14 +163,14 @@ class TestNelbo:
 
     def test_contract_breaking_backend_raises(self):
         # The estimator goes through the predict() contract wrapper, so a
-        # backend that puts mass on the mask id is caught, not scored.
-        class MassOnMask(UniformDenoiser):
+        # backend that leaves a masked position uncovered is caught, not scored.
+        class DropsTheLast(UniformDenoiser):
             def predict(self, context, block):
-                masked = block.masked_positions()
+                masked = block.masked_positions()[:-1]
                 probs = np.zeros(self.vocab.total_ids)
-                probs[self.vocab.mask_id] = 1.0
+                probs[1] = 1.0
                 return PositionPrediction.from_probs(masked, [probs] * len(masked))
 
-        with pytest.raises(ContractViolation):
-            nelbo_estimate(MassOnMask(VOCAB4), prompt=[0], response=[1, 2], block_size=2,
+        with pytest.raises(ContractViolation, match="expected \\[0, 1\\]"):
+            nelbo_estimate(DropsTheLast(VOCAB4), prompt=[0], response=[1, 2], block_size=2,
                            t_samples=[1.0], rng=np.random.default_rng(0))

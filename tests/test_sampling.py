@@ -276,7 +276,7 @@ class TestDecodeBlock:
     def test_single_step_when_all_clear(self):
         vocab = Vocab(8)
         script = {(0, 0, p): (0.95, p + 1) for p in range(4)}
-        den = ScriptedDenoiser(script=script, vocab=vocab, prompt_len=0)
+        den = ScriptedDenoiser(script=script, vocab=vocab)
         cfg = oracle_cfg(algorithm="dynamic", tau=0.9)
         block, records = decode_block(den, [], 4, cfg, np.random.default_rng(0))
         assert block.tokens == [1, 2, 3, 4]
@@ -287,7 +287,7 @@ class TestDecodeBlock:
         vocab = Vocab(8)
         script = {(0, s, p): (0.9 - 0.1 * ((p + s) % 3), p + 1)
                   for s in range(4) for p in range(4)}
-        den = ScriptedDenoiser(script=script, vocab=vocab, prompt_len=0)
+        den = ScriptedDenoiser(script=script, vocab=vocab)
         cfg = oracle_cfg(algorithm="static", steps=2, tau=None)
         block, records = decode_block(den, [], 4, cfg, np.random.default_rng(0))
         assert [len(r.unmasked_positions) for r in records] == [2, 2]
@@ -296,7 +296,7 @@ class TestDecodeBlock:
     def test_static_ceil_division(self):
         vocab = Vocab(8)
         script = full_random_script(np.random.default_rng(3), vocab, 1, 5)
-        den = ScriptedDenoiser(script=script, vocab=vocab, prompt_len=0)
+        den = ScriptedDenoiser(script=script, vocab=vocab)
         cfg = oracle_cfg(algorithm="static", steps=2, tau=None, block_size=5)
         _, records = decode_block(den, [], 5, cfg, np.random.default_rng(0))
         # ceil(5/2) = 3 per step, capped at the remainder on the last step
@@ -435,6 +435,20 @@ class TestRealize:
         assert block.tokens == list(target[:8])
         # the committed confidence stays the untempered peak
         assert all(c == 0.06 for r in records for c in r.confidences)
+
+    @pytest.mark.parametrize("temperature", [1e-308, 5e-324])
+    def test_temperature_near_the_float_floor_matches_a_tiny_one(self, temperature):
+        # (log p - log max) / T overflows to -inf: a weight of 0, silently
+        vocab = Vocab(20)
+        target = tuple(int(x) for x in np.random.default_rng(1).integers(0, 20, 24))
+        den = OracleDenoiser(vocab=vocab, target=target, base_confidence=0.3, decay=0.8)
+        runs = []
+        for temp in (temperature, 1e-200):
+            rng = np.random.default_rng(4)
+            block, records = decode_block(den, [], 8, oracle_cfg(tau=0.5, block_size=8, temperature=temp), rng)
+            runs.append((block.tokens, records, rng.bit_generator.state))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == list(target[:8])
 
     def test_tempering_matches_power_form(self):
         rng = np.random.default_rng(5)

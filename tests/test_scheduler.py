@@ -58,7 +58,6 @@ class TestGenerate:
         res = generate(den, [7], dyn_cfg())
         assert res.output_tokens == tuple(target) + (vocab.eos_id,)
         assert res.stop_reason is StopReason.EOS
-        assert res.prompt_len == 1
 
     def test_static_full_width_pass_count(self):
         # one token per step: 7 content tokens + eos over 2 blocks of 4
@@ -283,19 +282,31 @@ class TestGenerateTccf:
 
         cfg_plain = dyn_cfg(tau=0.9, max_new_tokens=24)
         plain = generate(
-            ScriptedDenoiser(script=dict(script), vocab=vocab, prompt_len=0),
+            ScriptedDenoiser(script=dict(script), vocab=vocab),
             [], cfg_plain)
 
         cfg_two = tccf_cfg(b_think=4, b_critic=4, marker=MARK, transition=MARK,
                            tau=0.9, max_new_tokens=24)
         two = generate_tccf(
-            ScriptedDenoiser(script=dict(script), vocab=vocab, prompt_len=0),
+            ScriptedDenoiser(script=dict(script), vocab=vocab),
             [], cfg_two)
 
         assert two.output_tokens == plain.output_tokens
         assert two.forward_passes == plain.forward_passes
         assert two.steps == plain.steps
         assert two.tccf.splice_position == 6
+
+    def test_a_splice_back_to_the_prompt_does_not_replay_the_script(self):
+        # The splice leaves the context at the prompt's length; the script's
+        # block numbering runs on regardless, so stage 2 reads block 1.
+        vocab = Vocab(8)
+        script = {(0, 0, 0): (0.9, 7), (0, 0, 1): (0.9, 7),
+                  (1, 0, 0): (0.9, 1), (1, 0, 1): (0.9, vocab.eos_id)}
+        cfg = tccf_cfg(b_think=2, b_critic=2, marker=(7, 7), transition=(), tau=0.5, block_size=2)
+        res = generate_tccf(ScriptedDenoiser(script, vocab), (3,), cfg)
+        assert res.output_tokens == (1, vocab.eos_id)
+        assert [rec.block_index for rec in res.steps] == [0, 1]
+        assert res.tccf.splice_position == 0 and res.stop_reason is StopReason.EOS
 
     def test_tccf_config_required(self):
         vocab = self.vocab()

@@ -41,7 +41,8 @@ def records(draw):
     shared = draw(st.booleans())
     u = draw(st.integers(1, m)) if shared else m
     weights = [draw(pool) for _ in range(u)]
-    probs = np.array(weights, dtype=np.float64)
+    probs = np.zeros((u, WIDTH + 3))  # Vocab(WIDTH): mask, eos and pad stay zero
+    probs[:, :WIDTH] = weights
     probs /= probs.sum(axis=1, keepdims=True)
     if not shared:
         return PositionPrediction.from_probs(positions, probs)
