@@ -16,6 +16,7 @@ Every field is checked where the file is parsed: a malformed file raises
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from dataclasses import dataclass, replace
@@ -123,6 +124,21 @@ def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
     return Corpus(tuple(tokens), Vocab(max(2, max(tokens) + 1)))
 
 
+def _new_file(path):
+    """Open ``path`` for text writing as a new file: an old file there is unlinked, not
+    truncated, so a link or handle on it keeps its bytes (and creating is far cheaper)."""
+    Path(path).unlink(missing_ok=True)
+    return open(path, "x", encoding="utf-8", newline="")
+
+
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """``json`` object hook: a key repeated inside one object is an error, not an overwrite."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"duplicate keys {sorted({k for k in keys if keys.count(k) > 1})}")
+    return dict(pairs)
+
+
 def save_markov(denoiser: MarkovDenoiser, path) -> None:
     """Serialize a fitted Markov backend as deterministic JSON."""
     payload = {
@@ -135,10 +151,8 @@ def save_markov(denoiser: MarkovDenoiser, path) -> None:
             for ctx, table in denoiser._counts.items()
         },
     }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    with _new_file(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_markov(path) -> MarkovDenoiser:
@@ -148,8 +162,8 @@ def load_markov(path) -> MarkovDenoiser:
     no context is longer than ``order``, every token lies in
     ``[0, vocab_size)`` and every count is a JSON integer >= 1."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or a duplicate key
         raise ConfigError(f"cannot load markov model {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("kind") != "markov":
         raise ConfigError(f"{path} is not a markov model file")
@@ -362,10 +376,10 @@ class _DenoiserFactory:
 def load_experiment(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read experiment {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or a duplicate key
         raise ConfigError(f"experiment {path} is not valid JSON: {exc}") from exc
 
     _section(data, "experiment", {"base_seed", "trials", "denoiser", "task", "grid", "output"})
@@ -420,8 +434,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
     """Execute the grid and write summary/aggregate/step files.
 
     Returns the written paths. Reruns with an identical experiment file
-    produce byte-identical outputs; partial files are removed if anything
-    fails mid-write.
+    produce byte-identical outputs as new files; a failed write leaves none
+    of the three.
     """
     factory = _DenoiserFactory(cfg.denoiser, cfg.root)
     prompts = _build_prompts(cfg.task["prompts"], factory.corpus)
@@ -467,18 +481,24 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
         for row in aggregate(cells)
     ]
     written = [out_dir / f"{cfg.prefix}_{name}" for name in ("summary.csv", "aggregate.csv", "steps.jsonl")]
+    created: list[Path] = []
     try:
+        for path in written:  # no earlier output outlives a failed write
+            path.unlink(missing_ok=True)
         for path, columns, rows in zip(written, (SUMMARY_COLUMNS, AGGREGATE_COLUMNS),
                                        (summary_rows, aggregate_rows)):
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+            with _new_file(path) as fh:
+                created.append(path)
                 writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
                 writer.writeheader()
                 writer.writerows(rows)
-        with open(written[2], "w", encoding="utf-8", newline="") as fh:
+        with _new_file(written[2]) as fh:
+            created.append(written[2])
             fh.writelines(line + "\n" for line in step_lines)
     except BaseException:
-        for p in written:
-            Path(p).unlink(missing_ok=True)
+        for path in created:
+            with contextlib.suppress(OSError):  # re-raise the first error, never one of ours
+                path.unlink()
         raise
     return written
 

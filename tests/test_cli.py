@@ -7,6 +7,7 @@ import copy
 import csv
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -211,6 +212,23 @@ def test_malformed_markov_model_is_config_error(tmp_path, capsys, fields):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, key", [("experiment", "trials"), ("markov_model", "order")])
+@pytest.mark.parametrize("fault", ["repeated_key", "not_utf8"])
+def test_unreadable_json_is_config_error(tmp_path, capsys, kind, key, fault):
+    # json.loads would keep a repeated key's last value; a non-UTF-8
+    # experiment file ended in a UnicodeDecodeError traceback
+    (tmp_path / "model.json").write_text(json.dumps(GOOD_MODEL))
+    exp = write_experiment(tmp_path, denoiser={"kind": "markov_model", "path": "model.json"},
+                           task=ORACLE_TASK)
+    path = exp if kind == "experiment" else tmp_path / "model.json"
+    head = f'{{"{key}": 1, '.encode() if fault == "repeated_key" else b'{"\xff": 1, '
+    path.write_bytes(head + path.read_bytes()[1:])  # into the file's outer object
+    code, out, err = run_cli(capsys, "run", str(exp))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    assert (f"duplicate keys ['{key}']" if fault == "repeated_key" else "can't decode byte 0xff") in err
+
+
 def test_well_formed_markov_model_runs(tmp_path, capsys):
     (tmp_path / "model.json").write_text(json.dumps(GOOD_MODEL))
     exp = write_experiment(tmp_path, denoiser={"kind": "markov_model", "path": "model.json"},
@@ -380,6 +398,18 @@ class TestFitMarkov:
         model = load_markov(out)
         assert model.order == 1
         assert int(np.argmax(model.distribution((0,)))) == 1
+
+    def test_refit_writes_a_new_file(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("abcabcabc")
+        out = tmp_path / "model.json"
+        argv = ["fit-markov", "--corpus", str(corpus), "--order", "1", "--out", str(out)]
+        assert run_cli(capsys, *argv)[0] == 0
+        with open(out, "rb") as old:  # held open, so its inode cannot be reused
+            data = old.read()
+            assert run_cli(capsys, *argv)[0] == 0
+            assert out.read_bytes() == data
+            assert out.stat().st_ino != os.fstat(old.fileno()).st_ino
 
     def test_whitespace_tokenization_flag(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import json
+import os
 import re
 from pathlib import Path
 
@@ -174,6 +176,14 @@ class TestMarkovSerialization:
         with pytest.raises(ConfigError):
             load_markov(path)
 
+    def test_load_rejects_a_repeated_count_key(self, tmp_path):
+        # json.loads alone would load these counts as {(): {0: 5, 1: 1}}
+        path = tmp_path / "model.json"
+        path.write_text('{"kind":"markov","order":1,"smoothing":0,"vocab_size":4,'
+                        '"counts":{"":{"0":1,"0":5,"1":1}}}')
+        with pytest.raises(ConfigError, match=r"duplicate keys \['0'\]"):
+            load_markov(path)
+
     @pytest.mark.parametrize("payload", [
         [1], {"kind": "markov"}, {"kind": "markov", "order": 1, "smoothing": 0.0, "vocab_size": 4},
         {"kind": "markov", "order": 0, "smoothing": 0.0, "vocab_size": 4, "counts": {"": {"0": 1}}},
@@ -294,6 +304,77 @@ class TestRunExperiment:
         cfg = load_experiment(path)
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+
+
+class TestOutputFiles:
+    """Every output is written as a new file: the old one is unlinked, not
+    truncated, and a failed write removes only what this call created."""
+
+    def test_rerun_writes_identical_bytes_to_new_files(self, tmp_path):
+        cfg = load_experiment(write_experiment(tmp_path))
+        paths = run_experiment(cfg)
+        # Open handles keep the first run's inodes alive, so none can be reused.
+        handles = [open(p, "rb") for p in paths]
+        try:
+            first = [(fh.read(), os.fstat(fh.fileno()).st_ino) for fh in handles]
+            assert run_experiment(cfg) == paths
+            for path, (data, ino) in zip(paths, first):
+                assert path.read_bytes() == data
+                assert path.stat().st_ino != ino
+        finally:
+            for fh in handles:
+                fh.close()
+
+    def test_old_handles_and_links_keep_the_first_runs_bytes(self, tmp_path):
+        paths = run_experiment(load_experiment(write_experiment(tmp_path)))
+        first = [p.read_bytes() for p in paths]
+        os.link(paths[0], tmp_path / "kept_summary.csv")
+        with open(paths[2], "rb") as steps:
+            grid = [{"algorithm": "static", "steps": 4, "block_size": 4, "max_new_tokens": 12}]
+            run_experiment(load_experiment(write_experiment(tmp_path, grid=grid)))
+            assert steps.read() == first[2] != paths[2].read_bytes()
+        assert (tmp_path / "kept_summary.csv").read_bytes() == first[0] != paths[0].read_bytes()
+
+    def test_a_run_that_fails_before_writing_leaves_earlier_outputs(self, tmp_path):
+        paths = run_experiment(load_experiment(write_experiment(tmp_path)))
+        before = [(p.read_bytes(), p.stat().st_ino) for p in paths]
+        (tmp_path / "script.txt").write_text("0 0 0 0.9 1\n")  # far too sparse to finish
+        cfg = load_experiment(write_experiment(
+            tmp_path, denoiser={"kind": "scripted", "fixture": "script.txt", "vocab_size": 6},
+            task={"prompts": {"kind": "tokens", "values": [[0, 1]]}, "target": None}))
+        with pytest.raises(FixtureError):
+            run_experiment(cfg)
+        assert [(p.read_bytes(), p.stat().st_ino) for p in paths] == before
+
+    def test_unremovable_output_raises_the_first_error_only(self, tmp_path):
+        cfg = load_experiment(write_experiment(tmp_path))
+        (tmp_path / "out" / "t_steps.jsonl").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError) as info:
+            run_experiment(cfg)
+        assert info.value.__context__ is None
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["t_steps.jsonl"]
+
+    @pytest.mark.parametrize("name", ["t_summary.csv", "t_aggregate.csv", "t_steps.jsonl"])
+    def test_failed_write_leaves_none_of_the_three(self, tmp_path, monkeypatch, name):
+        cfg = load_experiment(write_experiment(tmp_path))
+        run_experiment(cfg)  # the earlier outputs must go too, not only this call's
+        new_file = experiment._new_file
+
+        def disk_full(data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def failing(path):
+            fh = new_file(path)
+            if path.name == name:
+                fh.write = fh.writelines = disk_full
+            return fh
+
+        monkeypatch.setattr(experiment, "_new_file", failing)
+        with pytest.raises(OSError) as info:
+            run_experiment(cfg)
+        assert info.value.errno == errno.ENOSPC and info.value.__context__ is None
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestLoadExperiment:
