@@ -133,6 +133,9 @@ class RowTable:
         self._confidence = np.empty(capacity)
         self._entropy = np.empty(capacity)
         self._argmax = np.empty(capacity, dtype=np.int64)
+        # temperature -> row id -> the row's sampling chunk index, filled by
+        # ``sampling``; it holds no reference back to the table
+        self.cdf_index: dict[float, dict[int, tuple]] = {}
 
     def _view(self, storage: np.ndarray) -> np.ndarray:
         view = storage[: self.size]

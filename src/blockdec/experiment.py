@@ -92,7 +92,7 @@ def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
         raise ConfigError(f"unknown tokenization {tokenization!r}") from None
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read corpus {path}: {exc}") from exc
 
     if tokenization is Tokenization.CHARS:
@@ -483,8 +483,14 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
     written = [out_dir / f"{cfg.prefix}_{name}" for name in ("summary.csv", "aggregate.csv", "steps.jsonl")]
     created: list[Path] = []
     try:
+        first_error = None
         for path in written:  # no earlier output outlives a failed write
-            path.unlink(missing_ok=True)
+            try:
+                path.unlink(missing_ok=True)
+            except OSError as exc:
+                first_error = first_error or exc
+        if first_error:
+            raise first_error
         for path, columns, rows in zip(written, (SUMMARY_COLUMNS, AGGREGATE_COLUMNS),
                                        (summary_rows, aggregate_rows)):
             with _new_file(path) as fh:

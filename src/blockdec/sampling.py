@@ -43,6 +43,8 @@ __all__ = [
 ENTROPY_BUDGET_SLACK = 1e-12
 # Generator.choice's tolerance on the sum of its weights.
 CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
+# Columns per chunk of a row's sampling CDF: a draw recomputes one chunk.
+CDF_CHUNK = 64
 
 
 @dataclass
@@ -150,27 +152,36 @@ def select_entropy_bounded(preds: PositionPrediction, gamma: float) -> Selection
     return np.sort(ranked[:m]), None, False
 
 
-def _weights(probs: np.ndarray, temperature: float) -> np.ndarray:
-    """Sampling weights of one row: tempered (for T != 1) in log space with
-    the max subtracted, so that no weight underflows into a 0/0, then
-    normalized as ``rng.choice`` was given them."""
-    if temperature != 1.0:
-        with np.errstate(divide="ignore", over="ignore"):
-            probs = np.exp((np.log(probs) - math.log(probs.max())) / temperature)
-    return probs / probs.sum()
+def _tempered(probs: np.ndarray, temperature: float, log_max: float | None) -> np.ndarray:
+    """Unnormalized sampling weights of a row, or of a slice of one: ``probs``
+    itself at T = 1, else tempered in log space with the row's max subtracted
+    (``log_max``, from ``math.log``), so that no weight underflows into a 0/0.
+    Elementwise, so a slice gets the bits it has in the whole row."""
+    if temperature == 1.0:
+        return probs
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp((np.log(probs) - log_max) / temperature)
 
 
-def _cdf(probs: np.ndarray, temperature: float) -> np.ndarray:
-    """CDF of one row's :func:`_weights`, with the input checks and the
-    arithmetic of ``Generator.choice(len(p), p=p)``."""
-    p = _weights(probs, temperature)
+def _chunk_index(probs: np.ndarray, temperature: float) -> tuple:
+    """``(log_max, total, last, starts, ends)`` of one row's sampling CDF:
+    ``Generator.choice``'s checks and arithmetic, ``cdf = p.cumsum();
+    cdf /= cdf[-1]``, on ``p = w / total`` with ``w`` from :func:`_tempered`.
+    Kept: the last raw value, the raw value before each ``CDF_CHUNK``-column
+    chunk and each full chunk's normalized end, ~1 KB of a 4,099-wide row's
+    32 KB."""
+    log_max = math.log(probs.max()) if temperature != 1.0 else None
+    w = _tempered(probs, temperature, log_max)
+    total = w.sum()
+    p = w / total
     if p.min() < 0.0:
         raise ValueError("probabilities are not non-negative")
     cdf = p.cumsum()
-    if not abs(cdf[-1] - 1.0) <= CHOICE_SUM_TOL:  # NaN fails too
+    last = cdf[-1]
+    if not abs(last - 1.0) <= CHOICE_SUM_TOL:  # NaN fails too
         raise ValueError("probabilities do not sum to 1")
-    cdf /= cdf[-1]
-    return cdf
+    raw_ends = cdf[CDF_CHUNK - 1 :: CDF_CHUNK]
+    return log_max, total, last, np.concatenate(([0.0], raw_ends)), raw_ends / last
 
 
 def _realize(preds: PositionPrediction, idx: np.ndarray, temperature: float,
@@ -178,20 +189,30 @@ def _realize(preds: PositionPrediction, idx: np.ndarray, temperature: float,
     """Tokens for the record's positions at indices ``idx`` (ascending).
 
     The table's stored argmax of each row at temperature zero. Otherwise one
-    uniform per position, drawn in ascending position order, picks through
-    the :func:`_cdf` of its row, built once per distinct row: the tokens and
-    the generator state of one ``rng.choice`` per position. The committed
-    confidence stays untempered."""
+    uniform ``u`` per position, drawn in ascending position order, picks the
+    first column whose normalized CDF value exceeds ``u``: the tokens and the
+    generator state of one ``rng.choice`` per position. The row's
+    :func:`_chunk_index`, built once per table and temperature, names the
+    chunk; the chunk's weights are recomputed and ``cumsum`` continues from
+    its start, so every compared value has the bits of the full CDF. The
+    committed confidence stays untempered."""
     rows = preds.row[idx]
     if temperature == 0.0:
         return preds.table.argmax[rows].tolist()
     probs = preds.table.probs
-    cdfs: dict[int, np.ndarray] = {}
+    index = preds.table.cdf_index.setdefault(temperature, {})
     tokens = []
     for r, u in zip(rows.tolist(), rng.random(len(rows)).tolist()):
-        if r not in cdfs:
-            cdfs[r] = _cdf(probs[r], temperature)
-        tokens.append(int(cdfs[r].searchsorted(u, "right")))
+        if r not in index:
+            index[r] = _chunk_index(probs[r], temperature)
+        log_max, total, last, starts, ends = index[r]
+        k = int(ends.searchsorted(u, "right"))
+        lo = k * CDF_CHUNK
+        p = _tempered(probs[r, lo:lo + CDF_CHUNK], temperature, log_max) / total
+        p[0] += starts[k]
+        cdf = p.cumsum()
+        cdf /= last
+        tokens.append(lo + int(cdf.searchsorted(u, "right")))
     return tokens
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from blockdec.core import GenerationResult, PositionPrediction, RowTable, StepRecord, StopReason, Vocab
-from blockdec.sampling import BacdState
+from blockdec.sampling import BacdState, _chunk_index, _tempered
 
 
 def spiked_probs(vocab: Vocab, token: int, peak: float) -> np.ndarray:
@@ -27,6 +27,13 @@ def preds_from_confs(confs, vocab: Vocab | None = None, token: int = 0):
     vocab = vocab or Vocab(10)
     return PositionPrediction.from_probs(
         [pos for pos, _ in confs], [spiked_probs(vocab, token, conf) for _, conf in confs])
+
+
+def index_weights(probs: np.ndarray, temperature: float) -> np.ndarray:
+    """A row's sampling weights as a draw recomputes them from the row's
+    chunk index: tempered with its ``log_max``, divided by its ``total``."""
+    log_max, total, *_ = _chunk_index(probs, temperature)
+    return _tempered(probs, temperature, log_max) / total
 
 
 def bacd_after(history, tau_l: float, tau_h: float) -> BacdState:

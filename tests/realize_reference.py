@@ -25,6 +25,14 @@ def realize_one(probs: np.ndarray, temperature: float, rng: np.random.Generator)
     return int(rng.choice(len(probs), p=reference_weights(probs, temperature)))
 
 
+def reference_tokens(probs: np.ndarray, temperature: float, uniforms) -> list[int]:
+    """The tokens ``rng.choice(len(probs), p=weights)`` picks for each of the
+    ``uniforms``, with the arithmetic of numpy's ``Generator.choice``."""
+    cdf = reference_weights(probs, temperature).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(uniforms, "right").tolist()
+
+
 def reference_realize(probs: np.ndarray, row, chosen, temperature: float,
                       rng: np.random.Generator) -> list[int]:
     """Tokens for positions ``chosen`` (ascending indices), where position

@@ -436,6 +436,16 @@ class TestFitMarkov:
                                "--out", str(tmp_path / "m.json"))
         assert code == 1
 
+    def test_corpus_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"abc\xffabc")
+        code, out, err = run_cli(capsys, "fit-markov", "--corpus", str(corpus),
+                                 "--out", str(tmp_path / "m.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str(corpus) in err and "can't decode byte 0xff" in err
+        assert not (tmp_path / "m.json").exists()
+
 
 FIXTURE = """\
 # two confident blocks

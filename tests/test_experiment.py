@@ -356,6 +356,17 @@ class TestOutputFiles:
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["t_steps.jsonl"]
 
     @pytest.mark.parametrize("name", ["t_summary.csv", "t_aggregate.csv", "t_steps.jsonl"])
+    def test_unremovable_output_does_not_spare_the_other_earlier_outputs(self, tmp_path, name):
+        cfg = load_experiment(write_experiment(tmp_path))
+        run_experiment(cfg)
+        (tmp_path / "out" / name).unlink()
+        (tmp_path / "out" / name).mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            run_experiment(cfg)
+        assert info.value.__context__ is None
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [name]
+
+    @pytest.mark.parametrize("name", ["t_summary.csv", "t_aggregate.csv", "t_steps.jsonl"])
     def test_failed_write_leaves_none_of_the_three(self, tmp_path, monkeypatch, name):
         cfg = load_experiment(write_experiment(tmp_path))
         run_experiment(cfg)  # the earlier outputs must go too, not only this call's

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from blockdec import sampling
 from blockdec.core import DecodingConfig, PositionPrediction, Vocab
 from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser, markov_fit
 from blockdec.sampling import (
     BacdState,
-    _weights,
     decode_block,
     entropy_prefix_length,
     select_bacd,
@@ -17,11 +20,13 @@ from blockdec.sampling import (
     select_entropy_bounded,
     select_static,
 )
+from blockdec.scheduler import generate
 
 from conftest import (
     CountingDenoiser,
     bacd_after,
     full_random_script,
+    index_weights,
     preds_from_confs,
     spike_conf_for_entropy,
     spiked_probs,
@@ -456,7 +461,7 @@ class TestRealize:
             probs = rng.dirichlet(np.full(9, 0.5))
             probs[3] = 0.0
             probs /= probs.sum()
-            weights = _weights(probs, temperature)
+            weights = index_weights(probs, temperature)
             want = probs ** (1.0 / temperature)
             want /= want.sum()
             assert np.allclose(weights, want, rtol=1e-12, atol=0.0)
@@ -464,4 +469,45 @@ class TestRealize:
 
     def test_unit_temperature_samples_from_probs_unchanged(self):
         probs = np.random.default_rng(6).dirichlet(np.full(9, 0.5))
-        assert np.array_equal(_weights(probs, 1.0), probs / probs.sum())
+        assert np.array_equal(index_weights(probs, 1.0), probs / probs.sum())
+
+
+class TestChunkIndex:
+    @staticmethod
+    def wide_markov():
+        # 70 tokens: 73-wide rows, two chunks each
+        return markov_fit(np.random.default_rng(0).integers(0, 70, 3000).tolist(), 1, 0.01)
+
+    def test_each_row_and_temperature_is_indexed_once_across_passes_and_runs(self, monkeypatch):
+        den = self.wide_markov()
+        builds, draws = [], []
+        build, realize = sampling._chunk_index, sampling._realize
+
+        def counting_build(probs, temperature):
+            builds.append(temperature)
+            return build(probs, temperature)
+
+        def recording_realize(preds, idx, temperature, rng):
+            draws.extend((temperature, r) for r in preds.row[idx].tolist())
+            return realize(preds, idx, temperature, rng)
+
+        monkeypatch.setattr(sampling, "_chunk_index", counting_build)
+        monkeypatch.setattr(sampling, "_realize", recording_realize)
+        for temperature in (1.0, 0.5, 1.0, 0.5):
+            generate(den, [1, 2], oracle_cfg(tau=0.5, block_size=8, temperature=temperature,
+                                             max_new_tokens=64, seed=len(builds)))
+        index = den._table.cdf_index
+        assert len(builds) == len(set(draws)) < len(draws)
+        assert {(t, r) for t, rows in index.items() for r in rows} == set(draws)
+
+    def test_a_dropped_table_is_freed_without_the_collector(self):
+        den = self.wide_markov()
+        generate(den, [1, 2], oracle_cfg(tau=0.5, block_size=8, temperature=1.0, max_new_tokens=32))
+        table = weakref.ref(den._table)
+        assert table().cdf_index[1.0]
+        gc.disable()
+        try:
+            del den
+            assert table() is None  # no reference cycle through the index
+        finally:
+            gc.enable()
