@@ -127,12 +127,13 @@ class RowTable:
     def __init__(self, capacity: int, vocab: Vocab):
         self.capacity, self.vocab, self.width = capacity, vocab, vocab.total_ids
         self.size = 0
-        # A mapping of its own: pages are committed as rows are written, and
-        # the empty tail holds no heap that short-lived objects would reuse.
-        self._probs = np.frombuffer(mmap.mmap(-1, capacity * self.width * 8)).reshape(capacity, self.width)
-        self._confidence = np.empty(capacity)
-        self._entropy = np.empty(capacity)
-        self._argmax = np.empty(capacity, dtype=np.int64)
+        # One mapping of its own for rows and stats: pages are committed as rows
+        # are written, and the empty tail holds no heap that short-lived objects reuse.
+        buf = mmap.mmap(-1, capacity * (self.width + 3) * 8)
+        self._probs = np.frombuffer(buf, count=capacity * self.width).reshape(capacity, self.width)
+        self._confidence, self._entropy, argmax = np.frombuffer(buf, offset=self._probs.nbytes).reshape(3, capacity)
+        self._argmax = argmax.view(np.int64)
+        self.ids: dict = {}  # the owning backend's key (a context, a spike) -> row id
         # temperature -> row id -> the row's sampling chunk index, filled by
         # ``sampling``; it holds no reference back to the table
         self.cdf_index: dict[float, dict[int, tuple]] = {}
@@ -179,11 +180,12 @@ class PositionPrediction:
     """Denoiser output for one forward pass: the masked ``positions`` [M]
     (strictly ascending) and the id ``row[i]`` of each one's distribution in
     ``table``, a read-only int64 [M] index; positions that share a
-    distribution share an id. Rows are checked once, when they enter the
-    table, so a pass checks only the shapes, the order and the ids. The
-    per-position ``confidence`` and ``entropy`` [M] that selection reads are
-    gathered once at construction. :meth:`from_probs` builds a fresh table
-    with one row per position, its width ``size + 3`` for a ``Vocab(size)``."""
+    distribution share an id: a backend adds each distinct distribution to
+    its one table once and builds its records with :meth:`of`. Rows are
+    checked as they enter the table, so a pass checks only the shapes, the
+    order and the ids. The ``confidence`` and ``entropy`` [M] that selection
+    reads are gathered at construction. :meth:`from_probs`, for reference
+    records in tests, builds a fresh table with one row per position."""
 
     positions: np.ndarray
     table: RowTable
@@ -212,16 +214,19 @@ class PositionPrediction:
         object.__setattr__(self, "entropy", ent)
 
     @classmethod
+    def of(cls, positions, table: RowTable, ids) -> "PositionPrediction":
+        """The record whose position ``i`` reads row ``ids[i]`` of ``table``."""
+        row = np.array(ids, dtype=np.int64)
+        row.flags.writeable = False
+        return cls(positions, table, row)
+
+    @classmethod
     def from_probs(cls, positions, probs) -> "PositionPrediction":
         arr = np.array(probs, dtype=np.float64)
         if arr.ndim != 2 or not len(arr):
             raise ValueError("need [M, V] probs, M >= 1")
         table = RowTable(len(arr), Vocab(arr.shape[1] - 3))
-        for probs_row in arr:
-            table.add(probs_row)
-        row = np.arange(len(arr), dtype=np.int64)
-        row.flags.writeable = False
-        return cls(positions, table, row)
+        return cls.of(positions, table, [table.add(probs_row) for probs_row in arr])
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 from .core import BlockState, PositionPrediction, RowTable, Vocab
 
 __all__ = [
-    "ROW_TABLE_ROWS",
+    "ROW_TABLE_BYTES",
     "ContractViolation",
     "Denoiser",
     "FixtureError",
@@ -32,8 +32,8 @@ __all__ = [
 ]
 
 
-# Rows a Markov backend's table holds before it starts a new one.
-ROW_TABLE_ROWS = 4096
+# Row bytes a new table reserves (a fixed row count reserved gigabytes at V ~ 1e5).
+ROW_TABLE_BYTES = 128 << 20
 
 
 class ContractViolation(RuntimeError):
@@ -77,17 +77,27 @@ def predict(denoiser: Denoiser, context: Sequence[int], block: BlockState) -> Po
     return preds
 
 
-def _spiked_distribution(vocab: Vocab, token: int, peak: float) -> np.ndarray:
-    """Probability ``peak`` on ``token``, remainder uniform over the other
-    ordinary tokens (over all of them when ``token`` is eos)."""
-    probs = np.zeros(vocab.total_ids)
-    if token == vocab.eos_id:
-        probs[: vocab.size] = (1.0 - peak) / vocab.size
-        probs[vocab.eos_id] = peak
-    else:
-        probs[: vocab.size] = (1.0 - peak) / (vocab.size - 1)
-        probs[token] = peak
-    return probs
+def _with_room(table: RowTable | None, rows: int, vocab: Vocab) -> RowTable:
+    """``table`` if it has ``rows`` free rows, else a new table with room for at least
+    ``rows``; a pass asks for one per position, so a record never spans two tables."""
+    if table is not None and table.capacity - table.size >= rows:
+        return table
+    return RowTable(max(rows, ROW_TABLE_BYTES // (8 * vocab.total_ids)), vocab)
+
+
+def _spiked(backend, positions: list[int], spikes: list[tuple[int, float]]) -> PositionPrediction:
+    """The record whose position ``i`` puts ``peak`` on ``token`` for ``spikes[i] = (token, peak)``,
+    the rest uniform over the other ordinary tokens (all of them for eos); a row per distinct spike."""
+    vocab = backend.vocab
+    table = backend._table = _with_room(backend._table, len(spikes), vocab)
+    for spike in spikes:
+        if spike not in table.ids:
+            token, peak = spike
+            probs = np.zeros(vocab.total_ids)
+            probs[: vocab.size] = (1.0 - peak) / (vocab.size if token == vocab.eos_id else vocab.size - 1)
+            probs[token] = peak
+            table.ids[spike] = table.add(probs)
+    return PositionPrediction.of(positions, table, [table.ids[spike] for spike in spikes])
 
 
 class MarkovDenoiser:
@@ -103,9 +113,9 @@ class MarkovDenoiser:
     Distributions cover ordinary tokens only, so Markov-driven generation
     stops at the length cap.
 
-    Each distinct context's row is built and checked once, into a
-    :class:`~blockdec.core.RowTable` of ``ROW_TABLE_ROWS`` rows that every
-    record indexes; a pass that might not fit starts a new table and cache.
+    Each distinct context's row is built and checked once, into the
+    backend's :class:`~blockdec.core.RowTable` under the context as its key;
+    every record indexes that table.
     """
 
     def __init__(self, order: int, smoothing: float, vocab: Vocab,
@@ -121,14 +131,11 @@ class MarkovDenoiser:
         self.vocab = vocab
         self._counts = {ctx: dict(table) for ctx, table in counts.items()}
         self._totals = {ctx: sum(table.values()) for ctx, table in self._counts.items()}
-        self._roll_over(0)
-
-    def _roll_over(self, rows: int) -> None:  # a new table, room for at least ``rows``
-        self._table = RowTable(max(ROW_TABLE_ROWS, rows), self.vocab)
-        self._cache: dict[tuple[int, ...], int] = {}  # context -> row id in _table
+        self._table: RowTable | None = None
 
     def distribution(self, ctx: tuple[int, ...]) -> np.ndarray:
         """Smoothed next-token distribution after ``ctx``, with backoff."""
+        self._table = _with_room(self._table, 1, self.vocab)
         row = self._entry(ctx)
         return self._table.probs[row]
 
@@ -138,25 +145,20 @@ class MarkovDenoiser:
         while ctx[len(ctx) - length:] not in self._counts:
             length -= 1
         ctx = ctx[len(ctx) - length:]
-        row = self._cache.get(ctx)
+        row = self._table.ids.get(ctx)
         if row is not None:
             return row
-        if self._table.size == self._table.capacity:
-            self._roll_over(1)
         size = self.vocab.size
         vec = np.zeros(size)
         for tok, cnt in self._counts[ctx].items():
             vec[tok] = cnt
         probs = np.zeros(self.vocab.total_ids)
         probs[:size] = (vec + self.smoothing) / (self._totals[ctx] + self.smoothing * size)
-        row = self._cache[ctx] = self._table.add(probs)
+        row = self._table.ids[ctx] = self._table.add(probs)
         return row
 
     def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction:
-        # A pass adds at most one row per position: start a new table first
-        # if that might not fit, so that a record never spans two tables.
-        if self._table.capacity - self._table.size < len(block):
-            self._roll_over(len(block))
+        self._table = _with_room(self._table, len(block), self.vocab)
         # One left-to-right scan. ``run`` holds the last ``order`` tokens of
         # the clean run ending just left of the current position (empty right
         # after a masked one); a masked position after a masked one reads
@@ -184,9 +186,7 @@ class MarkovDenoiser:
                 u = gap
             masked.append(pos)
             index.append(u)
-        row = np.array(index, dtype=np.int64)
-        row.flags.writeable = False
-        return PositionPrediction(masked, self._table, row)
+        return PositionPrediction.of(masked, self._table, index)
 
 
 def markov_fit(corpus: Sequence[int], order: int, smoothing: float,
@@ -225,7 +225,7 @@ class OracleDenoiser:
     the remainder spreads uniformly over the other ordinary tokens.
     Positions past the end of the target are treated as eos, so greedy
     decoding terminates right after the target. ``prompt_len`` anchors
-    block positions to target offsets.
+    block positions to target offsets. Rows are keyed by (token, peak).
     """
 
     def __init__(self, target: Sequence[int], vocab: Vocab,
@@ -244,13 +244,14 @@ class OracleDenoiser:
         self.base_confidence = base_confidence
         self.decay = decay
         self.prompt_len = prompt_len
+        self._table: RowTable | None = None
 
     def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction:
         offset = len(context) - self.prompt_len
         if offset < 0:
             raise ValueError("context is shorter than prompt_len")
         masked = block.masked_positions()
-        rows = []
+        spikes = []
         for pos in masked:
             # Distance to the nearest clean token on the left; the context
             # tail counts, and an empty context behaves like distance to
@@ -262,8 +263,8 @@ class OracleDenoiser:
             gen_index = offset + pos
             true_tok = self.target[gen_index] if gen_index < len(self.target) else self.vocab.eos_id
             peak = max(1.0 / self.vocab.size, self.base_confidence * self.decay ** (d - 1))
-            rows.append(_spiked_distribution(self.vocab, true_tok, peak))
-        return PositionPrediction.from_probs(masked, rows)
+            spikes.append((true_tok, peak))
+        return _spiked(self, masked, spikes)
 
 
 class ScriptedDenoiser:
@@ -272,7 +273,8 @@ class ScriptedDenoiser:
     The script maps ``(block_index, step_index, position)`` to a
     ``(confidence, token_id)`` pair; the distribution puts ``confidence``
     on the token and spreads the rest uniformly over the other ordinary
-    tokens. A query is a script miss -> :class:`FixtureError`.
+    tokens. A query is a script miss -> :class:`FixtureError`. ``script``
+    holds the checked entries; rows are keyed by (token, confidence).
 
     The predict signature carries no step counter, so the instance tracks
     one itself: a fully masked block always starts step 0 of the next
@@ -283,7 +285,7 @@ class ScriptedDenoiser:
 
     def __init__(self, script, vocab: Vocab):
         self.vocab = vocab
-        self._script: dict[tuple[int, int, int], tuple[float, int]] = {}
+        self.script: dict[tuple[int, int, int], tuple[float, int]] = {}
         floor = 1.0 / vocab.size
         for key, (conf, tok) in dict(script).items():
             block_i, step_i, pos = key
@@ -295,9 +297,10 @@ class ScriptedDenoiser:
                 )
             if not (0 <= tok < vocab.size or tok == vocab.eos_id):
                 raise FixtureError(f"script entry {key}: bad token id {tok}")
-            self._script[(block_i, step_i, pos)] = (float(conf), int(tok))
+            self.script[(block_i, step_i, pos)] = (float(conf), int(tok))
         self._block = -1
         self._step = -1
+        self._table: RowTable | None = None
 
     def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction:
         masked = block.masked_positions()
@@ -306,18 +309,18 @@ class ScriptedDenoiser:
             self._step = 0
         else:
             self._step += 1
-        rows = []
+        spikes = []
         for pos in masked:
             key = (self._block, self._step, pos)
-            entry = self._script.get(key)
+            entry = self.script.get(key)
             if entry is None:
                 raise FixtureError(
                     f"script has no entry for block={self._block} "
                     f"step={self._step} position={pos}"
                 )
             conf, tok = entry
-            rows.append(_spiked_distribution(self.vocab, tok, conf))
-        return PositionPrediction.from_probs(masked, rows)
+            spikes.append((tok, conf))
+        return _spiked(self, masked, spikes)
 
 
 def load_scripted(path, vocab: Vocab) -> ScriptedDenoiser:

@@ -33,7 +33,7 @@ from .core import (
     token_array,
     validate_config,
 )
-from .denoisers import MarkovDenoiser, OracleDenoiser, load_scripted, markov_fit
+from .denoisers import MarkovDenoiser, OracleDenoiser, ScriptedDenoiser, load_scripted, markov_fit
 from .metrics import Category, RunSummary, aggregate, summarize
 from .scheduler import generate, generate_tccf
 
@@ -354,9 +354,7 @@ class _DenoiserFactory:
                 self.for_run(())  # one up front, so bad fields fail before any run
             else:
                 self.vocab = Vocab(field("vocab_size", int))
-                self.fixture = root / field("fixture", str)
-                # Parse once to fail fast; per-run instances are rebuilt fresh.
-                load_scripted(self.fixture, self.vocab)
+                self.script = load_scripted(root / field("fixture", str), self.vocab).script  # parsed once
         except ValueError as exc:  # a ConfigError, or a backend constructor rejecting a field
             raise ConfigError(f"bad {kind} denoiser: {exc}") from None
         if self._shared is not None:
@@ -370,7 +368,7 @@ class _DenoiserFactory:
                 self.target, self.vocab, self.base_confidence, self.decay,
                 prompt_len=len(prompt),
             )
-        return load_scripted(self.fixture, self.vocab)
+        return ScriptedDenoiser(self.script, self.vocab)  # a fresh one per run: it counts blocks
 
 
 def load_experiment(path) -> ExperimentConfig:

@@ -268,6 +268,5 @@ def decode_block(
                 fallback_fired=fallback_fired,
             )
         )
-        del preds  # free this pass's record (and a from_probs table) before the next (peak RSS)
 
     return block, records

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from blockdec.core import GenerationResult, PositionPrediction, RowTable, StepRecord, StopReason, Vocab
+from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser, markov_fit
 from blockdec.sampling import BacdState, _chunk_index, _tempered
 
 
@@ -54,15 +55,9 @@ def table_of(rows) -> RowTable:
     return table
 
 
-def read_only(values) -> np.ndarray:
-    index = np.array(values, dtype=np.int64)
-    index.flags.writeable = False
-    return index
-
-
 def shared_record(positions, rows, row) -> PositionPrediction:
     """A record whose positions read ``rows`` through the row index ``row``."""
-    return PositionPrediction(positions, table_of(rows), read_only(row))
+    return PositionPrediction.of(positions, table_of(rows), row)
 
 
 def position_probs(preds: PositionPrediction) -> np.ndarray:
@@ -163,3 +158,49 @@ def make_result(output, stop=StopReason.MAX_LENGTH, slot_groups=None,
         stop_reason=stop,
         tccf=tccf,
     )
+
+
+BACKENDS = ("markov", "oracle", "scripted")
+
+
+def chain_model(vocab_size=40, order=2):
+    """An order-2 fit on a sparse random chain over ``vocab_size`` tokens."""
+    rng = np.random.default_rng(5)
+    succ = rng.integers(0, vocab_size, size=(vocab_size, 3))
+    tok, corpus = 0, []
+    for u in rng.integers(0, 3, size=4000).tolist():
+        corpus.append(tok)
+        tok = int(succ[tok, u])
+    return markov_fit(corpus, order, 0.05, vocab=Vocab(vocab_size))
+
+
+def backend_maker(kind: str, wrap=lambda backend: backend):
+    """A function of the prompt that gives one run its ``kind`` backend over
+    ``Vocab(40)``, as an experiment does: one Markov model shared by every
+    run, a new oracle or scripted backend per run (the scripted one counts
+    blocks). Its script covers 24 blocks of 24 steps at 8 positions, enough
+    for a 24-token generate and for a NELBO estimate whose first noise level
+    is 1. ``wrap`` wraps each backend as it is built."""
+    vocab = Vocab(40)
+    if kind == "markov":
+        model = wrap(chain_model())
+        return lambda prompt: model
+    if kind == "oracle":
+        target = tuple(np.random.default_rng(6).integers(0, 40, 20).tolist())
+        return lambda prompt: wrap(OracleDenoiser(target, vocab, 0.9, 0.8, prompt_len=len(prompt)))
+    rng = np.random.default_rng(7)
+    script = {(b, s, p): (float(rng.uniform(0.1, 1.0)), int(rng.integers(0, 40)))
+              for b in range(24) for s in range(24) for p in range(8)}
+    return lambda prompt: wrap(ScriptedDenoiser(script, vocab))
+
+
+class FreshTables:
+    """Rebuilds every record of ``inner`` with ``from_probs``: one new table
+    per pass with one row per position, the reference record builder."""
+
+    def __init__(self, inner):
+        self.inner, self.vocab = inner, inner.vocab
+
+    def predict(self, context, block):
+        preds = self.inner.predict(context, block)
+        return PositionPrediction.from_probs(preds.positions, position_probs(preds))

@@ -18,6 +18,8 @@ from tracing import Tracer  # noqa: E402
 import blockdec.noise as noise  # noqa: E402
 from blockdec import DecodingConfig, OracleDenoiser, Vocab, generate, markov_fit  # noqa: E402
 
+from conftest import BACKENDS, UniformDenoiser, backend_maker  # noqa: E402
+
 
 def test_every_patched_attribute_is_defined_on_its_owner():
     for owner, attr, _ in layers.patches(Tracer()):
@@ -25,22 +27,20 @@ def test_every_patched_attribute_is_defined_on_its_owner():
 
 
 def test_traced_decode_counts_one_record_per_pass():
+    # No shipped backend builds its records through from_probs; the counted
+    # wrapper still counts one call per pass for a backend that does.
     tracer = Tracer()
     tracer.run_id = "round-1"
-    vocab = Vocab(6)
-    oracle = OracleDenoiser(vocab=vocab, target=(1, 2, 3, 4, 5, 0, 1, 2),
-                            base_confidence=0.8, decay=0.7)
-    markov = markov_fit(list(np.random.default_rng(0).integers(0, 6, 300)), 2, 0.01)
     cfg = DecodingConfig(algorithm="dynamic", tau=0.6, block_size=4, max_new_tokens=8)
     with tracer.installed(layers.patches(tracer)):
-        result = generate(oracle, (), cfg)
-        generate(markov, (1, 2), cfg)
+        shipped = sum(generate(backend_maker(kind)((1, 2)), (1, 2), cfg).forward_passes for kind in BACKENDS)
+        assert not any(name == "core.from_probs" for name, _, _ in tracer.counters)
+        result = generate(UniformDenoiser(Vocab(6)), (), cfg)
     passes = sum(1 for s in tracer.spans if s[0] == "denoisers.predict")
     from_probs = {parent: calls for (name, parent, _), (calls, _) in tracer.counters.items()
                   if name == "core.from_probs"}
-    # only the oracle builds its record through from_probs, once per pass
     assert from_probs == {"denoisers.predict": result.forward_passes}
-    assert passes > result.forward_passes
+    assert passes == shipped + result.forward_passes
     assert any(s[0] == "denoisers.backend" for s in tracer.spans)
 
 

@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdec.cli import main
+from blockdec.core import DecodingConfig
 from blockdec.experiment import load_markov
+from blockdec.scheduler import generate
 
 from test_experiment import write_experiment
 
@@ -420,6 +422,20 @@ class TestFitMarkov:
                              "--out", str(out))
         assert code == 0
         assert load_markov(out).vocab.size == 2
+
+    def test_a_vocab_of_300001_fits_and_decodes(self, tmp_path, capsys):
+        # A table sized in rows would reserve 4,096 rows of 300,004 ids (9.8 GB) up front.
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("3 1 4 1 5 300000\n")
+        out = tmp_path / "model.json"
+        code, _, err = run_cli(capsys, "fit-markov", "--corpus", str(corpus),
+                               "--tokenization", "whitespace_ints", "--out", str(out))
+        assert (code, err) == (0, "")
+        model = load_markov(out)
+        assert model.vocab.size == 300001
+        cfg = DecodingConfig(algorithm="dynamic", tau=0.5, block_size=4, max_new_tokens=6)
+        # the widest id, then the unigram's argmax 1 (300000 has no successor), then 1 <-> 4
+        assert generate(model, (5,), cfg).output_tokens == (300000, 1, 4, 1, 4, 1)
 
     @pytest.mark.parametrize("argv", [["--order", "0"], ["--smoothing", "-1"], ["--smoothing", "nan"]])
     def test_bad_order_or_smoothing_is_config_error(self, tmp_path, capsys, argv):

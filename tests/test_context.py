@@ -172,7 +172,7 @@ class TestTokenGuard:
         model = markov_fit([i % 7 for i in range(200)], 2, 0.1, vocab=VOCAB)
         res = generate(model, np.array([1, 2, 3]), cfg(max_new_tokens=12))
         assert all(type(t) is int for t in res.output_tokens)
-        assert all(type(t) is int for key in model._cache for t in key)
+        assert all(type(t) is int for key in model._table.ids for t in key)
 
 
 class TestNelboContext:
@@ -223,7 +223,7 @@ def test_markov_matches_full_context_reference(query, kind):
     if kind == "array":
         ctx.flags.writeable = False
     got = predict(model, ctx, block)
-    assert all(type(t) is int for key in model._cache for t in key)
+    assert all(type(t) is int for key in model._table.ids for t in key)
     assert_same_record(got, reference_predict(model, context, block))
 
 

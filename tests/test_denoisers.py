@@ -20,7 +20,7 @@ from blockdec.denoisers import (
 from blockdec.noise import nelbo_estimate
 from blockdec.scheduler import generate
 
-from conftest import UniformDenoiser, position_probs, read_only, shared_record
+from conftest import BACKENDS, UniformDenoiser, backend_maker, chain_model, position_probs, shared_record
 
 
 def masked_block(size, vocab):
@@ -160,7 +160,7 @@ class TestOracle:
         preds = den.predict([], block)
         # position 1: distance 1 from the clean token at position 0
         assert abs(preds.confidence[0] - 0.9) < 1e-12
-        assert int(np.argmax(preds.table.probs[0])) == 1
+        assert int(np.argmax(position_probs(preds)[0])) == 1
 
     def test_distance_decay_with_floor(self):
         vocab = Vocab(6)
@@ -205,7 +205,7 @@ class TestOracle:
                              decay=1.0, prompt_len=2)
         block = masked_block(4, vocab)
         preds = den.predict([5, 5], block)
-        assert preds.table.probs.argmax(axis=1).tolist() == [3, 1, vocab.eos_id, vocab.eos_id]
+        assert position_probs(preds).argmax(axis=1).tolist() == [3, 1, vocab.eos_id, vocab.eos_id]
 
     def test_prompt_offset_alignment(self):
         vocab = Vocab(6)
@@ -214,7 +214,7 @@ class TestOracle:
         # two tokens already committed after the prompt
         block = masked_block(2, vocab)
         preds = den.predict([5, 5, 5, 3, 1], block)
-        assert preds.table.probs.argmax(axis=1).tolist() == [4, 1]
+        assert position_probs(preds).argmax(axis=1).tolist() == [4, 1]
 
     def test_parameter_validation(self):
         vocab = Vocab(4)
@@ -235,7 +235,7 @@ class TestScripted:
         script = {(0, 0, p): (0.7, p) for p in range(4)}
         den = ScriptedDenoiser(vocab=vocab, script=script)
         preds = den.predict([1, 1], masked_block(4, vocab))
-        assert preds.table.probs.argmax(axis=1).tolist() == [0, 1, 2, 3]
+        assert position_probs(preds).argmax(axis=1).tolist() == [0, 1, 2, 3]
         assert np.all(np.abs(preds.confidence - 0.7) < 1e-12)
 
     def test_step_counter_advances_on_partial_blocks(self):
@@ -250,7 +250,7 @@ class TestScripted:
         block.assign(0, 5)
         preds = den.predict([], block)    # same block, one slot filled: step 1
         assert preds.positions.tolist() == [1]
-        assert int(np.argmax(preds.table.probs[0])) == 4
+        assert int(np.argmax(position_probs(preds)[0])) == 4
         assert abs(preds.confidence[0] - 0.8) < 1e-12
 
     def test_block_counter_advances_on_fresh_block(self):
@@ -259,7 +259,7 @@ class TestScripted:
         den = ScriptedDenoiser(vocab=vocab, script=script)
         den.predict([3], masked_block(1, vocab))
         preds = den.predict([3, 5], masked_block(1, vocab))
-        assert int(np.argmax(preds.table.probs[0])) == 6
+        assert int(np.argmax(position_probs(preds)[0])) == 6
 
     def test_blocks_are_numbered_from_construction(self):
         vocab = Vocab(8)
@@ -268,7 +268,7 @@ class TestScripted:
         den.predict([3], masked_block(1, vocab))
         # a context as short as the first one does not restart the numbering
         preds = den.predict([3], masked_block(1, vocab))
-        assert int(np.argmax(preds.table.probs[0])) == 6
+        assert int(np.argmax(position_probs(preds)[0])) == 6
         with pytest.raises(FixtureError, match="block=2"):
             den.predict([3], masked_block(1, vocab))
 
@@ -300,7 +300,7 @@ class TestLoadScripted(object):
         vocab = Vocab(8)
         den = load_scripted(path, vocab)
         preds = den.predict([], masked_block(2, vocab))
-        assert preds.table.probs.argmax(axis=1).tolist() == [5, 6]
+        assert position_probs(preds).argmax(axis=1).tolist() == [5, 6]
 
     def test_field_count_error_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -439,7 +439,7 @@ class TableBackend:
         rows, ids = self.passes.pop(0)
         for r in rows:
             self.table.add(r)
-        return PositionPrediction(block.masked_positions(), self.table, read_only(ids))
+        return PositionPrediction.of(block.masked_positions(), self.table, ids)
 
 
 class TestTableWatermark:
@@ -464,33 +464,28 @@ class TestTableWatermark:
         assert backend.table.size == 1
 
 
-def chain_model(vocab_size=40, order=2):
-    """An order-2 fit on a sparse random chain over ``vocab_size`` tokens."""
-    rng = np.random.default_rng(5)
-    succ = rng.integers(0, vocab_size, size=(vocab_size, 3))
-    tok, corpus = 0, []
-    for u in rng.integers(0, 3, size=4000).tolist():
-        corpus.append(tok)
-        tok = int(succ[tok, u])
-    return markov_fit(corpus, order, 0.05, vocab=Vocab(vocab_size))
-
-
 class CheckedTables:
-    """Delegates to a Markov backend and checks every record it returns:
-    the record indexes the backend's current table, its ids lie in that
-    table, and the table stays within the cap (or the block, if larger)."""
+    """Delegates to a backend and checks every record it returns: the record
+    indexes the backend's current table and its ids lie in that table. A
+    table new in this pass holds the rows of ``ROW_TABLE_BYTES``, or the
+    pass's request if more: the block for the Markov backend, the masked
+    positions for the others. ``rolls`` gets an entry per table after the
+    backend's first."""
 
-    def __init__(self, model, cap):
-        self.model, self.vocab, self.cap, self.tables = model, model.vocab, cap, []
+    def __init__(self, model, rolls):
+        self.model, self.vocab, self.rolls, self.table = model, model.vocab, rolls, None
 
     def predict(self, context, block):
         preds = self.model.predict(context, block)
         table = preds.table
         assert table is self.model._table
-        assert table.size <= table.capacity == max(self.cap, len(block))
-        assert 0 <= preds.row.min() and preds.row.max() < table.size
-        if not self.tables or self.tables[-1] is not table:
-            self.tables.append(table)
+        assert 0 <= preds.row.min() and preds.row.max() < table.size <= table.capacity
+        if table is not self.table:
+            need = len(block) if isinstance(self.model, MarkovDenoiser) else len(preds.positions)
+            assert table.capacity == max(denoisers.ROW_TABLE_BYTES // (8 * self.vocab.total_ids), need)
+            if self.table is not None:
+                self.rolls.append(table.capacity)
+            self.table = table
         return preds
 
 
@@ -499,32 +494,38 @@ RULES = [dict(algorithm="static", steps=3), dict(algorithm="dynamic", tau=0.6),
 
 
 class TestTableCap:
+    @pytest.mark.parametrize("kind", BACKENDS)
     @pytest.mark.parametrize("cap, block_size", [(6, 4), (3, 5)])
-    def test_capped_tables_roll_over_without_moving_any_output(self, monkeypatch, cap, block_size):
-        fresh = chain_model()
-        monkeypatch.setattr(denoisers, "ROW_TABLE_ROWS", cap)
-        capped = CheckedTables(chain_model(), cap)
-        prompts = [[1, 2, 3], [7], [30, 31, 32, 33]]
-        for rule in RULES:
-            for temperature in (0.0, 1.0):
-                for seed, prompt in enumerate(prompts):
-                    cfg = DecodingConfig(**rule, block_size=block_size, temperature=temperature,
-                                         seed=seed, max_new_tokens=24)
-                    want, got = generate(fresh, prompt, cfg), generate(capped, prompt, cfg)
-                    assert got.output_tokens == want.output_tokens
-                    assert got.steps == want.steps
-                    score = [nelbo_estimate(m, prompt, got.output_tokens, block_size, [0.3, 0.7, 1.0],
-                                            np.random.default_rng(seed)) for m in (fresh, capped)]
-                    assert score[0] == score[1]
-        assert len(capped.tables) > 20  # the cap was hit over and over
-        assert fresh._table.capacity == 4096 and fresh._table.size > 10 * cap
+    def test_capped_tables_roll_over_without_moving_any_output(self, monkeypatch, kind, cap, block_size):
+        runs = [(DecodingConfig(**rule, block_size=block_size, temperature=temperature, seed=seed,
+                                max_new_tokens=24), prompt)
+                for rule in RULES for temperature in (0.0, 1.0)
+                for seed, prompt in enumerate([[1, 2, 3], [7], [30, 31, 32, 33]])]
+
+        def outputs(rolls):
+            make = backend_maker(kind, lambda backend: CheckedTables(backend, rolls))
+            out = []
+            for cfg, prompt in runs:
+                result = generate(make(prompt), prompt, cfg)
+                out.append((result, nelbo_estimate(make(prompt), prompt, result.output_tokens, block_size,
+                                                   [1.0, 0.7, 0.3], np.random.default_rng(cfg.seed))))
+            return out
+
+        fresh_rolls, capped_rolls = [], []
+        want = outputs(fresh_rolls)
+        monkeypatch.setattr(denoisers, "ROW_TABLE_BYTES", cap * 8 * Vocab(40).total_ids)
+        assert outputs(capped_rolls) == want
+        assert fresh_rolls == []  # one table per backend held every run
+        assert len(capped_rolls) > 20  # the cap was hit over and over
 
     def test_distribution_rolls_over_a_full_table(self, monkeypatch):
+        contexts = [(1,), (2,), (3,), (1, 2), (), (1,)]
         fresh = chain_model()
-        monkeypatch.setattr(denoisers, "ROW_TABLE_ROWS", 2)
+        want = [fresh.distribution(ctx).tobytes() for ctx in contexts]
+        monkeypatch.setattr(denoisers, "ROW_TABLE_BYTES", 2 * 8 * fresh.vocab.total_ids)
         capped = chain_model()
-        for ctx in [(1,), (2,), (3,), (1, 2), (), (1,)]:
-            assert capped.distribution(ctx).tobytes() == fresh.distribution(ctx).tobytes()
+        for ctx, probs in zip(contexts, want):
+            assert capped.distribution(ctx).tobytes() == probs
             assert capped._table.size <= 2
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockdec import experiment
+from blockdec import denoisers, experiment
 from blockdec.core import DecodingConfig, TccfConfig, Vocab
 from blockdec.denoisers import FixtureError, markov_fit
 from blockdec.experiment import (
@@ -295,6 +295,24 @@ class TestRunExperiment:
         other = tmp_path / "elsewhere"
         paths = run_experiment(cfg, output_dir=other)
         assert all(p.parent == other for p in paths)
+
+    def test_the_fixture_is_read_once_for_every_run(self, tmp_path, monkeypatch):
+        fixture = tmp_path / "script.txt"
+        fixture.write_text("".join(f"{b} {s} {p} 0.95 1\n" for b in range(3) for s in range(4) for p in range(4)))
+        reads = []
+
+        def counting_open(path, *args, **kwargs):
+            reads.append(Path(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(denoisers, "open", counting_open, raising=False)
+        cfg = load_experiment(write_experiment(
+            tmp_path, denoiser={"kind": "scripted", "fixture": "script.txt", "vocab_size": 6},
+            task={"prompts": {"kind": "tokens", "values": [[0, 1], [2]]}, "target": None}))
+        paths = {p.name: p for p in run_experiment(cfg)}
+        with open(paths["t_summary.csv"]) as fh:
+            assert len(list(csv.DictReader(fh))) == 8  # 2 grid entries x 2 trials x 2 prompts
+        assert reads == [fixture]
 
     def test_prompt_out_of_vocab_rejected(self, tmp_path):
         path = write_experiment(

@@ -23,7 +23,9 @@ from blockdec.sampling import (
 from blockdec.scheduler import generate
 
 from conftest import (
+    BACKENDS,
     CountingDenoiser,
+    backend_maker,
     bacd_after,
     full_random_script,
     index_weights,
@@ -500,8 +502,9 @@ class TestChunkIndex:
         assert len(builds) == len(set(draws)) < len(draws)
         assert {(t, r) for t, rows in index.items() for r in rows} == set(draws)
 
-    def test_a_dropped_table_is_freed_without_the_collector(self):
-        den = self.wide_markov()
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_a_dropped_table_is_freed_without_the_collector(self, kind):
+        den = backend_maker(kind)([1, 2])
         generate(den, [1, 2], oracle_cfg(tau=0.5, block_size=8, temperature=1.0, max_new_tokens=32))
         table = weakref.ref(den._table)
         assert table().cdf_index[1.0]
