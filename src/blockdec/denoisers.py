@@ -12,6 +12,9 @@ backend breaks it.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
+from itertools import islice
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -192,28 +195,33 @@ class MarkovDenoiser:
 def markov_fit(corpus: Sequence[int], order: int, smoothing: float,
                vocab: Vocab | None = None) -> MarkovDenoiser:
     """Count every window of length 1..order over the corpus and build the
-    smoothed Markov backend. The unigram table counts all corpus tokens."""
-    corpus = list(corpus)
-    if not corpus:
+    smoothed Markov backend. The unigram table counts all corpus tokens.
+    Each order is one C-level ``Counter`` pass over ``islice`` views, so no
+    order copies the corpus and memory stays bounded by the distinct windows.
+    Tokens are read through ``operator.index``: ``True`` counts as 1, and
+    ``1.5`` or a token past int64 raises ValueError here, not at a later pass."""
+    if len(corpus) == 0:
         raise ValueError("corpus must be nonempty")
     if order < 1:
         raise ValueError("order must be at least 1")
+    try:
+        corpus = list(map(operator.index, corpus))
+    except TypeError as exc:
+        raise ValueError(f"corpus token is not an integer: {exc}") from None
+    unigram = dict(Counter(corpus))
     if vocab is None:
-        vocab = Vocab(max(2, max(corpus) + 1))
-    for tok in corpus:
-        if not 0 <= tok < vocab.size:
-            raise ValueError(f"corpus token {tok} outside the ordinary range")
+        vocab = Vocab(max(2, max(unigram) + 1))
+    bound = min(vocab.size, 1 << 63)
+    if min(unigram) < 0 or max(unigram) >= bound:
+        tok = next(tok for tok in corpus if not 0 <= tok < bound)
+        raise ValueError(f"corpus token {tok} outside the ordinary range [0, {bound})")
 
-    counts: dict[tuple[int, ...], dict[int, int]] = {(): {}}
-    uni = counts[()]
-    for tok in corpus:
-        uni[tok] = uni.get(tok, 0) + 1
+    counts: dict[tuple[int, ...], dict[int, int]] = {(): unigram}
     for length in range(1, order + 1):
-        for i in range(len(corpus) - length):
-            ctx = tuple(corpus[i : i + length])
-            nxt = corpus[i + length]
-            table = counts.setdefault(ctx, {})
-            table[nxt] = table.get(nxt, 0) + 1
+        views = [islice(corpus, j, None) for j in range(length + 1)]
+        for window, cnt in Counter(zip(*views)).items():
+            counts.setdefault(window[:-1], {})[window[-1]] = cnt
+    del corpus, views  # freed before the backend copies the counts
     return MarkovDenoiser(order, smoothing, vocab, counts)
 
 
@@ -280,6 +288,7 @@ class ScriptedDenoiser:
     one itself: a fully masked block always starts step 0 of the next
     block (inside one block decode the masked set strictly shrinks), and
     blocks are numbered from construction, across a two-stage splice too.
+    A first query that is not a fully masked block is a :class:`FixtureError`.
     This is per-instance mutable state: use one instance per decoded sequence.
     """
 
@@ -307,6 +316,11 @@ class ScriptedDenoiser:
         if len(masked) == len(block):
             self._block += 1
             self._step = 0
+        elif self._block < 0:
+            raise FixtureError(
+                f"the first query did not start a block: {len(block) - len(masked)} "
+                f"of its {len(block)} positions are already clean"
+            )
         else:
             self._step += 1
         spikes = []

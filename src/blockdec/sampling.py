@@ -13,6 +13,7 @@ stable sorts and ``argmax`` break ties toward the lower position.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,6 +46,8 @@ ENTROPY_BUDGET_SLACK = 1e-12
 CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 # Columns per chunk of a row's sampling CDF: a draw recomputes one chunk.
 CDF_CHUNK = 64
+# Tempering's floating-point state: log(0) = -inf is a zero weight, not a warning.
+QUIET = dict(divide="ignore", over="ignore")
 
 
 @dataclass
@@ -156,11 +159,11 @@ def _tempered(probs: np.ndarray, temperature: float, log_max: float | None) -> n
     """Unnormalized sampling weights of a row, or of a slice of one: ``probs``
     itself at T = 1, else tempered in log space with the row's max subtracted
     (``log_max``, from ``math.log``), so that no weight underflows into a 0/0.
-    Elementwise, so a slice gets the bits it has in the whole row."""
+    Elementwise, so a slice gets the bits it has in the whole row. At T != 1
+    the caller holds ``np.errstate(**QUIET)``: a zero column's ``log`` is -inf."""
     if temperature == 1.0:
         return probs
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.exp((np.log(probs) - log_max) / temperature)
+    return np.exp((np.log(probs) - log_max) / temperature)
 
 
 def _chunk_index(probs: np.ndarray, temperature: float) -> tuple:
@@ -171,7 +174,8 @@ def _chunk_index(probs: np.ndarray, temperature: float) -> tuple:
     chunk and each full chunk's normalized end, ~1 KB of a 4,099-wide row's
     32 KB."""
     log_max = math.log(probs.max()) if temperature != 1.0 else None
-    w = _tempered(probs, temperature, log_max)
+    with np.errstate(**QUIET) if temperature != 1.0 else nullcontext():
+        w = _tempered(probs, temperature, log_max)
     total = w.sum()
     p = w / total
     if p.min() < 0.0:
@@ -195,12 +199,21 @@ def _realize(preds: PositionPrediction, idx: np.ndarray, temperature: float,
     :func:`_chunk_index`, built once per table and temperature, names the
     chunk; the chunk's weights are recomputed and ``cumsum`` continues from
     its start, so every compared value has the bits of the full CDF. The
-    committed confidence stays untempered."""
+    committed confidence stays untempered. At T != 1 the floating-point
+    state is set once per call, not once per draw."""
     rows = preds.row[idx]
     if temperature == 0.0:
         return preds.table.argmax[rows].tolist()
-    probs = preds.table.probs
-    index = preds.table.cdf_index.setdefault(temperature, {})
+    if temperature == 1.0:
+        return _draws(preds.table, rows, temperature, rng)
+    with np.errstate(**QUIET):
+        return _draws(preds.table, rows, temperature, rng)
+
+
+def _draws(table, rows: np.ndarray, temperature: float, rng: np.random.Generator) -> list[int]:
+    # The sampled tokens of :func:`_realize`: one uniform per row, in order.
+    probs = table.probs
+    index = table.cdf_index.setdefault(temperature, {})
     tokens = []
     for r, u in zip(rows.tolist(), rng.random(len(rows)).tolist()):
         if r not in index:

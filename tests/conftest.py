@@ -8,7 +8,7 @@ import numpy as np
 
 from blockdec.core import GenerationResult, PositionPrediction, RowTable, StepRecord, StopReason, Vocab
 from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser, markov_fit
-from blockdec.sampling import BacdState, _chunk_index, _tempered
+from blockdec.sampling import QUIET, BacdState, _chunk_index, _tempered
 
 
 def spiked_probs(vocab: Vocab, token: int, peak: float) -> np.ndarray:
@@ -32,9 +32,11 @@ def preds_from_confs(confs, vocab: Vocab | None = None, token: int = 0):
 
 def index_weights(probs: np.ndarray, temperature: float) -> np.ndarray:
     """A row's sampling weights as a draw recomputes them from the row's
-    chunk index: tempered with its ``log_max``, divided by its ``total``."""
+    chunk index: tempered with its ``log_max`` under the floating-point state
+    a draw holds, divided by its ``total``."""
     log_max, total, *_ = _chunk_index(probs, temperature)
-    return _tempered(probs, temperature, log_max) / total
+    with np.errstate(**QUIET):
+        return _tempered(probs, temperature, log_max) / total
 
 
 def bacd_after(history, tau_l: float, tau_h: float) -> BacdState:

@@ -1,10 +1,11 @@
-"""Full-context reference for ``MarkovDenoiser.predict``.
+"""References for the Markov backend: its fit and ``MarkovDenoiser.predict``.
 
-This is the loop the backend ran before it read only the last ``order``
-context tokens and scanned the block once, kept as the differential
-oracle: it rebuilds the whole context plus block and walks left from every
-masked position, building one row per position from the counts, without
-the backend's row table or cache.
+``reference_counts`` is the per-window loop ``markov_fit`` ran before it
+counted each order in one ``Counter`` pass. The rest is the loop the backend
+ran before it read only the last ``order`` context tokens and scanned the
+block once, kept as the differential oracle: it rebuilds the whole context
+plus block and walks left from every masked position, building one row per
+position from the counts, without the backend's row table or cache.
 """
 
 from __future__ import annotations
@@ -12,6 +13,21 @@ from __future__ import annotations
 import numpy as np
 
 from blockdec.core import PositionPrediction
+
+
+def reference_counts(corpus, order: int) -> dict[tuple[int, ...], dict[int, int]]:
+    """``{context: {next: count}}`` over every window, one slice per window."""
+    counts: dict[tuple[int, ...], dict[int, int]] = {(): {}}
+    uni = counts[()]
+    for tok in corpus:
+        uni[tok] = uni.get(tok, 0) + 1
+    for length in range(1, order + 1):
+        for i in range(len(corpus) - length):
+            ctx = tuple(corpus[i : i + length])
+            nxt = corpus[i + length]
+            table = counts.setdefault(ctx, {})
+            table[nxt] = table.get(nxt, 0) + 1
+    return counts
 
 
 def reference_contexts(model, context, block) -> list[tuple[int, ...]]:

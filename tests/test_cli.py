@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import os
@@ -401,6 +402,15 @@ class TestFitMarkov:
         assert model.order == 1
         assert int(np.argmax(model.distribution((0,)))) == 1
 
+    def test_the_demo_corpus_fit_is_pinned(self, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        code, _, _ = run_cli(capsys, "fit-markov", "--corpus", str(DEMO_DIR / "demo_corpus.txt"),
+                             "--tokenization", "chars", "--order", "2", "--smoothing", "0.01",
+                             "--out", str(out))
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "82ab923f9bc0bf7f5718c6938dbc9987c3c8c8ef3840559e668f697d70fcf35c"
+
     def test_refit_writes_a_new_file(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("abcabcabc")
@@ -445,6 +455,15 @@ class TestFitMarkov:
                                "--out", str(tmp_path / "m.json"), *argv)
         assert code == 1
         assert err.startswith("error:")
+
+    def test_a_token_past_int64_is_config_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(f"0 1 {2**70}\n")
+        code, out, err = run_cli(capsys, "fit-markov", "--corpus", str(corpus),
+                                 "--tokenization", "whitespace_ints", "--out", str(tmp_path / "m.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: corpus token {2**70} outside the ordinary range")
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_corpus_is_config_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "fit-markov", "--corpus",

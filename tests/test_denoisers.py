@@ -85,6 +85,41 @@ class TestMarkovFit:
         with pytest.raises(ValueError):
             markov_fit([], order=1, smoothing=0.1)
 
+    def test_a_non_integer_token_fails_the_fit(self):
+        # It once fitted Vocab(size=2.5) and failed at the first predict with TypeError.
+        with pytest.raises(ValueError, match="corpus token is not an integer"):
+            markov_fit([0, 1.5, 1], order=1, smoothing=0.01)
+
+    def test_a_bool_token_counts_as_one(self):
+        # vec[True] = cnt once wrote every column, and predict saw probs summing to 1.98
+        den = markov_fit([0, True, 1], order=1, smoothing=0.01)
+        assert den.vocab == Vocab(2)
+        assert den._counts == markov_fit([0, 1, 1], order=1, smoothing=0.01)._counts
+        assert {type(tok) for table in den._counts.values() for tok in table} == {int}
+        preds = predict(den, [0], masked_block(3, den.vocab))
+        assert np.allclose(position_probs(preds).sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_a_token_past_int64_fails_the_fit(self):
+        # It once fitted Vocab(size=2**70 + 1) and failed later with OverflowError.
+        with pytest.raises(ValueError, match=f"corpus token {2**70} outside the ordinary range"):
+            markov_fit([0, 1, 2**70], order=1, smoothing=0.01)
+
+    def test_numpy_tokens_give_python_int_keys(self):
+        den = markov_fit(np.array([0, 1, 2, 1, 0], dtype=np.int64), order=2, smoothing=0.01)
+        keys = {type(tok) for ctx, table in den._counts.items() for tok in (*ctx, *table)}
+        assert keys == {int}
+
+    @pytest.mark.parametrize("corpus, order, vocab, message", [
+        ([], 0, None, "corpus must be nonempty"),
+        ([1.5], 0, None, "order must be at least 1"),
+        ([2**70, 1.5], 0, Vocab(3), "order must be at least 1"),
+        ([0, 5, -1, 7], 1, Vocab(3), "corpus token 5 outside"),
+        ([0, 9, -1, 2**70], 1, None, "corpus token -1 outside"),
+    ])
+    def test_errors_come_in_order(self, corpus, order, vocab, message):
+        with pytest.raises(ValueError, match=message):
+            markov_fit(corpus, order=order, smoothing=0.1, vocab=vocab)
+
     @pytest.mark.parametrize("counts", [{(0,): {1: 2}}, {(): {}, (0,): {1: 2}}])
     def test_rejects_counts_without_a_unigram_table(self, counts):
         with pytest.raises(ValueError, match="nonempty unigram table"):
@@ -286,6 +321,26 @@ class TestScripted:
     def test_negative_key_rejected(self):
         with pytest.raises(FixtureError, match="negative component"):
             ScriptedDenoiser(vocab=Vocab(8), script={(0, -1, 0): (0.9, 5)})
+
+    def test_a_partly_masked_first_query_did_not_start_a_block(self):
+        vocab = Vocab(8)
+        den = ScriptedDenoiser(vocab=vocab, script={(0, 0, 0): (0.9, 5), (0, 0, 1): (0.9, 6)})
+        block = masked_block(2, vocab)
+        block.assign(0, 3)
+        with pytest.raises(FixtureError, match="first query did not start a block: 1 of its 2"):
+            predict(den, [1], block)
+        assert (den._block, den._step) == (-1, -1)
+        preds = predict(den, [1], masked_block(2, vocab))  # still block 0, step 0
+        assert position_probs(preds).argmax(axis=1).tolist() == [5, 6]
+
+    def test_a_partly_masked_first_nelbo_block_did_not_start_a_block(self):
+        vocab = Vocab(8)
+        den = ScriptedDenoiser(vocab=vocab, script={(0, 0, p): (0.9, p) for p in range(4)})
+        # at t=0.3 this seed masks positions 1-3 of the first block and keeps 0
+        assert (np.random.default_rng(0).random(4) < 0.3).tolist() == [False, True, True, True]
+        with pytest.raises(FixtureError, match="first query did not start a block: 1 of its 4"):
+            nelbo_estimate(den, [2], [0, 1, 2, 3], 4, [0.3], np.random.default_rng(0))
+        assert (den._block, den._step) == (-1, -1)
 
     @pytest.mark.parametrize("tok", [-1, 8, 10])  # Vocab(8): mask 8, pad 10
     def test_bad_token_id_rejected(self, tok):

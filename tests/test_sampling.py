@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from blockdec import sampling
-from blockdec.core import DecodingConfig, PositionPrediction, Vocab
+from blockdec.core import BlockState, DecodingConfig, PositionPrediction, Vocab
 from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser, markov_fit
 from blockdec.sampling import (
     BacdState,
@@ -514,3 +514,23 @@ class TestChunkIndex:
             assert table() is None  # no reference cycle through the index
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("temperature, entries", [(0.0, 0), (1.0, 0), (0.5, 1), (2.0, 1)])
+    def test_the_floating_point_state_is_set_once_per_call(self, monkeypatch, temperature, entries):
+        model = markov_fit(np.random.default_rng(3).integers(0, 12, 500), 1, 0.01)
+        block = BlockState.fully_masked(8, model.vocab.mask_id)
+        for pos in (0, 3, 6):
+            block.assign(pos, pos)
+        preds = model.predict([5], block)
+        idx = np.arange(len(preds.positions))
+        sampling._realize(preds, idx, temperature, np.random.default_rng(0))  # builds the index
+        errstate, opened = np.errstate, []
+
+        def counting(**kwargs):
+            opened.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counting)
+        tokens = sampling._realize(preds, idx, temperature, np.random.default_rng(1))
+        assert len(tokens) == len(idx) == 5
+        assert opened == [sampling.QUIET] * entries
