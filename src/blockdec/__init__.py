@@ -2,7 +2,6 @@
 
 from .core import (
     Algorithm,
-    BlockState,
     DecodingConfig,
     GenerationResult,
     PositionPrediction,

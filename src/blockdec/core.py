@@ -2,9 +2,9 @@
 
 Everything here is plain data: vocabularies, per-pass prediction records,
 decoding configuration, and the step/result records emitted by the
-generation loop. The mutable types are :class:`BlockState`, which the
-block decoder updates in place as positions are committed, and the
-append-only :class:`RowTable` that prediction records index into.
+generation loop. The one mutable type is the append-only :class:`RowTable`
+that prediction records index into. A block being decoded is a plain token
+list in which a position is masked exactly when it holds ``vocab.mask_id``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "Algorithm",
-    "BlockState",
     "DecodingConfig",
     "GenerationResult",
     "PositionPrediction",
@@ -71,38 +70,6 @@ class Vocab:
     eos_id = property(lambda self: self.size + 1)
     pad_id = property(lambda self: self.size + 2)
     total_ids = property(lambda self: self.size + 3)
-
-
-@dataclass
-class BlockState:
-    """Mutable state of the block currently being decoded: a position is
-    masked exactly when it holds ``mask_id``. All mutation goes through
-    :meth:`assign`."""
-
-    tokens: list[int]
-    mask_id: int
-
-    @classmethod
-    def fully_masked(cls, size: int, mask_id: int) -> "BlockState":
-        return cls([mask_id] * size, mask_id)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def masked_positions(self) -> list[int]:
-        return [i for i, tok in enumerate(self.tokens) if tok == self.mask_id]
-
-    @property
-    def fully_decoded(self) -> bool:
-        return self.mask_id not in self.tokens
-
-    def assign(self, position: int, token: int) -> None:
-        """Commit a token at a still-masked position."""
-        if self.tokens[position] != self.mask_id:
-            raise ValueError(f"position {position} is already decoded")
-        if token == self.mask_id:
-            raise ValueError("cannot assign the mask token")
-        self.tokens[position] = token
 
 
 def token_array(tokens) -> np.ndarray:

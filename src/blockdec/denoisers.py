@@ -1,10 +1,11 @@
 """Pluggable denoiser backends and the prediction contract.
 
-A denoiser receives clean left context plus the partially masked block
-and must return one :class:`PositionPrediction` record per forward pass:
-every masked position with the id of its distribution in a
-:class:`~blockdec.core.RowTable` (positions that share a distribution may
-share an id). Backends are deterministic: all
+A denoiser receives clean left context plus the partially masked block, a
+token list in which a position is masked exactly when it holds the
+backend's ``vocab.mask_id``. It must return one :class:`PositionPrediction`
+record per forward pass: every masked position with the id of its
+distribution in a :class:`~blockdec.core.RowTable` (positions that share a
+distribution may share an id). Backends are deterministic: all
 sampling randomness lives in the decoder. The :func:`predict` wrapper
 enforces the contract and raises :class:`ContractViolation` when a
 backend breaks it.
@@ -19,7 +20,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import BlockState, PositionPrediction, RowTable, Vocab
+from .core import PositionPrediction, RowTable, Vocab
 
 __all__ = [
     "ROW_TABLE_BYTES",
@@ -50,10 +51,10 @@ class FixtureError(RuntimeError):
 class Denoiser(Protocol):
     vocab: Vocab
 
-    def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction: ...
+    def predict(self, context: Sequence[int], block: Sequence[int]) -> PositionPrediction: ...
 
 
-def predict(denoiser: Denoiser, context: Sequence[int], block: BlockState) -> PositionPrediction:
+def predict(denoiser: Denoiser, context: Sequence[int], block: Sequence[int]) -> PositionPrediction:
     """Query a backend and enforce the prediction contract.
 
     Preconditions: the context is mask-free and the block has at least one
@@ -64,9 +65,10 @@ def predict(denoiser: Denoiser, context: Sequence[int], block: BlockState) -> Po
     session passes, the mask check is one vectorized comparison.
     """
     vocab = denoiser.vocab
-    if vocab.mask_id in context:
+    mask_id = vocab.mask_id
+    if mask_id in context:
         raise ValueError("context must not contain mask tokens")
-    masked = block.masked_positions()
+    masked = [pos for pos, tok in enumerate(block) if tok == mask_id]
     if not masked:
         raise ValueError("block has no masked positions")
 
@@ -160,7 +162,7 @@ class MarkovDenoiser:
         row = self._table.ids[ctx] = self._table.add(probs)
         return row
 
-    def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction:
+    def predict(self, context: Sequence[int], block: Sequence[int]) -> PositionPrediction:
         self._table = _with_room(self._table, len(block), self.vocab)
         # One left-to-right scan. ``run`` holds the last ``order`` tokens of
         # the clean run ending just left of the current position (empty right
@@ -171,10 +173,10 @@ class MarkovDenoiser:
         tail = context[-order:]
         run = tail.tolist() if isinstance(tail, np.ndarray) else [int(t) for t in tail]
         last, gap = run[-1:], None
-        mask_id = block.mask_id
+        mask_id = self.vocab.mask_id
         masked: list[int] = []
         index: list[int] = []
-        for pos, tok in enumerate(block.tokens):
+        for pos, tok in enumerate(block):
             if tok != mask_id:
                 run.append(tok)
                 if len(run) > order:
@@ -254,23 +256,24 @@ class OracleDenoiser:
         self.prompt_len = prompt_len
         self._table: RowTable | None = None
 
-    def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction:
+    def predict(self, context: Sequence[int], block: Sequence[int]) -> PositionPrediction:
         offset = len(context) - self.prompt_len
         if offset < 0:
             raise ValueError("context is shorter than prompt_len")
-        masked = block.masked_positions()
-        spikes = []
-        for pos in masked:
-            # Distance to the nearest clean token on the left; the context
-            # tail counts, and an empty context behaves like distance to
-            # the sequence start.
-            j = pos - 1
-            while j >= 0 and block.tokens[j] == block.mask_id:
-                j -= 1
-            d = pos - j
+        mask_id = self.vocab.mask_id
+        masked, spikes = [], []
+        # Distance to the nearest clean token on the left; position -1 is the
+        # context tail, and an empty context behaves like the sequence start.
+        clean = -1
+        for pos, tok in enumerate(block):
+            if tok != mask_id:
+                clean = pos
+                continue
+            d = pos - clean
             gen_index = offset + pos
             true_tok = self.target[gen_index] if gen_index < len(self.target) else self.vocab.eos_id
             peak = max(1.0 / self.vocab.size, self.base_confidence * self.decay ** (d - 1))
+            masked.append(pos)
             spikes.append((true_tok, peak))
         return _spiked(self, masked, spikes)
 
@@ -311,8 +314,9 @@ class ScriptedDenoiser:
         self._step = -1
         self._table: RowTable | None = None
 
-    def predict(self, context: Sequence[int], block: BlockState) -> PositionPrediction:
-        masked = block.masked_positions()
+    def predict(self, context: Sequence[int], block: Sequence[int]) -> PositionPrediction:
+        mask_id = self.vocab.mask_id
+        masked = [pos for pos, tok in enumerate(block) if tok == mask_id]
         if len(masked) == len(block):
             self._block += 1
             self._step = 0
@@ -341,24 +345,28 @@ def load_scripted(path, vocab: Vocab) -> ScriptedDenoiser:
     """Parse a script fixture: one ``block step position conf token_id``
     entry per line, blank lines and ``#`` comments ignored."""
     script: dict[tuple[int, int, int], tuple[float, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise FixtureError(
-                    f"{path}: line {lineno}: expected 'block step position conf token_id'"
-                )
-            try:
-                key = (int(parts[0]), int(parts[1]), int(parts[2]))
-                entry = (float(parts[3]), int(parts[4]))
-            except ValueError as exc:
-                raise FixtureError(f"{path}: line {lineno}: {exc}") from exc
-            if key in script:
-                raise FixtureError(f"{path}: line {lineno}: duplicate entry for {key}")
-            script[key] = entry
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise FixtureError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise FixtureError(
+                f"{path}: line {lineno}: expected 'block step position conf token_id'"
+            )
+        try:
+            key = (int(parts[0]), int(parts[1]), int(parts[2]))
+            entry = (float(parts[3]), int(parts[4]))
+        except ValueError as exc:
+            raise FixtureError(f"{path}: line {lineno}: {exc}") from exc
+        if key in script:
+            raise FixtureError(f"{path}: line {lineno}: duplicate entry for {key}")
+        script[key] = entry
     if not script:
         raise FixtureError(f"{path}: script fixture is empty")
     return ScriptedDenoiser(script, vocab)

@@ -157,10 +157,11 @@ def save_markov(denoiser: MarkovDenoiser, path) -> None:
 
 def load_markov(path) -> MarkovDenoiser:
     """Parse a file written by :func:`save_markov`, checked where it enters:
-    ``order`` and ``vocab_size`` are JSON integers, every key is written as
-    :func:`save_markov` writes it (``"00"``, ``" 1"`` and ``"+1"`` are not),
-    no context is longer than ``order``, every token lies in
-    ``[0, vocab_size)`` and every count is a JSON integer >= 1."""
+    ``order`` and ``vocab_size`` are JSON integers and ``smoothing`` a JSON
+    number, every key is written as :func:`save_markov` writes it (``"00"``,
+    ``" 1"`` and ``"+1"`` are not), no context is longer than ``order``,
+    every token lies in ``[0, vocab_size)`` and every count is a JSON
+    integer >= 1."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or a duplicate key
@@ -169,6 +170,7 @@ def load_markov(path) -> MarkovDenoiser:
         raise ConfigError(f"{path} is not a markov model file")
     order = _field(payload, "order", int, where=f"markov model {path}")
     vocab_size = _field(payload, "vocab_size", int, where=f"markov model {path}")
+    smoothing = _field(payload, "smoothing", float, where=f"markov model {path}")
     try:
         counts: dict[tuple[int, ...], dict[int, int]] = {}
         for key, table in payload["counts"].items():
@@ -180,12 +182,7 @@ def load_markov(path) -> MarkovDenoiser:
                 raise ValueError(f"context {key!r}: counts must be nonempty, tokens in [0, {vocab_size})")
             if any(type(c) is not int or c < 1 for c in counts[ctx].values()):  # a bool is not an int here
                 raise ValueError(f"context {key!r}: every count must be an integer >= 1")
-        return MarkovDenoiser(
-            order=order,
-            smoothing=float(payload["smoothing"]),
-            vocab=Vocab(vocab_size),
-            counts=counts,
-        )
+        return MarkovDenoiser(order=order, smoothing=smoothing, vocab=Vocab(vocab_size), counts=counts)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad markov model {path}: {exc!r}") from None
 
@@ -225,11 +222,9 @@ def _field(section: dict, key: str, kind: type, default=_REQUIRED, *, where: str
         if default is _REQUIRED:
             raise ConfigError(f"{where} is missing {key!r}")
         return default
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ConfigError(f"{where}.{key} must be {kind.__name__}, not {value!r}")
-    return value
+    return float(value) if kind is float else value
 
 
 def _tokens(value, where: str) -> tuple[int, ...]:

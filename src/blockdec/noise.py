@@ -10,27 +10,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BlockState, Vocab, token_array
+from .core import Vocab, token_array
 from .denoisers import predict
 
 __all__ = ["forward_mask", "nelbo_estimate"]
 
 
-def forward_mask(block: BlockState, t: float, rng: np.random.Generator) -> BlockState:
-    """Mask each position of a clean block independently with probability ``t``.
+def forward_mask(tokens, vocab: Vocab, t: float, rng: np.random.Generator) -> list[int]:
+    """A new list: each token of a clean block replaced by ``vocab.mask_id``
+    independently with probability ``t``.
 
-    Consumes exactly ``len(block)`` uniform draws in position order, so a
+    Consumes exactly ``len(tokens)`` uniform draws in position order, so a
     seeded generator reproduces the same mask pattern bit for bit.
     ``t = 0`` masks nothing and ``t = 1`` masks everything; ``t`` outside
     ``[0, 1]`` raises ValueError.
     """
-    if block.masked_positions():
+    mask_id = vocab.mask_id
+    if mask_id in tokens:
         raise ValueError("forward_mask expects a fully clean block")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"noise level t={t!r} outside [0, 1]")
-    flags = (rng.random(len(block)) < t).tolist()
-    tokens = [block.mask_id if f else tok for tok, f in zip(block.tokens, flags)]
-    return BlockState(tokens, block.mask_id)
+    flags = (rng.random(len(tokens)) < t).tolist()
+    return [mask_id if f else tok for tok, f in zip(tokens, flags)]
 
 
 def nelbo_estimate(
@@ -57,7 +58,9 @@ def nelbo_estimate(
     response : sequence of response tokens; padded with ``pad_id`` up to
         a multiple of ``block_size``. Pad positions are never masked and
         never contribute loss. A token of either that is not an integer or
-        does not fit in int64 raises ValueError.
+        does not fit in int64 raises ValueError, as does a prompt token
+        outside ``[0, vocab.size)`` or a response token that is not
+        ordinary, eos or pad.
     t_samples : iterable of noise levels in (0, 1]; the caller owns the
         sampling strategy (uniform on (0, 1] is the usual choice).
     rng : generator driving the mask draws, consumed in block order.
@@ -82,11 +85,17 @@ def nelbo_estimate(
     if block_size < 1:
         raise ValueError("block_size must be positive")
 
+    mask_id, pad_id = vocab.mask_id, vocab.pad_id
     pad = (-len(response)) % block_size
     # Each block's context is an O(1) read-only view of a prefix of this.
-    full = token_array(prompt + response + [vocab.pad_id] * pad)
+    full = token_array(prompt + response + [pad_id] * pad)
     full.flags.writeable = False
-    padded = full[len(prompt) :].tolist()
+    head, tail = full[: len(prompt)], full[len(prompt) :]
+    if len(head) and (head.min() < 0 or head.max() >= vocab.size):
+        raise ValueError(f"prompt token outside the ordinary range [0, {vocab.size})")
+    if tail.min() < 0 or tail.max() > pad_id or mask_id in tail:
+        raise ValueError("response token is not ordinary, eos or pad")
+    padded = tail.tolist()
     blocks = [padded[i : i + block_size] for i in range(0, len(padded), block_size)]
 
     estimates = []
@@ -94,12 +103,10 @@ def nelbo_estimate(
         for t in t_samples:
             total = 0.0
             for k, truth in enumerate(blocks):
-                noised = forward_mask(BlockState(truth, vocab.mask_id), t, rng)
+                noised = forward_mask(truth, vocab, t, rng)
                 # Pads stay clean regardless of the draw.
-                for i, tok in enumerate(truth):
-                    if tok == vocab.pad_id and noised.tokens[i] == vocab.mask_id:
-                        noised.assign(i, tok)
-                masked = noised.masked_positions()
+                noised = [pad_id if tok == pad_id else n for tok, n in zip(truth, noised)]
+                masked = [i for i, tok in enumerate(noised) if tok == mask_id]
                 if not masked:
                     continue
                 context = full[: len(prompt) + k * block_size]

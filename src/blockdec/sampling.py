@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     Algorithm,
-    BlockState,
     DecodingConfig,
     PositionPrediction,
     StepRecord,
@@ -237,13 +236,17 @@ def decode_block(
     rng: np.random.Generator,
     *,
     block_index: int = 0,
-) -> tuple[BlockState, list[StepRecord]]:
+) -> tuple[list[int], list[StepRecord]]:
     """Decode one block from fully masked to fully committed.
 
     Every loop iteration is exactly one denoiser forward pass followed by
     one selection step; committed tokens are realized in ascending
     position order (which fixes the rng consumption order when sampling).
-    Returns the clean block and one :class:`StepRecord` per pass, at most
+    The block is a token list, masked where it holds ``vocab.mask_id``.
+    No position is committed twice and the mask is never committed: each
+    record covers exactly the masked positions (:func:`predict` checks it)
+    and no row puts mass on the mask (the row table refuses it). Returns
+    the clean tokens and one :class:`StepRecord` per pass, at most
     ``block_size`` of them.
     """
     problems = validate_config(cfg)
@@ -252,12 +255,13 @@ def decode_block(
     if block_size < 1:
         raise ValueError("block_size must be positive")
 
-    block = BlockState.fully_masked(block_size, denoiser.vocab.mask_id)
+    mask_id = denoiser.vocab.mask_id
+    block = [mask_id] * block_size
     records: list[StepRecord] = []
     bacd_state = BacdState(cfg.tau_h, cfg.tau_l) if cfg.algorithm is Algorithm.BACD else None
     static_n = math.ceil(block_size / cfg.steps) if cfg.algorithm is Algorithm.STATIC else None
 
-    while not block.fully_decoded:
+    while mask_id in block:
         preds = predict(denoiser, context, block)
         if cfg.algorithm is Algorithm.STATIC:
             idx, threshold_used, fallback_fired = select_static(preds, static_n)
@@ -270,7 +274,7 @@ def decode_block(
 
         chosen = preds.positions[idx].tolist()
         for pos, tok in zip(chosen, _realize(preds, idx, cfg.temperature, rng)):
-            block.assign(pos, tok)
+            block[pos] = tok
         records.append(
             StepRecord(
                 block_index=block_index,

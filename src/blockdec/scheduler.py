@@ -71,6 +71,10 @@ class GenerationSession:
         if problems:
             raise ValueError("invalid config: " + "; ".join(problems))
         prompt = token_array(prompt)
+        spliced = cfg.tccf.marker + cfg.tccf.transition if cfg.tccf else ()
+        tokens = np.concatenate((prompt, token_array(spliced)))  # one min/max for all of them
+        if len(tokens) and (tokens.min() < 0 or tokens.max() >= denoiser.vocab.size):
+            raise ValueError(f"prompt or tccf token outside the ordinary range [0, {denoiser.vocab.size})")
         buf = np.empty(len(prompt) + cfg.max_new_tokens + cfg.block_size, dtype=np.int64)
         buf[: len(prompt)] = prompt
         return cls(denoiser=denoiser, prompt_len=len(prompt), cfg=cfg, rng=np.random.default_rng(cfg.seed),
@@ -96,8 +100,8 @@ class GenerationSession:
                                    block_index=self.blocks_emitted)
         self.records.extend(recs)
         self.blocks_emitted += 1
-        self.splice(len(self.committed), block.tokens)
-        return block.tokens
+        self.splice(len(self.committed), block)
+        return block
 
     def result(self, stop: StopReason, tccf: TccfTrace | None = None) -> GenerationResult:
         """The run so far, trimmed to ``max_new_tokens``."""

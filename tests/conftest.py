@@ -90,6 +90,11 @@ def spike_conf_for_entropy(vocab: Vocab, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def masked_of(block, vocab: Vocab) -> list[int]:
+    """The masked positions of a block: those holding ``vocab.mask_id``."""
+    return [pos for pos, tok in enumerate(block) if tok == vocab.mask_id]
+
+
 class UniformDenoiser:
     """Uniform distribution over ordinary tokens at every masked position."""
 
@@ -99,7 +104,7 @@ class UniformDenoiser:
     def predict(self, context, block):
         probs = np.zeros(self.vocab.total_ids)
         probs[: self.vocab.size] = 1.0 / self.vocab.size
-        masked = block.masked_positions()
+        masked = masked_of(block, self.vocab)
         return PositionPrediction.from_probs(masked, [probs] * len(masked))
 
 

@@ -14,6 +14,8 @@ import numpy as np
 
 from blockdec.core import PositionPrediction
 
+from conftest import masked_of
+
 
 def reference_counts(corpus, order: int) -> dict[tuple[int, ...], dict[int, int]]:
     """``{context: {next: count}}`` over every window, one slice per window."""
@@ -32,11 +34,12 @@ def reference_counts(corpus, order: int) -> dict[tuple[int, ...], dict[int, int]
 
 def reference_contexts(model, context, block) -> list[tuple[int, ...]]:
     """The context each masked position conditions on, before backoff."""
-    tokens = list(context) + block.tokens
-    clean = [True] * len(context) + [tok != block.mask_id for tok in block.tokens]
+    mask_id = model.vocab.mask_id
+    tokens = list(context) + list(block)
+    clean = [True] * len(context) + [tok != mask_id for tok in block]
     base = len(context)
     contexts = []
-    for pos in block.masked_positions():
+    for pos in masked_of(block, model.vocab):
         idx = base + pos
         if idx > 0 and clean[idx - 1]:
             run: list[int] = []
@@ -78,4 +81,4 @@ def reference_row(model, ctx: tuple[int, ...]) -> np.ndarray:
 def reference_predict(model, context, block) -> PositionPrediction:
     """One fresh row per masked position, in a table of its own."""
     rows = [reference_row(model, ctx) for ctx in reference_contexts(model, context, block)]
-    return PositionPrediction.from_probs(block.masked_positions(), rows)
+    return PositionPrediction.from_probs(masked_of(block, model.vocab), rows)

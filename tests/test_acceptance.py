@@ -22,7 +22,6 @@ import pytest
 
 from blockdec import (
     Algorithm,
-    BlockState,
     DecodingConfig,
     OracleDenoiser,
     ScriptedDenoiser,
@@ -259,15 +258,15 @@ def test_04_entropy_prefix_exhaustive():
 def test_05_forward_mask_statistics():
     vocab = Vocab(8)
     n = 10_000
-    clean = BlockState([3] * n, vocab.mask_id)
+    clean = [3] * n
     failures = []
     for t in (0.1, 0.3, 0.5, 0.9):
         sigma = (t * (1.0 - t) / n) ** 0.5
         hits = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            noisy = forward_mask(clean, t, rng)
-            frac = len(noisy.masked_positions()) / n
+            noisy = forward_mask(clean, vocab, t, rng)
+            frac = noisy.count(vocab.mask_id) / n
             if abs(frac - t) <= 3.0 * sigma:
                 hits += 1
         if hits < 99:

@@ -134,6 +134,7 @@ MALFORMED = {
     "oracle_without_vocab_size": oracle_spec(vocab_size=None),
     "oracle_vocab_size_1": oracle_spec(vocab_size=1),
     "oracle_base_confidence_2": oracle_spec(base_confidence=2.0),
+    "oracle_decay_bool": oracle_spec(decay=True),  # read as 1.0
     "oracle_target_out_of_range": oracle_spec(target=[99]),
     "oracle_target_not_integer": oracle_spec(target=[1.5, 2]),
     "oracle_target_not_list": oracle_spec(target=5),
@@ -197,6 +198,10 @@ MALFORMED_MODELS = {
     "float_vocab_size": {"vocab_size": 4.0},
     "vocab_size_past_int64": {"vocab_size": 10**16},  # the row table's size overflows
     "missing_vocab_size": {"vocab_size": None},
+    # a JSON number only: true read as 1.0 and "0.5" as 0.5
+    "bool_smoothing": {"smoothing": True},
+    "string_smoothing": {"smoothing": "0.5"},
+    "missing_smoothing": {"smoothing": None},
     # keys that int() reads but save_markov never writes ("0" and "00" would
     # merge into one count), and a context longer than the order
     **{f"token_key_{key!r}": {"counts": {"": {"0": 1, key: 5}}} for key in ("00", " 1", "+1")},
@@ -542,6 +547,16 @@ class TestReplay:
             "--algorithm", "dynamic", "--tau", "0.5")
         assert code == 2
         assert "line 1" in err
+
+    def test_fixture_that_is_not_utf8_is_runtime_fault(self, tmp_path, capsys):
+        # it ended in a UnicodeDecodeError traceback
+        path = tmp_path / "script.txt"
+        path.write_bytes(b"0 0 0 0.95 1\n0 0 1 0.95 \xff\n")
+        code, out, err = run_cli(
+            capsys, "replay", "--fixture", str(path), "--vocab-size", "8",
+            "--algorithm", "dynamic", "--tau", "0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"fault: {path}: not UTF-8 text") and "Traceback" not in err
 
     def test_static_replay_with_prompt(self, tmp_path, capsys):
         # steps=2 over a block of 2 commits one position per step

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdec.core import BlockState, DecodingConfig, TccfConfig, Vocab, token_array, validate_config
+from blockdec.core import DecodingConfig, TccfConfig, Vocab, token_array, validate_config
 from blockdec.denoisers import OracleDenoiser, markov_fit, predict
 from blockdec.experiment import ConfigError, config_from_dict
 from blockdec.noise import nelbo_estimate
@@ -36,7 +36,7 @@ def tccf(b_think=4, b_critic=2, marker=MARK3, transition=(6,), stage1_max_tokens
 
 class Recorder:
     """Wraps a backend; checks at every pass that the context is a read-only
-    int64 array and keeps a copy of it with the (live) block object."""
+    int64 array and keeps a copy of it with the (live) block list."""
 
     def __init__(self, inner):
         self.inner, self.vocab, self.passes = inner, inner.vocab, []
@@ -61,11 +61,11 @@ def check_contexts(rec: Recorder, prompt, result, transition=()):
     expected = list(prompt)
     for i, (ctx, block) in enumerate(rec.passes):
         if i > 0 and block is not rec.passes[i - 1][1]:
-            expected += rec.passes[i - 1][1].tokens
+            expected += rec.passes[i - 1][1]
             if result.tccf is not None and i == result.tccf.stage1_passes:
                 expected[len(prompt) + result.tccf.splice_position :] = transition
         assert ctx == expected, f"pass {i}"
-    expected += rec.passes[-1][1].tokens
+    expected += rec.passes[-1][1]
     out = result.output_tokens
     assert list(out) == expected[len(prompt) : len(prompt) + len(out)]
     assert all(type(t) is int for t in out)
@@ -148,10 +148,37 @@ class TestTokenGuard:
 
     def test_mask_id_prompt_is_refused_by_the_wrapper(self):
         with pytest.raises(ValueError, match="context must not contain mask tokens"):
+            predict(oracle([1, 2]), [1, VOCAB.mask_id], [VOCAB.mask_id] * 2)
+        # generate and nelbo_estimate refuse it earlier, before any pass: it
+        # lies outside the ordinary range
+        with pytest.raises(ValueError, match=r"prompt or tccf token outside the ordinary range \[0, 10\)"):
             generate(oracle([1, 2]), [1, VOCAB.mask_id], cfg())
-        with pytest.raises(ValueError, match="context must not contain mask tokens"):
+        with pytest.raises(ValueError, match=r"prompt token outside the ordinary range \[0, 10\)"):
             nelbo_estimate(oracle([1, 2]), [VOCAB.mask_id], [1, 2], 2, [1.0],
                            np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [-3, -1, 10, VOCAB.eos_id, VOCAB.pad_id, 2**40])
+    def test_library_paths_refuse_a_prompt_or_tccf_token_outside_the_ordinary_range(self, bad):
+        # generate_tccf with transition (-3,) returned -3 in its output
+        match = r"prompt or tccf token outside the ordinary range \[0, 10\)"
+        with pytest.raises(ValueError, match=match):
+            generate(oracle([1, 2]), [1, bad], cfg())
+        for marker, transition in (((bad,), (6,)), (MARK3, (bad,))):
+            with pytest.raises(ValueError, match=match):
+                generate_tccf(oracle([1, 2]), [1], cfg(tccf(marker=marker, transition=transition)))
+        with pytest.raises(ValueError, match=r"prompt token outside the ordinary range \[0, 10\)"):
+            nelbo_estimate(oracle([1, 2]), [1, bad], [1, 2], 2, [1.0], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [-1, -4, 99, VOCAB.pad_id + 1])
+    def test_nelbo_refuses_a_response_token_that_is_not_ordinary_eos_or_pad(self, bad):
+        # -1 scored inf (the pad column), -4 scored token 5's column, 99 raised IndexError
+        with pytest.raises(ValueError, match="response token is not ordinary, eos or pad"):
+            nelbo_estimate(oracle([1, 2]), [1], [1, bad], 2, [1.0], np.random.default_rng(0))
+
+    def test_nelbo_scores_eos_and_pad_response_tokens(self):
+        perfect = OracleDenoiser([1, 2], VOCAB, base_confidence=1.0, decay=1.0, prompt_len=1)
+        response = [1, 2, VOCAB.eos_id, VOCAB.pad_id]  # the oracle predicts eos past its target
+        assert nelbo_estimate(perfect, [3], response, 2, [1.0], np.random.default_rng(0)) == 0.0
 
     def test_mask_id_response_raises(self):
         for response in ([VOCAB.mask_id, 1], [1, 2, VOCAB.mask_id]):
@@ -203,7 +230,7 @@ def queries(draw):
         context.append(v.eos_id)
     flags = draw(st.lists(st.booleans(), min_size=1, max_size=8).filter(any))
     tokens = [v.mask_id if f else draw(tok) for f in flags]
-    return model, context, BlockState(tokens, v.mask_id)
+    return model, context, tokens
 
 
 def assert_same_record(got, want):
@@ -269,6 +296,6 @@ def test_markov_reads_only_the_last_order_tokens(order):
     model = markov_fit([i * 7 % 5 for i in range(300)], order, 0.1, vocab=VOCAB)
     tail = [4, 1, 3][:order]
     m = VOCAB.mask_id
-    block = BlockState([m, 2, m, m, 0], m)
+    block = [m, 2, m, m, 0]
     got = model.predict(TailOnly(10**6, tail), block)
     assert_same_record(got, reference_predict(model, [0, 1, 2] + tail, block))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from blockdec.core import (
     Algorithm,
-    BlockState,
     DecodingConfig,
     GenerationResult,
     PositionPrediction,
@@ -40,43 +39,6 @@ class TestVocab:
     def test_size_is_the_only_field(self):
         assert [f.name for f in dataclasses.fields(Vocab)] == ["size"]
         assert Vocab(size=4) == Vocab(4)
-
-
-class TestBlockState:
-    def test_fully_masked(self):
-        b = BlockState.fully_masked(4, mask_id=9)
-        assert b.tokens == [9, 9, 9, 9]
-        assert b.masked_positions() == [0, 1, 2, 3]
-        assert not b.fully_decoded
-
-    def test_assign_clears_flag(self):
-        b = BlockState.fully_masked(3, mask_id=9)
-        b.assign(1, 4)
-        assert b.tokens == [9, 4, 9]
-        assert b.masked_positions() == [0, 2]
-
-    def test_assign_twice_rejected(self):
-        b = BlockState.fully_masked(3, mask_id=9)
-        b.assign(1, 4)
-        with pytest.raises(ValueError):
-            b.assign(1, 5)
-
-    def test_assign_mask_rejected(self):
-        b = BlockState.fully_masked(3, mask_id=9)
-        with pytest.raises(ValueError, match="cannot assign the mask token"):
-            b.assign(0, 9)
-        assert b.masked_positions() == [0, 1, 2]
-
-    def test_from_tokens_round_trip(self):
-        b = BlockState([1, 2, 3], mask_id=9)
-        assert b.fully_decoded
-        assert b.masked_positions() == []
-        b = BlockState([9, 2, 9], mask_id=9)
-        assert b.masked_positions() == [0, 2]
-        assert not b.fully_decoded
-
-    def test_fields_are_tokens_and_mask_id(self):
-        assert [f.name for f in dataclasses.fields(BlockState)] == ["tokens", "mask_id"]
 
 
 def wide(*ordinary, width=5):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blockdec import denoisers
-from blockdec.core import BlockState, DecodingConfig, PositionPrediction, RowTable, Vocab
+from blockdec.core import DecodingConfig, PositionPrediction, RowTable, Vocab
 from blockdec.denoisers import (
     ContractViolation,
     FixtureError,
@@ -20,11 +20,19 @@ from blockdec.denoisers import (
 from blockdec.noise import nelbo_estimate
 from blockdec.scheduler import generate
 
-from conftest import BACKENDS, UniformDenoiser, backend_maker, chain_model, position_probs, shared_record
+from conftest import (
+    BACKENDS,
+    UniformDenoiser,
+    backend_maker,
+    chain_model,
+    masked_of,
+    position_probs,
+    shared_record,
+)
 
 
 def masked_block(size, vocab):
-    return BlockState.fully_masked(size, mask_id=vocab.mask_id)
+    return [vocab.mask_id] * size
 
 
 class TestMarkovFit:
@@ -131,13 +139,10 @@ class TestMarkovConditioning:
         den = markov_fit([0, 1, 2, 0, 1, 2, 0, 1, 2], order=1, smoothing=0.1)
         v = den.vocab
         # scenario A: clean 1 sits directly left of the masked position
-        block_a = BlockState(tokens=[1, v.mask_id], mask_id=v.mask_id)
+        block_a = [1, v.mask_id]
         pred_a = position_probs(den.predict([2, 0], block_a))[0]
         # scenario B: same nearest clean token, entirely different context
-        block_b = BlockState(
-            tokens=[v.mask_id, 1, v.mask_id, v.mask_id],
-            mask_id=v.mask_id,
-        )
+        block_b = [v.mask_id, 1, v.mask_id, v.mask_id]
         preds_b = den.predict([0, 0, 0, 0, 0], block_b)
         assert preds_b.positions[1] == 2
         assert np.array_equal(pred_a, position_probs(preds_b)[1])
@@ -169,7 +174,7 @@ class TestMarkovConditioning:
         den = markov_fit(self.AMBIGUOUS, order=2, smoothing=0.01)
         v = den.vocab
         # block [0, 1, ?]: the masked slot sees the clean run (0, 1)
-        block = BlockState(tokens=[0, 1, v.mask_id], mask_id=v.mask_id)
+        block = [0, 1, v.mask_id]
         pred = position_probs(den.predict([2], block))[0]
         assert np.array_equal(pred, den.distribution((0, 1)))
         assert not np.array_equal(pred, den.distribution((1,)))
@@ -179,7 +184,7 @@ class TestMarkovConditioning:
         v = den.vocab
         # block [0, ?, ?]: position 2's left neighbour is masked, so only the
         # single nearest clean token (0) is available
-        block = BlockState(tokens=[0, v.mask_id, v.mask_id], mask_id=v.mask_id)
+        block = [0, v.mask_id, v.mask_id]
         preds = den.predict([1, 2], block)
         assert preds.positions[1] == 2
         assert np.array_equal(position_probs(preds)[1], den.distribution((0,)))
@@ -191,7 +196,7 @@ class TestOracle:
         vocab = Vocab(6)
         den = OracleDenoiser(vocab=vocab, target=(3, 1, 4), base_confidence=0.9,
                              decay=0.5, prompt_len=0)
-        block = BlockState(tokens=[3, vocab.mask_id, vocab.mask_id], mask_id=vocab.mask_id)
+        block = [3, vocab.mask_id, vocab.mask_id]
         preds = den.predict([], block)
         # position 1: distance 1 from the clean token at position 0
         assert abs(preds.confidence[0] - 0.9) < 1e-12
@@ -201,9 +206,7 @@ class TestOracle:
         vocab = Vocab(6)
         den = OracleDenoiser(vocab=vocab, target=(3, 1, 4, 1), base_confidence=0.9,
                              decay=0.5, prompt_len=0)
-        block = BlockState(
-            tokens=[3, vocab.mask_id, vocab.mask_id, vocab.mask_id],
-            mask_id=vocab.mask_id)
+        block = [3, vocab.mask_id, vocab.mask_id, vocab.mask_id]
         preds = den.predict([], block)
         # distance 3 peak: max(1/6, 0.9 * 0.5^2) = 0.225
         assert abs(preds.confidence[2] - 0.225) < 1e-12
@@ -212,9 +215,7 @@ class TestOracle:
         vocab = Vocab(3)
         den = OracleDenoiser(vocab=vocab, target=(0, 1, 2, 0), base_confidence=0.9,
                              decay=0.5, prompt_len=0)
-        block = BlockState(
-            tokens=[0, vocab.mask_id, vocab.mask_id, vocab.mask_id],
-            mask_id=vocab.mask_id)
+        block = [0, vocab.mask_id, vocab.mask_id, vocab.mask_id]
         preds = den.predict([], block)
         # distance 3 would give 0.225, but the uniform floor is 1/3
         assert abs(preds.confidence[2] - 1.0 / 3.0) < 1e-12
@@ -282,7 +283,7 @@ class TestScripted:
         den = ScriptedDenoiser(vocab=vocab, script=script)
         block = masked_block(2, vocab)
         den.predict([], block)            # step 0 on the fresh block
-        block.assign(0, 5)
+        block[0] = 5
         preds = den.predict([], block)    # same block, one slot filled: step 1
         assert preds.positions.tolist() == [1]
         assert int(np.argmax(position_probs(preds)[0])) == 4
@@ -326,7 +327,7 @@ class TestScripted:
         vocab = Vocab(8)
         den = ScriptedDenoiser(vocab=vocab, script={(0, 0, 0): (0.9, 5), (0, 0, 1): (0.9, 6)})
         block = masked_block(2, vocab)
-        block.assign(0, 3)
+        block[0] = 3
         with pytest.raises(FixtureError, match="first query did not start a block: 1 of its 2"):
             predict(den, [1], block)
         assert (den._block, den._step) == (-1, -1)
@@ -402,7 +403,7 @@ class _MassOnMask:
     def predict(self, context, block):
         probs = np.zeros(self.vocab.total_ids)
         probs[self.vocab.mask_id] = 1.0
-        masked = block.masked_positions()
+        masked = masked_of(block, self.vocab)
         return PositionPrediction.from_probs(masked, [probs] * len(masked))
 
 
@@ -416,7 +417,7 @@ class TestPredictWrapper:
     def test_rejects_block_without_masks(self):
         vocab = Vocab(4)
         den = UniformDenoiser(vocab)
-        block = BlockState([0, 1], mask_id=vocab.mask_id)
+        block = [0, 1]
         with pytest.raises(ValueError):
             predict(den, [0], block)
 
@@ -436,7 +437,9 @@ class TestPredictWrapper:
     def test_flags_a_width_mismatch(self):
         class Wide(UniformDenoiser):  # rows valid for Vocab(5) are one id too wide
             def predict(self, context, block):
-                return UniformDenoiser(Vocab(5)).predict(context, block)
+                masked = masked_of(block, self.vocab)
+                row = np.r_[[0.2] * 5, [0.0] * 3]
+                return PositionPrediction.from_probs(masked, [row] * len(masked))
 
         with pytest.raises(ContractViolation, match="^rows have width 8, expected 7$"):
             predict(Wide(Vocab(4)), [0], masked_block(2, Vocab(4)))
@@ -459,9 +462,9 @@ class TestPredictWrapper:
 
             def predict(self, context, block):
                 # positions 3 and 4 read the bad row 1
-                return shared_record(block.masked_positions(), [good, bad], [0, 0, 1, 1])
+                return shared_record(masked_of(block, vocab), [good, bad], [0, 0, 1, 1])
 
-        block = BlockState([vocab.mask_id, vocab.mask_id, 2, vocab.mask_id, vocab.mask_id], vocab.mask_id)
+        block = [vocab.mask_id, vocab.mask_id, 2, vocab.mask_id, vocab.mask_id]
         with pytest.raises(ValueError, match=r"^row puts mass on mask or pad$"):
             predict(Shared(), [0], block)
 
@@ -494,7 +497,7 @@ class TableBackend:
         rows, ids = self.passes.pop(0)
         for r in rows:
             self.table.add(r)
-        return PositionPrediction.of(block.masked_positions(), self.table, ids)
+        return PositionPrediction.of(masked_of(block, V4), self.table, ids)
 
 
 class TestTableWatermark:
@@ -610,9 +613,9 @@ class TestContractFuzz:
                 vocab.mask_id if f else int(rng.integers(0, vocab.size))
                 for f in flags
             ]
-            block = BlockState(tokens=tokens, mask_id=vocab.mask_id)
+            block = tokens
             preds = predict(den, context, block)
-            assert preds.positions.tolist() == block.masked_positions()
+            assert preds.positions.tolist() == masked_of(block, vocab)
             for probs, conf, ent in zip(position_probs(preds), preds.confidence, preds.entropy):
                 assert probs.shape == (vocab.total_ids,)
                 assert abs(float(probs.sum()) - 1.0) <= 1e-9

@@ -170,6 +170,18 @@ class TestMarkovSerialization:
         assert (back.vocab.mask_id, back.vocab.total_ids) == (size, size + 3)
         assert np.array_equal(back.distribution((1,)), den.distribution((1,)))
 
+    @pytest.mark.parametrize("smoothing, want", [(0, 0.0), (2, 2.0), (0.5, 0.5), (True, None), ("0.5", None)])
+    def test_load_reads_smoothing_as_a_json_number(self, tmp_path, smoothing, want):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"kind": "markov", "order": 1, "smoothing": smoothing, "vocab_size": 4,
+                                    "counts": {"": {"0": 1}}}))
+        if want is None:
+            with pytest.raises(ConfigError, match=r"smoothing must be float, not "):
+                load_markov(path)
+        else:
+            smoothing = load_markov(path).smoothing
+            assert type(smoothing) is float and smoothing == want
+
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")

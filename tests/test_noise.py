@@ -7,69 +7,62 @@ import math
 import numpy as np
 import pytest
 
-from blockdec.core import BlockState, PositionPrediction, Vocab
+from blockdec.core import PositionPrediction, Vocab
 from blockdec.denoisers import ContractViolation, OracleDenoiser
 from blockdec.noise import forward_mask, nelbo_estimate
 
-from conftest import UniformDenoiser
+from conftest import UniformDenoiser, masked_of
 
 
 VOCAB4 = Vocab(4)
-
-
-def clean_block(tokens, vocab=VOCAB4):
-    return BlockState(list(tokens), mask_id=vocab.mask_id)
 
 
 class TestForwardMask:
     def test_rejects_out_of_range(self):
         for t in (1.5, -0.1, float("nan")):
             with pytest.raises(ValueError):
-                forward_mask(clean_block([0, 1, 2, 3]), t, np.random.default_rng(0))
+                forward_mask([0, 1, 2, 3], VOCAB4, t, np.random.default_rng(0))
 
     def test_t_zero_masks_nothing(self):
-        b = clean_block([0, 1, 2, 3])
-        out = forward_mask(b, 0.0, np.random.default_rng(0))
-        assert out.masked_positions() == []
-        assert out.tokens == [0, 1, 2, 3]
+        out = forward_mask([0, 1, 2, 3], VOCAB4, 0.0, np.random.default_rng(0))
+        assert masked_of(out, VOCAB4) == []
+        assert out == [0, 1, 2, 3]
 
     def test_t_one_masks_everything(self):
-        b = clean_block([0, 1, 2, 3])
-        out = forward_mask(b, 1.0, np.random.default_rng(0))
-        assert out.masked_positions() == [0, 1, 2, 3]
+        out = forward_mask([0, 1, 2, 3], VOCAB4, 1.0, np.random.default_rng(0))
+        assert masked_of(out, VOCAB4) == [0, 1, 2, 3]
+        assert out == [VOCAB4.mask_id] * 4
 
     def test_original_block_untouched(self):
-        b = clean_block([0, 1, 2, 3])
-        forward_mask(b, 1.0, np.random.default_rng(0))
-        assert b.masked_positions() == []
+        b = [0, 1, 2, 3]
+        forward_mask(b, VOCAB4, 1.0, np.random.default_rng(0))
+        assert b == [0, 1, 2, 3]
 
     def test_requires_clean_block(self):
-        b = BlockState.fully_masked(4, mask_id=VOCAB4.mask_id)
+        b = [VOCAB4.mask_id] * 4
         with pytest.raises(ValueError):
-            forward_mask(b, 0.5, np.random.default_rng(0))
+            forward_mask(b, VOCAB4, 0.5, np.random.default_rng(0))
 
     def test_deterministic_for_seed(self):
-        b = clean_block([0, 1, 2, 3, 0, 1, 2, 3])
-        m1 = forward_mask(b, 0.5, np.random.default_rng(7)).tokens
-        m2 = forward_mask(b, 0.5, np.random.default_rng(7)).tokens
+        b = [0, 1, 2, 3, 0, 1, 2, 3]
+        m1 = forward_mask(b, VOCAB4, 0.5, np.random.default_rng(7))
+        m2 = forward_mask(b, VOCAB4, 0.5, np.random.default_rng(7))
         assert m1 == m2
 
     def test_consumes_one_draw_per_position_in_order(self):
         # the masking decision is u_i < t on exactly len(block) draws
         tokens = [0, 1, 2, 3] * 4
-        b = clean_block(tokens)
         rng_a = np.random.default_rng(11)
-        out = forward_mask(b, 0.4, rng_a)
+        out = forward_mask(tokens, VOCAB4, 0.4, rng_a)
         rng_b = np.random.default_rng(11)
         draws = rng_b.random(len(tokens))
-        assert out.masked_positions() == np.flatnonzero(draws < 0.4).tolist()
+        assert masked_of(out, VOCAB4) == np.flatnonzero(draws < 0.4).tolist()
         # both generators must now be in the same state
         assert rng_a.random() == rng_b.random()
 
     def test_masked_fraction_tracks_t(self):
-        b = clean_block([0, 1, 2, 3] * 250)
         rng = np.random.default_rng(3)
-        frac = len(forward_mask(b, 0.3, rng).masked_positions()) / 1000
+        frac = len(masked_of(forward_mask([0, 1, 2, 3] * 250, VOCAB4, 0.3, rng), VOCAB4)) / 1000
         assert abs(frac - 0.3) < 3 * math.sqrt(0.3 * 0.7 / 1000)
 
 
@@ -166,7 +159,7 @@ class TestNelbo:
         # backend that leaves a masked position uncovered is caught, not scored.
         class DropsTheLast(UniformDenoiser):
             def predict(self, context, block):
-                masked = block.masked_positions()[:-1]
+                masked = masked_of(block, self.vocab)[:-1]
                 probs = np.zeros(self.vocab.total_ids)
                 probs[1] = 1.0
                 return PositionPrediction.from_probs(masked, [probs] * len(masked))

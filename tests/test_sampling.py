@@ -7,9 +7,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockdec import sampling
-from blockdec.core import BlockState, DecodingConfig, PositionPrediction, Vocab
+from blockdec.core import DecodingConfig, PositionPrediction, Vocab
 from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser, markov_fit
 from blockdec.sampling import (
     BacdState,
@@ -286,7 +288,7 @@ class TestDecodeBlock:
         den = ScriptedDenoiser(script=script, vocab=vocab)
         cfg = oracle_cfg(algorithm="dynamic", tau=0.9)
         block, records = decode_block(den, [], 4, cfg, np.random.default_rng(0))
-        assert block.tokens == [1, 2, 3, 4]
+        assert block == [1, 2, 3, 4]
         assert len(records) == 1
         assert records[0].unmasked_positions == (0, 1, 2, 3)
 
@@ -298,7 +300,7 @@ class TestDecodeBlock:
         cfg = oracle_cfg(algorithm="static", steps=2, tau=None)
         block, records = decode_block(den, [], 4, cfg, np.random.default_rng(0))
         assert [len(r.unmasked_positions) for r in records] == [2, 2]
-        assert block.fully_decoded
+        assert vocab.mask_id not in block
 
     def test_static_ceil_division(self):
         vocab = Vocab(8)
@@ -332,7 +334,7 @@ class TestDecodeBlock:
                                  tau_h=0.9, tau_l=0.5, gamma=0.4, block_size=8)
                 block, records = decode_block(den, [], 8, cfg,
                                               np.random.default_rng(trial))
-                assert block.fully_decoded
+                assert vocab.mask_id not in block
                 assert 1 <= len(records) <= 8
 
     def test_tau_one_decodes_one_per_step(self):
@@ -363,7 +365,7 @@ class TestDecodeBlock:
                              base_confidence=0.9, decay=0.9, prompt_len=0)
         cfg = oracle_cfg(tau=0.5)
         block, _ = decode_block(den, [], 4, cfg, np.random.default_rng(0))
-        assert block.tokens == [1, 2, 3, 4]
+        assert block == [1, 2, 3, 4]
 
     def test_sampled_realization_is_seed_deterministic(self):
         vocab = Vocab(6)
@@ -372,7 +374,7 @@ class TestDecodeBlock:
         cfg = oracle_cfg(tau=0.3, temperature=1.0)
         a, _ = decode_block(den, [], 4, cfg, np.random.default_rng(12))
         b, _ = decode_block(den, [], 4, cfg, np.random.default_rng(12))
-        assert a.tokens == b.tokens
+        assert a == b
 
     def test_sampled_realization_varies_across_seeds(self):
         vocab = Vocab(6)
@@ -380,7 +382,7 @@ class TestDecodeBlock:
                              base_confidence=0.4, decay=0.9, prompt_len=0)
         cfg = oracle_cfg(tau=0.3, temperature=1.0)
         outcomes = {
-            tuple(decode_block(den, [], 4, cfg, np.random.default_rng(s))[0].tokens)
+            tuple(decode_block(den, [], 4, cfg, np.random.default_rng(s))[0])
             for s in range(8)
         }
         assert len(outcomes) > 1
@@ -414,7 +416,7 @@ class TestDecodeBlock:
         den = markov_fit([0, 1, 2] * 30, order=1, smoothing=0.01)
         cfg = oracle_cfg(tau=0.9999, block_size=6)
         block, records = decode_block(den, [2], 6, cfg, np.random.default_rng(0))
-        assert block.tokens == [0, 1, 2, 0, 1, 2]
+        assert block == [0, 1, 2, 0, 1, 2]
         assert len(records) == 6
         assert all(r.fallback_fired for r in records)
 
@@ -424,8 +426,59 @@ class TestDecodeBlock:
         den = markov_fit([0, 1, 2] * 30, order=1, smoothing=0.01)
         cfg = oracle_cfg(tau=0.9, block_size=6)
         block, records = decode_block(den, [2], 6, cfg, np.random.default_rng(0))
-        assert block.tokens == [0] * 6
+        assert block == [0] * 6
         assert len(records) == 1
+
+
+class Snapshots:
+    """Wraps a backend; keeps a copy of the block it sees at every pass."""
+
+    def __init__(self, inner):
+        self.inner, self.vocab, self.blocks = inner, inner.vocab, []
+
+    def predict(self, context, block):
+        self.blocks.append(list(block))
+        return self.inner.predict(context, block)
+
+
+MAKERS = {kind: backend_maker(kind) for kind in BACKENDS}
+RULE_PARAMS = {
+    "static": st.fixed_dictionaries({"steps": st.integers(1, 8)}),
+    "dynamic": st.fixed_dictionaries({"tau": st.floats(0.05, 1.0)}),
+    "bacd": st.lists(st.floats(0.05, 1.0), min_size=2, max_size=2).map(
+        lambda taus: {"tau_l": min(taus), "tau_h": max(taus)}),
+    "entropy_bounded": st.fixed_dictionaries({"gamma": st.floats(0.0, 4.0)}),
+}
+
+
+@st.composite
+def block_decodes(draw):
+    """A backend kind, a config over every rule at T = 0 or 1, and a prompt."""
+    rule = draw(st.sampled_from(sorted(RULE_PARAMS)))
+    cfg = DecodingConfig(algorithm=rule, block_size=draw(st.integers(1, 8)),
+                         temperature=draw(st.sampled_from([0.0, 1.0])),
+                         seed=draw(st.integers(0, 2**32 - 1)), **draw(RULE_PARAMS[rule]))
+    return draw(st.sampled_from(BACKENDS)), cfg, draw(st.lists(st.integers(0, 39), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_decodes())
+def test_a_decoded_block_holds_no_mask_and_its_records_partition_it(case):
+    kind, cfg, prompt = case
+    den = Snapshots(MAKERS[kind](prompt))
+    mask_id, size = den.vocab.mask_id, cfg.block_size
+    block, records = decode_block(den, prompt, size, cfg, np.random.default_rng(cfg.seed))
+    assert len(block) == size and mask_id not in block
+    assert sorted(p for r in records for p in r.unmasked_positions) == list(range(size))
+    # every pass sees the block as the passes before it left it: fully masked
+    # at first, then with each committed position filled, never refilled
+    assert den.blocks[0] == [mask_id] * size
+    for seen, after, rec in zip(den.blocks, den.blocks[1:] + [block], records):
+        want = list(seen)
+        for pos in rec.unmasked_positions:
+            assert seen[pos] == mask_id
+            want[pos] = block[pos]
+        assert after == want
 
 
 class TestRealize:
@@ -439,7 +492,7 @@ class TestRealize:
         cfg = oracle_cfg(tau=0.9, block_size=8, temperature=0.001)
         block, records = decode_block(den, [], 8, cfg, np.random.default_rng(0))
         # T -> 0 approaches greedy decoding: every peak wins
-        assert block.tokens == list(target[:8])
+        assert block == list(target[:8])
         # the committed confidence stays the untempered peak
         assert all(c == 0.06 for r in records for c in r.confidences)
 
@@ -453,7 +506,7 @@ class TestRealize:
         for temp in (temperature, 1e-200):
             rng = np.random.default_rng(4)
             block, records = decode_block(den, [], 8, oracle_cfg(tau=0.5, block_size=8, temperature=temp), rng)
-            runs.append((block.tokens, records, rng.bit_generator.state))
+            runs.append((block, records, rng.bit_generator.state))
         assert runs[0] == runs[1]
         assert runs[0][0] == list(target[:8])
 
@@ -518,9 +571,9 @@ class TestChunkIndex:
     @pytest.mark.parametrize("temperature, entries", [(0.0, 0), (1.0, 0), (0.5, 1), (2.0, 1)])
     def test_the_floating_point_state_is_set_once_per_call(self, monkeypatch, temperature, entries):
         model = markov_fit(np.random.default_rng(3).integers(0, 12, 500), 1, 0.01)
-        block = BlockState.fully_masked(8, model.vocab.mask_id)
+        block = [model.vocab.mask_id] * 8
         for pos in (0, 3, 6):
-            block.assign(pos, pos)
+            block[pos] = pos
         preds = model.predict([5], block)
         idx = np.arange(len(preds.positions))
         sampling._realize(preds, idx, temperature, np.random.default_rng(0))  # builds the index
