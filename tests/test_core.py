@@ -24,6 +24,8 @@ from blockdec.core import (
     lint_config,
     validate_config,
 )
+from blockdec.denoisers import ContractViolation, OracleDenoiser, predict
+from blockdec.sampling import decode_block
 
 
 class TestVocab:
@@ -39,6 +41,75 @@ class TestVocab:
     def test_size_is_the_only_field(self):
         assert [f.name for f in dataclasses.fields(Vocab)] == ["size"]
         assert Vocab(size=4) == Vocab(4)
+
+
+class TestBlockState:
+    """A block is a plain token list, masked where it holds ``vocab.mask_id``.
+    ``decode_block`` owns it; the guards a block once kept for itself (never
+    commit twice, never commit the mask) follow from the predict contract."""
+
+    VOCAB = Vocab(9)  # mask_id 9
+    TARGET = (4, 1, 2, 3, 0, 5)
+
+    class Snapshots:
+        def __init__(self, inner):
+            self.inner, self.vocab, self.blocks = inner, inner.vocab, []
+
+        def predict(self, context, block):
+            self.blocks.append(list(block))
+            return self.inner.predict(context, block)
+
+    def oracle(self):
+        return OracleDenoiser(self.TARGET, self.VOCAB, base_confidence=0.9, decay=0.8)
+
+    def decode(self, size):
+        """Decode ``size`` positions one per pass; the blocks each pass saw, the block, the records."""
+        den = self.Snapshots(self.oracle())
+        cfg = DecodingConfig(algorithm="static", steps=size, block_size=size,
+                             temperature=0.0, seed=0, max_new_tokens=size)
+        block, records = decode_block(den, [], size, cfg, np.random.default_rng(0))
+        return den.blocks, block, records
+
+    def test_fully_masked(self):
+        seen, block, _ = self.decode(4)
+        assert seen[0] == [9, 9, 9, 9]
+        assert predict(self.oracle(), [], seen[0]).positions.tolist() == [0, 1, 2, 3]
+        assert block == list(self.TARGET[:4])
+
+    def test_assign_clears_flag(self):
+        seen, block, records = self.decode(3)
+        # one commit per pass: the next pass sees it filled, the rest masked
+        pos = records[0].unmasked_positions[0]
+        want = [9, 9, 9]
+        want[pos] = block[pos]
+        assert seen[1] == want
+        assert predict(self.oracle(), [], [9, 4, 9]).positions.tolist() == [0, 2]
+
+    def test_assign_twice_rejected(self):
+        class Stale:
+            """Covers every position, committed or not."""
+            vocab = self.VOCAB
+
+            def predict(self, context, block):
+                probs = np.zeros(self.vocab.total_ids)
+                probs[: self.vocab.size] = 1.0 / self.vocab.size
+                return PositionPrediction.from_probs(range(len(block)), [probs] * len(block))
+
+        with pytest.raises(ContractViolation, match=r"covered positions \[0, 1, 2\], expected \[0, 2\]"):
+            predict(Stale(), [], [9, 4, 9])
+        seen, _, records = self.decode(3)
+        for blk, rec in zip(seen, records):
+            assert all(blk[pos] == 9 for pos in rec.unmasked_positions)
+
+    def test_assign_mask_rejected(self):
+        row = np.zeros(self.VOCAB.total_ids)
+        row[0] = row[self.VOCAB.mask_id] = 0.5
+        table = RowTable(1, self.VOCAB)
+        with pytest.raises(ValueError, match="row puts mass on mask or pad"):
+            table.add(row)
+        assert table.size == 0
+        _, block, _ = self.decode(4)
+        assert 9 not in block
 
 
 def wide(*ordinary, width=5):
