@@ -86,34 +86,30 @@ def token_array(tokens) -> np.ndarray:
 
 class RowTable:
     """Append-only table of checked categoricals: ``probs`` [R, V] over
-    ``vocab``'s full id space with their ``confidence`` (max), ``entropy``
-    (nats) and ``argmax`` [R], all read-only ``[:size]`` views of storage
-    sized once for ``capacity`` rows. :meth:`add` checks a row once, when it
-    enters, and derives its stats."""
+    ``vocab``'s full id space, a read-only ``[:size]`` view of storage sized
+    once for ``capacity`` rows, and each row's ``confidence`` (max),
+    ``entropy`` (nats) and ``argmax``, Python lists of R floats, floats and
+    ints. :meth:`add` checks a row once, when it enters, and derives its
+    stats; nothing else writes to a table."""
 
     def __init__(self, capacity: int, vocab: Vocab):
         self.capacity, self.vocab, self.width = capacity, vocab, vocab.total_ids
         self.size = 0
-        # One mapping of its own for rows and stats: pages are committed as rows
-        # are written, and the empty tail holds no heap that short-lived objects reuse.
-        buf = mmap.mmap(-1, capacity * (self.width + 3) * 8)
-        self._probs = np.frombuffer(buf, count=capacity * self.width).reshape(capacity, self.width)
-        self._confidence, self._entropy, argmax = np.frombuffer(buf, offset=self._probs.nbytes).reshape(3, capacity)
-        self._argmax = argmax.view(np.int64)
+        # A mapping of its own for the rows: pages are committed as rows are
+        # written, and the empty tail holds no heap that short-lived objects reuse.
+        buf = mmap.mmap(-1, capacity * self.width * 8)
+        self._probs = np.frombuffer(buf).reshape(capacity, self.width)
+        self.confidence, self.entropy, self.argmax = [], [], []  # one entry per row, appended by add
         self.ids: dict = {}  # the owning backend's key (a context, a spike) -> row id
         # temperature -> row id -> the row's sampling chunk index, filled by
         # ``sampling``; it holds no reference back to the table
         self.cdf_index: dict[float, dict[int, tuple]] = {}
 
-    def _view(self, storage: np.ndarray) -> np.ndarray:
-        view = storage[: self.size]
+    @property
+    def probs(self) -> np.ndarray:
+        view = self._probs[: self.size]
         view.flags.writeable = False
         return view
-
-    probs = property(lambda self: self._view(self._probs))
-    confidence = property(lambda self: self._view(self._confidence))
-    entropy = property(lambda self: self._view(self._entropy))
-    argmax = property(lambda self: self._view(self._argmax))
 
     def add(self, probs) -> int:
         """Check one [V] row, derive its stats and append it; returns its id.
@@ -136,56 +132,51 @@ class RowTable:
             raise ValueError("unit confidence requires zero entropy")
         row = self.size
         self._probs[row] = probs
-        self._confidence[row], self._entropy[row] = confidence, entropy
-        self._argmax[row] = probs.argmax()
+        self.confidence.append(confidence)
+        self.entropy.append(entropy)
+        self.argmax.append(int(probs.argmax()))
         self.size += 1
         return row
 
 
 @dataclass(frozen=True, eq=False)
 class PositionPrediction:
-    """Denoiser output for one forward pass: the masked ``positions`` [M]
+    """Denoiser output for one forward pass: the masked ``positions``
     (strictly ascending) and the id ``row[i]`` of each one's distribution in
-    ``table``, a read-only int64 [M] index; positions that share a
+    ``table``, both tuples of M >= 1 Python ints; positions that share a
     distribution share an id: a backend adds each distinct distribution to
     its one table once and builds its records with :meth:`of`. Rows are
-    checked as they enter the table, so a pass checks only the shapes, the
-    order and the ids. The ``confidence`` and ``entropy`` [M] that selection
-    reads are gathered at construction. :meth:`from_probs`, for reference
-    records in tests, builds a fresh table with one row per position."""
+    checked as they enter the table, so a pass checks only the lengths, the
+    order and the ids. The ``confidence`` and ``entropy`` tuples that
+    selection reads are gathered from the table's stats at construction.
+    :meth:`from_probs`, for reference records in tests, builds a fresh table
+    with one row per position."""
 
-    positions: np.ndarray
+    positions: tuple[int, ...]
     table: RowTable
-    row: np.ndarray
-    confidence: np.ndarray = field(init=False, repr=False)
-    entropy: np.ndarray = field(init=False, repr=False)
+    row: tuple[int, ...]
+    confidence: tuple[float, ...] = field(init=False, repr=False)
+    entropy: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.int64).view()
-        pos.flags.writeable = False  # the caller's own array stays writeable
-        object.__setattr__(self, "positions", pos)
-        table, row = self.table, self.row
-        if not (isinstance(row, np.ndarray) and row.dtype == np.int64
-                and row.ndim == 1 and not row.flags.writeable):
-            raise ValueError("row must be a read-only int64 vector")
-        if pos.size < 1 or pos.shape != row.shape:
-            raise ValueError("need [M] positions and an [M] row index, M >= 1")
-        ids = row.tolist()
-        if min(ids) < 0 or max(ids) >= table.size:
+        table = self.table
+        pos, row = tuple(map(operator.index, self.positions)), tuple(map(operator.index, self.row))
+        if not pos or len(pos) != len(row):
+            raise ValueError("need M positions and M row ids, M >= 1")
+        if min(row) < 0 or max(row) >= table.size:
             raise ValueError(f"row values must lie in [0, {table.size})")
-        if (pos[1:] <= pos[:-1]).any():
+        if not all(map(operator.lt, pos, pos[1:])):
             raise ValueError("positions must be strictly ascending")
-        conf, ent = table._confidence[row], table._entropy[row]
-        conf.flags.writeable = ent.flags.writeable = False
-        object.__setattr__(self, "confidence", conf)
-        object.__setattr__(self, "entropy", ent)
+        conf, ent = table.confidence, table.entropy
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "confidence", tuple([conf[r] for r in row]))
+        object.__setattr__(self, "entropy", tuple([ent[r] for r in row]))
 
     @classmethod
     def of(cls, positions, table: RowTable, ids) -> "PositionPrediction":
         """The record whose position ``i`` reads row ``ids[i]`` of ``table``."""
-        row = np.array(ids, dtype=np.int64)
-        row.flags.writeable = False
-        return cls(positions, table, row)
+        return cls(positions, table, ids)
 
     @classmethod
     def from_probs(cls, positions, probs) -> "PositionPrediction":

@@ -75,8 +75,8 @@ def predict(denoiser: Denoiser, context: Sequence[int], block: Sequence[int]) ->
     preds = denoiser.predict(context, block)
     if not isinstance(preds, PositionPrediction):
         raise ContractViolation(f"backend returned {type(preds).__name__}, not PositionPrediction")
-    if preds.positions.tolist() != masked:
-        raise ContractViolation(f"backend covered positions {preds.positions.tolist()}, expected {masked}")
+    if list(preds.positions) != masked:
+        raise ContractViolation(f"backend covered positions {list(preds.positions)}, expected {masked}")
     if preds.table.width != vocab.total_ids:
         raise ContractViolation(f"rows have width {preds.table.width}, expected {vocab.total_ids}")
     return preds
@@ -120,22 +120,24 @@ class MarkovDenoiser:
 
     Each distinct context's row is built and checked once, into the
     backend's :class:`~blockdec.core.RowTable` under the context as its key;
-    every record indexes that table.
+    every record indexes that table. The backend owns ``counts``
+    (``{context: {next: count}}``): it keeps the given dict, not a copy.
     """
 
     def __init__(self, order: int, smoothing: float, vocab: Vocab,
                  counts: dict[tuple[int, ...], dict[int, int]]):
         if order < 1:
             raise ValueError("order must be at least 1")
-        if not (np.isfinite(smoothing) and smoothing >= 0.0):
-            raise ValueError("smoothing must be finite and nonnegative")
         if () not in counts or not counts[()]:
             raise ValueError("counts must include a nonempty unigram table")
+        totals = {ctx: sum(table.values()) for ctx, table in counts.items()}
+        if not (smoothing >= 0.0 and np.isfinite(max(totals.values()) + smoothing * vocab.size)):
+            raise ValueError(f"smoothing {smoothing!r} must be nonnegative, and total + smoothing * size finite")
         self.order = order
         self.smoothing = smoothing
         self.vocab = vocab
-        self._counts = {ctx: dict(table) for ctx, table in counts.items()}
-        self._totals = {ctx: sum(table.values()) for ctx, table in self._counts.items()}
+        self._counts = counts
+        self._totals = totals
         self._table: RowTable | None = None
 
     def distribution(self, ctx: tuple[int, ...]) -> np.ndarray:
@@ -223,7 +225,7 @@ def markov_fit(corpus: Sequence[int], order: int, smoothing: float,
         views = [islice(corpus, j, None) for j in range(length + 1)]
         for window, cnt in Counter(zip(*views)).items():
             counts.setdefault(window[:-1], {})[window[-1]] = cnt
-    del corpus, views  # freed before the backend copies the counts
+    del corpus, views  # freed before the backend builds its totals
     return MarkovDenoiser(order, smoothing, vocab, counts)
 
 

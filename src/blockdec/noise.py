@@ -112,7 +112,7 @@ def nelbo_estimate(
                 context = full[: len(prompt) + k * block_size]
                 preds = predict(denoiser, context, noised)
                 probs = preds.table.probs
-                for r, i in zip(preds.row.tolist(), masked):
+                for r, i in zip(preds.row, masked):
                     total += -float(np.log(probs[r, truth[i]]))
             estimates.append(total / t)
     return float(np.mean(estimates))

@@ -6,8 +6,9 @@ temperature zero, temperature-scaled sampling otherwise). Selection is
 confidence based; the threshold family shares an argmax fallback so that
 every step commits at least one position and a block of size B finishes
 in at most B passes. The rules read the per-position confidence and
-entropy vectors of one prediction record per pass; positions ascend, so
-stable sorts and ``argmax`` break ties toward the lower position.
+entropy tuples of one prediction record per pass with list operations;
+positions ascend, so stable sorts and ``max`` over the indices break ties
+toward the lower position.
 """
 
 from __future__ import annotations
@@ -76,15 +77,16 @@ class BacdState:
 
 
 # A rule's pick: ascending record indices, the threshold used (or None), fallback fired.
-Selection = tuple[np.ndarray, float | None, bool]
+Selection = tuple[list[int], float | None, bool]
 
 
-def _thresholded(preds: PositionPrediction, tau: float) -> tuple[np.ndarray, bool]:
+def _thresholded(preds: PositionPrediction, tau: float) -> tuple[list[int], bool]:
     # Indices strictly above tau, else the argmax one (lowest position on ties).
-    idx = np.flatnonzero(preds.confidence > tau)
-    if len(idx):
+    conf = preds.confidence
+    idx = [i for i, c in enumerate(conf) if c > tau]
+    if idx:
         return idx, False
-    return preds.confidence.argmax(keepdims=True), True
+    return [max(range(len(conf)), key=conf.__getitem__)], True
 
 
 def select_static(preds: PositionPrediction, n: int) -> Selection:
@@ -92,7 +94,8 @@ def select_static(preds: PositionPrediction, n: int) -> Selection:
     remain). Confidence ties break toward the lower position."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return np.sort(np.argsort(-preds.confidence, kind="stable")[:n]), None, False
+    conf = preds.confidence
+    return sorted(sorted(range(len(conf)), key=conf.__getitem__, reverse=True)[:n]), None, False
 
 
 def select_dynamic(preds: PositionPrediction, tau: float) -> Selection:
@@ -113,8 +116,8 @@ def select_bacd(preds: PositionPrediction, state: BacdState) -> Selection:
     ``state`` in ascending position order."""
     tau_t = state.threshold()
     idx, fallback = _thresholded(preds, tau_t)
-    for c in preds.confidence[idx].tolist():
-        state.total += c
+    for i in idx:
+        state.total += preds.confidence[i]
     state.count += len(idx)
     return idx, tau_t, fallback
 
@@ -129,7 +132,7 @@ def entropy_prefix_length(sorted_entropies: Sequence[float], gamma: float) -> in
     one ulp above an exactly attainable budget. A singleton prefix always
     qualifies.
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:  # NaN fails too
         raise ValueError("gamma must be nonnegative")
     taken = 0
     total = 0.0
@@ -138,7 +141,7 @@ def entropy_prefix_length(sorted_entropies: Sequence[float], gamma: float) -> in
             break
         taken += 1
         total += h
-    return max(taken, 1) if sorted_entropies else 0
+    return max(taken, 1) if len(sorted_entropies) else 0
 
 
 def select_entropy_bounded(preds: PositionPrediction, gamma: float) -> Selection:
@@ -149,9 +152,10 @@ def select_entropy_bounded(preds: PositionPrediction, gamma: float) -> Selection
     minus its maximum stays within gamma. The singleton prefix always
     qualifies, so there is no fallback path.
     """
-    ranked = np.argsort(preds.entropy, kind="stable")
-    m = entropy_prefix_length(preds.entropy[ranked].tolist(), gamma)
-    return np.sort(ranked[:m]), None, False
+    ent = preds.entropy
+    ranked = sorted(range(len(ent)), key=ent.__getitem__)
+    m = entropy_prefix_length([ent[i] for i in ranked], gamma)
+    return sorted(ranked[:m]), None, False
 
 
 def _tempered(probs: np.ndarray, temperature: float, log_max: float | None) -> np.ndarray:
@@ -187,7 +191,7 @@ def _chunk_index(probs: np.ndarray, temperature: float) -> tuple:
     return log_max, total, last, np.concatenate(([0.0], raw_ends)), raw_ends / last
 
 
-def _realize(preds: PositionPrediction, idx: np.ndarray, temperature: float,
+def _realize(preds: PositionPrediction, idx: list[int], temperature: float,
              rng: np.random.Generator) -> list[int]:
     """Tokens for the record's positions at indices ``idx`` (ascending).
 
@@ -200,21 +204,22 @@ def _realize(preds: PositionPrediction, idx: np.ndarray, temperature: float,
     its start, so every compared value has the bits of the full CDF. The
     committed confidence stays untempered. At T != 1 the floating-point
     state is set once per call, not once per draw."""
-    rows = preds.row[idx]
+    rows = [preds.row[i] for i in idx]
     if temperature == 0.0:
-        return preds.table.argmax[rows].tolist()
+        argmax = preds.table.argmax
+        return [argmax[r] for r in rows]
     if temperature == 1.0:
         return _draws(preds.table, rows, temperature, rng)
     with np.errstate(**QUIET):
         return _draws(preds.table, rows, temperature, rng)
 
 
-def _draws(table, rows: np.ndarray, temperature: float, rng: np.random.Generator) -> list[int]:
+def _draws(table, rows: list[int], temperature: float, rng: np.random.Generator) -> list[int]:
     # The sampled tokens of :func:`_realize`: one uniform per row, in order.
     probs = table.probs
     index = table.cdf_index.setdefault(temperature, {})
     tokens = []
-    for r, u in zip(rows.tolist(), rng.random(len(rows)).tolist()):
+    for r, u in zip(rows, rng.random(len(rows)).tolist()):
         if r not in index:
             index[r] = _chunk_index(probs[r], temperature)
         log_max, total, last, starts, ends = index[r]
@@ -272,7 +277,7 @@ def decode_block(
         else:
             idx, threshold_used, fallback_fired = select_entropy_bounded(preds, cfg.gamma)
 
-        chosen = preds.positions[idx].tolist()
+        chosen = [preds.positions[i] for i in idx]
         for pos, tok in zip(chosen, _realize(preds, idx, cfg.temperature, rng)):
             block[pos] = tok
         records.append(
@@ -281,7 +286,7 @@ def decode_block(
                 step_index=len(records),
                 threshold_used=threshold_used,
                 unmasked_positions=tuple(chosen),
-                confidences=tuple(preds.confidence[idx].tolist()),
+                confidences=tuple([preds.confidence[i] for i in idx]),
                 fallback_fired=fallback_fired,
             )
         )

@@ -63,8 +63,9 @@ def shared_record(positions, rows, row) -> PositionPrediction:
 
 
 def position_probs(preds: PositionPrediction) -> np.ndarray:
-    """The [M, V] matrix of a record: row ``i`` is position ``i``'s row."""
-    return preds.table.probs[preds.row]
+    """The [M, V] matrix of a record: row ``i`` is position ``i``'s row. The
+    ids go in as a list: numpy reads a tuple as one index per axis."""
+    return preds.table.probs[list(preds.row)]
 
 
 def spike_conf_for_entropy(vocab: Vocab, target: float) -> float:

@@ -143,6 +143,7 @@ MALFORMED = {
     "markov_order_0": markov_spec(order=0),
     "markov_order_string": markov_spec(order="2"),
     "markov_smoothing_negative": markov_spec(smoothing=-1),
+    "markov_smoothing_overflows": markov_spec(smoothing=1e308),  # smoothing * size is inf
     "markov_tokenization_bytes": markov_spec(tokenization="bytes"),
     "scripted_without_fixture": {"denoiser": {"kind": "scripted", "vocab_size": 6},
                                  "task": ORACLE_TASK},
@@ -202,6 +203,7 @@ MALFORMED_MODELS = {
     "bool_smoothing": {"smoothing": True},
     "string_smoothing": {"smoothing": "0.5"},
     "missing_smoothing": {"smoothing": None},
+    "overflowing_smoothing": {"smoothing": 1e308},  # 2 + 1e308 * 4 is inf
     # keys that int() reads but save_markov never writes ("0" and "00" would
     # merge into one count), and a context longer than the order
     **{f"token_key_{key!r}": {"counts": {"": {"0": 1, key: 5}}} for key in ("00", " 1", "+1")},
@@ -452,7 +454,8 @@ class TestFitMarkov:
         # the widest id, then the unigram's argmax 1 (300000 has no successor), then 1 <-> 4
         assert generate(model, (5,), cfg).output_tokens == (300000, 1, 4, 1, 4, 1)
 
-    @pytest.mark.parametrize("argv", [["--order", "0"], ["--smoothing", "-1"], ["--smoothing", "nan"]])
+    @pytest.mark.parametrize("argv", [["--order", "0"], ["--smoothing", "-1"], ["--smoothing", "nan"],
+                                      ["--smoothing", "1e308"]])
     def test_bad_order_or_smoothing_is_config_error(self, tmp_path, capsys, argv):
         corpus = tmp_path / "c.txt"
         corpus.write_text("abcabc")
@@ -460,6 +463,7 @@ class TestFitMarkov:
                                "--out", str(tmp_path / "m.json"), *argv)
         assert code == 1
         assert err.startswith("error:")
+        assert not (tmp_path / "m.json").exists()
 
     def test_a_token_past_int64_is_config_error(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

@@ -73,7 +73,7 @@ class TestBlockState:
     def test_fully_masked(self):
         seen, block, _ = self.decode(4)
         assert seen[0] == [9, 9, 9, 9]
-        assert predict(self.oracle(), [], seen[0]).positions.tolist() == [0, 1, 2, 3]
+        assert predict(self.oracle(), [], seen[0]).positions == (0, 1, 2, 3)
         assert block == list(self.TARGET[:4])
 
     def test_assign_clears_flag(self):
@@ -83,7 +83,7 @@ class TestBlockState:
         want = [9, 9, 9]
         want[pos] = block[pos]
         assert seen[1] == want
-        assert predict(self.oracle(), [], [9, 4, 9]).positions.tolist() == [0, 2]
+        assert predict(self.oracle(), [], [9, 4, 9]).positions == (0, 2)
 
     def test_assign_twice_rejected(self):
         class Stale:
@@ -150,13 +150,13 @@ class TestPositionPrediction:
         probs[2] = 1.0
         p = PositionPrediction.from_probs([0], [probs])
         assert int(np.argmax(p.table.probs[0])) == 2
-        assert p.confidence.tolist() == [1.0]
-        assert p.entropy.tolist() == [0.0]
+        assert p.confidence == (1.0,)
+        assert p.entropy == (0.0,)
 
     def test_from_probs_uniform_entropy(self):
         p = PositionPrediction.from_probs([1, 3], [wide(0.5, 0.5, width=7), wide(*[0.25] * 4, width=7)])
-        assert p.positions.tolist() == [1, 3]
-        assert p.confidence.tolist() == [0.5, 0.25]
+        assert p.positions == (1, 3)
+        assert p.confidence == (0.5, 0.25)
         assert abs(p.entropy[0] - math.log(2)) < 1e-12
         assert abs(p.entropy[1] - math.log(4)) < 1e-12
 
@@ -164,8 +164,8 @@ class TestPositionPrediction:
         rows = np.zeros((5, 7))  # Vocab(4): ordinary ids 0-3 and eos 5 carry mass
         rows[:, [0, 1, 2, 3, 5]] = np.random.default_rng(0).dirichlet(np.full(5, 0.3), size=5)
         p = PositionPrediction.from_probs(range(5), rows)
-        assert p.confidence.tolist() == rows.max(axis=1).tolist()
-        assert p.entropy.tolist() == [entropy_of(row) for row in rows]
+        assert p.confidence == tuple(rows.max(axis=1).tolist())
+        assert p.entropy == tuple(entropy_of(row) for row in rows)
 
     def test_fields_are_read_only(self):
         rows = np.array([GOOD_ROW])
@@ -226,9 +226,9 @@ class TestRowTable:
         assert [table.add(r) for r in rows] == [0, 1]
         assert table.size == 2 and table.capacity == 3 and table.width == 6
         assert table.probs.tolist() == rows
-        assert table.confidence.tolist() == [0.4, 0.5]
-        assert table.entropy.tolist() == [entropy_of(r) for r in rows]
-        assert table.argmax.tolist() == [1, 0]  # ties go to the lower id, as np.argmax
+        assert table.confidence == [0.4, 0.5]
+        assert table.entropy == [entropy_of(r) for r in rows]
+        assert table.argmax == [1, 0]  # ties go to the lower id, as np.argmax
 
     @pytest.mark.parametrize("special", [2, 4])  # Vocab(2): mask 2, pad 4
     def test_mass_on_mask_or_pad_rejected(self, special):
@@ -277,11 +277,14 @@ class TestRowTable:
         table = RowTable(2, Vocab(2))
         table.add(row)
         row[0] = 0.0  # add copied it
-        for view in (table.probs, table.confidence, table.entropy, table.argmax):
-            assert len(view) == 1
-            with pytest.raises(ValueError, match="read-only"):
-                view[0] = 0
+        for stats in (table.probs, table.confidence, table.entropy, table.argmax):
+            assert len(stats) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            table.probs[0] = 0
         assert table.probs.tolist() == [GOOD_ROW]
+        # the stats are Python numbers derived from the copy, not views of the input
+        assert (table.confidence, table.entropy, table.argmax) == ([0.7], [entropy_of(GOOD_ROW)], [0])
+        assert type(table.confidence[0]) is float and type(table.argmax[0]) is int
 
     def test_full_table_and_refused_rows_append_nothing(self):
         table = RowTable(1, Vocab(2))
@@ -306,31 +309,38 @@ class TestSharedRows:
     def test_per_position_stats_are_one_gather(self):
         p = self.shared(index([1, 0, 1, 1]))
         assert p.table.probs.shape == (2, 5)
-        assert p.confidence.tolist() == [0.6, 0.7, 0.6, 0.6]
-        assert p.entropy.tolist() == [entropy_of(self.ROWS[r]) for r in (1, 0, 1, 1)]
-        assert p.table.confidence.tolist() == [0.7, 0.6]
+        assert p.confidence == (0.6, 0.7, 0.6, 0.6)
+        assert p.entropy == tuple(entropy_of(self.ROWS[r]) for r in (1, 0, 1, 1))
+        assert p.table.confidence == [0.7, 0.6]
         for arr in (p.confidence, p.entropy, p.row):
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 arr[0] = 0
 
     def test_from_probs_index_is_the_identity(self):
         p = PositionPrediction.from_probs([4, 9], self.ROWS)
-        assert p.row.tolist() == [0, 1] and not p.row.flags.writeable
+        assert p.row == (0, 1) and isinstance(p.row, tuple)
         assert p.table.size == p.table.capacity == 2
-        assert p.confidence.tolist() == p.table.confidence.tolist()
+        assert list(p.confidence) == p.table.confidence
 
     @pytest.mark.parametrize("values", [[0, 1, 2, 1], [0, -1, 1, 1], [0, 1, 1], [0, 1, 1, 0, 1]])
     def test_out_of_range_negative_or_wrong_length_index_rejected(self, values):
         with pytest.raises(ValueError, match="row"):
             self.shared(index(values))
 
-    def test_writable_or_untyped_index_rejected(self):
-        with pytest.raises(ValueError, match="read-only int64"):
-            self.shared(np.array([0, 1, 1, 0], dtype=np.int64))
-        with pytest.raises(ValueError, match="read-only int64"):
-            self.shared([0, 1, 1, 0])
-        with pytest.raises(ValueError, match="read-only int64"):
+    def test_untyped_index_rejected_and_writable_index_copied(self):
+        with pytest.raises(TypeError, match="integer"):
             self.shared(index([0.0, 1.0, 1.0, 0.0]).astype(np.float64))
+        with pytest.raises(TypeError, match="integer"):
+            self.shared([0, 1, 1.0, 0])
+        with pytest.raises(TypeError, match="integer"):
+            self.shared(index([0, 1, 1, 0]), positions=(0.0, 2, 3, 5))
+        # the record holds tuples of its own: writes to the caller's arrays do not reach it
+        row, pos = np.array([0, 1, 1, 0], dtype=np.int64), np.array([0, 2, 3, 5])
+        p = self.shared(row, positions=pos)
+        row[0], pos[0] = 1, 1
+        assert p.row == (0, 1, 1, 0) and p.positions == (0, 2, 3, 5)
+        assert p.confidence == (0.7, 0.6, 0.6, 0.7)
+        assert {type(x) for x in p.row + p.positions} == {int}
 
     def test_checks_run_on_every_row(self):
         # the bad row is the last one; every row is checked as it enters

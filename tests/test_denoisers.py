@@ -128,6 +128,22 @@ class TestMarkovFit:
         with pytest.raises(ValueError, match=message):
             markov_fit(corpus, order=order, smoothing=0.1, vocab=vocab)
 
+    def test_a_smoothing_that_overflows_a_denominator_is_refused(self):
+        counts = {(): {0: 3, 1: 1}, (0,): {1: 2}}
+        # 4 + 1e308 * 4 is inf: every row would have read 0 / inf
+        with pytest.raises(ValueError, match="smoothing 1e\\+308 must be nonnegative, and total"):
+            MarkovDenoiser(1, 1e308, Vocab(4), counts)
+        # the largest finite denominator still gives checked rows: near-uniform ones
+        den = MarkovDenoiser(1, 1e307, Vocab(4), counts)
+        probs = position_probs(predict(den, [0], masked_block(2, den.vocab)))
+        assert np.allclose(probs[:, :4], 0.25, rtol=0.0, atol=1e-12)
+
+    def test_the_backend_keeps_the_counts_it_is_given(self):
+        counts = {(): {0: 3, 1: 1}, (0,): {1: 2}}
+        den = MarkovDenoiser(1, 0.1, Vocab(4), counts)
+        assert den._counts is counts
+        assert den._totals == {(): 4, (0,): 2}
+
     @pytest.mark.parametrize("counts", [{(0,): {1: 2}}, {(): {}, (0,): {1: 2}}])
     def test_rejects_counts_without_a_unigram_table(self, counts):
         with pytest.raises(ValueError, match="nonempty unigram table"):
@@ -158,7 +174,7 @@ class TestMarkovConditioning:
         # positions 1 and 2 have a masked neighbour; the nearest clean token
         # is still the context tail, so all three share one row
         assert np.array_equal(probs[1], den.distribution((0,)))
-        assert len(set(preds.row.tolist())) == 1 and preds.table.size == 1
+        assert len(set(preds.row)) == 1 and preds.table.size == 1
 
     def test_empty_context_uses_unigram(self):
         den = markov_fit([0, 1, 0, 0], order=1, smoothing=0.1)
@@ -232,7 +248,7 @@ class TestOracle:
                                  prompt_len=1)
             block = masked_block(8, vocab)
             preds = den.predict([target[0] if target[0] < size else 0], block)
-            confs = preds.confidence.tolist()
+            confs = preds.confidence
             assert all(a >= b - 1e-15 for a, b in zip(confs, confs[1:]))
 
     def test_positions_beyond_target_predict_eos(self):
@@ -272,7 +288,7 @@ class TestScripted:
         den = ScriptedDenoiser(vocab=vocab, script=script)
         preds = den.predict([1, 1], masked_block(4, vocab))
         assert position_probs(preds).argmax(axis=1).tolist() == [0, 1, 2, 3]
-        assert np.all(np.abs(preds.confidence - 0.7) < 1e-12)
+        assert all(abs(c - 0.7) < 1e-12 for c in preds.confidence)
 
     def test_step_counter_advances_on_partial_blocks(self):
         vocab = Vocab(8)
@@ -285,7 +301,7 @@ class TestScripted:
         den.predict([], block)            # step 0 on the fresh block
         block[0] = 5
         preds = den.predict([], block)    # same block, one slot filled: step 1
-        assert preds.positions.tolist() == [1]
+        assert preds.positions == (1,)
         assert int(np.argmax(position_probs(preds)[0])) == 4
         assert abs(preds.confidence[0] - 0.8) < 1e-12
 
@@ -471,7 +487,7 @@ class TestPredictWrapper:
     def test_passes_well_formed_predictions(self):
         vocab = Vocab(4)
         preds = predict(UniformDenoiser(vocab), [0], masked_block(3, vocab))
-        assert preds.positions.tolist() == [0, 1, 2]
+        assert preds.positions == (0, 1, 2)
 
 
 V4 = Vocab(4)
@@ -537,7 +553,7 @@ class CheckedTables:
         preds = self.model.predict(context, block)
         table = preds.table
         assert table is self.model._table
-        assert 0 <= preds.row.min() and preds.row.max() < table.size <= table.capacity
+        assert 0 <= min(preds.row) and max(preds.row) < table.size <= table.capacity
         if table is not self.table:
             need = len(block) if isinstance(self.model, MarkovDenoiser) else len(preds.positions)
             assert table.capacity == max(denoisers.ROW_TABLE_BYTES // (8 * self.vocab.total_ids), need)
@@ -615,7 +631,7 @@ class TestContractFuzz:
             ]
             block = tokens
             preds = predict(den, context, block)
-            assert preds.positions.tolist() == masked_of(block, vocab)
+            assert list(preds.positions) == masked_of(block, vocab)
             for probs, conf, ent in zip(position_probs(preds), preds.confidence, preds.entropy):
                 assert probs.shape == (vocab.total_ids,)
                 assert abs(float(probs.sum()) - 1.0) <= 1e-9
@@ -630,4 +646,4 @@ class TestContractFuzz:
         a = predict(den, [0, 1], block)
         b = predict(den, [0, 1], block)
         assert np.array_equal(position_probs(a), position_probs(b))
-        assert a.table is b.table and a.row.tolist() == b.row.tolist()
+        assert a.table is b.table and a.row == b.row

@@ -261,6 +261,24 @@ class TestRunExperiment:
         second = {p.name: p.read_bytes() for p in run_experiment(cfg)}
         assert first == second
 
+    def test_a_backend_handing_numpy_integers_writes_the_same_steps(self, tmp_path, monkeypatch):
+        # json.dumps refuses np.int64: the record stores the ids as Python ints
+        grid = [{"algorithm": "dynamic", "tau": 0.9, "block_size": 4, "max_new_tokens": 12},
+                {"algorithm": "bacd", "tau_h": 0.9, "tau_l": 0.5, "block_size": 4,
+                 "max_new_tokens": 12, "temperature": 1.0}]
+        cfg = load_experiment(write_experiment(tmp_path, grid=grid))
+        want = {p.name: p.read_bytes() for p in run_experiment(cfg)}
+        predict = denoisers.MarkovDenoiser.predict
+
+        def numpy_ids(self, context, block):
+            preds = predict(self, context, block)
+            return denoisers.PositionPrediction.of(np.array(preds.positions), preds.table, np.array(preds.row))
+
+        monkeypatch.setattr(denoisers.MarkovDenoiser, "predict", numpy_ids)
+        got = {p.name: p.read_bytes() for p in run_experiment(cfg)}
+        assert got["t_steps.jsonl"] == want["t_steps.jsonl"]
+        assert got == want
+
     def test_tpf_recomputes_from_step_log(self, tmp_path):
         cfg = load_experiment(write_experiment(tmp_path))
         paths = {p.name: p for p in run_experiment(cfg)}

@@ -8,9 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockdec import denoisers, sampling
-from blockdec.core import DecodingConfig, RowTable, Vocab
+from blockdec.core import DecodingConfig, PositionPrediction, RowTable, Vocab
 from blockdec.denoisers import ROW_TABLE_BYTES, OracleDenoiser, _with_room
 from blockdec.noise import nelbo_estimate
 from blockdec.scheduler import generate
@@ -37,16 +39,42 @@ def test_a_backend_decodes_and_scores_as_fresh_tables_do(kind, temperature):
             assert np.float64(score[0]).tobytes() == np.float64(score[1]).tobytes()
 
 
+FOUR_RULES = [dict(algorithm="static", steps=3), dict(algorithm="dynamic", tau=0.6),
+              dict(algorithm="bacd", tau_h=0.9, tau_l=0.5), dict(algorithm="entropy_bounded", gamma=1.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BACKENDS), st.sampled_from(FOUR_RULES), st.sampled_from([0.0, 0.5, 1.0]),
+       st.lists(st.integers(0, 39), min_size=1, max_size=4), st.integers(1, 8), st.integers(0, 2**16))
+def test_a_record_reads_its_stats_from_its_table_as_python_numbers(kind, rule, temperature, prompt,
+                                                                   block_size, seed):
+    den = backend_maker(kind, Recorder)(prompt)
+    cfg = DecodingConfig(**rule, block_size=block_size, temperature=temperature, seed=seed, max_new_tokens=16)
+    generate(den, prompt, cfg)
+    assert den.records
+    for preds in den.records:
+        assert isinstance(preds, PositionPrediction)
+        fields = (preds.positions, preds.row, preds.confidence, preds.entropy)
+        assert all(type(f) is tuple and len(f) == len(preds.positions) for f in fields)
+        assert {type(x) for x in preds.positions + preds.row} == {int}
+        assert {type(x) for x in preds.confidence + preds.entropy} == {float}
+        table = preds.table
+        assert len(table.confidence) == len(table.entropy) == len(table.argmax) == table.size
+        for i, r in enumerate(preds.row):
+            assert preds.confidence[i] == table.confidence[r] == float(table.probs[r].max())
+            assert preds.entropy[i] == table.entropy[r]
+
+
 class Recorder:
-    """Keeps every record's table alive, so identity checks compare live tables."""
+    """Keeps every record a backend returns, and so its table alive: identity
+    checks compare live tables."""
 
     def __init__(self, inner):
-        self.inner, self.vocab, self.tables = inner, inner.vocab, []
+        self.inner, self.vocab, self.records = inner, inner.vocab, []
 
     def predict(self, context, block):
-        preds = self.inner.predict(context, block)
-        self.tables.append(preds.table)
-        return preds
+        self.records.append(self.inner.predict(context, block))
+        return self.records[-1]
 
 
 def test_a_multi_block_oracle_decode_shares_one_table_and_indexes_each_row_once(monkeypatch):
@@ -58,7 +86,7 @@ def test_a_multi_block_oracle_decode_shares_one_table_and_indexes_each_row_once(
         return build(probs, temperature)
 
     def recording_realize(preds, idx, temperature, rng):
-        draws.extend((temperature, r) for r in preds.row[idx].tolist())
+        draws.extend((temperature, preds.row[i]) for i in idx)
         return realize(preds, idx, temperature, rng)
 
     monkeypatch.setattr(sampling, "_chunk_index", counting_build)
@@ -67,8 +95,9 @@ def test_a_multi_block_oracle_decode_shares_one_table_and_indexes_each_row_once(
     result = generate(den, [], DecodingConfig(algorithm="dynamic", tau=0.5, block_size=4, temperature=1.0,
                                               max_new_tokens=24))
     assert max(r.block_index for r in result.steps) >= 2
-    assert len(den.tables) == result.forward_passes > 3
-    assert all(table is den.tables[0] for table in den.tables)
+    tables = [preds.table for preds in den.records]
+    assert len(tables) == result.forward_passes > 3
+    assert all(table is tables[0] for table in tables)
     assert len(builds) == len(set(draws)) < len(draws)
 
 

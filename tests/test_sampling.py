@@ -42,7 +42,7 @@ VOCAB = Vocab(10)
 
 def at(preds, idx):
     """The positions at record indices ``idx``, as a selection rule picks them."""
-    return tuple(preds.positions[idx].tolist())
+    return tuple(preds.positions[i] for i in idx)
 
 
 class TestStatic:
@@ -69,7 +69,7 @@ class TestStatic:
     def test_returns_ascending_record_indices(self):
         preds = preds_from_confs([(3, 0.5), (8, 0.9), (20, 0.7)])
         idx, _, _ = select_static(preds, 2)
-        assert idx.tolist() == [1, 2]
+        assert idx == [1, 2]
         assert at(preds, idx) == (8, 20)
 
 
@@ -188,7 +188,7 @@ class TestBacd:
                                tau_l=tau, tau_h=tau)
             got_idx, *got = select_bacd(preds, state)
             want_idx, *want = select_dynamic(preds, tau)
-            assert got_idx.tolist() == want_idx.tolist()
+            assert got_idx == want_idx
             assert got == want
 
 
@@ -221,6 +221,16 @@ class TestEntropyPrefix:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             entropy_prefix_length([0.1], -0.5)
+
+    def test_nan_gamma_rejected(self):
+        # NaN fails every comparison: a `gamma < 0` check let it commit all three
+        with pytest.raises(ValueError, match="nonnegative"):
+            entropy_prefix_length([0.1, 5.0, 9.0], float("nan"))
+
+    def test_an_ndarray_argument(self):
+        ent = np.array([0.1, 0.2, 0.4, 0.9])
+        assert entropy_prefix_length(ent, 0.5) == entropy_prefix_length(ent.tolist(), 0.5) == 3
+        assert entropy_prefix_length(np.array([]), 1.0) == 0
 
     def test_monotone_in_gamma(self):
         rng = np.random.default_rng(23)
@@ -263,7 +273,7 @@ class TestEntropyBoundedSelect:
             gamma = float(rng.uniform(0.0, 1.0))
             preds = self.entropy_preds(targets)
             idx, _, _ = select_entropy_bounded(preds, gamma)
-            order = sorted(zip(preds.entropy.tolist(), preds.positions.tolist()))
+            order = sorted(zip(preds.entropy, preds.positions))
             m = entropy_prefix_length([h for h, _ in order], gamma)
             assert set(at(preds, idx)) == {pos for _, pos in order[:m]}
 
@@ -543,7 +553,7 @@ class TestChunkIndex:
             return build(probs, temperature)
 
         def recording_realize(preds, idx, temperature, rng):
-            draws.extend((temperature, r) for r in preds.row[idx].tolist())
+            draws.extend((temperature, preds.row[i]) for i in idx)
             return realize(preds, idx, temperature, rng)
 
         monkeypatch.setattr(sampling, "_chunk_index", counting_build)
@@ -575,7 +585,7 @@ class TestChunkIndex:
         for pos in (0, 3, 6):
             block[pos] = pos
         preds = model.predict([5], block)
-        idx = np.arange(len(preds.positions))
+        idx = list(range(len(preds.positions)))
         sampling._realize(preds, idx, temperature, np.random.default_rng(0))  # builds the index
         errstate, opened = np.errstate, []
 

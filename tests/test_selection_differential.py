@@ -53,7 +53,7 @@ def records(draw):
 def outcome(preds, out):
     """A rule's selection with its record indices mapped to positions."""
     idx, threshold_used, fallback_fired = out
-    return tuple(preds.positions[idx].tolist()), threshold_used, fallback_fired
+    return tuple(preds.positions[i] for i in idx), threshold_used, fallback_fired
 
 
 @settings(max_examples=200, deadline=None)
@@ -65,7 +65,7 @@ def test_static_matches_reference(preds, n):
 @settings(max_examples=200, deadline=None)
 @given(records(), st.data())
 def test_dynamic_matches_reference(preds, data):
-    confs = preds.confidence.tolist()
+    confs = list(preds.confidence)
     # tau equal to a confidence (ties at the threshold) or anywhere in (0, 1]
     tau = data.draw(st.sampled_from(confs) | st.floats(0.01, 1.0))
     assert outcome(preds, select_dynamic(preds, tau)) == ref.select_dynamic(ref.rows_of(preds), tau)
@@ -74,7 +74,7 @@ def test_dynamic_matches_reference(preds, data):
 @settings(max_examples=200, deadline=None)
 @given(records(), st.data())
 def test_bacd_matches_reference(preds, data):
-    confs = preds.confidence.tolist()
+    confs = list(preds.confidence)
     value = st.sampled_from(confs) | st.floats(0.05, 1.0)
     tau_l, tau_h = sorted((data.draw(value), data.draw(value)))
     # empty history, a history whose mean is exactly a confidence, or a mixed one
@@ -91,7 +91,7 @@ def test_bacd_matches_reference(preds, data):
 @settings(max_examples=200, deadline=None)
 @given(records(), st.data())
 def test_entropy_bounded_matches_reference(preds, data):
-    ents = sorted(preds.entropy.tolist())
+    ents = sorted(preds.entropy)
     prefix_sums = [0.0]
     for h in ents:
         prefix_sums.append(prefix_sums[-1] + h)
