@@ -13,10 +13,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import Vocab, token_array, validate_config
+from .core import token_array, validate_config
 from .denoisers import ContractViolation, FixtureError, load_scripted
 from .experiment import (
     ConfigError,
+    checked_vocab,
     config_from_dict,
     ingest_corpus,
     lint_experiment,
@@ -33,9 +34,11 @@ _FLOAT_PARAMS = {"tau", "tau_h", "tau_l", "gamma", "temperature"}
 
 
 def _run(exp, output_dir) -> int:
+    written = run_experiment(exp, output_dir=output_dir)
+    # Linted after the run, so a run that fails writes only its error to stderr.
     for note in lint_experiment(exp):
         print(f"warning: {note}", file=sys.stderr)
-    for path in run_experiment(exp, output_dir=output_dir):
+    for path in written:
         print(path)
     return 0
 
@@ -89,9 +92,7 @@ def _cmd_replay(args) -> int:
     keys = ("algorithm", "block_size", "max_new_tokens", "temperature", "seed",
             "steps", "tau", "tau_h", "tau_l", "gamma")
     cfg = config_from_dict({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
-    if args.vocab_size < 2:
-        raise ConfigError("--vocab-size must be at least 2")
-    vocab = Vocab(args.vocab_size)
+    vocab = checked_vocab(args.vocab_size)
     try:
         prompt = tuple(token_array(int(t) for t in args.prompt.split(",") if t.strip()).tolist())
     except ValueError as exc:

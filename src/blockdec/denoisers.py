@@ -119,7 +119,8 @@ class MarkovDenoiser:
     stops at the length cap.
 
     Each distinct context's row is built and checked once, into the
-    backend's :class:`~blockdec.core.RowTable` under the context as its key;
+    backend's :class:`~blockdec.core.RowTable` under the context as its key,
+    and each context that backs off is keyed to the row it reached;
     every record indexes that table. The backend owns ``counts``
     (``{context: {next: count}}``): it keeps the given dict, not a copy.
     """
@@ -147,21 +148,27 @@ class MarkovDenoiser:
         return self._table.probs[row]
 
     def _entry(self, ctx: tuple[int, ...]) -> int:
-        # Back off to the longest suffix of ctx that has counts.
+        """Row of ``ctx``'s distribution in the current table. The first lookup
+        of a context backs off to the longest suffix with counts and keys the
+        row under both, so a later lookup of either is one ``dict.get``; the
+        aliases go with their table when ``_with_room`` starts a new one."""
+        ids = self._table.ids
+        row = ids.get(ctx)
+        if row is not None:
+            return row
         length = min(self.order, len(ctx))
         while ctx[len(ctx) - length:] not in self._counts:
             length -= 1
-        ctx = ctx[len(ctx) - length:]
-        row = self._table.ids.get(ctx)
-        if row is not None:
-            return row
-        size = self.vocab.size
-        vec = np.zeros(size)
-        for tok, cnt in self._counts[ctx].items():
-            vec[tok] = cnt
-        probs = np.zeros(self.vocab.total_ids)
-        probs[:size] = (vec + self.smoothing) / (self._totals[ctx] + self.smoothing * size)
-        row = self._table.ids[ctx] = self._table.add(probs)
+        key = ctx[len(ctx) - length:]
+        if key not in ids:
+            size = self.vocab.size
+            vec = np.zeros(size)
+            for tok, cnt in self._counts[key].items():
+                vec[tok] = cnt
+            probs = np.zeros(self.vocab.total_ids)
+            probs[:size] = (vec + self.smoothing) / (self._totals[key] + self.smoothing * size)
+            ids[key] = self._table.add(probs)
+        row = ids[ctx] = ids[key]
         return row
 
     def predict(self, context: Sequence[int], block: Sequence[int]) -> PositionPrediction:

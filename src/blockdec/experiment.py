@@ -33,7 +33,7 @@ from .core import (
     token_array,
     validate_config,
 )
-from .denoisers import MarkovDenoiser, OracleDenoiser, ScriptedDenoiser, load_scripted, markov_fit
+from .denoisers import ROW_TABLE_BYTES, MarkovDenoiser, OracleDenoiser, ScriptedDenoiser, load_scripted, markov_fit
 from .metrics import Category, RunSummary, aggregate, summarize
 from .scheduler import generate, generate_tccf
 
@@ -41,7 +41,9 @@ __all__ = [
     "ConfigError",
     "Corpus",
     "ExperimentConfig",
+    "MAX_VOCAB_SIZE",
     "Tokenization",
+    "checked_vocab",
     "config_from_dict",
     "ingest_corpus",
     "load_experiment",
@@ -64,6 +66,23 @@ AGGREGATE_COLUMNS = [
 
 class ConfigError(ValueError):
     """An experiment file, corpus, or decoding config is unusable."""
+
+
+# The widest vocab whose one float64 row over all its ids fits a row table's bytes.
+MAX_VOCAB_SIZE = ROW_TABLE_BYTES // 8 - 3
+
+
+def checked_vocab(size: int) -> Vocab:
+    """``Vocab(size)`` for a size read from a file or a flag: a size below 2 or
+    above :data:`MAX_VOCAB_SIZE` is a :class:`ConfigError`, refused before any
+    run asks a row table for rows it cannot hold."""
+    if size > MAX_VOCAB_SIZE:
+        raise ConfigError(f"vocab_size {size} is too large: one row of it exceeds "
+                          f"the {ROW_TABLE_BYTES}-byte row table (at most {MAX_VOCAB_SIZE})")
+    try:
+        return Vocab(size)
+    except ValueError as exc:
+        raise ConfigError(f"vocab_size {size}: {exc}") from None
 
 
 class Tokenization(str, Enum):
@@ -121,7 +140,11 @@ def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
             tokens.append(value)
     if not tokens:
         raise ConfigError(f"corpus {path} is empty")
-    return Corpus(tuple(tokens), Vocab(max(2, max(tokens) + 1)))
+    top = max(tokens)
+    if top >= MAX_VOCAB_SIZE:
+        raise ConfigError(f"corpus token {top} outside the ordinary range [0, {MAX_VOCAB_SIZE}) "
+                          f"of the widest vocab (corpus {path})")
+    return Corpus(tuple(tokens), Vocab(max(2, top + 1)))
 
 
 def _new_file(path):
@@ -182,7 +205,7 @@ def load_markov(path) -> MarkovDenoiser:
                 raise ValueError(f"context {key!r}: counts must be nonempty, tokens in [0, {vocab_size})")
             if any(type(c) is not int or c < 1 for c in counts[ctx].values()):  # a bool is not an int here
                 raise ValueError(f"context {key!r}: every count must be an integer >= 1")
-        return MarkovDenoiser(order=order, smoothing=smoothing, vocab=Vocab(vocab_size), counts=counts)
+        return MarkovDenoiser(order=order, smoothing=smoothing, vocab=checked_vocab(vocab_size), counts=counts)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad markov model {path}: {exc!r}") from None
 
@@ -342,13 +365,13 @@ class _DenoiserFactory:
             elif kind == "markov_model":
                 self._shared = load_markov(root / field("path", str))
             elif kind == "oracle":
-                self.vocab = Vocab(field("vocab_size", int))
+                self.vocab = checked_vocab(field("vocab_size", int))
                 self.target = _tokens(field("target", list), "denoiser.target")
                 self.base_confidence = field("base_confidence", float, 0.9)
                 self.decay = field("decay", float, 0.9)
                 self.for_run(())  # one up front, so bad fields fail before any run
             else:
-                self.vocab = Vocab(field("vocab_size", int))
+                self.vocab = checked_vocab(field("vocab_size", int))
                 self.script = load_scripted(root / field("fixture", str), self.vocab).script  # parsed once
         except ValueError as exc:  # a ConfigError, or a backend constructor rejecting a field
             raise ConfigError(f"bad {kind} denoiser: {exc}") from None
@@ -423,6 +446,35 @@ def _config_cells(cfg: DecodingConfig) -> dict[str, str]:
     return cells
 
 
+def _json_number(value) -> str:
+    """``value`` as ``json.dumps`` writes a finite number or ``None``."""
+    if value is None:
+        return "null"
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+
+
+def _step_lines(grid_index: int, trial: int, prompt_index: int, steps) -> list[str]:
+    """The ``steps.jsonl`` lines of one run, each ending in ``"\\n"``.
+
+    A line is what ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
+    writes for a record of the run's ``grid_index``, ``prompt_index``,
+    ``run_id`` and ``trial`` and the step's own fields: ints by
+    ``int.__repr__``, floats by ``float.__repr__``, ``null`` for no threshold
+    and ``true``/``false`` for the fallback flag. The run's fields are
+    formatted once; each step fills in only its own, in sorted key order.
+    """
+    run = (f',"grid_index":{grid_index},"prompt_index":{prompt_index}'
+           f',"run_id":"g{grid_index}-t{trial}-p{prompt_index}","step_index":')
+    tail = f',"trial":{trial},"unmasked_positions":['
+    return [
+        f'{{"block_index":{rec.block_index},"confidences":[{",".join(map(float.__repr__, rec.confidences))}]'
+        f',"fallback_fired":{"true" if rec.fallback_fired else "false"}{run}{rec.step_index}'
+        f',"threshold_used":{_json_number(rec.threshold_used)}{tail}'
+        f'{",".join(map(int.__repr__, rec.unmasked_positions))}]}}\n'
+        for rec in steps
+    ]
+
+
 def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
     """Execute the grid and write summary/aggregate/step files.
 
@@ -443,6 +495,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
     summary_rows: list[dict[str, str]] = []
     step_lines: list[str] = []
     cells: dict[int, list[RunSummary]] = {}
+    config_cells = [_config_cells(grid_cfg) for grid_cfg in cfg.grid]
     for gi, grid_cfg in enumerate(cfg.grid):
         runner = generate_tccf if grid_cfg.tccf is not None else generate
         cells[gi] = []
@@ -454,21 +507,15 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
                 cells[gi].append(summary)
                 summary_rows.append(dict(
                     grid_index=str(gi), trial=str(trial), prompt_index=str(prompt_index), seed=str(seed),
-                    **_config_cells(grid_cfg),
+                    **config_cells[gi],
                     tpf=repr(summary.tpf), mean_confidence=repr(summary.mean_confidence),
                     category=summary.category.value, output_len=str(summary.output_len),
                     forward_passes=str(result.forward_passes), stop_reason=result.stop_reason.value,
                 ))
-                for rec in result.steps:
-                    step_lines.append(json.dumps(dict(
-                        run_id=f"g{gi}-t{trial}-p{prompt_index}", grid_index=gi, trial=trial,
-                        prompt_index=prompt_index, block_index=rec.block_index, step_index=rec.step_index,
-                        threshold_used=rec.threshold_used, unmasked_positions=list(rec.unmasked_positions),
-                        confidences=list(rec.confidences), fallback_fired=rec.fallback_fired,
-                    ), sort_keys=True, separators=(",", ":")))
+                step_lines += _step_lines(gi, trial, prompt_index, result.steps)
 
     aggregate_rows = [
-        dict(grid_index=str(row.key), **_config_cells(cfg.grid[row.key]), runs=str(row.runs),
+        dict(grid_index=str(row.key), **config_cells[row.key], runs=str(row.runs),
              mean_tpf=repr(row.mean_tpf), mean_confidence=repr(row.mean_confidence),
              **{f"freq_{cat.value}": repr(row.frequencies.get(cat, 0.0)) for cat in Category})
         for row in aggregate(cells)
@@ -493,7 +540,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
                 writer.writerows(rows)
         with _new_file(written[2]) as fh:
             created.append(written[2])
-            fh.writelines(line + "\n" for line in step_lines)
+            fh.writelines(step_lines)
     except BaseException:
         for path in created:
             with contextlib.suppress(OSError):  # re-raise the first error, never one of ours

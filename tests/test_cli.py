@@ -169,6 +169,22 @@ MALFORMED = {
 }
 
 
+# Covers every query of the default grid at B = 4 and 12 new tokens: all commit in step 0.
+COVERING_SCRIPT = "".join(f"{block} 0 {pos} 0.95 1\n" for block in range(3) for pos in range(4))
+HUGE_VOCAB = 99999999999999999999  # one row of it overflows a C ssize_t
+
+
+@pytest.mark.parametrize("denoiser", [{"kind": "oracle", "target": [1, 2, 3]},
+                                      {"kind": "scripted", "fixture": "script.txt"}], ids=["oracle", "scripted"])
+def test_a_vocab_too_large_for_one_row_is_refused_before_any_run(tmp_path, capsys, denoiser):
+    (tmp_path / "script.txt").write_text(COVERING_SCRIPT)
+    exp = write_experiment(tmp_path, denoiser=dict(denoiser, vocab_size=HUGE_VOCAB), task=ORACLE_TASK)
+    code, out, err = run_cli(capsys, "run", str(exp))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and f"vocab_size {HUGE_VOCAB} is too large" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("overrides", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_experiment_is_config_error(tmp_path, capsys, overrides):
     if overrides is None:
@@ -582,6 +598,14 @@ class TestReplay:
             "--algorithm", "dynamic", "--tau", "0.9", *argv)
         assert code == 1
         assert err.startswith("error:")
+
+    def test_a_vocab_too_large_for_one_row_is_config_error(self, tmp_path, capsys):
+        fixture = self.write_fixture(tmp_path)
+        code, out, err = run_cli(
+            capsys, "replay", "--fixture", str(fixture), "--vocab-size", str(HUGE_VOCAB),
+            "--algorithm", "dynamic", "--tau", "0.9")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: vocab_size {HUGE_VOCAB} is too large")
 
     def test_bad_config_is_config_error(self, tmp_path, capsys):
         fixture = self.write_fixture(tmp_path)

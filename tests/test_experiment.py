@@ -12,12 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockdec import denoisers, experiment
-from blockdec.core import DecodingConfig, TccfConfig, Vocab
+from blockdec.core import DecodingConfig, StepRecord, TccfConfig, Vocab
 from blockdec.denoisers import FixtureError, markov_fit
 from blockdec.experiment import (
     AGGREGATE_COLUMNS,
+    MAX_VOCAB_SIZE,
     SUMMARY_COLUMNS,
     ConfigError,
     Tokenization,
@@ -81,6 +84,14 @@ class TestIngestCorpus:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             ingest_corpus(tmp_path / "absent.txt", Tokenization.CHARS)
+
+    def test_a_token_past_the_widest_vocab_is_rejected(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text(f"0 {MAX_VOCAB_SIZE - 1}\n")
+        assert ingest_corpus(p, Tokenization.WHITESPACE_INTS).vocab.size == MAX_VOCAB_SIZE
+        p.write_text(f"0 {MAX_VOCAB_SIZE}\n")
+        with pytest.raises(ConfigError, match=f"corpus token {MAX_VOCAB_SIZE} outside the ordinary range"):
+            ingest_corpus(p, Tokenization.WHITESPACE_INTS)
 
 
 def random_config(rng):
@@ -262,7 +273,7 @@ class TestRunExperiment:
         assert first == second
 
     def test_a_backend_handing_numpy_integers_writes_the_same_steps(self, tmp_path, monkeypatch):
-        # json.dumps refuses np.int64: the record stores the ids as Python ints
+        # the record stores the ids as Python ints, so a line never formats an np.int64
         grid = [{"algorithm": "dynamic", "tau": 0.9, "block_size": 4, "max_new_tokens": 12},
                 {"algorithm": "bacd", "tau_h": 0.9, "tau_l": 0.5, "block_size": 4,
                  "max_new_tokens": 12, "temperature": 1.0}]
@@ -434,6 +445,41 @@ class TestOutputFiles:
             run_experiment(cfg)
         assert info.value.errno == errno.ENOSPC and info.value.__context__ is None
         assert list((tmp_path / "out").iterdir()) == []
+
+
+INDEX = st.integers(0, 2**40)
+# Finite values only: thresholds are validated into (0, 1] and confidences are
+# row maxima checked as rows enter their table.
+THRESHOLDS = st.none() | st.just(1) | st.floats(0.0, 1.0, exclude_min=True) \
+    | st.floats(0.0, 1.0, exclude_min=True).map(np.float64)
+CONFIDENCES = st.sampled_from([1.0, 5e-324, 0.1 + 0.2]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def step_records(draw):
+    fallback = draw(st.booleans())
+    n = 1 if fallback else draw(st.integers(1, 6))
+    return StepRecord(
+        block_index=draw(INDEX), step_index=draw(INDEX), threshold_used=draw(THRESHOLDS),
+        unmasked_positions=draw(st.lists(INDEX, min_size=n, max_size=n)),
+        confidences=draw(st.lists(CONFIDENCES, min_size=n, max_size=n)), fallback_fired=fallback,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(INDEX, INDEX, INDEX, st.lists(step_records(), max_size=4))
+def test_step_lines_are_the_json_dumps_of_each_record(grid_index, trial, prompt_index, steps):
+    lines = experiment._step_lines(grid_index, trial, prompt_index, steps)
+    assert len(lines) == len(steps)
+    for line, rec in zip(lines, steps):
+        record = dict(
+            run_id=f"g{grid_index}-t{trial}-p{prompt_index}", grid_index=grid_index, trial=trial,
+            prompt_index=prompt_index, block_index=rec.block_index, step_index=rec.step_index,
+            threshold_used=rec.threshold_used, unmasked_positions=list(rec.unmasked_positions),
+            confidences=list(rec.confidences), fallback_fired=rec.fallback_fired,
+        )
+        assert line == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        assert json.loads(line) == record
 
 
 class TestLoadExperiment:
