@@ -27,6 +27,7 @@ __all__ = [
     "ContractViolation",
     "Denoiser",
     "FixtureError",
+    "MAX_VOCAB_SIZE",
     "MarkovDenoiser",
     "OracleDenoiser",
     "ScriptedDenoiser",
@@ -38,6 +39,16 @@ __all__ = [
 
 # Row bytes a new table reserves (a fixed row count reserved gigabytes at V ~ 1e5).
 ROW_TABLE_BYTES = 128 << 20
+# The widest vocab whose one float64 row over all its ids fits a row table's bytes.
+MAX_VOCAB_SIZE = ROW_TABLE_BYTES // 8 - 3
+
+
+def _fits_a_row(vocab: Vocab) -> None:
+    """A ValueError naming :data:`MAX_VOCAB_SIZE` if one row over ``vocab``'s
+    ids would not fit a row table, so a backend refuses it before any pass."""
+    if vocab.size > MAX_VOCAB_SIZE:
+        raise ValueError(f"vocab size {vocab.size} is too large: one row of it exceeds "
+                         f"the {ROW_TABLE_BYTES}-byte row table (at most {MAX_VOCAB_SIZE})")
 
 
 class ContractViolation(RuntimeError):
@@ -129,6 +140,7 @@ class MarkovDenoiser:
                  counts: dict[tuple[int, ...], dict[int, int]]):
         if order < 1:
             raise ValueError("order must be at least 1")
+        _fits_a_row(vocab)
         if () not in counts or not counts[()]:
             raise ValueError("counts must include a nonempty unigram table")
         totals = {ctx: sum(table.values()) for ctx, table in counts.items()}
@@ -249,6 +261,7 @@ class OracleDenoiser:
 
     def __init__(self, target: Sequence[int], vocab: Vocab,
                  base_confidence: float, decay: float, prompt_len: int = 0):
+        _fits_a_row(vocab)
         if not 1.0 / vocab.size < base_confidence <= 1.0:
             raise ValueError("base_confidence must lie in (1/size, 1]")
         if not 0.0 < decay <= 1.0:
@@ -305,6 +318,7 @@ class ScriptedDenoiser:
     """
 
     def __init__(self, script, vocab: Vocab):
+        _fits_a_row(vocab)
         self.vocab = vocab
         self.script: dict[tuple[int, int, int], tuple[float, int]] = {}
         floor = 1.0 / vocab.size

@@ -33,7 +33,8 @@ from .core import (
     token_array,
     validate_config,
 )
-from .denoisers import ROW_TABLE_BYTES, MarkovDenoiser, OracleDenoiser, ScriptedDenoiser, load_scripted, markov_fit
+from .denoisers import (MAX_VOCAB_SIZE, ROW_TABLE_BYTES, MarkovDenoiser, OracleDenoiser, ScriptedDenoiser,
+                        load_scripted, markov_fit)
 from .metrics import Category, RunSummary, aggregate, summarize
 from .scheduler import generate, generate_tccf
 
@@ -66,10 +67,6 @@ AGGREGATE_COLUMNS = [
 
 class ConfigError(ValueError):
     """An experiment file, corpus, or decoding config is unusable."""
-
-
-# The widest vocab whose one float64 row over all its ids fits a row table's bytes.
-MAX_VOCAB_SIZE = ROW_TABLE_BYTES // 8 - 3
 
 
 def checked_vocab(size: int) -> Vocab:

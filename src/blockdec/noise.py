@@ -44,12 +44,12 @@ def nelbo_estimate(
 ) -> float:
     """Monte-Carlo estimate of the masked reconstruction bound.
 
-    For each noise level ``t`` the response blocks are independently
-    masked, the denoiser predicts every masked position given the clean
-    prompt and the clean preceding blocks (through the contract wrapper
-    :func:`predict`), and the negative log
-    probability of the true tokens is summed and scaled by ``1/t``. The
-    returned value is the mean over ``t_samples``.
+    For each noise level ``t`` one mask is drawn over the whole padded
+    response. Then, block by block, the denoiser predicts the block's masked
+    positions given the clean prompt and the clean preceding blocks (through
+    the contract wrapper :func:`predict`), and the negative log probability
+    of the true tokens, read with one gather per block, is summed and scaled
+    by ``1/t``. The returned value is the mean over ``t_samples``.
 
     Parameters
     ----------
@@ -63,7 +63,10 @@ def nelbo_estimate(
         ordinary, eos or pad.
     t_samples : iterable of noise levels in (0, 1]; the caller owns the
         sampling strategy (uniform on (0, 1] is the usual choice).
-    rng : generator driving the mask draws, consumed in block order.
+    rng : generator driving the mask draws: one uniform per padded-response
+        token per noise level, in position order, levels in the given
+        order. Pads are drawn for but never masked. Losses are summed in
+        position order, so the same generator state gives the same bits.
 
     Returns
     -------
@@ -96,23 +99,22 @@ def nelbo_estimate(
     if tail.min() < 0 or tail.max() > pad_id or mask_id in tail:
         raise ValueError("response token is not ordinary, eos or pad")
     padded = tail.tolist()
-    blocks = [padded[i : i + block_size] for i in range(0, len(padded), block_size)]
+    pads = [i for i, tok in enumerate(padded) if tok == pad_id]
 
     estimates = []
     with np.errstate(divide="ignore"):
         for t in t_samples:
+            noised = forward_mask(padded, vocab, t, rng)
+            for i in pads:  # drawn for, never masked
+                noised[i] = pad_id
             total = 0.0
-            for k, truth in enumerate(blocks):
-                noised = forward_mask(truth, vocab, t, rng)
-                # Pads stay clean regardless of the draw.
-                noised = [pad_id if tok == pad_id else n for tok, n in zip(truth, noised)]
-                masked = [i for i, tok in enumerate(noised) if tok == mask_id]
-                if not masked:
+            for k in range(0, len(padded), block_size):
+                block = noised[k : k + block_size]
+                if mask_id not in block:
                     continue
-                context = full[: len(prompt) + k * block_size]
-                preds = predict(denoiser, context, noised)
-                probs = preds.table.probs
-                for r, i in zip(preds.row, masked):
-                    total += -float(np.log(probs[r, truth[i]]))
+                preds = predict(denoiser, full[: len(prompt) + k], block)
+                truths = [padded[k + i] for i in preds.positions]
+                for v in np.log(preds.table.probs[list(preds.row), truths]).tolist():
+                    total -= v
             estimates.append(total / t)
     return float(np.mean(estimates))

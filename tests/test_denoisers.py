@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from blockdec import denoisers
+from blockdec import denoisers, experiment
 from blockdec.core import DecodingConfig, PositionPrediction, RowTable, Vocab
 from blockdec.denoisers import (
+    MAX_VOCAB_SIZE,
+    ROW_TABLE_BYTES,
     ContractViolation,
     FixtureError,
     MarkovDenoiser,
@@ -601,6 +603,43 @@ class TestTableCap:
         for ctx, probs in zip(contexts, want):
             assert capped.distribution(ctx).tobytes() == probs
             assert capped._table.size <= 2
+
+
+# Each way a library caller builds a backend, over a given vocab.
+BUILDERS = {
+    "markov_fit": lambda vocab: markov_fit([0, 1, 0], 1, 0.01, vocab=vocab),
+    "MarkovDenoiser": lambda vocab: MarkovDenoiser(1, 0.01, vocab, {(): {0: 2, 1: 1}, (0,): {1: 1}}),
+    "OracleDenoiser": lambda vocab: OracleDenoiser((0, 1), vocab, 0.9, 0.8),
+    "ScriptedDenoiser": lambda vocab: ScriptedDenoiser({(0, 0, 0): (0.9, 1)}, vocab),
+}
+
+
+class TestVocabWidth:
+    """A vocab whose one row over all its ids would not fit a row table is
+    refused when the backend is built, before any pass maps a table for it."""
+
+    def too_wide(self, size):
+        return f"vocab size {size} is too large: .*row table \\(at most {MAX_VOCAB_SIZE}\\)"
+
+    def test_the_limit_is_the_widest_row_the_table_holds(self):
+        assert 8 * Vocab(MAX_VOCAB_SIZE).total_ids <= ROW_TABLE_BYTES < 8 * Vocab(MAX_VOCAB_SIZE + 1).total_ids
+        assert experiment.MAX_VOCAB_SIZE == MAX_VOCAB_SIZE
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_a_vocab_past_the_limit_is_refused(self, name):
+        with pytest.raises(ValueError, match=self.too_wide(MAX_VOCAB_SIZE + 1)):
+            BUILDERS[name](Vocab(MAX_VOCAB_SIZE + 1))
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_a_vocab_at_the_limit_is_built(self, name):
+        assert BUILDERS[name](Vocab(MAX_VOCAB_SIZE)).vocab.size == MAX_VOCAB_SIZE
+
+    def test_a_fit_refuses_the_vocab_its_corpus_implies(self):
+        # It once fitted Vocab(10**17 + 1) and failed at the first pass with
+        # OverflowError from the row table's mmap.
+        with pytest.raises(ValueError, match=self.too_wide(10**17 + 1)):
+            markov_fit([0, 10**17, 0], 1, 0.01)
+        assert markov_fit([0, MAX_VOCAB_SIZE - 1, 0], 1, 0.01).vocab == Vocab(MAX_VOCAB_SIZE)
 
 
 class TestContractFuzz:

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from blockdec import noise
 from blockdec.core import PositionPrediction, Vocab
-from blockdec.denoisers import ContractViolation, OracleDenoiser
+from blockdec.denoisers import ContractViolation, OracleDenoiser, predict
 from blockdec.noise import forward_mask, nelbo_estimate
 
 from conftest import UniformDenoiser, masked_of
@@ -153,6 +154,37 @@ class TestNelbo:
         val = nelbo_estimate(wrong, prompt=[], response=[1], block_size=1,
                              t_samples=[1.0], rng=np.random.default_rng(0))
         assert math.isinf(val)
+
+    def test_one_mask_draw_per_level_and_one_query_per_masked_block(self, monkeypatch):
+        # Pads are drawn for and then restored, so a block masked only at a
+        # pad (or not at all) is never queried.
+        draws, queries = [], []
+
+        def drawing(tokens, vocab, t, rng):
+            out = forward_mask(tokens, vocab, t, rng)
+            draws.append((list(tokens), list(out)))
+            return out
+
+        def querying(denoiser, context, block):
+            queries.append(list(block))
+            return predict(denoiser, context, block)
+
+        monkeypatch.setattr(noise, "forward_mask", drawing)
+        monkeypatch.setattr(noise, "predict", querying)
+        pad, mask = VOCAB4.pad_id, VOCAB4.mask_id
+        response = [0, 1, 2, 3, 0, VOCAB4.eos_id, pad, 1, 2, 3]  # two pads appended at B=4
+        levels = [1.0, 0.5, 0.3, 1e-9]
+        nelbo_estimate(UniformDenoiser(VOCAB4), [1], response, 4, levels, np.random.default_rng(3))
+
+        padded = response + [pad, pad]
+        assert [tokens for tokens, _ in draws] == [padded] * len(levels)
+        want = []
+        for _, out in draws:
+            noised = [pad if tok == pad else n for tok, n in zip(padded, out)]
+            want += [noised[k : k + 4] for k in range(0, 12, 4) if mask in noised[k : k + 4]]
+        assert queries == want
+        assert draws[0][1] == [mask] * 12  # t = 1 draws a mask at every pad too
+        assert 3 < len(queries) < 3 * len(levels) - 1  # t = 1e-9 and a lower level skipped blocks
 
     def test_contract_breaking_backend_raises(self):
         # The estimator goes through the predict() contract wrapper, so a
