@@ -2,6 +2,7 @@
 
 from .core import (
     Algorithm,
+    ConfigError,
     DecodingConfig,
     GenerationResult,
     PositionPrediction,

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .core import token_array, validate_config
+from .core import DecodingConfig, token_array
 from .denoisers import ContractViolation, FixtureError, load_scripted
 from .experiment import (
     ConfigError,
@@ -65,14 +65,12 @@ def _cmd_sweep(args) -> int:
     if not 0 <= args.grid_index < len(exp.grid):
         raise ConfigError(f"grid index {args.grid_index} out of range")
     base = exp.grid[args.grid_index]
-    grid = []
+    exp.grid = []
     for value in values:
-        entry = replace(base, **{args.param: value})
-        problems = validate_config(entry)
-        if problems:
-            raise ConfigError(f"{args.param}={value}: " + "; ".join(problems))
-        grid.append(entry)
-    exp.grid = grid
+        try:
+            exp.grid.append(replace(base, **{args.param: value}))
+        except ConfigError as exc:
+            raise ConfigError(f"{args.param}={value}: {exc}") from None
     exp.prefix = f"{exp.prefix}_sweep_{args.param}"
     return _run(exp, args.output_dir)
 
@@ -89,16 +87,13 @@ def _cmd_fit_markov(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    keys = ("algorithm", "block_size", "max_new_tokens", "temperature", "seed",
-            "steps", "tau", "tau_h", "tau_l", "gamma")
+    keys = [f.name for f in fields(DecodingConfig) if f.name != "tccf"]
     cfg = config_from_dict({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
     vocab = checked_vocab(args.vocab_size)
     try:
         prompt = tuple(token_array(int(t) for t in args.prompt.split(",") if t.strip()).tolist())
     except ValueError as exc:
         raise ConfigError(f"--prompt: {exc}") from None
-    if any(not 0 <= tok < vocab.size for tok in prompt):
-        raise ConfigError(f"--prompt tokens must lie in [0, {vocab.size})")
     denoiser = load_scripted(args.fixture, vocab)
     result = generate(denoiser, prompt, cfg)
     for rec in result.steps:

@@ -19,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "Algorithm",
+    "ConfigError",
     "DecodingConfig",
     "GenerationResult",
     "PositionPrediction",
@@ -35,6 +36,11 @@ __all__ = [
 
 # Tolerance used by prediction self-checks.
 PROB_SUM_TOL = 1e-9
+
+
+class ConfigError(ValueError):
+    """An input is unusable: a decoding config, a prompt or TCCF token, an
+    experiment file, a corpus or a model file. The CLI ends it in exit 1."""
 
 
 class Algorithm(str, Enum):
@@ -210,12 +216,14 @@ class TccfConfig:
 
 @dataclass(frozen=True)
 class DecodingConfig:
-    """Hyperparameters for one decoding run.
+    """Hyperparameters for one decoding run; valid by construction.
 
     Only the fields relevant to ``algorithm`` are consulted: ``steps`` for
     static, ``tau`` for dynamic, ``tau_h``/``tau_l`` for bacd, ``gamma``
-    for entropy-bounded. ``validate_config`` reports what is missing or
-    out of range without raising.
+    for entropy-bounded. Construction (``dataclasses.replace`` included)
+    raises one :class:`ConfigError` listing every problem
+    :func:`validate_config` finds, so a config that exists is valid and
+    nothing downstream checks it again.
     """
 
     algorithm: Algorithm
@@ -231,7 +239,13 @@ class DecodingConfig:
     tccf: TccfConfig | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
+        try:
+            object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
+        except ValueError as exc:
+            raise ConfigError(f"invalid config: {exc}") from None
+        problems = validate_config(self)
+        if problems:
+            raise ConfigError("invalid config: " + "; ".join(problems))
 
 
 def _is_int(x) -> bool:
@@ -249,9 +263,9 @@ def _in_unit(x) -> bool:
 def validate_config(cfg: DecodingConfig) -> list[str]:
     """Collect every violation in ``cfg``; an empty list means valid.
 
-    Never raises, whatever the field types: this is the one validation
-    entry point that reports instead of aborting, so callers can surface
-    all problems at once.
+    Never raises, whatever the field types, so that
+    ``DecodingConfig.__post_init__``, its one caller in the package, can
+    report all problems at once. A constructed config always gives ``[]``.
     """
     problems: list[str] = []
     if not _is_int(cfg.block_size) or cfg.block_size < 1:

@@ -11,7 +11,11 @@ bytes are reproducible run over run:
 * ``<prefix>_steps.jsonl``   one record per decoding step
 
 Every field is checked where the file is parsed: a malformed file raises
-:class:`ConfigError`, never a bare ``KeyError``/``TypeError``/``ValueError``.
+:class:`ConfigError` (``core``'s one input-error class, re-exported here),
+never a bare ``KeyError``/``TypeError``/``ValueError``. A grid entry is a
+:class:`DecodingConfig`, which checks itself when built; a prompt or TCCF
+token outside the backend's range is refused when its run starts, before
+the output directory or any file is created.
 """
 
 from __future__ import annotations
@@ -19,20 +23,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    DecodingConfig,
-    TccfConfig,
-    Vocab,
-    lint_config,
-    token_array,
-    validate_config,
-)
+from .core import ConfigError, DecodingConfig, TccfConfig, Vocab, lint_config, token_array
 from .denoisers import (MAX_VOCAB_SIZE, ROW_TABLE_BYTES, MarkovDenoiser, OracleDenoiser, ScriptedDenoiser,
                         load_scripted, markov_fit)
 from .metrics import Category, RunSummary, aggregate, summarize
@@ -63,10 +60,6 @@ AGGREGATE_COLUMNS = [
     "grid_index", *_CONFIG_COLUMNS, "runs", "mean_tpf", "mean_confidence",
     *(f"freq_{cat.value}" for cat in Category),
 ]
-
-
-class ConfigError(ValueError):
-    """An experiment file, corpus, or decoding config is unusable."""
 
 
 def checked_vocab(size: int) -> Vocab:
@@ -207,13 +200,10 @@ def load_markov(path) -> MarkovDenoiser:
         raise ConfigError(f"bad markov model {path}: {exc!r}") from None
 
 
-_CONFIG_KEYS = {
-    "algorithm", "block_size", "steps", "tau", "tau_h", "tau_l", "gamma",
-    "temperature", "seed", "max_new_tokens", "tccf",
-}
+_CONFIG_KEYS = {f.name for f in fields(DecodingConfig)}
 # A grid entry sets no seed: each run's derives from base_seed.
 _GRID_KEYS = _CONFIG_KEYS - {"seed"}
-_TCCF_KEYS = {"b_think", "b_critic", "marker", "transition", "stage1_max_tokens"}
+_TCCF_KEYS = {f.name for f in fields(TccfConfig)}
 _DENOISER_KEYS = {
     "markov": {"kind", "corpus", "tokenization", "order", "smoothing"},
     "markov_model": {"kind", "path"},
@@ -259,8 +249,8 @@ def _tokens(value, where: str) -> tuple[int, ...]:
 
 def config_from_dict(data: dict, keys: set[str] = _CONFIG_KEYS) -> DecodingConfig:
     """Parse one config (a grid entry accepts ``_GRID_KEYS``); keys outside
-    ``keys`` and violations (a mistyped value included: :func:`validate_config`
-    checks types) are errors."""
+    ``keys`` are errors, and so is every violation (a mistyped value
+    included), which :class:`DecodingConfig` refuses when built."""
     if not isinstance(data, dict):
         raise ConfigError("each grid entry must be an object")
     if "seed" in data and "seed" not in keys:
@@ -283,14 +273,7 @@ def config_from_dict(data: dict, keys: set[str] = _CONFIG_KEYS) -> DecodingConfi
     for key in ("tau", "tau_h", "tau_l", "gamma", "temperature"):
         if type(kwargs.get(key)) is int:  # written as 1.0 in the CSVs, not 1
             kwargs[key] = float(kwargs[key])
-    try:
-        cfg = DecodingConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"bad config entry: {exc}") from exc
-    problems = validate_config(cfg)
-    if problems:
-        raise ConfigError("invalid config: " + "; ".join(problems))
-    return cfg
+    return DecodingConfig(**kwargs)
 
 
 @dataclass
@@ -481,14 +464,6 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
     """
     factory = _DenoiserFactory(cfg.denoiser, cfg.root)
     prompts = _build_prompts(cfg.task["prompts"], factory.corpus)
-    spliced = [tok for g in cfg.grid if g.tccf for tok in g.tccf.marker + g.tccf.transition]
-    for tok in [tok for prompt in prompts for tok in prompt] + spliced:
-        if not 0 <= tok < factory.vocab.size:
-            raise ConfigError(f"prompt or tccf token {tok} outside the ordinary range [0, {factory.vocab.size})")
-
-    out_dir = Path(output_dir) if output_dir is not None else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     summary_rows: list[dict[str, str]] = []
     step_lines: list[str] = []
     cells: dict[int, list[RunSummary]] = {}
@@ -517,6 +492,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
              **{f"freq_{cat.value}": repr(row.frequencies.get(cat, 0.0)) for cat in Category})
         for row in aggregate(cells)
     ]
+    out_dir = Path(output_dir) if output_dir is not None else cfg.output_dir
+    out_dir.mkdir(parents=True, exist_ok=True)  # only now: a refused run leaves no directory
     written = [out_dir / f"{cfg.prefix}_{name}" for name in ("summary.csv", "aggregate.csv", "steps.jsonl")]
     created: list[Path] = []
     try:

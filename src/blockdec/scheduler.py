@@ -16,17 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    DecodingConfig,
-    GenerationResult,
-    StepRecord,
-    StopReason,
-    TccfTrace,
-    token_array,
-    validate_config,
-)
+from . import core
+from .core import ConfigError, DecodingConfig, GenerationResult, StepRecord, StopReason, TccfTrace, token_array
 from .denoisers import Denoiser
 from .sampling import decode_block
+
+# Never called here (a config is valid by construction); perfbench/layers.py counts calls through this name.
+validate_config = core.validate_config
 
 __all__ = ["GenerationSession", "find_marker", "generate", "generate_tccf"]
 
@@ -67,14 +63,14 @@ class GenerationSession:
 
     @classmethod
     def start(cls, denoiser: Denoiser, prompt, cfg: DecodingConfig) -> "GenerationSession":
-        problems = validate_config(cfg)
-        if problems:
-            raise ValueError("invalid config: " + "; ".join(problems))
+        """A session on ``prompt``; a prompt or TCCF token outside the
+        backend's ordinary range is a :class:`ConfigError`, the one place
+        that range is checked."""
         prompt = token_array(prompt)
         spliced = cfg.tccf.marker + cfg.tccf.transition if cfg.tccf else ()
         tokens = np.concatenate((prompt, token_array(spliced)))  # one min/max for all of them
         if len(tokens) and (tokens.min() < 0 or tokens.max() >= denoiser.vocab.size):
-            raise ValueError(f"prompt or tccf token outside the ordinary range [0, {denoiser.vocab.size})")
+            raise ConfigError(f"prompt or tccf token outside the ordinary range [0, {denoiser.vocab.size})")
         buf = np.empty(len(prompt) + cfg.max_new_tokens + cfg.block_size, dtype=np.int64)
         buf[: len(prompt)] = prompt
         return cls(denoiser=denoiser, prompt_len=len(prompt), cfg=cfg, rng=np.random.default_rng(cfg.seed),

@@ -81,3 +81,18 @@ def test_traced_sampled_markov_generate_and_nelbo_complete():
     names = [s[0] for s in tracer.spans]
     assert names.count("denoisers.backend") == result.forward_passes
     assert {"noise.nelbo_estimate", "noise.forward_mask", "noise.backend"} <= set(names)
+
+
+def test_a_traced_generate_checks_its_config_zero_times():
+    # The config is checked once, when it is built, outside the trace; the
+    # counter would catch a session or block loop that checks it again.
+    cfg = DecodingConfig(algorithm="dynamic", tau=0.6, block_size=4, max_new_tokens=16)
+    oracle = OracleDenoiser(vocab=Vocab(6), target=(1, 2, 3, 4, 5, 0, 1, 2) * 2,
+                            base_confidence=0.8, decay=0.7)
+    tracer = Tracer()
+    tracer.run_id = "round-1"
+    with tracer.installed(layers.patches(tracer)):
+        result = generate(oracle, (), cfg)
+    assert {rec.block_index for rec in result.steps} == {0, 1, 2, 3}
+    assert sum(calls for (name, _, _), (calls, _) in tracer.counters.items()
+               if name == "core.validate_config") == 0

@@ -197,6 +197,25 @@ def test_malformed_experiment_is_config_error(tmp_path, capsys, overrides):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+# A token outside the ordinary range in the last prompt or the last grid
+# entry: the runs before it decode, then the one range check refuses it.
+LAST_ENTRY_OUT_OF_RANGE = {
+    "prompt": {"task": {"prompts": {"kind": "tokens", "values": [[0, 1], [2, 99]]}, "target": None}},
+    "marker": {"grid": [{"algorithm": "dynamic", "tau": 0.9},
+                        {"algorithm": "dynamic", "tau": 0.9,
+                         "tccf": {"b_think": 4, "b_critic": 2, "marker": [99]}}]},
+}
+
+
+@pytest.mark.parametrize("overrides", LAST_ENTRY_OUT_OF_RANGE.values(), ids=LAST_ENTRY_OUT_OF_RANGE.keys())
+def test_a_token_out_of_range_in_the_last_entry_writes_nothing(tmp_path, capsys, overrides):
+    exp = write_experiment(tmp_path, **overrides)
+    code, out, err = run_cli(capsys, "run", str(exp))
+    assert (code, out) == (1, "")
+    assert err == "error: prompt or tccf token outside the ordinary range [0, 4)\n"
+    assert not (tmp_path / "out").exists()
+
+
 # Each malformed model file (vocab_size 4, order 1, smoothing 0 unless the
 # case says otherwise) must end in exit 1 with an ``error:`` line.
 GOOD_MODEL = {"kind": "markov", "order": 1, "smoothing": 0, "vocab_size": 4,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from blockdec.core import (
     Algorithm,
+    ConfigError,
     DecodingConfig,
     GenerationResult,
     PositionPrediction,
@@ -26,6 +27,7 @@ from blockdec.core import (
 )
 from blockdec.denoisers import ContractViolation, OracleDenoiser, predict
 from blockdec.sampling import decode_block
+from blockdec.scheduler import generate, generate_tccf
 
 
 class TestVocab:
@@ -350,14 +352,53 @@ class TestSharedRows:
             add_last([GOOD_ROW, GOOD_ROW, wide(0.6, 0.0, 0.4)])
 
 
+def _valid_fields(draw) -> dict:
+    """Fields of a valid config, any algorithm, with or without TCCF."""
+    tau_l, tau_h = sorted(draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2)))
+    tccf = draw(st.none() | st.builds(
+        TccfConfig, st.integers(1, 6), st.integers(1, 6), st.lists(st.integers(0, 5), min_size=1, max_size=3),
+        st.lists(st.integers(0, 5), max_size=3), st.none() | st.integers(1, 12)))
+    return dict(algorithm=draw(st.sampled_from(list(Algorithm))), block_size=draw(st.integers(1, 6)),
+                steps=draw(st.integers(1, 6)), tau=draw(st.floats(0.01, 1.0)), tau_h=tau_h, tau_l=tau_l,
+                gamma=draw(st.floats(0.0, 3.0)), temperature=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+                seed=draw(st.integers(0, 9)), max_new_tokens=draw(st.integers(1, 12)), tccf=tccf)
+
+
+# Values of the wrong type or out of range for some field, NaN included.
+MIXED = (st.booleans() | st.text(max_size=2) | st.just(math.nan) | st.integers(-2, 6)
+         | st.floats(-1.0, 2.0) | st.none())
+SCALARS = ["algorithm", "block_size", "steps", "tau", "tau_h", "tau_l", "gamma", "temperature", "seed",
+           "max_new_tokens"]
+TCCF_SCALARS = ["b_think", "b_critic", "stage1_max_tokens"]
+
+
+@st.composite
+def mixed_config_fields(draw) -> dict:
+    """A valid config's fields with up to three replaced by :data:`MIXED`
+    values, TCCF fields (``marker``/``transition`` as text too) included."""
+    fields = _valid_fields(draw)
+    for name in draw(st.sets(st.sampled_from(SCALARS), max_size=3)):
+        fields[name] = draw(MIXED | st.sampled_from(["greedy", 3]) if name == "algorithm" else MIXED)
+    if fields["tccf"] is not None:
+        tccf = dataclasses.asdict(fields["tccf"])
+        for name in draw(st.sets(st.sampled_from(TCCF_SCALARS + ["marker", "transition"]), max_size=2)):
+            tccf[name] = draw(st.text(max_size=2) | st.just(()) if name in ("marker", "transition") else MIXED)
+        fields["tccf"] = TccfConfig(**tccf)
+    return fields
+
+
 class TestValidateConfig:
+    """A config is checked when it is built: an invalid one raises one
+    :class:`ConfigError` that lists every problem :func:`validate_config`
+    finds, and a config that exists validates clean."""
+
     def test_valid_static(self):
         cfg = DecodingConfig(algorithm="static", block_size=8, steps=4)
         assert validate_config(cfg) == []
 
     def test_steps_must_be_positive(self):
-        cfg = DecodingConfig(algorithm="static", block_size=8, steps=0)
-        assert "steps must be positive" in validate_config(cfg)
+        with pytest.raises(ConfigError, match="steps must be positive"):
+            DecodingConfig(algorithm="static", block_size=8, steps=0)
 
     @pytest.mark.parametrize("fields, problem", [
         (dict(algorithm="dynamic", tau=0.5, seed=-1), "seed must be a nonnegative integer"),
@@ -366,47 +407,65 @@ class TestValidateConfig:
          "tccf stage1_max_tokens must be a positive integer"),
     ])
     def test_single_problem_reported(self, fields, problem):
-        assert validate_config(DecodingConfig(**fields)) == [problem]
+        with pytest.raises(ConfigError) as exc:
+            DecodingConfig(**fields)
+        assert str(exc.value) == f"invalid config: {problem}"
 
     def test_tau_l_exceeds_tau_h(self):
-        cfg = DecodingConfig(algorithm="bacd", tau_h=0.5, tau_l=0.9)
-        assert "tau_l exceeds tau_h" in validate_config(cfg)
+        with pytest.raises(ConfigError, match="tau_l exceeds tau_h"):
+            DecodingConfig(algorithm="bacd", tau_h=0.5, tau_l=0.9)
 
     def test_dynamic_requires_tau(self):
-        cfg = DecodingConfig(algorithm="dynamic")
-        assert any("tau" in v for v in validate_config(cfg))
+        with pytest.raises(ConfigError, match="tau"):
+            DecodingConfig(algorithm="dynamic")
 
     def test_entropy_requires_gamma(self):
-        cfg = DecodingConfig(algorithm="entropy_bounded")
-        assert any("gamma" in v for v in validate_config(cfg))
+        with pytest.raises(ConfigError, match="gamma"):
+            DecodingConfig(algorithm="entropy_bounded")
 
     def test_negative_gamma_rejected(self):
-        cfg = DecodingConfig(algorithm="entropy_bounded", gamma=-0.1)
-        assert validate_config(cfg) != []
+        with pytest.raises(ConfigError, match="gamma must be finite and nonnegative"):
+            DecodingConfig(algorithm="entropy_bounded", gamma=-0.1)
 
     def test_tau_of_one_is_legal(self):
         cfg = DecodingConfig(algorithm="dynamic", tau=1.0)
         assert validate_config(cfg) == []
 
     def test_violations_accumulate(self):
-        cfg = DecodingConfig(algorithm="static", block_size=0, steps=0,
-                             max_new_tokens=0)
-        assert len(validate_config(cfg)) >= 3
+        with pytest.raises(ConfigError) as exc:
+            DecodingConfig(algorithm="static", block_size=0, steps=0, max_new_tokens=0)
+        assert len(str(exc.value).removeprefix("invalid config: ").split("; ")) >= 3
 
-    def test_never_raises(self):
-        cfg = DecodingConfig(algorithm="bacd", tau_h=-3.0, tau_l=7.0,
-                             temperature=-1.0, block_size=-2)
-        assert isinstance(validate_config(cfg), list)
+    def test_replace_checks_too(self):
+        cfg = DecodingConfig(algorithm="dynamic", tau=0.5)
+        with pytest.raises(ConfigError, match=r"tau must lie in \(0, 1\]"):
+            dataclasses.replace(cfg, tau=2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_config_fields())
+    def test_never_raises(self, fields):
+        # Building from any mix of types either raises ConfigError (never a
+        # TypeError) or gives a config that decodes to the end.
+        try:
+            cfg = DecodingConfig(**fields)
+        except ConfigError as exc:
+            assert str(exc).startswith("invalid config: ")
+            return
+        assert validate_config(cfg) == []
+        oracle = OracleDenoiser(vocab=Vocab(6), target=(1, 2, 3, 4), base_confidence=0.9, decay=0.8,
+                                prompt_len=2)
+        result = (generate_tccf if cfg.tccf else generate)(oracle, (0, 1), cfg)
+        assert 0 < len(result.output_tokens) <= cfg.max_new_tokens
 
     def test_tccf_fields_checked(self):
         tccf = TccfConfig(b_think=0, b_critic=4, marker=(), transition=(1,))
-        cfg = DecodingConfig(algorithm="static", steps=1, tccf=tccf)
-        violations = validate_config(cfg)
-        assert any("b_think" in v for v in violations)
-        assert any("marker" in v for v in violations)
+        with pytest.raises(ConfigError) as exc:
+            DecodingConfig(algorithm="static", steps=1, tccf=tccf)
+        assert "b_think" in str(exc.value)
+        assert "marker" in str(exc.value)
 
     def test_unknown_algorithm_rejected_at_construction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="invalid config: 'greedy' is not a valid Algorithm"):
             DecodingConfig(algorithm="greedy")
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdec import sampling
-from blockdec.core import DecodingConfig, PositionPrediction, Vocab
+from blockdec.core import ConfigError, DecodingConfig, PositionPrediction, Vocab
 from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser, markov_fit
 from blockdec.sampling import (
     BacdState,
@@ -412,12 +412,9 @@ class TestDecodeBlock:
             history.extend(rec.confidences)
 
     def test_invalid_config_rejected(self):
-        vocab = Vocab(6)
-        den = OracleDenoiser(vocab=vocab, target=(1,), base_confidence=0.9,
-                             decay=0.9, prompt_len=0)
-        cfg = oracle_cfg(algorithm="static", steps=None, tau=None)
-        with pytest.raises(ValueError):
-            decode_block(den, [], 4, cfg, np.random.default_rng(0))
+        # refused when built, so decode_block never sees it
+        with pytest.raises(ConfigError, match="steps is required for static decoding"):
+            oracle_cfg(algorithm="static", steps=None, tau=None)
 
     def test_fallback_cascade_walks_the_chain(self):
         # near-deterministic cycle, but tau sits above every confidence, so
