@@ -78,7 +78,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_fit_markov(args) -> int:
     corpus = ingest_corpus(args.corpus, args.tokenization)
     try:
-        model = markov_fit(list(corpus.tokens), args.order, args.smoothing, vocab=corpus.vocab)
+        model = markov_fit(corpus.tokens, args.order, args.smoothing, vocab=corpus.vocab)
     except ValueError as exc:  # --order, --smoothing or a corpus token out of range
         raise ConfigError(str(exc)) from None
     save_markov(model, args.out)

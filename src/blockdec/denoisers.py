@@ -14,8 +14,6 @@ backend breaks it.
 from __future__ import annotations
 
 import operator
-from collections import Counter
-from itertools import islice
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -219,10 +217,15 @@ def markov_fit(corpus: Sequence[int], order: int, smoothing: float,
                vocab: Vocab | None = None) -> MarkovDenoiser:
     """Count every window of length 1..order over the corpus and build the
     smoothed Markov backend. The unigram table counts all corpus tokens.
-    Each order is one C-level ``Counter`` pass over ``islice`` views, so no
-    order copies the corpus and memory stays bounded by the distinct windows.
-    Tokens are read through ``operator.index``: ``True`` counts as 1, and
-    ``1.5`` or a token past int64 raises ValueError here, not at a later pass."""
+    Each order codes its windows as one int64 array, ``key * size + next``:
+    a one-token prefix's key is its token, a longer one's is its rank among
+    the shorter distinct windows (``np.searchsorted``). One sort per order
+    (``np.unique``) gives the distinct windows and their counts, and only
+    those become Python tuples; the arrays take about 21 bytes a corpus
+    token. No window is longer than the corpus, so a larger ``order`` costs
+    nothing more. Tokens are read through ``operator.index``: ``True``
+    counts as 1, and ``1.5`` or a token past int64 raises ValueError here,
+    not at a later pass."""
     if len(corpus) == 0:
         raise ValueError("corpus must be nonempty")
     if order < 1:
@@ -231,20 +234,31 @@ def markov_fit(corpus: Sequence[int], order: int, smoothing: float,
         corpus = list(map(operator.index, corpus))
     except TypeError as exc:
         raise ValueError(f"corpus token is not an integer: {exc}") from None
-    unigram = dict(Counter(corpus))
+    lo, hi = min(corpus), max(corpus)
     if vocab is None:
-        vocab = Vocab(max(2, max(unigram) + 1))
+        vocab = Vocab(max(2, hi + 1))
     bound = min(vocab.size, 1 << 63)
-    if min(unigram) < 0 or max(unigram) >= bound:
+    if lo < 0 or hi >= bound:
         tok = next(tok for tok in corpus if not 0 <= tok < bound)
         raise ValueError(f"corpus token {tok} outside the ordinary range [0, {bound})")
+    _fits_a_row(vocab)
+    tokens = np.fromiter(corpus, np.int32, len(corpus))  # every token < MAX_VOCAB_SIZE < 2**24
+    del corpus
 
-    counts: dict[tuple[int, ...], dict[int, int]] = {(): unigram}
-    for length in range(1, order + 1):
-        views = [islice(corpus, j, None) for j in range(length + 1)]
-        for window, cnt in Counter(zip(*views)).items():
-            counts.setdefault(window[:-1], {})[window[-1]] = cnt
-    del corpus, views  # freed before the backend builds its totals
+    size = vocab.size
+    distinct, runs = np.unique(tokens, return_counts=True)
+    counts = {(): dict(zip(distinct.tolist(), runs.tolist()))}
+    contexts = {tok: (tok,) for tok in counts[()]}
+    codes = tokens[:-1] * np.int64(size) + tokens[1:]
+    for length in range(1, min(order, len(tokens) - 1) + 1):
+        if length > 1:
+            contexts = [contexts[p] + (t,) for p, t in zip(prefix, nxt)]
+            codes = np.searchsorted(distinct, codes[:-1]) * size + tokens[length:]
+        distinct, runs = np.unique(codes, return_counts=True)
+        prefix, nxt = (part.tolist() for part in np.divmod(distinct, size))
+        for p, t, cnt in zip(prefix, nxt, runs.tolist()):
+            counts.setdefault(contexts[p], {})[t] = cnt
+    del tokens, codes, distinct, contexts  # freed before the backend builds its totals
     return MarkovDenoiser(order, smoothing, vocab, counts)
 
 

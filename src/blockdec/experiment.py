@@ -337,7 +337,7 @@ class _DenoiserFactory:
             if kind == "markov":
                 self.corpus = ingest_corpus(root / field("corpus", str), field("tokenization", str, "chars"))
                 self._shared = markov_fit(
-                    list(self.corpus.tokens),
+                    self.corpus.tokens,
                     order=field("order", int, 1),
                     smoothing=field("smoothing", float, 0.01),
                     vocab=self.corpus.vocab,

@@ -2,13 +2,33 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import signal
 
 import numpy as np
+import pytest
 
 from blockdec.core import GenerationResult, PositionPrediction, RowTable, StepRecord, StopReason, Vocab
 from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser, markov_fit
 from blockdec.sampling import QUIET, BacdState, _chunk_index, _tempered
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail the test, instead of hanging the suite, if the block runs past
+    ``seconds``; the failure is a ``BaseException``, so no ``except Exception``
+    in the code under test swallows it."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def spiked_probs(vocab: Vocab, token: int, peak: float) -> np.ndarray:

@@ -22,6 +22,7 @@ from blockdec.core import DecodingConfig
 from blockdec.experiment import load_markov
 from blockdec.scheduler import generate
 
+from conftest import deadline
 from test_experiment import write_experiment
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "experiments"
@@ -464,6 +465,28 @@ class TestFitMarkov:
             assert run_cli(capsys, *argv)[0] == 0
             assert out.read_bytes() == data
             assert out.stat().st_ino != os.fstat(old.fileno()).st_ino
+
+    def test_an_order_past_the_corpus_fits_at_once(self, tmp_path, capsys):
+        # An order of 10**8 once counted every length up to it, in O(order**2).
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("abcabc")
+        with deadline(20):
+            code, _, err = run_cli(capsys, "fit-markov", "--corpus", str(corpus), "--order",
+                                   str(10**8), "--out", str(tmp_path / "m.json"))
+        assert (code, err) == (0, "")
+        assert load_markov(tmp_path / "m.json").order == 10**8
+
+    def test_an_experiment_with_an_order_past_the_corpus_runs(self, tmp_path, capsys):
+        (tmp_path / "corpus.txt").write_text("abcabc")
+        spec = {"denoiser": {"kind": "markov", "corpus": "corpus.txt", "order": 10**8},
+                "task": {"prompts": {"kind": "tokens", "values": [[0, 1]]}, "target": None},
+                "grid": [{"algorithm": "dynamic", "tau": 0.9, "block_size": 4, "max_new_tokens": 8}],
+                "output": {"dir": "out", "prefix": "t"}}
+        (tmp_path / "exp.json").write_text(json.dumps(spec))
+        with deadline(20):
+            code, _, err = run_cli(capsys, "run", str(tmp_path / "exp.json"))
+        assert (code, err) == (0, "")
+        assert len(list((tmp_path / "out").iterdir())) == 3
 
     def test_whitespace_tokenization_flag(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,19 @@ class TestMarkovFit:
     def test_errors_come_in_order(self, corpus, order, vocab, message):
         with pytest.raises(ValueError, match=message):
             markov_fit(corpus, order=order, smoothing=0.1, vocab=vocab)
+
+    def test_the_fit_peak_is_bounded_per_token(self):
+        # 88 bytes a token (17.6 MB traced, most of it the dicts and lists
+        # of the 140k distinct windows), pinned with 10% headroom. Counting
+        # each order's windows as Python tuples peaked at 106.
+        corpus = np.random.default_rng(0).integers(0, 64, 200_000).tolist()
+        tracemalloc.start()
+        try:
+            markov_fit(corpus, 2, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(corpus) < 97
 
     def test_a_smoothing_that_overflows_a_denominator_is_refused(self):
         counts = {(): {0: 3, 1: 1}, (0,): {1: 2}}
