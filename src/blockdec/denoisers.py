@@ -234,15 +234,18 @@ def markov_fit(corpus: Sequence[int], order: int, smoothing: float,
         corpus = list(map(operator.index, corpus))
     except TypeError as exc:
         raise ValueError(f"corpus token is not an integer: {exc}") from None
-    lo, hi = min(corpus), max(corpus)
+    try:
+        tokens = np.fromiter(corpus, np.int32, len(corpus))
+        lo, hi = int(tokens.min()), int(tokens.max())
+    except OverflowError:  # a token 2**31 from zero: refused below, as a range or vocab error
+        lo, hi = min(corpus), max(corpus)
     if vocab is None:
         vocab = Vocab(max(2, hi + 1))
     bound = min(vocab.size, 1 << 63)
     if lo < 0 or hi >= bound:
         tok = next(tok for tok in corpus if not 0 <= tok < bound)
         raise ValueError(f"corpus token {tok} outside the ordinary range [0, {bound})")
-    _fits_a_row(vocab)
-    tokens = np.fromiter(corpus, np.int32, len(corpus))  # every token < MAX_VOCAB_SIZE < 2**24
+    _fits_a_row(vocab)  # so every token is below MAX_VOCAB_SIZE < 2**24, and tokens is set
     del corpus
 
     size = vocab.size

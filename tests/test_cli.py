@@ -548,6 +548,19 @@ class TestFitMarkov:
         assert str(corpus) in err and "can't decode byte 0xff" in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("digits", [30, 5000])
+    def test_a_long_token_is_out_of_range_on_its_line(self, tmp_path, capsys, digits):
+        # 5,000 digits are more than int() reads: the error once called the token
+        # "not an integer" and echoed every digit; 30 got no line
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(f"1 2\n3 {'9' * digits}\n")
+        code, out, err = run_cli(capsys, "fit-markov", "--corpus", str(corpus),
+                                 "--tokenization", "whitespace_ints", "--out", str(tmp_path / "m.json"))
+        assert (code, out) == (1, "")
+        assert err == (f"error: corpus token 999999999999… ({digits} digits) outside the ordinary range "
+                       f"[0, 16777213) of the widest vocab (corpus {corpus}, line 2)\n")
+        assert not (tmp_path / "m.json").exists()
+
 
 FIXTURE = """\
 # two confident blocks

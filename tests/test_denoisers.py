@@ -127,6 +127,16 @@ class TestMarkovFit:
         ([2**70, 1.5], 0, Vocab(3), "order must be at least 1"),
         ([0, 5, -1, 7], 1, Vocab(3), "corpus token 5 outside"),
         ([0, 9, -1, 2**70], 1, None, "corpus token -1 outside"),
+        # past int32: the range check's array cannot hold these, and the messages stay
+        ([0, 1, 2, 2**31, 5], 1, None, r"vocab size 2147483649 is too large: one row of it exceeds the "
+                                        r"134217728-byte row table \(at most 16777213\)$"),
+        ([0, 1, 2, 2**31, 5], 1, Vocab(3), r"corpus token 2147483648 outside the ordinary range \[0, 3\)$"),
+        ([0, 1, 2, -2**31 - 1, 5], 1, None, r"corpus token -2147483649 outside the ordinary range \[0, 6\)$"),
+        ([0, 1, 2, -2**31 - 1, 5], 1, Vocab(3), r"corpus token -2147483649 outside the ordinary range \[0, 3\)$"),
+        ([0, 1, 2, 2**40, 5], 1, None, r"vocab size 1099511627777 is too large: one row of it exceeds the "
+                                       r"134217728-byte row table \(at most 16777213\)$"),
+        ([0, 1, 2, 2**40, 5], 1, Vocab(3), r"corpus token 1099511627776 outside the ordinary range \[0, 3\)$"),
+        ([0, 5, 2**40], 1, Vocab(3), r"corpus token 5 outside the ordinary range \[0, 3\)$"),
     ])
     def test_errors_come_in_order(self, corpus, order, vocab, message):
         with pytest.raises(ValueError, match=message):
