@@ -66,17 +66,15 @@ class Denoiser(Protocol):
 def predict(denoiser: Denoiser, context: Sequence[int], block: Sequence[int]) -> PositionPrediction:
     """Query a backend and enforce the prediction contract.
 
-    Preconditions: the context is mask-free and the block has at least one
-    masked position. Postconditions: the record covers exactly the masked
+    Preconditions: the block has at least one masked position (checked on
+    every pass) and the context is mask-free, which the caller checks once
+    (``decode_block`` per block, ``nelbo_estimate`` per call): a pass reads
+    none of it. Postconditions: the record covers exactly the masked
     positions, in ascending order, with full-width distributions; each row
     was checked as it entered its table, zero mass on mask and pad included.
-    Any ``Sequence[int]`` context works; on the read-only int64 view the
-    session passes, the mask check is one vectorized comparison.
     """
     vocab = denoiser.vocab
     mask_id = vocab.mask_id
-    if mask_id in context:
-        raise ValueError("context must not contain mask tokens")
     masked = [pos for pos, tok in enumerate(block) if tok == mask_id]
     if not masked:
         raise ValueError("block has no masked positions")

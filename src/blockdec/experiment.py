@@ -115,6 +115,11 @@ def _ascii_ints(data: bytes) -> Corpus | None:
     return Corpus(tokens, Vocab(max(2, top + 1))) if 0 <= top < MAX_VOCAB_SIZE else None
 
 
+def _clipped(text: str, size: str = "") -> str:
+    """``text``, or past 24 characters its first 12 and ``size`` (its length by default)."""
+    return text if len(text) <= 24 else f"{text[:12]}… ({size or f'{len(text)} characters'})"
+
+
 def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
     """Read a corpus file into token ids.
 
@@ -129,7 +134,7 @@ def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
     try:
         tokenization = Tokenization(tokenization)
     except ValueError:
-        raise ConfigError(f"unknown tokenization {tokenization!r}") from None
+        raise ConfigError(f"unknown tokenization {_clipped(repr(tokenization))}") from None
     try:
         if tokenization is Tokenization.CHARS:
             text = Path(path).read_text(encoding="utf-8")
@@ -152,14 +157,14 @@ def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
         for field in line.split():
             try:
                 value = int(field)
-            except ValueError as exc:
+            except ValueError:
                 if not re.fullmatch(r"[+-]?\d+(_\d+)*", field):
-                    raise ConfigError(f"corpus {path}: line {lineno}: {field!r} is not an integer") from exc
+                    raise ConfigError(f"corpus {path}: line {lineno}: {_clipped(repr(field))} is not an integer")
                 value = MAX_VOCAB_SIZE  # a literal too long for int()
             if value < 0:
                 raise ConfigError(f"corpus {path}: line {lineno}: negative token {value}")
             if value >= MAX_VOCAB_SIZE:
-                shown = field if len(field) <= 24 else f"{field[:12]}… ({sum(map(str.isdecimal, field))} digits)"
+                shown = _clipped(field, f"{sum(map(str.isdecimal, field))} digits")
                 raise ConfigError(f"corpus token {shown} outside the ordinary range [0, {MAX_VOCAB_SIZE}) "
                                   f"of the widest vocab (corpus {path}, line {lineno})")
             tokens.append(value)
@@ -264,14 +269,14 @@ def _field(section: dict, key: str, kind: type, default=_REQUIRED, *, where: str
             raise ConfigError(f"{where} is missing {key!r}")
         return default
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ConfigError(f"{where}.{key} must be {kind.__name__}, not {value!r}")
+        raise ConfigError(f"{where}.{key} must be {kind.__name__}, not {_clipped(repr(value))}")
     return float(value) if kind is float else value
 
 
 def _tokens(value, where: str) -> tuple[int, ...]:
     """A JSON token list; ``1.5`` or ``"1"`` is an error, not a truncation."""
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{where} must be a list of integer tokens, not {value!r}")
+        raise ConfigError(f"{where} must be a list of integer tokens, not {_clipped(repr(value))}")
     try:
         return tuple(token_array(value).tolist())
     except ValueError as exc:
@@ -346,7 +351,7 @@ def _build_prompts(spec, corpus: Corpus | None) -> list[tuple[int, ...]]:
         rng = np.random.default_rng(seed)
         starts = rng.integers(0, len(corpus.tokens) - length + 1, size=count)
         return [tuple(corpus.tokens[s : s + length]) for s in starts]
-    raise ConfigError(f"unknown prompts kind {kind!r}")
+    raise ConfigError(f"unknown prompts kind {_clipped(repr(kind))}")
 
 
 class _DenoiserFactory:
@@ -355,7 +360,7 @@ class _DenoiserFactory:
     def __init__(self, spec: dict, root: Path):
         kind = spec.get("kind")
         if not isinstance(kind, str) or kind not in _DENOISER_KEYS:
-            raise ConfigError(f"unknown denoiser kind {kind!r}")
+            raise ConfigError(f"unknown denoiser kind {_clipped(repr(kind))}")
         _section(spec, "denoiser", _DENOISER_KEYS[kind])
 
         def field(key, type_, default=_REQUIRED):

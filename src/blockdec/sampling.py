@@ -248,14 +248,16 @@ def decode_block(
     The block is a token list, masked where it holds ``vocab.mask_id``.
     No position is committed twice and the mask is never committed: each
     record covers exactly the masked positions (:func:`predict` checks it)
-    and no row puts mass on the mask (the row table refuses it). Returns
-    the clean tokens and one :class:`StepRecord` per pass, at most
-    ``block_size`` of them.
+    and no row puts mass on the mask (the row table refuses it). A masked
+    context is refused here, once, not on every pass. Returns the clean
+    tokens and one :class:`StepRecord` per pass, at most ``block_size``.
     """
     if block_size < 1:
         raise ValueError("block_size must be positive")
-
     mask_id = denoiser.vocab.mask_id
+    if mask_id in context:
+        raise ValueError("context must not contain mask tokens")
+
     block = [mask_id] * block_size
     records: list[StepRecord] = []
     bacd_state = BacdState(cfg.tau_h, cfg.tau_l) if cfg.algorithm is Algorithm.BACD else None

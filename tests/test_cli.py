@@ -315,6 +315,37 @@ def test_uncovered_experiment_error_is_config_error(tmp_path, capsys, overrides,
     assert err.startswith("error:") and fragment in err
 
 
+# A 5,000-character bad value in a corpus field, a prompt token list, a
+# JSON field or a kind: each error line once echoed all of it.
+LONG = "9" * 4999 + "x"
+CLIPPED = "'99999999999… (5002 characters)"  # its repr: the first 12 characters and the length
+LONG_VALUES = {
+    "corpus_field": ("fit-markov", None, f"{CLIPPED} is not an integer"),
+    "prompt_tokens": ("run", {"task": {"prompts": {"kind": "tokens", "values": [LONG]}}},
+                      f"values[0] must be a list of integer tokens, not {CLIPPED}"),
+    "json_field": ("run", {"trials": LONG}, f"trials must be int, not {CLIPPED}"),
+    "prompts_kind": ("run", {"task": {"prompts": {"kind": LONG}}}, f"prompts kind {CLIPPED}"),
+    "denoiser_kind": ("run", {"denoiser": {"kind": LONG}}, f"denoiser kind {CLIPPED}"),
+    "tokenization": ("run", {"denoiser": {"kind": "markov", "corpus": "c.txt", "tokenization": LONG}},
+                     f"tokenization {CLIPPED}"),
+}
+
+
+@pytest.mark.parametrize("command, overrides, fragment", LONG_VALUES.values(), ids=LONG_VALUES.keys())
+def test_an_error_line_shows_a_long_bad_value_clipped(tmp_path, capsys, command, overrides, fragment):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(f"1 2\n3 {LONG}\n")
+    if command == "run":
+        args = ("run", str(write_experiment(tmp_path, **overrides)))
+    else:
+        args = ("fit-markov", "--corpus", str(corpus), "--tokenization", "whitespace_ints",
+                "--out", str(tmp_path / "m.json"))
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.endswith(fragment + "\n")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 FUZZ_BASE = {
     "base_seed": 1, "trials": 1,
     "denoiser": {"kind": "oracle", "vocab_size": 6, "target": [1, 2, 3, 4], "base_confidence": 0.9,

@@ -15,6 +15,7 @@ from blockdec.core import DecodingConfig, TccfConfig, Vocab, token_array
 from blockdec.denoisers import OracleDenoiser, markov_fit, predict
 from blockdec.experiment import ConfigError, config_from_dict
 from blockdec.noise import nelbo_estimate
+from blockdec.sampling import decode_block
 from blockdec.scheduler import GenerationSession, generate, generate_tccf
 
 from conftest import position_probs
@@ -126,6 +127,56 @@ class TestSchedulerContext:
         assert session.buf[: session.length].tolist() == [1, 2, 0, 1, 2, 7]
 
 
+class Scanned(Sequence):
+    """A context that counts the mask scans (``in`` tests) made on it."""
+
+    def __init__(self, tokens):
+        self.tokens, self.scans = list(tokens), 0
+
+    def __len__(self):
+        return len(self.tokens)
+
+    def __getitem__(self, i):
+        return self.tokens[i]
+
+    def __contains__(self, tok):
+        self.scans += 1
+        return tok in self.tokens
+
+
+class TestContextScannedOncePerBlock:
+    def test_decode_block_scans_once_over_several_passes(self):
+        context = Scanned([3, 4])
+        den = OracleDenoiser([1, 2, 3, 4], VOCAB, base_confidence=0.95, decay=0.9, prompt_len=2)
+        block, records = decode_block(den, context, 4, cfg(), np.random.default_rng(0))
+        assert block == [1, 2, 3, 4] and len(records) > 1
+        assert context.scans == 1
+        predict(den, context, [VOCAB.mask_id] * 2)  # a pass alone scans none of it
+        assert context.scans == 1
+
+    def test_generate_scans_once_per_block(self, monkeypatch):
+        class ScannedArray(np.ndarray):
+            scans = 0
+
+            def __contains__(self, tok):
+                ScannedArray.scans += 1
+                return super().__contains__(tok)
+
+        start = GenerationSession.start
+
+        def scanned_start(denoiser, prompt, config):
+            session = start(denoiser, prompt, config)
+            session.buf = session.buf.view(ScannedArray)
+            return session
+
+        monkeypatch.setattr(GenerationSession, "start", scanned_start)
+        rec = oracle(list(range(1, 10)) * 3, prompt_len=1)
+        res = generate(rec, [5], cfg())
+        blocks = {r.block_index for r in res.steps}
+        assert len(blocks) == 6 and res.forward_passes > len(blocks)
+        assert ScannedArray.scans == len(blocks)
+
+
 class TestTokenGuard:
     def test_token_array(self):
         arr = token_array([1, np.int64(2), np.uint8(3), -(2**63), 2**63 - 1])
@@ -146,9 +197,11 @@ class TestTokenGuard:
         with pytest.raises(ValueError, match=match):
             nelbo_estimate(oracle([1, 2]), [1], [1, bad], 2, [0.5], np.random.default_rng(0))
 
-    def test_mask_id_prompt_is_refused_by_the_wrapper(self):
-        with pytest.raises(ValueError, match="context must not contain mask tokens"):
-            predict(oracle([1, 2]), [1, VOCAB.mask_id], [VOCAB.mask_id] * 2)
+    def test_mask_id_context_is_refused_by_decode_block(self):
+        rec = oracle([1, 2])
+        with pytest.raises(ValueError, match="^context must not contain mask tokens$"):
+            decode_block(rec, [1, VOCAB.mask_id], 2, cfg(), np.random.default_rng(0))
+        assert rec.passes == []
         # generate and nelbo_estimate refuse it earlier, before any pass: it
         # lies outside the ordinary range
         with pytest.raises(ValueError, match=r"prompt or tccf token outside the ordinary range \[0, 10\)"):

@@ -22,10 +22,12 @@ from blockdec.denoisers import (
     predict,
 )
 from blockdec.noise import nelbo_estimate
+from blockdec.sampling import decode_block
 from blockdec.scheduler import generate
 
 from conftest import (
     BACKENDS,
+    CountingDenoiser,
     UniformDenoiser,
     backend_maker,
     chain_model,
@@ -452,10 +454,13 @@ class _MassOnMask:
 
 class TestPredictWrapper:
     def test_rejects_mask_in_context(self):
+        # decode_block checks the context once, before the first pass
         vocab = Vocab(4)
-        den = UniformDenoiser(vocab)
-        with pytest.raises(ValueError):
-            predict(den, [0, vocab.mask_id], masked_block(2, vocab))
+        den = CountingDenoiser(UniformDenoiser(vocab))
+        cfg = DecodingConfig(algorithm="dynamic", tau=0.5, block_size=2)
+        with pytest.raises(ValueError, match="^context must not contain mask tokens$"):
+            decode_block(den, [0, vocab.mask_id], 2, cfg, np.random.default_rng(0))
+        assert den.calls == 0
 
     def test_rejects_block_without_masks(self):
         vocab = Vocab(4)
