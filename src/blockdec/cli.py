@@ -13,11 +13,10 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .core import DecodingConfig, token_array
+from .core import DecodingConfig, Vocab, token_array
 from .denoisers import ContractViolation, FixtureError, load_scripted
 from .experiment import (
     ConfigError,
-    checked_vocab,
     config_from_dict,
     ingest_corpus,
     lint_experiment,
@@ -89,7 +88,10 @@ def _cmd_fit_markov(args) -> int:
 def _cmd_replay(args) -> int:
     keys = [f.name for f in fields(DecodingConfig) if f.name != "tccf"]
     cfg = config_from_dict({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
-    vocab = checked_vocab(args.vocab_size)
+    try:
+        vocab = Vocab(args.vocab_size)
+    except ValueError as exc:
+        raise ConfigError(f"--vocab-size: {exc}") from None
     try:
         prompt = tuple(token_array(int(t) for t in args.prompt.split(",") if t.strip()).tolist())
     except ValueError as exc:

@@ -22,7 +22,9 @@ __all__ = [
     "ConfigError",
     "DecodingConfig",
     "GenerationResult",
+    "MAX_VOCAB_SIZE",
     "PositionPrediction",
+    "ROW_TABLE_BYTES",
     "RowTable",
     "StepRecord",
     "StopReason",
@@ -66,11 +68,14 @@ class Vocab:
     over ordinary tokens are a contiguous prefix of the id space.
     """
 
-    size: int  # number of ordinary tokens
+    size: int  # number of ordinary tokens, in [2, MAX_VOCAB_SIZE]
 
     def __post_init__(self):
         if self.size < 2:
-            raise ValueError("vocab needs at least 2 ordinary tokens")
+            raise ValueError(f"vocab size {self.size}: a vocab needs at least 2 ordinary tokens")
+        if self.size > MAX_VOCAB_SIZE:
+            raise ValueError(f"vocab size {self.size} is too large: one row of it exceeds "
+                             f"the {ROW_TABLE_BYTES}-byte row table (at most {MAX_VOCAB_SIZE})")
 
     mask_id = property(lambda self: self.size)
     eos_id = property(lambda self: self.size + 1)
@@ -88,6 +93,12 @@ def token_array(tokens) -> np.ndarray:
         raise ValueError(f"token is not an integer: {exc}") from None
     except OverflowError:
         raise ValueError("token does not fit in int64") from None
+
+
+# Row bytes a new table reserves (a fixed row count reserved gigabytes at V ~ 1e5).
+ROW_TABLE_BYTES = 128 << 20
+# The widest vocab whose one float64 row over all its ids fits a row table's bytes.
+MAX_VOCAB_SIZE = ROW_TABLE_BYTES // 8 - 3
 
 
 class RowTable:
@@ -151,7 +162,7 @@ class PositionPrediction:
     (strictly ascending) and the id ``row[i]`` of each one's distribution in
     ``table``, both tuples of M >= 1 Python ints; positions that share a
     distribution share an id: a backend adds each distinct distribution to
-    its one table once and builds its records with :meth:`of`. Rows are
+    its one table once and builds its records from the ids it got back. Rows are
     checked as they enter the table, so a pass checks only the lengths, the
     order and the ids. The ``confidence`` and ``entropy`` tuples that
     selection reads are gathered from the table's stats at construction.
@@ -180,17 +191,12 @@ class PositionPrediction:
         object.__setattr__(self, "entropy", tuple([ent[r] for r in row]))
 
     @classmethod
-    def of(cls, positions, table: RowTable, ids) -> "PositionPrediction":
-        """The record whose position ``i`` reads row ``ids[i]`` of ``table``."""
-        return cls(positions, table, ids)
-
-    @classmethod
     def from_probs(cls, positions, probs) -> "PositionPrediction":
         arr = np.array(probs, dtype=np.float64)
         if arr.ndim != 2 or not len(arr):
             raise ValueError("need [M, V] probs, M >= 1")
         table = RowTable(len(arr), Vocab(arr.shape[1] - 3))
-        return cls.of(positions, table, [table.add(probs_row) for probs_row in arr])
+        return cls(positions, table, [table.add(probs_row) for probs_row in arr])
 
 
 @dataclass(frozen=True)

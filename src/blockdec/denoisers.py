@@ -18,14 +18,12 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import PositionPrediction, RowTable, Vocab
+from .core import ROW_TABLE_BYTES, PositionPrediction, RowTable, Vocab
 
 __all__ = [
-    "ROW_TABLE_BYTES",
     "ContractViolation",
     "Denoiser",
     "FixtureError",
-    "MAX_VOCAB_SIZE",
     "MarkovDenoiser",
     "OracleDenoiser",
     "ScriptedDenoiser",
@@ -33,20 +31,6 @@ __all__ = [
     "markov_fit",
     "predict",
 ]
-
-
-# Row bytes a new table reserves (a fixed row count reserved gigabytes at V ~ 1e5).
-ROW_TABLE_BYTES = 128 << 20
-# The widest vocab whose one float64 row over all its ids fits a row table's bytes.
-MAX_VOCAB_SIZE = ROW_TABLE_BYTES // 8 - 3
-
-
-def _fits_a_row(vocab: Vocab) -> None:
-    """A ValueError naming :data:`MAX_VOCAB_SIZE` if one row over ``vocab``'s
-    ids would not fit a row table, so a backend refuses it before any pass."""
-    if vocab.size > MAX_VOCAB_SIZE:
-        raise ValueError(f"vocab size {vocab.size} is too large: one row of it exceeds "
-                         f"the {ROW_TABLE_BYTES}-byte row table (at most {MAX_VOCAB_SIZE})")
 
 
 class ContractViolation(RuntimeError):
@@ -109,7 +93,7 @@ def _spiked(backend, positions: list[int], spikes: list[tuple[int, float]]) -> P
             probs[: vocab.size] = (1.0 - peak) / (vocab.size if token == vocab.eos_id else vocab.size - 1)
             probs[token] = peak
             table.ids[spike] = table.add(probs)
-    return PositionPrediction.of(positions, table, [table.ids[spike] for spike in spikes])
+    return PositionPrediction(positions, table, [table.ids[spike] for spike in spikes])
 
 
 class MarkovDenoiser:
@@ -129,14 +113,14 @@ class MarkovDenoiser:
     backend's :class:`~blockdec.core.RowTable` under the context as its key,
     and each context that backs off is keyed to the row it reached;
     every record indexes that table. The backend owns ``counts``
-    (``{context: {next: count}}``): it keeps the given dict, not a copy.
+    (``{context: {next: count}}``): it keeps the given dict, not a copy, and
+    refuses a ``next`` outside ``[0, size)`` when that context's row is built.
     """
 
     def __init__(self, order: int, smoothing: float, vocab: Vocab,
                  counts: dict[tuple[int, ...], dict[int, int]]):
         if order < 1:
             raise ValueError("order must be at least 1")
-        _fits_a_row(vocab)
         if () not in counts or not counts[()]:
             raise ValueError("counts must include a nonempty unigram table")
         totals = {ctx: sum(table.values()) for ctx, table in counts.items()}
@@ -172,6 +156,8 @@ class MarkovDenoiser:
             size = self.vocab.size
             vec = np.zeros(size)
             for tok, cnt in self._counts[key].items():
+                if not 0 <= tok < size:  # -1 would count as size - 1
+                    raise ValueError(f"context {key}: count token {tok} outside the ordinary range [0, {size})")
                 vec[tok] = cnt
             probs = np.zeros(self.vocab.total_ids)
             probs[:size] = (vec + self.smoothing) / (self._totals[key] + self.smoothing * size)
@@ -208,7 +194,7 @@ class MarkovDenoiser:
                 u = gap
             masked.append(pos)
             index.append(u)
-        return PositionPrediction.of(masked, self._table, index)
+        return PositionPrediction(masked, self._table, index)
 
 
 def markov_fit(corpus: Sequence[int], order: int, smoothing: float,
@@ -237,14 +223,13 @@ def markov_fit(corpus: Sequence[int], order: int, smoothing: float,
         lo, hi = int(tokens.min()), int(tokens.max())
     except OverflowError:  # a token 2**31 from zero: refused below, as a range or vocab error
         lo, hi = min(corpus), max(corpus)
-    if vocab is None:
-        vocab = Vocab(max(2, hi + 1))
-    bound = min(vocab.size, 1 << 63)
+    bound = min(max(2, hi + 1) if vocab is None else vocab.size, 1 << 63)
     if lo < 0 or hi >= bound:
         tok = next(tok for tok in corpus if not 0 <= tok < bound)
         raise ValueError(f"corpus token {tok} outside the ordinary range [0, {bound})")
-    _fits_a_row(vocab)  # so every token is below MAX_VOCAB_SIZE < 2**24, and tokens is set
-    del corpus
+    if vocab is None:
+        vocab = Vocab(bound)
+    del corpus  # every token is below vocab.size <= MAX_VOCAB_SIZE < 2**24, so tokens is set
 
     size = vocab.size
     distinct, runs = np.unique(tokens, return_counts=True)
@@ -276,7 +261,6 @@ class OracleDenoiser:
 
     def __init__(self, target: Sequence[int], vocab: Vocab,
                  base_confidence: float, decay: float, prompt_len: int = 0):
-        _fits_a_row(vocab)
         if not 1.0 / vocab.size < base_confidence <= 1.0:
             raise ValueError("base_confidence must lie in (1/size, 1]")
         if not 0.0 < decay <= 1.0:
@@ -333,7 +317,6 @@ class ScriptedDenoiser:
     """
 
     def __init__(self, script, vocab: Vocab):
-        _fits_a_row(vocab)
         self.vocab = vocab
         self.script: dict[tuple[int, int, int], tuple[float, int]] = {}
         floor = 1.0 / vocab.size

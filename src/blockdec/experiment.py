@@ -31,9 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, DecodingConfig, TccfConfig, Vocab, lint_config, token_array
-from .denoisers import (MAX_VOCAB_SIZE, ROW_TABLE_BYTES, MarkovDenoiser, OracleDenoiser, ScriptedDenoiser,
-                        load_scripted, markov_fit)
+from .core import MAX_VOCAB_SIZE, ConfigError, DecodingConfig, TccfConfig, Vocab, lint_config, token_array
+from .denoisers import MarkovDenoiser, OracleDenoiser, ScriptedDenoiser, load_scripted, markov_fit
 from .metrics import Category, RunSummary, aggregate, summarize
 from .scheduler import generate, generate_tccf
 
@@ -43,7 +42,6 @@ __all__ = [
     "ExperimentConfig",
     "MAX_VOCAB_SIZE",
     "Tokenization",
-    "checked_vocab",
     "config_from_dict",
     "ingest_corpus",
     "load_experiment",
@@ -62,19 +60,6 @@ AGGREGATE_COLUMNS = [
     "grid_index", *_CONFIG_COLUMNS, "runs", "mean_tpf", "mean_confidence",
     *(f"freq_{cat.value}" for cat in Category),
 ]
-
-
-def checked_vocab(size: int) -> Vocab:
-    """``Vocab(size)`` for a size read from a file or a flag: a size below 2 or
-    above :data:`MAX_VOCAB_SIZE` is a :class:`ConfigError`, refused before any
-    run asks a row table for rows it cannot hold."""
-    if size > MAX_VOCAB_SIZE:
-        raise ConfigError(f"vocab_size {size} is too large: one row of it exceeds "
-                          f"the {ROW_TABLE_BYTES}-byte row table (at most {MAX_VOCAB_SIZE})")
-    try:
-        return Vocab(size)
-    except ValueError as exc:
-        raise ConfigError(f"vocab_size {size}: {exc}") from None
 
 
 class Tokenization(str, Enum):
@@ -184,7 +169,7 @@ def _unique_keys(pairs: list[tuple]) -> dict:
     """``json`` object hook: a key repeated inside one object is an error, not an overwrite."""
     keys = [key for key, _ in pairs]
     if len(set(keys)) < len(keys):
-        raise ValueError(f"duplicate keys {sorted({k for k in keys if keys.count(k) > 1})}")
+        raise ValueError(f"duplicate keys {sorted({_clipped(k) for k in keys if keys.count(k) > 1})}")
     return dict(pairs)
 
 
@@ -223,15 +208,16 @@ def load_markov(path) -> MarkovDenoiser:
     try:
         counts: dict[tuple[int, ...], dict[int, int]] = {}
         for key, table in payload["counts"].items():
+            where = f"context {_clipped(repr(key))}"
             ctx = tuple(int(x) for x in key.split(",")) if key else ()
             counts[ctx] = {int(t): c for t, c in table.items()}
             if key != ",".join(map(str, ctx)) or len(ctx) > order or list(map(str, counts[ctx])) != list(table):
-                raise ValueError(f"context {key!r}: keys must be canonical integers, contexts at most {order} long")
+                raise ValueError(f"{where}: keys must be canonical integers, contexts at most {order} long")
             if not counts[ctx] or not all(0 <= tok < vocab_size for tok in (*ctx, *counts[ctx])):
-                raise ValueError(f"context {key!r}: counts must be nonempty, tokens in [0, {vocab_size})")
+                raise ValueError(f"{where}: counts must be nonempty, tokens in [0, {vocab_size})")
             if any(type(c) is not int or c < 1 for c in counts[ctx].values()):  # a bool is not an int here
-                raise ValueError(f"context {key!r}: every count must be an integer >= 1")
-        return MarkovDenoiser(order=order, smoothing=smoothing, vocab=checked_vocab(vocab_size), counts=counts)
+                raise ValueError(f"{where}: every count must be an integer >= 1")
+        return MarkovDenoiser(order=order, smoothing=smoothing, vocab=Vocab(vocab_size), counts=counts)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad markov model {path}: {exc!r}") from None
 
@@ -255,7 +241,7 @@ def _section(value, where: str, allowed: set[str]) -> dict:
         raise ConfigError(f"{where} must be an object")
     unknown = set(value) - allowed
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {where} keys: {sorted(_clipped(str(key)) for key in unknown)}")
     return value
 
 
@@ -292,9 +278,7 @@ def config_from_dict(data: dict, keys: set[str] = _CONFIG_KEYS) -> DecodingConfi
     if "seed" in data and "seed" not in keys:
         raise ConfigError("a grid entry cannot set 'seed': run seeds derive from base_seed "
                           "(base_seed + trial * num_prompts + prompt_index)")
-    unknown = set(data) - keys
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _section(data, "config", keys)
     if "algorithm" not in data:
         raise ConfigError("config entry is missing 'algorithm'")
     kwargs = dict(data)
@@ -381,13 +365,13 @@ class _DenoiserFactory:
             elif kind == "markov_model":
                 self._shared = load_markov(root / field("path", str))
             elif kind == "oracle":
-                self.vocab = checked_vocab(field("vocab_size", int))
+                self.vocab = Vocab(field("vocab_size", int))
                 self.target = _tokens(field("target", list), "denoiser.target")
                 self.base_confidence = field("base_confidence", float, 0.9)
                 self.decay = field("decay", float, 0.9)
                 self.for_run(())  # one up front, so bad fields fail before any run
             else:
-                self.vocab = checked_vocab(field("vocab_size", int))
+                self.vocab = Vocab(field("vocab_size", int))
                 self.script = load_scripted(root / field("fixture", str), self.vocab).script  # parsed once
         except ValueError as exc:  # a ConfigError, or a backend constructor rejecting a field
             raise ConfigError(f"bad {kind} denoiser: {exc}") from None

@@ -79,7 +79,7 @@ def table_of(rows) -> RowTable:
 
 def shared_record(positions, rows, row) -> PositionPrediction:
     """A record whose positions read ``rows`` through the row index ``row``."""
-    return PositionPrediction.of(positions, table_of(rows), row)
+    return PositionPrediction(positions, table_of(rows), row)
 
 
 def position_probs(preds: PositionPrediction) -> np.ndarray:

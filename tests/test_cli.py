@@ -173,16 +173,21 @@ MALFORMED = {
 # Covers every query of the default grid at B = 4 and 12 new tokens: all commit in step 0.
 COVERING_SCRIPT = "".join(f"{block} 0 {pos} 0.95 1\n" for block in range(3) for pos in range(4))
 HUGE_VOCAB = 99999999999999999999  # one row of it overflows a C ssize_t
+TOO_WIDE = (f"vocab size {HUGE_VOCAB} is too large: one row of it exceeds the 134217728-byte row table "
+            "(at most 16777213)")
 
 
-@pytest.mark.parametrize("denoiser", [{"kind": "oracle", "target": [1, 2, 3]},
-                                      {"kind": "scripted", "fixture": "script.txt"}], ids=["oracle", "scripted"])
-def test_a_vocab_too_large_for_one_row_is_refused_before_any_run(tmp_path, capsys, denoiser):
+@pytest.mark.parametrize("kind", ["oracle", "scripted", "markov_model"])
+def test_a_vocab_too_large_for_one_row_is_refused_before_any_run(tmp_path, capsys, kind):
     (tmp_path / "script.txt").write_text(COVERING_SCRIPT)
-    exp = write_experiment(tmp_path, denoiser=dict(denoiser, vocab_size=HUGE_VOCAB), task=ORACLE_TASK)
+    (tmp_path / "model.json").write_text(json.dumps(dict(GOOD_MODEL, vocab_size=HUGE_VOCAB)))
+    denoiser = {"oracle": {"kind": "oracle", "target": [1, 2, 3], "vocab_size": HUGE_VOCAB},
+                "scripted": {"kind": "scripted", "fixture": "script.txt", "vocab_size": HUGE_VOCAB},
+                "markov_model": {"kind": "markov_model", "path": "model.json"}}[kind]
+    exp = write_experiment(tmp_path, denoiser=denoiser, task=ORACLE_TASK)
     code, out, err = run_cli(capsys, "run", str(exp))
     assert (code, out) == (1, "")
-    assert err.startswith("error:") and f"vocab_size {HUGE_VOCAB} is too large" in err
+    assert err.startswith("error:") and TOO_WIDE in err
     assert not (tmp_path / "out").exists()
 
 
@@ -275,6 +280,16 @@ def test_unreadable_json_is_config_error(tmp_path, capsys, kind, key, fault):
     assert (f"duplicate keys ['{key}']" if fault == "repeated_key" else "can't decode byte 0xff") in err
 
 
+def test_a_long_repeated_key_is_clipped(tmp_path, capsys, monkeypatch):
+    exp = write_experiment(tmp_path)
+    exp.write_bytes(f'{{"{"k" * 3000}": 1, "{"k" * 3000}": 2, '.encode() + exp.read_bytes()[1:])
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "run", exp.name)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.endswith("duplicate keys ['kkkkkkkkkkkk… (3000 characters)']\n")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_well_formed_markov_model_runs(tmp_path, capsys):
     (tmp_path / "model.json").write_text(json.dumps(GOOD_MODEL))
     exp = write_experiment(tmp_path, denoiser={"kind": "markov_model", "path": "model.json"},
@@ -316,9 +331,11 @@ def test_uncovered_experiment_error_is_config_error(tmp_path, capsys, overrides,
 
 
 # A 5,000-character bad value in a corpus field, a prompt token list, a
-# JSON field or a kind: each error line once echoed all of it.
+# JSON field or a kind, a 3,000-token context key in a model file and a
+# 3,000-character unknown grid key: each error line once echoed all of it.
 LONG = "9" * 4999 + "x"
 CLIPPED = "'99999999999… (5002 characters)"  # its repr: the first 12 characters and the length
+LONG_KEY = ",".join(map(str, range(3000)))
 LONG_VALUES = {
     "corpus_field": ("fit-markov", None, f"{CLIPPED} is not an integer"),
     "prompt_tokens": ("run", {"task": {"prompts": {"kind": "tokens", "values": [LONG]}}},
@@ -328,15 +345,22 @@ LONG_VALUES = {
     "denoiser_kind": ("run", {"denoiser": {"kind": LONG}}, f"denoiser kind {CLIPPED}"),
     "tokenization": ("run", {"denoiser": {"kind": "markov", "corpus": "c.txt", "tokenization": LONG}},
                      f"tokenization {CLIPPED}"),
+    "model_context_key": ("run", {"denoiser": {"kind": "markov_model", "path": "model.json"}, "task": ORACLE_TASK},
+                          f"context '0,1,2,3,4,5… ({len(repr(LONG_KEY))} characters): keys must be canonical "
+                          "integers, contexts at most 1 long\")"),
+    "grid_key": ("run", {"grid": [{"algorithm": "dynamic", "tau": 0.9, "k" * 3000: 1}]},
+                 "unknown config keys: ['kkkkkkkkkkkk… (3000 characters)']"),
 }
 
 
 @pytest.mark.parametrize("command, overrides, fragment", LONG_VALUES.values(), ids=LONG_VALUES.keys())
-def test_an_error_line_shows_a_long_bad_value_clipped(tmp_path, capsys, command, overrides, fragment):
+def test_an_error_line_shows_a_long_bad_value_clipped(tmp_path, capsys, monkeypatch, command, overrides, fragment):
     corpus = tmp_path / "c.txt"
     corpus.write_text(f"1 2\n3 {LONG}\n")
+    (tmp_path / "model.json").write_text(json.dumps(dict(GOOD_MODEL, counts={"": {"0": 1}, LONG_KEY: {"1": 1}})))
+    monkeypatch.chdir(tmp_path)  # a line that names the model file names it by a short, relative path
     if command == "run":
-        args = ("run", str(write_experiment(tmp_path, **overrides)))
+        args = ("run", write_experiment(tmp_path, **overrides).name)
     else:
         args = ("fit-markov", "--corpus", str(corpus), "--tokenization", "whitespace_ints",
                 "--out", str(tmp_path / "m.json"))
@@ -691,7 +715,7 @@ class TestReplay:
             capsys, "replay", "--fixture", str(fixture), "--vocab-size", str(HUGE_VOCAB),
             "--algorithm", "dynamic", "--tau", "0.9")
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: vocab_size {HUGE_VOCAB} is too large")
+        assert err == f"error: --vocab-size: {TOO_WIDE}\n"
 
     def test_bad_config_is_config_error(self, tmp_path, capsys):
         fixture = self.write_fixture(tmp_path)

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from blockdec import denoisers, experiment
-from blockdec.core import DecodingConfig, PositionPrediction, RowTable, Vocab
+from blockdec.core import MAX_VOCAB_SIZE, ROW_TABLE_BYTES, DecodingConfig, PositionPrediction, RowTable, Vocab
 from blockdec.denoisers import (
-    MAX_VOCAB_SIZE,
-    ROW_TABLE_BYTES,
     ContractViolation,
     FixtureError,
     MarkovDenoiser,
@@ -179,6 +178,27 @@ class TestMarkovFit:
             MarkovDenoiser(1, 0.1, Vocab(4), counts)
 
 
+class TestMarkovCounts:
+    """A directly built backend refuses a count token outside ``[0, size)``
+    when the row that reads it is built: ``-1`` once counted as token
+    ``size - 1`` and ``9`` ended in an IndexError. Other rows still build."""
+
+    @pytest.mark.parametrize("key", [(), (2,)], ids=["unigram", "context"])
+    @pytest.mark.parametrize("tok", [-1, 9])
+    def test_a_count_token_out_of_range_is_refused_when_its_row_is_built(self, tok, key):
+        den = MarkovDenoiser(1, 0.01, Vocab(4), {(): {0: 1, 1: 1}, key: {0: 1, tok: 5}})
+        cfg = DecodingConfig(algorithm="dynamic", tau=0.5, block_size=2, max_new_tokens=4)
+        message = f"context {key}: count token {tok} outside the ordinary range [0, 4)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate(den, list(key), cfg)
+
+    def test_the_other_rows_still_build(self):
+        den = MarkovDenoiser(1, 0.01, Vocab(4), {(): {0: 1, 1: 1}, (2,): {-1: 5}})
+        assert den.distribution((0,)).argmax() in (0, 1)  # backs off to the unigram
+        with pytest.raises(ValueError, match="count token -1 outside"):
+            den.distribution((2,))
+
+
 class TestMarkovConditioning:
     def test_depends_only_on_nearest_clean_left_at_order_one(self):
         den = markov_fit([0, 1, 2, 0, 1, 2, 0, 1, 2], order=1, smoothing=0.1)
@@ -296,6 +316,16 @@ class TestOracle:
         block = masked_block(2, vocab)
         preds = den.predict([5, 5, 5, 3, 1], block)
         assert position_probs(preds).argmax(axis=1).tolist() == [4, 1]
+
+    def test_a_negative_prompt_len_is_refused(self):
+        with pytest.raises(ValueError, match="^prompt_len must be nonnegative$"):
+            OracleDenoiser((0, 1), Vocab(4), 0.9, 0.5, prompt_len=-1)
+
+    def test_a_context_shorter_than_prompt_len_is_refused(self):
+        den = OracleDenoiser((0, 1), Vocab(4), 0.9, 0.5, prompt_len=3)
+        with pytest.raises(ValueError, match="^context is shorter than prompt_len$"):
+            den.predict([2, 3], masked_block(2, den.vocab))
+        assert den.predict([2, 3, 1], masked_block(2, den.vocab)).positions == (0, 1)
 
     def test_parameter_validation(self):
         vocab = Vocab(4)
@@ -545,7 +575,7 @@ class TableBackend:
         rows, ids = self.passes.pop(0)
         for r in rows:
             self.table.add(r)
-        return PositionPrediction.of(masked_of(block, V4), self.table, ids)
+        return PositionPrediction(masked_of(block, V4), self.table, ids)
 
 
 class TestTableWatermark:
@@ -646,13 +676,22 @@ BUILDERS = {
 
 class TestVocabWidth:
     """A vocab whose one row over all its ids would not fit a row table is
-    refused when the backend is built, before any pass maps a table for it."""
+    never built: ``Vocab`` refuses the size, so no backend, however it is
+    built, maps a table for it."""
 
     def too_wide(self, size):
         return f"vocab size {size} is too large: .*row table \\(at most {MAX_VOCAB_SIZE}\\)"
 
+    @pytest.mark.parametrize("size", [MAX_VOCAB_SIZE + 1, 2**31 + 1, 10**20])
+    def test_vocab_refuses_a_size_past_the_limit(self, size):
+        with pytest.raises(ValueError, match=f"^vocab size {size} is too large: one row of it exceeds the "
+                                             f"{ROW_TABLE_BYTES}-byte row table \\(at most {MAX_VOCAB_SIZE}\\)$"):
+            Vocab(size)
+        assert Vocab(MAX_VOCAB_SIZE).total_ids == MAX_VOCAB_SIZE + 3
+
     def test_the_limit_is_the_widest_row_the_table_holds(self):
-        assert 8 * Vocab(MAX_VOCAB_SIZE).total_ids <= ROW_TABLE_BYTES < 8 * Vocab(MAX_VOCAB_SIZE + 1).total_ids
+        # one more ordinary id makes the row one float64 wider
+        assert 8 * Vocab(MAX_VOCAB_SIZE).total_ids <= ROW_TABLE_BYTES < 8 * (Vocab(MAX_VOCAB_SIZE).total_ids + 1)
         assert experiment.MAX_VOCAB_SIZE == MAX_VOCAB_SIZE
 
     @pytest.mark.parametrize("name", BUILDERS)

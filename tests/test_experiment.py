@@ -283,7 +283,7 @@ class TestRunExperiment:
 
         def numpy_ids(self, context, block):
             preds = predict(self, context, block)
-            return denoisers.PositionPrediction.of(np.array(preds.positions), preds.table, np.array(preds.row))
+            return denoisers.PositionPrediction(np.array(preds.positions), preds.table, np.array(preds.row))
 
         monkeypatch.setattr(denoisers.MarkovDenoiser, "predict", numpy_ids)
         got = {p.name: p.read_bytes() for p in run_experiment(cfg)}

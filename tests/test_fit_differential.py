@@ -7,8 +7,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdec.core import Vocab
-from blockdec.denoisers import MAX_VOCAB_SIZE, markov_fit
+from blockdec.core import MAX_VOCAB_SIZE, Vocab
+from blockdec.denoisers import markov_fit
 
 from conftest import deadline
 from markov_reference import reference_counts

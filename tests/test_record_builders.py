@@ -2,8 +2,8 @@
 
 ``PositionPrediction.from_probs`` builds a new table with one row per
 position on every call. A backend keeps one table across passes instead,
-adds each distinct distribution once and builds its records with
-``PositionPrediction.of``. ``from_probs`` stays as the reference record
+adds each distinct distribution once and builds its records with the
+``PositionPrediction(positions, table, ids)`` constructor. ``from_probs`` stays as the reference record
 builder of the tests, so this lint refuses any call to it in ``src/``.
 """
 
@@ -42,5 +42,5 @@ def test_the_lint_catches_a_planted_call(source):
 
 
 def test_the_lint_passes_the_definition_and_other_calls():
-    source = "class P:\n    @classmethod\n    def from_probs(cls, p, r):\n        return cls.of(p, t, ids)\n"
+    source = "class P:\n    @classmethod\n    def from_probs(cls, p, r):\n        return cls(p, t, ids)\n"
     assert _from_probs_calls(ast.parse(source)) == []

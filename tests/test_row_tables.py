@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdec import denoisers, sampling
-from blockdec.core import DecodingConfig, PositionPrediction, RowTable, Vocab
-from blockdec.denoisers import ROW_TABLE_BYTES, OracleDenoiser, _with_room
+from blockdec.core import MAX_VOCAB_SIZE, ROW_TABLE_BYTES, DecodingConfig, PositionPrediction, RowTable, Vocab
+from blockdec.denoisers import OracleDenoiser, _with_room
 from blockdec.noise import nelbo_estimate
 from blockdec.scheduler import generate
 
@@ -113,7 +113,7 @@ def test_an_oracle_over_a_vocab_of_300000_decodes():
         generate(FreshTables(OracleDenoiser(target, vocab, 0.9, 0.8)), (), sampled)
 
 
-@pytest.mark.parametrize("size, rows", [(2, 1), (64, 32), (4096, 8), (300000, 1), (300000, 100), (20_000_000, 1)])
+@pytest.mark.parametrize("size, rows", [(2, 1), (64, 32), (4096, 8), (300000, 1), (300000, 100), (MAX_VOCAB_SIZE, 1)])
 def test_a_new_table_reserves_at_most_the_byte_budget_or_the_pass(size, rows):
     vocab = Vocab(size)
     row_bytes = 8 * vocab.total_ids

@@ -292,6 +292,12 @@ def oracle_cfg(**kw):
 
 
 class TestDecodeBlock:
+    def test_a_block_size_below_one_is_refused_before_any_pass(self):
+        den = CountingDenoiser(OracleDenoiser(vocab=Vocab(6), target=(1, 2), base_confidence=0.9, decay=0.6))
+        with pytest.raises(ValueError, match="^block_size must be positive$"):
+            decode_block(den, [], 0, oracle_cfg(tau=0.9), np.random.default_rng(0))
+        assert den.calls == 0
+
     def test_single_step_when_all_clear(self):
         vocab = Vocab(8)
         script = {(0, 0, p): (0.95, p + 1) for p in range(4)}
