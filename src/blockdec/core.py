@@ -10,7 +10,6 @@ list in which a position is masked exactly when it holds ``vocab.mask_id``.
 from __future__ import annotations
 
 import math
-import mmap
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -95,28 +94,38 @@ def token_array(tokens) -> np.ndarray:
         raise ValueError("token does not fit in int64") from None
 
 
-# Row bytes a new table reserves (a fixed row count reserved gigabytes at V ~ 1e5).
+# Row bytes a table is charged before a backend starts a new one (a fixed row count reserved gigabytes at V ~ 1e5).
 ROW_TABLE_BYTES = 128 << 20
 # The widest vocab whose one float64 row over all its ids fits a row table's bytes.
 MAX_VOCAB_SIZE = ROW_TABLE_BYTES // 8 - 3
+# Bytes of one value kept in a row's dict: its hash-table slot, int key and float (75-105 B by tracemalloc).
+ENTRY_BYTES = 100
 
 
 class RowTable:
-    """Append-only table of checked categoricals: ``probs`` [R, V] over
-    ``vocab``'s full id space, a read-only ``[:size]`` view of storage sized
-    once for ``capacity`` rows, and each row's ``confidence`` (max),
-    ``entropy`` (nats) and ``argmax``, Python lists of R floats, floats and
-    ints. :meth:`add` checks a row once, when it enters, and derives its
-    stats; nothing else writes to a table."""
+    """Append-only table of checked categoricals over ``vocab``'s full id
+    space, at most ``capacity`` rows, and each row's ``confidence`` (max),
+    ``entropy`` (nats) and ``argmax``, Python lists of ``size`` floats, floats
+    and ints. :meth:`add` checks a dense [V] row once, when it enters, and
+    derives its stats from it; nothing else writes to a table.
+
+    A row is stored as its base, the minimum over its ordinary columns, plus
+    a dict of the columns whose value differs from it in any bit: a Markov
+    row is one smoothing value but for its successors and the special ids.
+    When that dict would take as many bytes as the dense row (``ENTRY_BYTES``
+    a value and one more for the dict and the base, against 8 a column), the
+    row is stored dense instead. ``nbytes`` charges each row the form it
+    took, so no row is charged past its dense bytes.
+    :meth:`row`, :meth:`at` and :meth:`differing` read the rows back, each
+    value with the bits it had; ``probs`` builds the dense [R, V] copy."""
 
     def __init__(self, capacity: int, vocab: Vocab):
         self.capacity, self.vocab, self.width = capacity, vocab, vocab.total_ids
-        self.size = 0
-        # A mapping of its own for the rows: pages are committed as rows are
-        # written, and the empty tail holds no heap that short-lived objects reuse.
-        buf = mmap.mmap(-1, capacity * self.width * 8)
-        self._probs = np.frombuffer(buf).reshape(capacity, self.width)
+        self.size = self.nbytes = 0
         self.confidence, self.entropy, self.argmax = [], [], []  # one entry per row, appended by add
+        # one entry per row: the base and the dict of differing columns, or None and the dense row
+        self._base: list[float | None] = []
+        self._diff: list[dict[int, float] | np.ndarray] = []
         self.ids: dict = {}  # the owning backend's key (a context, a spike) -> row id
         # temperature -> row id -> the row's sampling chunk index, filled by
         # ``sampling``; it holds no reference back to the table
@@ -124,9 +133,30 @@ class RowTable:
 
     @property
     def probs(self) -> np.ndarray:
-        view = self._probs[: self.size]
-        view.flags.writeable = False
-        return view
+        """The read-only [size, V] matrix of every row, rebuilt: for tests."""
+        out = np.array([self.row(r) for r in range(self.size)]).reshape(self.size, self.width)
+        out.flags.writeable = False
+        return out
+
+    def row(self, r: int) -> np.ndarray:
+        """A new dense [V] copy of row ``r``."""
+        base, diff = self._base[r], self._diff[r]
+        if base is None:
+            return diff.copy()
+        out = np.full(self.width, base)
+        out[list(diff)] = list(diff.values())
+        return out
+
+    def at(self, rows, cols) -> np.ndarray:
+        """``probs[rows, cols]``: the value of each ``(row, column)`` pair, as float64."""
+        base, diff = self._base, self._diff
+        return np.array([diff[r][c] if base[r] is None else diff[r].get(c, base[r])
+                         for r, c in zip(rows, cols)], dtype=np.float64)
+
+    def differing(self, r: int):
+        """The columns of row ``r`` whose value may differ from its base: all
+        of them for a row stored dense."""
+        return range(self.width) if self._base[r] is None else self._diff[r].keys()
 
     def add(self, probs) -> int:
         """Check one [V] row, derive its stats and append it; returns its id.
@@ -147,13 +177,21 @@ class RowTable:
         confidence, entropy = float(probs.max()), float(max(0.0, -(nz * np.log(nz)).sum()))
         if confidence >= 1.0 - 1e-12 and entropy > 1e-9:
             raise ValueError("unit confidence requires zero entropy")
-        row = self.size
-        self._probs[row] = probs
+        base = probs[: self.vocab.size].min()
+        cols = np.flatnonzero(probs.view(np.int64) != base.view(np.int64))
+        if ENTRY_BYTES * (len(cols) + 1) < probs.nbytes:
+            self._base.append(float(base))
+            self._diff.append(dict(zip(cols.tolist(), probs[cols].tolist())))
+            self.nbytes += ENTRY_BYTES * (len(cols) + 1)
+        else:
+            self._base.append(None)
+            self._diff.append(probs.copy())
+            self.nbytes += probs.nbytes
         self.confidence.append(confidence)
         self.entropy.append(entropy)
         self.argmax.append(int(probs.argmax()))
         self.size += 1
-        return row
+        return self.size - 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import ROW_TABLE_BYTES, PositionPrediction, RowTable, Vocab
+from .core import ENTRY_BYTES, ROW_TABLE_BYTES, PositionPrediction, RowTable, Vocab
 
 __all__ = [
     "ContractViolation",
@@ -74,11 +74,15 @@ def predict(denoiser: Denoiser, context: Sequence[int], block: Sequence[int]) ->
 
 
 def _with_room(table: RowTable | None, rows: int, vocab: Vocab) -> RowTable:
-    """``table`` if it has ``rows`` free rows, else a new table with room for at least
-    ``rows``; a pass asks for one per position, so a record never spans two tables."""
-    if table is not None and table.capacity - table.size >= rows:
+    """``table`` if it has ``rows`` free rows and they keep its ``nbytes`` within
+    ``ROW_TABLE_BYTES`` charged at their dense bytes, else a new table of at least
+    ``rows`` rows; a pass asks for one per position, so a record never spans two
+    tables. A table takes at most ``ROW_TABLE_BYTES // ENTRY_BYTES`` rows (or the
+    pass), which bounds the per-row stats ``nbytes`` leaves out."""
+    if (table is not None and table.capacity - table.size >= rows
+            and table.nbytes + rows * 8 * vocab.total_ids <= ROW_TABLE_BYTES):
         return table
-    return RowTable(max(rows, ROW_TABLE_BYTES // (8 * vocab.total_ids)), vocab)
+    return RowTable(max(rows, ROW_TABLE_BYTES // ENTRY_BYTES), vocab)
 
 
 def _spiked(backend, positions: list[int], spikes: list[tuple[int, float]]) -> PositionPrediction:
@@ -137,7 +141,7 @@ class MarkovDenoiser:
         """Smoothed next-token distribution after ``ctx``, with backoff."""
         self._table = _with_room(self._table, 1, self.vocab)
         row = self._entry(ctx)
-        return self._table.probs[row]
+        return self._table.row(row)
 
     def _entry(self, ctx: tuple[int, ...]) -> int:
         """Row of ``ctx``'s distribution in the current table. The first lookup

@@ -218,8 +218,10 @@ def load_markov(path) -> MarkovDenoiser:
             if any(type(c) is not int or c < 1 for c in counts[ctx].values()):  # a bool is not an int here
                 raise ValueError(f"{where}: every count must be an integer >= 1")
         return MarkovDenoiser(order=order, smoothing=smoothing, vocab=Vocab(vocab_size), counts=counts)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad markov model {path}: {exc!r}") from None
+    except KeyError as exc:
+        raise ConfigError(f"bad markov model {path}: missing {exc}") from None
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad markov model {path}: {exc}") from None
 
 
 _CONFIG_KEYS = {f.name for f in fields(DecodingConfig)}
@@ -241,7 +243,9 @@ def _section(value, where: str, allowed: set[str]) -> dict:
         raise ConfigError(f"{where} must be an object")
     unknown = set(value) - allowed
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(_clipped(str(key)) for key in unknown)}")
+        shown = sorted(_clipped(str(key)) for key in unknown)
+        more = f" and {len(shown) - 3} more" if len(shown) > 3 else ""
+        raise ConfigError(f"unknown {where} keys: {shown[:3]}{more}")
     return value
 
 
@@ -373,7 +377,9 @@ class _DenoiserFactory:
             else:
                 self.vocab = Vocab(field("vocab_size", int))
                 self.script = load_scripted(root / field("fixture", str), self.vocab).script  # parsed once
-        except ValueError as exc:  # a ConfigError, or a backend constructor rejecting a field
+        except ConfigError:  # it names its place: a field, a corpus or a model file
+            raise
+        except ValueError as exc:  # a backend constructor rejecting a field
             raise ConfigError(f"bad {kind} denoiser: {exc}") from None
         if self._shared is not None:
             self.vocab = self._shared.vocab

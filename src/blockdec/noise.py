@@ -48,8 +48,8 @@ def nelbo_estimate(
     response. Then, block by block, the denoiser predicts the block's masked
     positions given the clean prompt and the clean preceding blocks (through
     the contract wrapper :func:`predict`), and the negative log probability
-    of the true tokens, read with one gather per block, is summed and scaled
-    by ``1/t``. The returned value is the mean over ``t_samples``.
+    of the true tokens, read with one ``RowTable.at`` gather per block, is
+    summed and scaled by ``1/t``. The returned value is the mean over ``t_samples``.
 
     Parameters
     ----------
@@ -114,7 +114,7 @@ def nelbo_estimate(
                     continue
                 preds = predict(denoiser, full[: len(prompt) + k], block)
                 truths = [padded[k + i] for i in preds.positions]
-                for v in np.log(preds.table.probs[list(preds.row), truths]).tolist():
+                for v in np.log(preds.table.at(preds.row, truths)).tolist():
                     total -= v
             estimates.append(total / t)
     return float(np.mean(estimates))

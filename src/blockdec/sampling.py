@@ -14,7 +14,6 @@ toward the lower position.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -156,29 +155,23 @@ def select_entropy_bounded(preds: PositionPrediction, gamma: float) -> Selection
     return sorted(ranked[:m]), None, False
 
 
-def _tempered(probs: np.ndarray, temperature: float, log_max: float | None) -> np.ndarray:
-    """Unnormalized sampling weights of a row, or of a slice of one: ``probs``
-    itself at T = 1, else tempered in log space with the row's max subtracted
-    (``log_max``, from ``math.log``), so that no weight underflows into a 0/0.
-    Elementwise, so a slice gets the bits it has in the whole row. At T != 1
-    the caller holds ``np.errstate(**QUIET)``: a zero column's ``log`` is -inf."""
-    if temperature == 1.0:
-        return probs
-    return np.exp((np.log(probs) - log_max) / temperature)
-
-
-def _chunk_index(probs: np.ndarray, temperature: float) -> tuple:
-    """``(log_max, total, last, starts, ends)`` of one row's sampling CDF:
+def _chunk_index(table, r: int, temperature: float) -> tuple:
+    """``(last, starts, ends, cdfs, plain)`` of row ``r``'s sampling CDF:
     ``Generator.choice``'s checks and arithmetic, ``cdf = p.cumsum();
-    cdf /= cdf[-1]``, on ``p = w / total`` with ``w`` from :func:`_tempered`.
-    Kept: the last raw value, the raw value before each ``CDF_CHUNK``-column
-    chunk and each full chunk's normalized end, ~1 KB of a 4,099-wide row's
-    32 KB."""
-    log_max = math.log(probs.max()) if temperature != 1.0 else None
-    with np.errstate(**QUIET) if temperature != 1.0 else nullcontext():
-        w = _tempered(probs, temperature, log_max)
-    total = w.sum()
-    p = w / total
+    cdf /= cdf[-1]``, on ``p = w / w.sum()``. The weights ``w`` are the dense
+    row at T = 1, else the row tempered in log space with its max (from
+    ``math.log``) subtracted, so that no weight underflows into a 0/0; under
+    ``QUIET`` a zero column's ``log`` of -inf is a zero weight. Kept: the last
+    raw value, the raw value before each ``CDF_CHUNK``-column chunk, each
+    full chunk's normalized end, the normalized CDF of each chunk holding a
+    column that differs from the row's base, and ``plain``, the normalized
+    weight of a base column, which is every column of the other chunks. At
+    V = 4,099 a Markov row keeps ~1 KB of ends and a few 512-byte chunks."""
+    w = table.row(r)
+    if temperature != 1.0:
+        with np.errstate(**QUIET):
+            w = np.exp((np.log(w) - math.log(w.max())) / temperature)
+    p = w / w.sum()
     if p.min() < 0.0:
         raise ValueError("probabilities are not non-negative")
     cdf = p.cumsum()
@@ -186,7 +179,10 @@ def _chunk_index(probs: np.ndarray, temperature: float) -> tuple:
     if not abs(last - 1.0) <= CHOICE_SUM_TOL:  # NaN fails too
         raise ValueError("probabilities do not sum to 1")
     raw_ends = cdf[CDF_CHUNK - 1 :: CDF_CHUNK]
-    return log_max, total, last, np.concatenate(([0.0], raw_ends)), raw_ends / last
+    cdfs = {k: cdf[k * CDF_CHUNK : (k + 1) * CDF_CHUNK] / last
+            for k in {c // CDF_CHUNK for c in table.differing(r)}}
+    plain = next((lo for lo in range(0, len(p), CDF_CHUNK) if lo // CDF_CHUNK not in cdfs), None)
+    return last, np.concatenate(([0.0], raw_ends)), raw_ends / last, cdfs, None if plain is None else p[plain]
 
 
 def _realize(preds: PositionPrediction, idx: list[int], temperature: float,
@@ -198,37 +194,38 @@ def _realize(preds: PositionPrediction, idx: list[int], temperature: float,
     first column whose normalized CDF value exceeds ``u``: the tokens and the
     generator state of one ``rng.choice`` per position. The row's
     :func:`_chunk_index`, built once per table and temperature, names the
-    chunk; the chunk's weights are recomputed and ``cumsum`` continues from
-    its start, so every compared value has the bits of the full CDF. The
-    committed confidence stays untempered. At T != 1 the floating-point
-    state is set once per call, not once per draw."""
+    chunk and holds its CDF, or, for a chunk of base columns only, its one
+    weight, from which ``cumsum`` continues from the chunk's start; every
+    compared value has the bits of the full CDF, and no draw reads the row.
+    The committed confidence stays untempered."""
+    table = preds.table
     rows = [preds.row[i] for i in idx]
     if temperature == 0.0:
-        argmax = preds.table.argmax
+        argmax = table.argmax
         return [argmax[r] for r in rows]
-    if temperature == 1.0:
-        return _draws(preds.table, rows, temperature, rng)
-    with np.errstate(**QUIET):
-        return _draws(preds.table, rows, temperature, rng)
-
-
-def _draws(table, rows: list[int], temperature: float, rng: np.random.Generator) -> list[int]:
-    # The sampled tokens of :func:`_realize`: one uniform per row, in order.
-    probs = table.probs
     index = table.cdf_index.setdefault(temperature, {})
     tokens = []
     for r, u in zip(rows, rng.random(len(rows)).tolist()):
         if r not in index:
-            index[r] = _chunk_index(probs[r], temperature)
-        log_max, total, last, starts, ends = index[r]
-        k = int(ends.searchsorted(u, "right"))
-        lo = k * CDF_CHUNK
-        p = _tempered(probs[r, lo:lo + CDF_CHUNK], temperature, log_max) / total
+            index[r] = _chunk_index(table, r, temperature)
+        entry = index[r]
+        k = int(entry[2].searchsorted(u, "right"))  # the first chunk whose normalized end exceeds u
+        tokens.append(k * CDF_CHUNK + int(_chunk_cdf(entry, k, table.width).searchsorted(u, "right")))
+    return tokens
+
+
+def _chunk_cdf(entry: tuple, k: int, width: int) -> np.ndarray:
+    """The normalized CDF of chunk ``k`` of a ``width``-column row with
+    :func:`_chunk_index` ``entry``: kept, or, when the chunk's columns all
+    weigh ``plain``, summed from the chunk's start as the full CDF sums it."""
+    last, starts, _, cdfs, plain = entry
+    cdf = cdfs.get(k)
+    if cdf is None:
+        p = np.full(min(CDF_CHUNK, width - k * CDF_CHUNK), plain)
         p[0] += starts[k]
         cdf = p.cumsum()
         cdf /= last
-        tokens.append(lo + int(cdf.searchsorted(u, "right")))
-    return tokens
+    return cdf
 
 
 def decode_block(

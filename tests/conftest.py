@@ -5,13 +5,14 @@ from __future__ import annotations
 import contextlib
 import math
 import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from blockdec.core import GenerationResult, PositionPrediction, RowTable, StepRecord, StopReason, Vocab
 from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser, markov_fit
-from blockdec.sampling import QUIET, BacdState, _chunk_index, _tempered
+from blockdec.sampling import CDF_CHUNK, BacdState, _chunk_cdf, _chunk_index
 
 
 @contextlib.contextmanager
@@ -50,13 +51,19 @@ def preds_from_confs(confs, vocab: Vocab | None = None, token: int = 0):
         [pos for pos, _ in confs], [spiked_probs(vocab, token, conf) for _, conf in confs])
 
 
-def index_weights(probs: np.ndarray, temperature: float) -> np.ndarray:
-    """A row's sampling weights as a draw recomputes them from the row's
-    chunk index: tempered with its ``log_max`` under the floating-point state
-    a draw holds, divided by its ``total``."""
-    log_max, total, *_ = _chunk_index(probs, temperature)
-    with np.errstate(**QUIET):
-        return _tempered(probs, temperature, log_max) / total
+def bare_table(*rows) -> SimpleNamespace:
+    """What the sampler reads of a table, over unchecked rows, each read as
+    stored dense: every column may differ from the row's base."""
+    rows = [np.array(row, dtype=np.float64) for row in rows]
+    return SimpleNamespace(row=lambda r: rows[r].copy(), differing=lambda r: range(len(rows[r])),
+                           width=len(rows[0]), cdf_index={})
+
+
+def index_cdf(table, r: int, temperature: float) -> np.ndarray:
+    """Row ``r``'s normalized sampling CDF as draws read it from its chunk
+    index: each chunk's kept CDF, or the one summed from its plain weight."""
+    entry = _chunk_index(table, r, temperature)
+    return np.concatenate([_chunk_cdf(entry, k, table.width) for k in range(-(-table.width // CDF_CHUNK))])
 
 
 def bacd_after(history, tau_l: float, tau_h: float) -> BacdState:

@@ -331,8 +331,9 @@ def test_uncovered_experiment_error_is_config_error(tmp_path, capsys, overrides,
 
 
 # A 5,000-character bad value in a corpus field, a prompt token list, a
-# JSON field or a kind, a 3,000-token context key in a model file and a
-# 3,000-character unknown grid key: each error line once echoed all of it.
+# JSON field or a kind, a 3,000-token context key in a model file, a
+# 3,000-character unknown grid key and 500 unknown grid keys: each error line
+# once echoed all of it. A fragment from "error:" on is the whole line.
 LONG = "9" * 4999 + "x"
 CLIPPED = "'99999999999… (5002 characters)"  # its repr: the first 12 characters and the length
 LONG_KEY = ",".join(map(str, range(3000)))
@@ -346,10 +347,12 @@ LONG_VALUES = {
     "tokenization": ("run", {"denoiser": {"kind": "markov", "corpus": "c.txt", "tokenization": LONG}},
                      f"tokenization {CLIPPED}"),
     "model_context_key": ("run", {"denoiser": {"kind": "markov_model", "path": "model.json"}, "task": ORACLE_TASK},
-                          f"context '0,1,2,3,4,5… ({len(repr(LONG_KEY))} characters): keys must be canonical "
-                          "integers, contexts at most 1 long\")"),
+                          f"error: bad markov model model.json: context '0,1,2,3,4,5… ({len(repr(LONG_KEY))} "
+                          "characters): keys must be canonical integers, contexts at most 1 long"),
     "grid_key": ("run", {"grid": [{"algorithm": "dynamic", "tau": 0.9, "k" * 3000: 1}]},
                  "unknown config keys: ['kkkkkkkkkkkk… (3000 characters)']"),
+    "many_grid_keys": ("run", {"grid": [{"algorithm": "dynamic", "tau": 0.9, **{f"x{i}": 1 for i in range(500)}}]},
+                       "error: unknown config keys: ['x0', 'x1', 'x10'] and 497 more"),
 }
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from blockdec import denoisers, experiment
-from blockdec.core import MAX_VOCAB_SIZE, ROW_TABLE_BYTES, DecodingConfig, PositionPrediction, RowTable, Vocab
+from blockdec.core import (ENTRY_BYTES, MAX_VOCAB_SIZE, ROW_TABLE_BYTES, DecodingConfig, PositionPrediction,
+                           RowTable, Vocab)
 from blockdec.denoisers import (
     ContractViolation,
     FixtureError,
@@ -602,24 +603,31 @@ class TestTableWatermark:
 
 class CheckedTables:
     """Delegates to a backend and checks every record it returns: the record
-    indexes the backend's current table and its ids lie in that table. A
-    table new in this pass holds the rows of ``ROW_TABLE_BYTES``, or the
-    pass's request if more: the block for the Markov backend, the masked
-    positions for the others. ``rolls`` gets an entry per table after the
-    backend's first."""
+    indexes the backend's current table and its ids lie in that table. The
+    pass asks for rows, the block for the Markov backend, the masked
+    positions for the others. A table is kept while they fit its row count
+    and, charged their dense bytes, ``ROW_TABLE_BYTES``; a new one takes
+    ``ROW_TABLE_BYTES // ENTRY_BYTES`` rows, or the pass's request if more.
+    ``rolls`` gets an entry per table after the backend's first."""
 
     def __init__(self, model, rolls):
         self.model, self.vocab, self.rolls, self.table = model, model.vocab, rolls, None
 
     def predict(self, context, block):
+        before = self.table
+        before_room = None if before is None else (before.capacity - before.size, before.nbytes)
         preds = self.model.predict(context, block)
         table = preds.table
         assert table is self.model._table
         assert 0 <= min(preds.row) and max(preds.row) < table.size <= table.capacity
-        if table is not self.table:
-            need = len(block) if isinstance(self.model, MarkovDenoiser) else len(preds.positions)
-            assert table.capacity == max(denoisers.ROW_TABLE_BYTES // (8 * self.vocab.total_ids), need)
-            if self.table is not None:
+        need = len(block) if isinstance(self.model, MarkovDenoiser) else len(preds.positions)
+        row_bytes = 8 * self.vocab.total_ids
+        assert table.nbytes <= max(denoisers.ROW_TABLE_BYTES, need * row_bytes)
+        if table is not before:
+            assert table.capacity == max(denoisers.ROW_TABLE_BYTES // ENTRY_BYTES, need)
+            if before is not None:
+                free, nbytes = before_room
+                assert free < need or nbytes + need * row_bytes > denoisers.ROW_TABLE_BYTES
                 self.rolls.append(table.capacity)
             self.table = table
         return preds

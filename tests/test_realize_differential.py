@@ -11,7 +11,6 @@ both match.
 
 from __future__ import annotations
 
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdec.sampling import CDF_CHUNK, QUIET, _chunk_index, _realize, _tempered
+from blockdec.sampling import CDF_CHUNK, _chunk_index, _realize
 
-from conftest import index_weights, shared_record
+from conftest import bare_table, index_cdf, shared_record, table_of
 from realize_reference import reference_realize, reference_tokens, reference_weights
 
 TEMPERATURES = (0.0, 1.0, 0.5, 2.0)
@@ -144,38 +143,58 @@ def test_reference_tokens_are_generator_choice():
 def test_nan_or_negative_weights_raise_value_error(bad, temperature):
     # tables refuse such rows, so a bare stand-in reaches the sampler's own
     # checks, which run where the first draw from a row builds its index
-    table = SimpleNamespace(probs=np.array([[0.5, 0.5, 0.0], bad]), cdf_index={})
+    table = bare_table([0.5, 0.5, 0.0], bad)
     preds = SimpleNamespace(table=table, row=(0, 1))
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError):
             _realize(preds, [0, 1], temperature, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            _chunk_index(np.array(bad), temperature)
+            _chunk_index(table, 1, temperature)
         with pytest.raises(ValueError):
-            reference_realize(preds.table.probs, preds.row, [0, 1], temperature, np.random.default_rng(0))
+            reference_realize(np.array([[0.5, 0.5, 0.0], bad]), preds.row, [0, 1], temperature,
+                              np.random.default_rng(0))
+
+
+def reference_cdf(row: np.ndarray, temperature: float) -> np.ndarray:
+    cdf = reference_weights(row, temperature).cumsum()
+    return cdf / cdf[-1]
 
 
 def test_weights_are_bit_identical_to_the_reference():
-    # the subtracted max goes through math.log: np.log differs from it in the
-    # last bit for a small share of values, which would move a rare token
+    # the CDF of the weights: the subtracted max goes through math.log: np.log
+    # differs from it in the last bit for a small share of values, which would
+    # move a rare token
     rows = np.random.default_rng(7).dirichlet(np.full(50, 0.3), size=1500)
     rows[:, ::7] = 0.0
     rows /= rows.sum(axis=1, keepdims=True)
+    table = bare_table(*rows)
     for temperature in (0.25, 0.5, 2.0, 1.0):
-        for r in rows:
-            assert index_weights(r, temperature).tobytes() == reference_weights(r, temperature).tobytes()
+        for r, row in enumerate(rows):
+            assert index_cdf(table, r, temperature).tobytes() == reference_cdf(row, temperature).tobytes()
 
 
 def test_chunk_weights_are_the_full_rows_bits():
-    # a draw recomputes one chunk's weights from a slice of the row
-    rows = np.random.default_rng(8).dirichlet(np.full(5 * CDF_CHUNK - 7, 0.3), size=60)
-    rows[:, ::5] = 0.0
+    # a draw reads one chunk's CDF: kept for a chunk holding a column that
+    # differs from the base, else summed from the chunk's start over the one
+    # plain weight; either way with the bits of the full row's CDF
+    rng = np.random.default_rng(8)
+    size = 5 * CDF_CHUNK - 10  # the last chunk is partial
+    rows = np.zeros((60, size + 3))
+    rows[:, :size] = 0.01
+    for r, row in enumerate(rows):
+        spikes = rng.choice(size, rng.integers(1, 6), replace=False)
+        row[spikes] += rng.random(len(spikes))
+        row[0] += 0.5 * (r % 2)  # a first chunk that is not plain
+        row[size + 1] = rng.choice([0.0, 0.3])  # eos
     rows /= rows.sum(axis=1, keepdims=True)
+    table = table_of(rows)
     for temperature in (0.25, 0.7, 1.0, 1.5, 1e-3):
-        for r in rows:
-            log_max, total, *_ = _chunk_index(r, temperature)
-            with np.errstate(**QUIET):  # as a draw holds it
-                chunks = [_tempered(r[lo : lo + CDF_CHUNK], temperature, log_max) / total
-                          for lo in range(0, len(r), CDF_CHUNK)]
-            assert np.concatenate(chunks).tobytes() == reference_weights(r, temperature).tobytes()
-            assert log_max is None if temperature == 1.0 else log_max == math.log(r.max())
+        plains = 0
+        for r, row in enumerate(rows):
+            plain = _chunk_index(table, r, temperature)[4]
+            if plain is not None:  # some chunk holds base columns only
+                plains += 1
+                base = int(row[:size].argmin())
+                assert plain.tobytes() == reference_weights(row, temperature)[base].tobytes()
+            assert index_cdf(table, r, temperature).tobytes() == reference_cdf(row, temperature).tobytes()
+        assert plains > 40

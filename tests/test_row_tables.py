@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdec import denoisers, sampling
-from blockdec.core import MAX_VOCAB_SIZE, ROW_TABLE_BYTES, DecodingConfig, PositionPrediction, RowTable, Vocab
+from blockdec.core import (ENTRY_BYTES, MAX_VOCAB_SIZE, ROW_TABLE_BYTES, DecodingConfig, PositionPrediction,
+                           RowTable, Vocab)
 from blockdec.denoisers import OracleDenoiser, _with_room
 from blockdec.noise import nelbo_estimate
 from blockdec.scheduler import generate
@@ -81,9 +82,9 @@ def test_a_multi_block_oracle_decode_shares_one_table_and_indexes_each_row_once(
     builds, draws = [], []
     build, realize = sampling._chunk_index, sampling._realize
 
-    def counting_build(probs, temperature):
+    def counting_build(table, r, temperature):
         builds.append(temperature)
-        return build(probs, temperature)
+        return build(table, r, temperature)
 
     def recording_realize(preds, idx, temperature, rng):
         draws.extend((temperature, preds.row[i]) for i in idx)
@@ -107,7 +108,8 @@ def test_an_oracle_over_a_vocab_of_300000_decodes():
     cfg = DecodingConfig(algorithm="dynamic", tau=0.5, block_size=4, max_new_tokens=8)
     den = OracleDenoiser(target, vocab, 0.9, 0.8)
     assert generate(den, (), cfg).output_tokens == target + (vocab.eos_id,)
-    assert den._table._probs.nbytes <= ROW_TABLE_BYTES
+    # a spiked row keeps its peak and the three special ids: 2.4 MB dense, 500 bytes stored
+    assert den._table.nbytes <= 5 * ENTRY_BYTES * den._table.size <= ROW_TABLE_BYTES
     sampled = DecodingConfig(algorithm="dynamic", tau=0.5, block_size=4, max_new_tokens=8, temperature=1.0)
     assert generate(OracleDenoiser(target, vocab, 0.9, 0.8), (), sampled) == \
         generate(FreshTables(OracleDenoiser(target, vocab, 0.9, 0.8)), (), sampled)
@@ -115,27 +117,43 @@ def test_an_oracle_over_a_vocab_of_300000_decodes():
 
 @pytest.mark.parametrize("size, rows", [(2, 1), (64, 32), (4096, 8), (300000, 1), (300000, 100), (MAX_VOCAB_SIZE, 1)])
 def test_a_new_table_reserves_at_most_the_byte_budget_or_the_pass(size, rows):
+    # A new table takes the pass however wide its rows and holds no bytes
+    # until rows come; it is kept for m more rows while they fit its row
+    # count and, charged their dense bytes, the byte budget.
     vocab = Vocab(size)
-    row_bytes = 8 * vocab.total_ids
     table = _with_room(None, rows, vocab)
-    assert rows <= table.capacity
-    assert table._probs.nbytes == table.capacity * row_bytes <= max(ROW_TABLE_BYTES, rows * row_bytes)
-    assert _with_room(table, table.capacity, vocab) is table  # it fits: no new table
-    assert _with_room(table, table.capacity + 1, vocab) is not table
+    assert rows <= table.capacity == max(rows, ROW_TABLE_BYTES // ENTRY_BYTES)
+    assert table.size == table.nbytes == 0
+    fits = min(table.capacity, ROW_TABLE_BYTES // (8 * vocab.total_ids))
+    assert _with_room(table, fits, vocab) is table
+    assert _with_room(table, fits + 1, vocab) is not table
 
 
 def test_the_budget_is_a_whole_number_of_bytes_of_rows(monkeypatch):
-    # wide_vocab's 4,099-wide rows: 4,093 fit in the budget
-    assert _with_room(None, 1, Vocab(4096)).capacity == ROW_TABLE_BYTES // (8 * 4099) == 4093
-    monkeypatch.setattr(denoisers, "ROW_TABLE_BYTES", 3 * 8 * 4099 + 1)
-    assert _with_room(None, 1, Vocab(4096)).capacity == 3
+    # wide_vocab's 4,099-wide rows: a table holds 4,093 of them dense, and
+    # far more stored compact, since it is bounded by the bytes it stores
+    vocab = Vocab(4096)
+    assert ROW_TABLE_BYTES // (8 * vocab.total_ids) == 4093
+    monkeypatch.setattr(denoisers, "ROW_TABLE_BYTES", 3 * 8 * vocab.total_ids + 1)
+    dense, compact = _with_room(None, 1, vocab), _with_room(None, 1, vocab)
+    ramp = np.r_[np.arange(1.0, 4097) / (4096 * 4097 / 2), np.zeros(3)]  # no repeated value: stored dense
+    for _ in range(3):
+        assert _with_room(dense, 1, vocab) is dense
+        dense.add(ramp)
+    assert _with_room(dense, 1, vocab) is not dense
+    markov = np.r_[np.full(4096, 0.01 / 50.96), np.zeros(3)]
+    markov[[5, 77, 900, 4000]] += 12.5 / 50.96  # four successors, each seen 12.5 times
+    while _with_room(compact, 1, vocab) is compact:
+        compact.add(markov / markov.sum())
+    assert compact.nbytes == compact.size * 8 * ENTRY_BYTES  # 4 successors, 3 special ids, 1 for the dict
+    assert compact.size == 82  # 81 rows of 800 bytes and one pending at its dense 32,792 fit 98,377; 82 do not
 
 
 def test_a_new_table_takes_no_heap_for_its_capacity():
-    # A table's rows and stats live in a mapping of its own: a heap block
-    # the size of the capacity would be reused, page by page, by short-lived
-    # objects once the table is gone (demo_grid's peak RSS rose 15% when the
-    # stats of a 1.5M-row table came from the heap).
+    # Rows and their stats are appended as they come, so a capacity costs
+    # nothing: a heap block the size of the capacity would be reused, page
+    # by page, by short-lived objects once the table is gone (demo_grid's
+    # peak RSS rose 15% when the stats of a 1.5M-row table came from the heap).
     tracemalloc.start()
     try:
         table = RowTable(1_500_000, Vocab(8))

@@ -29,8 +29,9 @@ from conftest import (
     CountingDenoiser,
     backend_maker,
     bacd_after,
+    bare_table,
     full_random_script,
-    index_weights,
+    index_cdf,
     preds_from_confs,
     spike_conf_for_entropy,
     spiked_probs,
@@ -529,15 +530,16 @@ class TestRealize:
             probs = rng.dirichlet(np.full(9, 0.5))
             probs[3] = 0.0
             probs /= probs.sum()
-            weights = index_weights(probs, temperature)
+            cdf = index_cdf(bare_table(probs), 0, temperature)
             want = probs ** (1.0 / temperature)
             want /= want.sum()
-            assert np.allclose(weights, want, rtol=1e-12, atol=0.0)
-            assert weights[3] == 0.0
+            assert np.allclose(cdf, want.cumsum(), rtol=1e-12, atol=0.0)
+            assert cdf[3] == cdf[2]  # the zero column weighs nothing
 
     def test_unit_temperature_samples_from_probs_unchanged(self):
         probs = np.random.default_rng(6).dirichlet(np.full(9, 0.5))
-        assert np.array_equal(index_weights(probs, 1.0), probs / probs.sum())
+        want = (probs / probs.sum()).cumsum()
+        assert np.array_equal(index_cdf(bare_table(probs), 0, 1.0), want / want[-1])
 
 
 class TestChunkIndex:
@@ -551,9 +553,9 @@ class TestChunkIndex:
         builds, draws = [], []
         build, realize = sampling._chunk_index, sampling._realize
 
-        def counting_build(probs, temperature):
+        def counting_build(table, r, temperature):
             builds.append(temperature)
-            return build(probs, temperature)
+            return build(table, r, temperature)
 
         def recording_realize(preds, idx, temperature, rng):
             draws.extend((temperature, preds.row[i]) for i in idx)
@@ -581,8 +583,9 @@ class TestChunkIndex:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("temperature, entries", [(0.0, 0), (1.0, 0), (0.5, 1), (2.0, 1)])
-    def test_the_floating_point_state_is_set_once_per_call(self, monkeypatch, temperature, entries):
+    @pytest.mark.parametrize("temperature", [0.0, 1.0, 0.5, 2.0])
+    def test_a_draw_sets_no_floating_point_state(self, monkeypatch, temperature):
+        # a row's index holds tempered weights: only building it tempers
         model = markov_fit(np.random.default_rng(3).integers(0, 12, 500), 1, 0.01)
         block = [model.vocab.mask_id] * 8
         for pos in (0, 3, 6):
@@ -599,4 +602,4 @@ class TestChunkIndex:
         monkeypatch.setattr(np, "errstate", counting)
         tokens = sampling._realize(preds, idx, temperature, np.random.default_rng(1))
         assert len(tokens) == len(idx) == 5
-        assert opened == [sampling.QUIET] * entries
+        assert opened == []
