@@ -13,7 +13,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .core import DecodingConfig, Vocab, token_array
+from .core import DecodingConfig, Vocab, clipped, token_array
 from .denoisers import ContractViolation, FixtureError, load_scripted
 from .experiment import (
     ConfigError,
@@ -30,6 +30,14 @@ from .scheduler import generate
 
 _INT_PARAMS = {"block_size", "steps", "max_new_tokens"}
 _FLOAT_PARAMS = {"tau", "tau_h", "tau_l", "gamma", "temperature"}
+
+
+def _parsed(cast, field: str):
+    """``cast(field)``; the ValueError for a field it refuses shows the field clipped."""
+    try:
+        return cast(field)
+    except ValueError as exc:
+        raise ValueError(str(exc).replace(repr(field), clipped(repr(field)))) from None
 
 
 def _run(exp, output_dir) -> int:
@@ -51,10 +59,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("cannot sweep 'seed': run seeds derive from base_seed "
                           "(base_seed + trial * num_prompts + prompt_index)")
     if args.param not in _INT_PARAMS | _FLOAT_PARAMS:
-        raise ConfigError(f"cannot sweep {args.param!r}")
+        raise ConfigError(f"cannot sweep {clipped(repr(args.param))}")
     cast = int if args.param in _INT_PARAMS else float
     try:
-        values = [cast(v) for v in args.values.split(",") if v.strip()]
+        values = [_parsed(cast, v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad sweep values: {exc}") from exc
     if not values:
@@ -69,7 +77,7 @@ def _cmd_sweep(args) -> int:
         try:
             exp.grid.append(replace(base, **{args.param: value}))
         except ConfigError as exc:
-            raise ConfigError(f"{args.param}={value}: {exc}") from None
+            raise ConfigError(f"{args.param}={clipped(str(value))}: {exc}") from None
     exp.prefix = f"{exp.prefix}_sweep_{args.param}"
     return _run(exp, args.output_dir)
 
@@ -93,7 +101,7 @@ def _cmd_replay(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--vocab-size: {exc}") from None
     try:
-        prompt = tuple(token_array(int(t) for t in args.prompt.split(",") if t.strip()).tolist())
+        prompt = tuple(token_array(_parsed(int, t) for t in args.prompt.split(",") if t.strip()).tolist())
     except ValueError as exc:
         raise ConfigError(f"--prompt: {exc}") from None
     denoiser = load_scripted(args.fixture, vocab)
@@ -168,6 +176,9 @@ def main(argv=None) -> int:
     except (ContractViolation, FixtureError) as exc:
         print(f"fault: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # an allocation sized by an input, such as --block-size or max_new_tokens
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

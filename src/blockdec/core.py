@@ -82,6 +82,12 @@ class Vocab:
     total_ids = property(lambda self: self.size + 3)
 
 
+def clipped(text: str, size: str = "") -> str:
+    """``text``, or past 24 characters its first 12 and ``size`` (its length by
+    default): how an error line shows a value it did not accept."""
+    return text if len(text) <= 24 else f"{text[:12]}… ({size or f'{len(text)} characters'})"
+
+
 def token_array(tokens) -> np.ndarray:
     """Tokens as a new int64 array. A token that is not an integer (``1.5``)
     or does not fit in int64 (``2**70``) raises ValueError instead of being
@@ -94,7 +100,7 @@ def token_array(tokens) -> np.ndarray:
         raise ValueError("token does not fit in int64") from None
 
 
-# Row bytes a table is charged before a backend starts a new one (a fixed row count reserved gigabytes at V ~ 1e5).
+# A row table's byte budget: its rows, their stats and its sampling indexes (the one bound on a table).
 ROW_TABLE_BYTES = 128 << 20
 # The widest vocab whose one float64 row over all its ids fits a row table's bytes.
 MAX_VOCAB_SIZE = ROW_TABLE_BYTES // 8 - 3
@@ -104,32 +110,48 @@ ENTRY_BYTES = 100
 
 class RowTable:
     """Append-only table of checked categoricals over ``vocab``'s full id
-    space, at most ``capacity`` rows, and each row's ``confidence`` (max),
-    ``entropy`` (nats) and ``argmax``, Python lists of ``size`` floats, floats
-    and ints. :meth:`add` checks a dense [V] row once, when it enters, and
-    derives its stats from it; nothing else writes to a table.
+    space, and each row's ``confidence`` (max), ``entropy`` (nats) and
+    ``argmax``, Python lists of ``size`` floats, floats and ints. :meth:`add`
+    checks a dense [V] row once, when it enters, and derives its stats from it.
 
     A row is stored as its base, the minimum over its ordinary columns, plus
     a dict of the columns whose value differs from it in any bit: a Markov
     row is one smoothing value but for its successors and the special ids.
     When that dict would take as many bytes as the dense row (``ENTRY_BYTES``
     a value and one more for the dict and the base, against 8 a column), the
-    row is stored dense instead. ``nbytes`` charges each row the form it
-    took, so no row is charged past its dense bytes.
+    row is stored dense instead. ``nbytes``, the table's one bound, charges a
+    row the form it took plus ``ENTRY_BYTES`` for its stats (a compact row's
+    ``+ 1``), and a sampling index its arrays' bytes; nothing else writes it.
     :meth:`row`, :meth:`at` and :meth:`differing` read the rows back, each
     value with the bits it had; ``probs`` builds the dense [R, V] copy."""
 
-    def __init__(self, capacity: int, vocab: Vocab):
-        self.capacity, self.vocab, self.width = capacity, vocab, vocab.total_ids
+    def __init__(self, vocab: Vocab):
+        self.vocab, self.width = vocab, vocab.total_ids
         self.size = self.nbytes = 0
         self.confidence, self.entropy, self.argmax = [], [], []  # one entry per row, appended by add
         # one entry per row: the base and the dict of differing columns, or None and the dense row
         self._base: list[float | None] = []
         self._diff: list[dict[int, float] | np.ndarray] = []
         self.ids: dict = {}  # the owning backend's key (a context, a spike) -> row id
-        # temperature -> row id -> the row's sampling chunk index, filled by
-        # ``sampling``; it holds no reference back to the table
+        # temperature -> row id -> the row's sampling chunk index, built by
+        # ``sampling`` and kept by :meth:`keep_index`; it holds no reference back to the table
         self.cdf_index: dict[float, dict[int, tuple]] = {}
+
+    def with_room(self, rows: int) -> RowTable:
+        """This table if a pass of ``rows`` positions keeps ``nbytes`` within the
+        budget at the most it can add (per position a row, charged dense with its
+        stats, and an index of at most twice the dense row), else a new one: no record
+        spans two tables, and a kept one holds at most ``ROW_TABLE_BYTES // ENTRY_BYTES`` rows."""
+        worst = rows * (3 * 8 * self.width + ENTRY_BYTES)
+        return self if self.nbytes + worst <= ROW_TABLE_BYTES else RowTable(self.vocab)
+
+    def keep_index(self, temperature: float, r: int, entry: tuple) -> tuple:
+        """Keep ``entry`` as row ``r``'s sampling index at ``temperature`` and
+        charge ``nbytes`` the bytes of its arrays, a dict's values included."""
+        parts = [x for part in entry for x in (part.values() if isinstance(part, dict) else [part])]
+        self.nbytes += sum(x.nbytes for x in parts if isinstance(x, np.ndarray))
+        self.cdf_index.setdefault(temperature, {})[r] = entry
+        return entry
 
     @property
     def probs(self) -> np.ndarray:
@@ -164,8 +186,6 @@ class RowTable:
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (self.width,):
             raise ValueError(f"need one row of width {self.width}, not shape {probs.shape}")
-        if self.size == self.capacity:
-            raise ValueError(f"row table is full ({self.capacity} rows)")
         total = float(probs.sum())
         if not abs(total - 1.0) <= PROB_SUM_TOL:  # a NaN sum fails too
             raise ValueError(f"probs sum to {total!r}, not 1")
@@ -186,7 +206,7 @@ class RowTable:
         else:
             self._base.append(None)
             self._diff.append(probs.copy())
-            self.nbytes += probs.nbytes
+            self.nbytes += probs.nbytes + ENTRY_BYTES
         self.confidence.append(confidence)
         self.entropy.append(entropy)
         self.argmax.append(int(probs.argmax()))
@@ -233,7 +253,7 @@ class PositionPrediction:
         arr = np.array(probs, dtype=np.float64)
         if arr.ndim != 2 or not len(arr):
             raise ValueError("need [M, V] probs, M >= 1")
-        table = RowTable(len(arr), Vocab(arr.shape[1] - 3))
+        table = RowTable(Vocab(arr.shape[1] - 3))
         return cls(positions, table, [table.add(probs_row) for probs_row in arr])
 
 

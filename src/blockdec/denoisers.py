@@ -18,7 +18,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import ENTRY_BYTES, ROW_TABLE_BYTES, PositionPrediction, RowTable, Vocab
+from .core import PositionPrediction, RowTable, Vocab, clipped
 
 __all__ = [
     "ContractViolation",
@@ -73,23 +73,11 @@ def predict(denoiser: Denoiser, context: Sequence[int], block: Sequence[int]) ->
     return preds
 
 
-def _with_room(table: RowTable | None, rows: int, vocab: Vocab) -> RowTable:
-    """``table`` if it has ``rows`` free rows and they keep its ``nbytes`` within
-    ``ROW_TABLE_BYTES`` charged at their dense bytes, else a new table of at least
-    ``rows`` rows; a pass asks for one per position, so a record never spans two
-    tables. A table takes at most ``ROW_TABLE_BYTES // ENTRY_BYTES`` rows (or the
-    pass), which bounds the per-row stats ``nbytes`` leaves out."""
-    if (table is not None and table.capacity - table.size >= rows
-            and table.nbytes + rows * 8 * vocab.total_ids <= ROW_TABLE_BYTES):
-        return table
-    return RowTable(max(rows, ROW_TABLE_BYTES // ENTRY_BYTES), vocab)
-
-
 def _spiked(backend, positions: list[int], spikes: list[tuple[int, float]]) -> PositionPrediction:
     """The record whose position ``i`` puts ``peak`` on ``token`` for ``spikes[i] = (token, peak)``,
     the rest uniform over the other ordinary tokens (all of them for eos); a row per distinct spike."""
     vocab = backend.vocab
-    table = backend._table = _with_room(backend._table, len(spikes), vocab)
+    table = backend._table = backend._table.with_room(len(spikes))
     for spike in spikes:
         if spike not in table.ids:
             token, peak = spike
@@ -135,11 +123,11 @@ class MarkovDenoiser:
         self.vocab = vocab
         self._counts = counts
         self._totals = totals
-        self._table: RowTable | None = None
+        self._table = RowTable(vocab)
 
     def distribution(self, ctx: tuple[int, ...]) -> np.ndarray:
         """Smoothed next-token distribution after ``ctx``, with backoff."""
-        self._table = _with_room(self._table, 1, self.vocab)
+        self._table = self._table.with_room(1)
         row = self._entry(ctx)
         return self._table.row(row)
 
@@ -147,7 +135,7 @@ class MarkovDenoiser:
         """Row of ``ctx``'s distribution in the current table. The first lookup
         of a context backs off to the longest suffix with counts and keys the
         row under both, so a later lookup of either is one ``dict.get``; the
-        aliases go with their table when ``_with_room`` starts a new one."""
+        aliases go with their table when ``with_room`` starts a new one."""
         ids = self._table.ids
         row = ids.get(ctx)
         if row is not None:
@@ -170,7 +158,7 @@ class MarkovDenoiser:
         return row
 
     def predict(self, context: Sequence[int], block: Sequence[int]) -> PositionPrediction:
-        self._table = _with_room(self._table, len(block), self.vocab)
+        self._table = self._table.with_room(len(block))
         # One left-to-right scan. ``run`` holds the last ``order`` tokens of
         # the clean run ending just left of the current position (empty right
         # after a masked one); a masked position after a masked one reads
@@ -279,7 +267,7 @@ class OracleDenoiser:
         self.base_confidence = base_confidence
         self.decay = decay
         self.prompt_len = prompt_len
-        self._table: RowTable | None = None
+        self._table = RowTable(vocab)
 
     def predict(self, context: Sequence[int], block: Sequence[int]) -> PositionPrediction:
         offset = len(context) - self.prompt_len
@@ -327,17 +315,17 @@ class ScriptedDenoiser:
         for key, (conf, tok) in dict(script).items():
             block_i, step_i, pos = key
             if min(block_i, step_i, pos) < 0:
-                raise FixtureError(f"script key {key} has a negative component")
+                raise FixtureError(f"script key {clipped(str(key))} has a negative component")
             if not floor <= conf <= 1.0:
                 raise FixtureError(
-                    f"script entry {key}: confidence {conf} outside [1/size, 1]"
+                    f"script entry {clipped(str(key))}: confidence {conf} outside [1/size, 1]"
                 )
             if not (0 <= tok < vocab.size or tok == vocab.eos_id):
-                raise FixtureError(f"script entry {key}: bad token id {tok}")
+                raise FixtureError(f"script entry {clipped(str(key))}: bad token id {clipped(str(tok))}")
             self.script[(block_i, step_i, pos)] = (float(conf), int(tok))
         self._block = -1
         self._step = -1
-        self._table: RowTable | None = None
+        self._table = RowTable(vocab)
 
     def predict(self, context: Sequence[int], block: Sequence[int]) -> PositionPrediction:
         mask_id = self.vocab.mask_id
@@ -387,10 +375,13 @@ def load_scripted(path, vocab: Vocab) -> ScriptedDenoiser:
         try:
             key = (int(parts[0]), int(parts[1]), int(parts[2]))
             entry = (float(parts[3]), int(parts[4]))
-        except ValueError as exc:
-            raise FixtureError(f"{path}: line {lineno}: {exc}") from exc
+        except ValueError as exc:  # int() and float() echo the field they refused: show it clipped
+            shown = str(exc)
+            for part in parts:
+                shown = shown.replace(repr(part), clipped(repr(part)))
+            raise FixtureError(f"{path}: line {lineno}: {shown}") from None
         if key in script:
-            raise FixtureError(f"{path}: line {lineno}: duplicate entry for {key}")
+            raise FixtureError(f"{path}: line {lineno}: duplicate entry for {clipped(str(key))}")
         script[key] = entry
     if not script:
         raise FixtureError(f"{path}: script fixture is empty")

@@ -31,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_VOCAB_SIZE, ConfigError, DecodingConfig, TccfConfig, Vocab, lint_config, token_array
+from .core import (MAX_VOCAB_SIZE, ConfigError, DecodingConfig, TccfConfig, Vocab, clipped, lint_config,
+                   token_array)
 from .denoisers import MarkovDenoiser, OracleDenoiser, ScriptedDenoiser, load_scripted, markov_fit
 from .metrics import Category, RunSummary, aggregate, summarize
 from .scheduler import generate, generate_tccf
@@ -100,11 +101,6 @@ def _ascii_ints(data: bytes) -> Corpus | None:
     return Corpus(tokens, Vocab(max(2, top + 1))) if 0 <= top < MAX_VOCAB_SIZE else None
 
 
-def _clipped(text: str, size: str = "") -> str:
-    """``text``, or past 24 characters its first 12 and ``size`` (its length by default)."""
-    return text if len(text) <= 24 else f"{text[:12]}… ({size or f'{len(text)} characters'})"
-
-
 def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
     """Read a corpus file into token ids.
 
@@ -119,7 +115,7 @@ def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
     try:
         tokenization = Tokenization(tokenization)
     except ValueError:
-        raise ConfigError(f"unknown tokenization {_clipped(repr(tokenization))}") from None
+        raise ConfigError(f"unknown tokenization {clipped(repr(tokenization))}") from None
     try:
         if tokenization is Tokenization.CHARS:
             text = Path(path).read_text(encoding="utf-8")
@@ -144,12 +140,12 @@ def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
                 value = int(field)
             except ValueError:
                 if not re.fullmatch(r"[+-]?\d+(_\d+)*", field):
-                    raise ConfigError(f"corpus {path}: line {lineno}: {_clipped(repr(field))} is not an integer")
+                    raise ConfigError(f"corpus {path}: line {lineno}: {clipped(repr(field))} is not an integer")
                 value = MAX_VOCAB_SIZE  # a literal too long for int()
             if value < 0:
                 raise ConfigError(f"corpus {path}: line {lineno}: negative token {value}")
             if value >= MAX_VOCAB_SIZE:
-                shown = _clipped(field, f"{sum(map(str.isdecimal, field))} digits")
+                shown = clipped(field, f"{sum(map(str.isdecimal, field))} digits")
                 raise ConfigError(f"corpus token {shown} outside the ordinary range [0, {MAX_VOCAB_SIZE}) "
                                   f"of the widest vocab (corpus {path}, line {lineno})")
             tokens.append(value)
@@ -169,7 +165,7 @@ def _unique_keys(pairs: list[tuple]) -> dict:
     """``json`` object hook: a key repeated inside one object is an error, not an overwrite."""
     keys = [key for key, _ in pairs]
     if len(set(keys)) < len(keys):
-        raise ValueError(f"duplicate keys {sorted({_clipped(k) for k in keys if keys.count(k) > 1})}")
+        raise ValueError(f"duplicate keys {sorted({clipped(k) for k in keys if keys.count(k) > 1})}")
     return dict(pairs)
 
 
@@ -208,7 +204,7 @@ def load_markov(path) -> MarkovDenoiser:
     try:
         counts: dict[tuple[int, ...], dict[int, int]] = {}
         for key, table in payload["counts"].items():
-            where = f"context {_clipped(repr(key))}"
+            where = f"context {clipped(repr(key))}"
             ctx = tuple(int(x) for x in key.split(",")) if key else ()
             counts[ctx] = {int(t): c for t, c in table.items()}
             if key != ",".join(map(str, ctx)) or len(ctx) > order or list(map(str, counts[ctx])) != list(table):
@@ -243,7 +239,7 @@ def _section(value, where: str, allowed: set[str]) -> dict:
         raise ConfigError(f"{where} must be an object")
     unknown = set(value) - allowed
     if unknown:
-        shown = sorted(_clipped(str(key)) for key in unknown)
+        shown = sorted(clipped(str(key)) for key in unknown)
         more = f" and {len(shown) - 3} more" if len(shown) > 3 else ""
         raise ConfigError(f"unknown {where} keys: {shown[:3]}{more}")
     return value
@@ -259,14 +255,14 @@ def _field(section: dict, key: str, kind: type, default=_REQUIRED, *, where: str
             raise ConfigError(f"{where} is missing {key!r}")
         return default
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ConfigError(f"{where}.{key} must be {kind.__name__}, not {_clipped(repr(value))}")
+        raise ConfigError(f"{where}.{key} must be {kind.__name__}, not {clipped(repr(value))}")
     return float(value) if kind is float else value
 
 
 def _tokens(value, where: str) -> tuple[int, ...]:
     """A JSON token list; ``1.5`` or ``"1"`` is an error, not a truncation."""
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{where} must be a list of integer tokens, not {_clipped(repr(value))}")
+        raise ConfigError(f"{where} must be a list of integer tokens, not {clipped(repr(value))}")
     try:
         return tuple(token_array(value).tolist())
     except ValueError as exc:
@@ -339,7 +335,7 @@ def _build_prompts(spec, corpus: Corpus | None) -> list[tuple[int, ...]]:
         rng = np.random.default_rng(seed)
         starts = rng.integers(0, len(corpus.tokens) - length + 1, size=count)
         return [tuple(corpus.tokens[s : s + length]) for s in starts]
-    raise ConfigError(f"unknown prompts kind {_clipped(repr(kind))}")
+    raise ConfigError(f"unknown prompts kind {clipped(repr(kind))}")
 
 
 class _DenoiserFactory:
@@ -348,7 +344,7 @@ class _DenoiserFactory:
     def __init__(self, spec: dict, root: Path):
         kind = spec.get("kind")
         if not isinstance(kind, str) or kind not in _DENOISER_KEYS:
-            raise ConfigError(f"unknown denoiser kind {_clipped(repr(kind))}")
+            raise ConfigError(f"unknown denoiser kind {clipped(repr(kind))}")
         _section(spec, "denoiser", _DENOISER_KEYS[kind])
 
         def field(key, type_, default=_REQUIRED):

@@ -206,9 +206,7 @@ def _realize(preds: PositionPrediction, idx: list[int], temperature: float,
     index = table.cdf_index.setdefault(temperature, {})
     tokens = []
     for r, u in zip(rows, rng.random(len(rows)).tolist()):
-        if r not in index:
-            index[r] = _chunk_index(table, r, temperature)
-        entry = index[r]
+        entry = index.get(r) or table.keep_index(temperature, r, _chunk_index(table, r, temperature))
         k = int(entry[2].searchsorted(u, "right"))  # the first chunk whose normalized end exceeds u
         tokens.append(k * CDF_CHUNK + int(_chunk_cdf(entry, k, table.width).searchsorted(u, "right")))
     return tokens

@@ -71,7 +71,10 @@ class GenerationSession:
         tokens = np.concatenate((prompt, token_array(spliced)))  # one min/max for all of them
         if len(tokens) and (tokens.min() < 0 or tokens.max() >= denoiser.vocab.size):
             raise ConfigError(f"prompt or tccf token outside the ordinary range [0, {denoiser.vocab.size})")
-        buf = np.empty(len(prompt) + cfg.max_new_tokens + cfg.block_size, dtype=np.int64)
+        try:
+            buf = np.empty(len(prompt) + cfg.max_new_tokens + cfg.block_size, dtype=np.int64)
+        except ValueError as exc:  # numpy refuses a length past its largest array without allocating
+            raise MemoryError(str(exc)) from None
         buf[: len(prompt)] = prompt
         return cls(denoiser=denoiser, prompt_len=len(prompt), cfg=cfg, rng=np.random.default_rng(cfg.seed),
                    buf=buf, length=len(prompt))

@@ -52,11 +52,14 @@ def preds_from_confs(confs, vocab: Vocab | None = None, token: int = 0):
 
 
 def bare_table(*rows) -> SimpleNamespace:
-    """What the sampler reads of a table, over unchecked rows, each read as
-    stored dense: every column may differ from the row's base."""
+    """What the sampler reads of a table, and where it keeps an index, over
+    unchecked rows, each read as stored dense: every column may differ from
+    the row's base. It charges no bytes."""
     rows = [np.array(row, dtype=np.float64) for row in rows]
-    return SimpleNamespace(row=lambda r: rows[r].copy(), differing=lambda r: range(len(rows[r])),
-                           width=len(rows[0]), cdf_index={})
+    table = SimpleNamespace(row=lambda r: rows[r].copy(), differing=lambda r: range(len(rows[r])),
+                            width=len(rows[0]), cdf_index={})
+    table.keep_index = lambda temperature, r, entry: table.cdf_index.setdefault(temperature, {}).setdefault(r, entry)
+    return table
 
 
 def index_cdf(table, r: int, temperature: float) -> np.ndarray:
@@ -76,9 +79,9 @@ def bacd_after(history, tau_l: float, tau_h: float) -> BacdState:
 
 
 def table_of(rows) -> RowTable:
-    """A full table holding ``rows``, [R, size + 3] for a ``Vocab(size)``."""
+    """A table holding ``rows``, [R, size + 3] for a ``Vocab(size)``."""
     rows = np.asarray(rows, dtype=np.float64)
-    table = RowTable(len(rows), Vocab(rows.shape[1] - 3))
+    table = RowTable(Vocab(rows.shape[1] - 3))
     for r in rows:
         table.add(r)
     return table

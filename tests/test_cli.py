@@ -332,10 +332,14 @@ def test_uncovered_experiment_error_is_config_error(tmp_path, capsys, overrides,
 
 # A 5,000-character bad value in a corpus field, a prompt token list, a
 # JSON field or a kind, a 3,000-token context key in a model file, a
-# 3,000-character unknown grid key and 500 unknown grid keys: each error line
-# once echoed all of it. A fragment from "error:" on is the whole line.
+# 3,000-character unknown grid key and 500 unknown grid keys, and a
+# 61-character one in a replay prompt, a sweep's values or parameter, a
+# fixture field, token id or key (int() echoes no field past 4,300 digits): each error line
+# once echoed all of it. A fragment from "error:" or "fault:" on is the whole line.
 LONG = "9" * 4999 + "x"
 CLIPPED = "'99999999999… (5002 characters)"  # its repr: the first 12 characters and the length
+SHORT = "9" * 60 + "x"
+SHORT_CLIPPED = "'99999999999… (63 characters)"
 LONG_KEY = ",".join(map(str, range(3000)))
 LONG_VALUES = {
     "corpus_field": ("fit-markov", None, f"{CLIPPED} is not an integer"),
@@ -353,6 +357,17 @@ LONG_VALUES = {
                  "unknown config keys: ['kkkkkkkkkkkk… (3000 characters)']"),
     "many_grid_keys": ("run", {"grid": [{"algorithm": "dynamic", "tau": 0.9, **{f"x{i}": 1 for i in range(500)}}]},
                        "error: unknown config keys: ['x0', 'x1', 'x10'] and 497 more"),
+    "replay_prompt": ("replay", ["--prompt", f"1,{SHORT}"],
+                      f"error: --prompt: invalid literal for int() with base 10: {SHORT_CLIPPED}"),
+    "fixture_field": ("replay", ["--fixture", "bad.txt"],
+                      f"fault: bad.txt: line 2: invalid literal for int() with base 10: {SHORT_CLIPPED}"),
+    "sweep_values": ("sweep", ["--param", "tau", "--values", f"0.5,{SHORT}"],
+                     f"error: bad sweep values: could not convert string to float: {SHORT_CLIPPED}"),
+    "sweep_param": ("sweep", ["--param", SHORT, "--values", "1"], f"error: cannot sweep {SHORT_CLIPPED}"),
+    "fixture_token": ("replay", ["--fixture", "token.txt"],
+                      "fault: script entry (0, 0, 0): bad token id 777777777777… (61 characters)"),
+    "fixture_key": ("replay", ["--fixture", "key.txt"],
+                    "fault: script key (0, 0, -7777… (70 characters) has a negative component"),
 }
 
 
@@ -362,15 +377,69 @@ def test_an_error_line_shows_a_long_bad_value_clipped(tmp_path, capsys, monkeypa
     corpus.write_text(f"1 2\n3 {LONG}\n")
     (tmp_path / "model.json").write_text(json.dumps(dict(GOOD_MODEL, counts={"": {"0": 1}, LONG_KEY: {"1": 1}})))
     monkeypatch.chdir(tmp_path)  # a line that names the model file names it by a short, relative path
+    (tmp_path / "bad.txt").write_text(f"0 0 0 0.9 1\n0 0 1 0.9 {SHORT}\n")
+    (tmp_path / "token.txt").write_text(f"0 0 0 0.9 {'7' * 61}\n")
+    (tmp_path / "key.txt").write_text(f"0 0 -{'7' * 61} 0.9 1\n")
+    (tmp_path / "good.txt").write_text(FIXTURE)
     if command == "run":
         args = ("run", write_experiment(tmp_path, **overrides).name)
+    elif command == "sweep":
+        args = ("sweep", write_experiment(tmp_path).name, *overrides)
+    elif command == "replay":
+        args = ("replay", "--fixture", "good.txt", "--vocab-size", "8", "--algorithm", "dynamic", "--tau", "0.9",
+                *overrides)
     else:
         args = ("fit-markov", "--corpus", str(corpus), "--tokenization", "whitespace_ints",
                 "--out", str(tmp_path / "m.json"))
     code, out, err = run_cli(capsys, *args)
-    assert (code, out) == (1, "")
-    assert err.startswith("error:") and err.endswith(fragment + "\n")
+    faulted = fragment.startswith("fault:")  # a malformed fixture is a runtime fault
+    assert (code, out) == (2 if faulted else 1, "")
+    assert err.startswith("fault:" if faulted else "error:") and err.endswith(fragment + "\n")
     assert err.count("\n") == 1 and len(err) < 200
+
+
+HUGE = 10**13  # a 72.8 TiB token buffer
+OVERSIZED = {
+    "replay": ("replay", "--fixture", "good.txt", "--vocab-size", "8", "--algorithm", "dynamic", "--tau", "0.9",
+               "--block-size", str(HUGE)),
+    "run": ("run", {"grid": [{"algorithm": "dynamic", "tau": 0.9, "block_size": 4, "max_new_tokens": HUGE}]}),
+    "sweep": ("sweep", "--param", "block_size", "--values", str(HUGE)),
+}
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 72.8 TiB for an array", ""], ids=["message", "bare"])
+@pytest.mark.parametrize("command", OVERSIZED)
+def test_a_buffer_too_large_to_allocate_is_an_error_line(tmp_path, capsys, monkeypatch, command, message):
+    # numpy's MemoryError ended in a traceback. The allocation is faked: no
+    # test asks the OS for the memory, and every smaller array is built as usual.
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if np.prod(shape, dtype=object) >= HUGE:
+            raise MemoryError(message)
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "good.txt").write_text(FIXTURE)
+    args = OVERSIZED[command]
+    if command == "run":
+        args = ("run", write_experiment(tmp_path, **args[1]).name)
+    elif command == "sweep":
+        args = ("sweep", write_experiment(tmp_path).name, *args[1:])
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err == ("error: out of memory: Unable to allocate 72.8 TiB for an array\n" if message
+                   else "error: out of memory\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_buffer_past_numpys_largest_array_is_an_error_line(tmp_path, capsys):
+    # numpy refuses such a length itself, before any allocation
+    exp = write_experiment(tmp_path)
+    code, out, err = run_cli(capsys, "sweep", str(exp), "--param", "max_new_tokens", "--values", str(10**60))
+    assert (code, out, err) == (1, "", "error: out of memory: Maximum allowed dimension exceeded\n")
+    assert not (tmp_path / "out").exists()
 
 
 FUZZ_BASE = {

@@ -108,7 +108,9 @@ def test_each_kind_takes_the_form_its_bytes_call_for():
     assert differing["flat"] <= 4  # mask, eos, pad, and the peak if it rounds apart
     assert differing["eos"] == 3 and differing["spike"] == 4
     assert differing["markov"] <= 5 + 3 and differing["markov0"] <= 5
-    assert table.nbytes == sum(8 * n if n == table.width else ENTRY_BYTES * (n + 1) for n in differing.values())
+    # a dense row pays ENTRY_BYTES for its stats, as a compact one does in its + 1
+    assert table.nbytes == sum(8 * n + ENTRY_BYTES if n == table.width else ENTRY_BYTES * (n + 1)
+                               for n in differing.values())
 
 
 def test_a_wide_markov_table_stores_bytes_of_the_support_not_the_vocab():
@@ -135,7 +137,7 @@ def test_a_wide_markov_table_stores_bytes_of_the_support_not_the_vocab():
     assert all(len(table.differing(r)) <= 7 for r in range(1, table.size))
     # the values, the base, the stats and the backend's keys of a row
     assert per_row <= ENTRY_BYTES * (7 + 1) + 400 < 8 * table.width / 25
-    assert table.nbytes - 8 * table.width <= ENTRY_BYTES * (7 + 1) * len(contexts)
+    assert table.nbytes - (8 * table.width + ENTRY_BYTES) <= ENTRY_BYTES * (7 + 1) * len(contexts)
 
 
 def test_a_row_with_no_repeated_value_stays_within_twice_its_dense_bytes():
@@ -144,7 +146,7 @@ def test_a_row_with_no_repeated_value_stays_within_twice_its_dense_bytes():
     rows = np.array([make_row("distinct", vocab, rng) for _ in range(40)])
     tracemalloc.start()
     try:
-        table = RowTable(len(rows), vocab)
+        table = RowTable(vocab)
         for row in rows:
             table.add(row)
         per_row = tracemalloc.get_traced_memory()[0] / len(rows)
@@ -153,6 +155,6 @@ def test_a_row_with_no_repeated_value_stays_within_twice_its_dense_bytes():
     finally:
         tracemalloc.stop()
     dense = rows[0].nbytes
-    assert table.nbytes == len(rows) * dense
+    assert table.nbytes == len(rows) * (dense + ENTRY_BYTES)
     assert per_row <= 2 * dense and per_fresh_row <= 2 * dense
     assert preds.table.probs.tobytes() == rows.tobytes()

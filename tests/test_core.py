@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdec.core import (
+    ENTRY_BYTES,
     Algorithm,
     ConfigError,
     DecodingConfig,
@@ -106,7 +107,7 @@ class TestBlockState:
     def test_assign_mask_rejected(self):
         row = np.zeros(self.VOCAB.total_ids)
         row[0] = row[self.VOCAB.mask_id] = 0.5
-        table = RowTable(1, self.VOCAB)
+        table = RowTable(self.VOCAB)
         with pytest.raises(ValueError, match="row puts mass on mask or pad"):
             table.add(row)
         assert table.size == 0
@@ -133,7 +134,7 @@ def entropy_of(row) -> float:
 def add_last(rows) -> RowTable:
     """Add valid rows, then a last row, to one table: each check must run on
     a row as it enters, whatever came before it."""
-    table = RowTable(len(rows), Vocab(len(rows[-1]) - 3))
+    table = RowTable(Vocab(len(rows[-1]) - 3))
     for good in rows[:-1]:
         table.add(good)
     table.add(rows[-1])
@@ -208,7 +209,7 @@ class TestPositionPrediction:
             PositionPrediction.from_probs([0], GOOD_ROW)  # one row, not [1, V]
         with pytest.raises(ValueError):
             PositionPrediction.from_probs([0, 1], [GOOD_ROW])
-        table = RowTable(2, Vocab(2))
+        table = RowTable(Vocab(2))
         with pytest.raises(ValueError, match="need one row of width 5"):
             table.add(wide(0.5, 0.3, 0.2, width=6))  # wrong width
         with pytest.raises(ValueError, match="need one row of width 5"):
@@ -223,10 +224,11 @@ class TestPositionPrediction:
 
 class TestRowTable:
     def test_add_returns_consecutive_ids_and_stores_the_stats(self):
-        table = RowTable(3, Vocab(3))
+        table = RowTable(Vocab(3))
         rows = [wide(0.2, 0.4, 0.4, width=6), wide(0.5, 0.25, 0.25, width=6)]
         assert [table.add(r) for r in rows] == [0, 1]
-        assert table.size == 2 and table.capacity == 3 and table.width == 6
+        assert table.size == 2 and table.width == 6
+        assert table.nbytes == 2 * (8 * 6 + ENTRY_BYTES)  # stored dense, each with its stats
         assert table.probs.tolist() == rows
         assert table.confidence == [0.4, 0.5]
         assert table.entropy == [entropy_of(r) for r in rows]
@@ -234,7 +236,7 @@ class TestRowTable:
 
     @pytest.mark.parametrize("special", [2, 4])  # Vocab(2): mask 2, pad 4
     def test_mass_on_mask_or_pad_rejected(self, special):
-        table = RowTable(2, Vocab(2))
+        table = RowTable(Vocab(2))
         row = wide(0.7, 0.2)
         row[special] = 0.1
         with pytest.raises(ValueError, match=r"^row puts mass on mask or pad$"):
@@ -244,14 +246,10 @@ class TestRowTable:
         assert table.size == 1
 
     def test_add_checks_in_order(self):
-        # shape, room, sum, sign, then mask/pad: each row fails the first
-        full = RowTable(1, Vocab(2))
-        full.add(GOOD_ROW)
+        # shape, sum, sign, then mask/pad: each row fails the first
+        table = RowTable(Vocab(2))
         with pytest.raises(ValueError, match="width"):
-            full.add(wide(0.5, 0.5, width=6))
-        with pytest.raises(ValueError, match="full"):
-            full.add(wide(0.5, 0.4, 0.1))
-        table = RowTable(1, Vocab(2))
+            table.add(wide(1.2, -0.1, 0.1, width=6))  # would fail sum and sign too
         with pytest.raises(ValueError, match="sum"):
             table.add(wide(1.2, -0.1, 0.1))
         with pytest.raises(ValueError, match="nonnegative"):
@@ -266,7 +264,7 @@ class TestRowTable:
         # Derived stats make this true: a max c < 1 - 1e-9 alone carries
         # -c ln c > 1e-9 nats, so no accepted row has near-zero entropy below it.
         rest = 10.0 ** log_rest
-        table = RowTable(1, Vocab(3))
+        table = RowTable(Vocab(3))
         try:
             table.add(wide(1.0 - rest, rest * split, rest * (1.0 - split), width=6))
         except ValueError as exc:
@@ -276,7 +274,7 @@ class TestRowTable:
 
     def test_views_are_read_only_and_copies(self):
         row = np.array(GOOD_ROW)
-        table = RowTable(2, Vocab(2))
+        table = RowTable(Vocab(2))
         table.add(row)
         row[0] = 0.0  # add copied it
         for stats in (table.probs, table.confidence, table.entropy, table.argmax):
@@ -288,22 +286,22 @@ class TestRowTable:
         assert (table.confidence, table.entropy, table.argmax) == ([0.7], [entropy_of(GOOD_ROW)], [0])
         assert type(table.confidence[0]) is float and type(table.argmax[0]) is int
 
-    def test_full_table_and_refused_rows_append_nothing(self):
-        table = RowTable(1, Vocab(2))
+    def test_refused_rows_append_nothing(self):
+        table = RowTable(Vocab(2))
         with pytest.raises(ValueError, match="sum"):
             table.add(wide(0.5, 0.4))
-        assert table.size == 0
+        assert table.size == table.nbytes == 0
         table.add(GOOD_ROW)
-        with pytest.raises(ValueError, match="full"):
-            table.add(GOOD_ROW)
-        assert table.size == 1
+        with pytest.raises(ValueError, match="mask or pad"):
+            table.add(wide(0.5, 0.4, 0.1))
+        assert table.size == 1 and table.nbytes == 8 * 5 + ENTRY_BYTES
 
 
 class TestSharedRows:
     ROWS = np.array([GOOD_ROW, wide(0.4, 0.6)])
 
     def shared(self, row, positions=(0, 2, 3, 5)):
-        table = RowTable(3, Vocab(2))  # one free slot: ids must be below size, not capacity
+        table = RowTable(Vocab(2))  # ids must be below size
         for r in self.ROWS:
             table.add(r)
         return PositionPrediction(positions, table, row)
@@ -321,7 +319,7 @@ class TestSharedRows:
     def test_from_probs_index_is_the_identity(self):
         p = PositionPrediction.from_probs([4, 9], self.ROWS)
         assert p.row == (0, 1) and isinstance(p.row, tuple)
-        assert p.table.size == p.table.capacity == 2
+        assert p.table.size == 2
         assert list(p.confidence) == p.table.confidence
 
     @pytest.mark.parametrize("values", [[0, 1, 2, 1], [0, -1, 1, 1], [0, 1, 1], [0, 1, 1, 0, 1]])

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blockdec import denoisers, experiment
+from blockdec import core, denoisers, experiment
 from blockdec.core import (ENTRY_BYTES, MAX_VOCAB_SIZE, ROW_TABLE_BYTES, DecodingConfig, PositionPrediction,
                            RowTable, Vocab)
 from blockdec.denoisers import (
@@ -570,7 +570,7 @@ class TableBackend:
     ``table`` may be swapped between passes."""
 
     def __init__(self):
-        self.vocab, self.table, self.passes = V4, RowTable(8, V4), []
+        self.vocab, self.table, self.passes = V4, RowTable(V4), []
 
     def predict(self, context, block):
         rows, ids = self.passes.pop(0)
@@ -603,32 +603,36 @@ class TestTableWatermark:
 
 class CheckedTables:
     """Delegates to a backend and checks every record it returns: the record
-    indexes the backend's current table and its ids lie in that table. The
-    pass asks for rows, the block for the Markov backend, the masked
-    positions for the others. A table is kept while they fit its row count
-    and, charged their dense bytes, ``ROW_TABLE_BYTES``; a new one takes
-    ``ROW_TABLE_BYTES // ENTRY_BYTES`` rows, or the pass's request if more.
-    ``rolls`` gets an entry per table after the backend's first."""
+    indexes the backend's current table and its ids lie in that table. A pass
+    may add a row and a sampling index per position, the block's for the
+    Markov backend, the masked ones for the others: at most a dense row, its
+    stats and an index of twice the dense row each, ``worst`` bytes in all. A
+    table is kept while ``worst`` more keep its ``nbytes`` within
+    ``core.ROW_TABLE_BYTES``, else a new, empty table takes the pass.
+    ``tables`` gets each table with the bound its ``nbytes`` must keep, the
+    budget or its first pass's ``worst`` if more; ``rolls`` gets an entry per
+    table after the backend's first."""
 
-    def __init__(self, model, rolls):
-        self.model, self.vocab, self.rolls, self.table = model, model.vocab, rolls, None
+    def __init__(self, model, rolls, tables):
+        self.model, self.vocab, self.rolls, self.tables, self.table = model, model.vocab, rolls, tables, None
 
     def predict(self, context, block):
-        before = self.table
-        before_room = None if before is None else (before.capacity - before.size, before.nbytes)
+        before, budget = self.table, core.ROW_TABLE_BYTES
+        need = len(block) if isinstance(self.model, MarkovDenoiser) else len(masked_of(block, self.vocab))
+        worst = need * (3 * 8 * self.vocab.total_ids + ENTRY_BYTES)
+        nbytes = None if before is None else before.nbytes  # the last pass's rows and indexes included
         preds = self.model.predict(context, block)
         table = preds.table
         assert table is self.model._table
-        assert 0 <= min(preds.row) and max(preds.row) < table.size <= table.capacity
-        need = len(block) if isinstance(self.model, MarkovDenoiser) else len(preds.positions)
-        row_bytes = 8 * self.vocab.total_ids
-        assert table.nbytes <= max(denoisers.ROW_TABLE_BYTES, need * row_bytes)
-        if table is not before:
-            assert table.capacity == max(denoisers.ROW_TABLE_BYTES // ENTRY_BYTES, need)
+        assert 0 <= min(preds.row) and max(preds.row) < table.size
+        if table is before:
+            assert nbytes + worst <= budget
+        else:
+            assert nbytes is None or nbytes + worst > budget
+            assert table.size <= need  # empty before this pass
+            self.tables.append((table, max(budget, worst)))
             if before is not None:
-                free, nbytes = before_room
-                assert free < need or nbytes + need * row_bytes > denoisers.ROW_TABLE_BYTES
-                self.rolls.append(table.capacity)
+                self.rolls.append(table)
             self.table = table
         return preds
 
@@ -647,17 +651,20 @@ class TestTableCap:
                 for seed, prompt in enumerate([[1, 2, 3], [7], [30, 31, 32, 33]])]
 
         def outputs(rolls):
-            make = backend_maker(kind, lambda backend: CheckedTables(backend, rolls))
+            tables = []
+            make = backend_maker(kind, lambda backend: CheckedTables(backend, rolls, tables))
             out = []
             for cfg, prompt in runs:
                 result = generate(make(prompt), prompt, cfg)
                 out.append((result, nelbo_estimate(make(prompt), prompt, result.output_tokens, block_size,
                                                    [1.0, 0.7, 0.3], np.random.default_rng(cfg.seed))))
+            assert all(table.nbytes <= bound for table, bound in tables)  # rows, stats and indexes
             return out
 
         fresh_rolls, capped_rolls = [], []
         want = outputs(fresh_rolls)
-        monkeypatch.setattr(denoisers, "ROW_TABLE_BYTES", cap * 8 * Vocab(40).total_ids)
+        # a budget of ``cap`` positions at the most a position can add
+        monkeypatch.setattr(core, "ROW_TABLE_BYTES", cap * (3 * 8 * Vocab(40).total_ids + ENTRY_BYTES))
         assert outputs(capped_rolls) == want
         assert fresh_rolls == []  # one table per backend held every run
         assert len(capped_rolls) > 20  # the cap was hit over and over
@@ -666,11 +673,15 @@ class TestTableCap:
         contexts = [(1,), (2,), (3,), (1, 2), (), (1,)]
         fresh = chain_model()
         want = [fresh.distribution(ctx).tobytes() for ctx in contexts]
-        monkeypatch.setattr(denoisers, "ROW_TABLE_BYTES", 2 * 8 * fresh.vocab.total_ids)
-        capped = chain_model()
+        budget = 2 * (3 * 8 * fresh.vocab.total_ids + ENTRY_BYTES)  # two calls at the most a call can add
+        monkeypatch.setattr(core, "ROW_TABLE_BYTES", budget)
+        capped, tables = chain_model(), []
         for ctx, probs in zip(contexts, want):
             assert capped.distribution(ctx).tobytes() == probs
-            assert capped._table.size <= 2
+            assert capped._table.nbytes <= budget
+            if capped._table not in tables:
+                tables.append(capped._table)
+        assert len(tables) > 1
 
 
 # Each way a library caller builds a backend, over a given vocab.

@@ -1,6 +1,7 @@
 """Each backend keeps one row table: every distinct distribution enters it
-once, under a key the backend chooses, and a pass that might not fit starts
-a new table whose size is set in bytes."""
+once, under a key the backend chooses, and a pass that might take the table's
+bytes, its rows, their stats and its sampling indexes, past its one budget
+starts a new table."""
 
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdec import denoisers, sampling
+from blockdec import core, sampling
 from blockdec.core import (ENTRY_BYTES, MAX_VOCAB_SIZE, ROW_TABLE_BYTES, DecodingConfig, PositionPrediction,
                            RowTable, Vocab)
-from blockdec.denoisers import OracleDenoiser, _with_room
+from blockdec.denoisers import OracleDenoiser, markov_fit
 from blockdec.noise import nelbo_estimate
 from blockdec.scheduler import generate
 
@@ -115,50 +116,98 @@ def test_an_oracle_over_a_vocab_of_300000_decodes():
         generate(FreshTables(OracleDenoiser(target, vocab, 0.9, 0.8)), (), sampled)
 
 
+def worst(vocab: Vocab) -> int:
+    """The most one position of a pass can add to a table: a row charged
+    dense with its stats, and a sampling index of twice the dense row."""
+    return 3 * 8 * vocab.total_ids + ENTRY_BYTES
+
+
 @pytest.mark.parametrize("size, rows", [(2, 1), (64, 32), (4096, 8), (300000, 1), (300000, 100), (MAX_VOCAB_SIZE, 1)])
 def test_a_new_table_reserves_at_most_the_byte_budget_or_the_pass(size, rows):
     # A new table takes the pass however wide its rows and holds no bytes
-    # until rows come; it is kept for m more rows while they fit its row
-    # count and, charged their dense bytes, the byte budget.
+    # until rows come; it is kept for m more positions while they fit the
+    # byte budget at the most each can add.
     vocab = Vocab(size)
-    table = _with_room(None, rows, vocab)
-    assert rows <= table.capacity == max(rows, ROW_TABLE_BYTES // ENTRY_BYTES)
-    assert table.size == table.nbytes == 0
-    fits = min(table.capacity, ROW_TABLE_BYTES // (8 * vocab.total_ids))
-    assert _with_room(table, fits, vocab) is table
-    assert _with_room(table, fits + 1, vocab) is not table
+    table = RowTable(vocab).with_room(rows)
+    assert table.size == table.nbytes == 0 and table.vocab == vocab
+    fits = ROW_TABLE_BYTES // worst(vocab)
+    assert table.with_room(fits) is table
+    assert table.with_room(fits + 1) is not table
 
 
 def test_the_budget_is_a_whole_number_of_bytes_of_rows(monkeypatch):
-    # wide_vocab's 4,099-wide rows: a table holds 4,093 of them dense, and
-    # far more stored compact, since it is bounded by the bytes it stores
+    # wide_vocab's 4,099-wide rows: a table takes 4,078 of them dense, each
+    # charged 32,892 bytes with its stats while one position's worst, 98,476,
+    # still fits; far more stored compact, since it is bounded by the bytes it stores
     vocab = Vocab(4096)
-    assert ROW_TABLE_BYTES // (8 * vocab.total_ids) == 4093
-    monkeypatch.setattr(denoisers, "ROW_TABLE_BYTES", 3 * 8 * vocab.total_ids + 1)
-    dense, compact = _with_room(None, 1, vocab), _with_room(None, 1, vocab)
+    assert (worst(vocab), 8 * vocab.total_ids + ENTRY_BYTES) == (98476, 32892)
+    assert (ROW_TABLE_BYTES - worst(vocab)) // (8 * vocab.total_ids + ENTRY_BYTES) + 1 == 4078
+    monkeypatch.setattr(core, "ROW_TABLE_BYTES", 3 * worst(vocab) + 1)
+    dense, compact = RowTable(vocab), RowTable(vocab)
     ramp = np.r_[np.arange(1.0, 4097) / (4096 * 4097 / 2), np.zeros(3)]  # no repeated value: stored dense
-    for _ in range(3):
-        assert _with_room(dense, 1, vocab) is dense
+    for _ in range(6):
+        assert dense.with_room(1) is dense
         dense.add(ramp)
-    assert _with_room(dense, 1, vocab) is not dense
+    assert dense.with_room(1) is not dense
+    assert dense.nbytes == 6 * 32892  # 5 rows and one position's worst fit 295,429, so a 6th enters; 6 do not
     markov = np.r_[np.full(4096, 0.01 / 50.96), np.zeros(3)]
     markov[[5, 77, 900, 4000]] += 12.5 / 50.96  # four successors, each seen 12.5 times
-    while _with_room(compact, 1, vocab) is compact:
+    while compact.with_room(1) is compact:
         compact.add(markov / markov.sum())
     assert compact.nbytes == compact.size * 8 * ENTRY_BYTES  # 4 successors, 3 special ids, 1 for the dict
-    assert compact.size == 82  # 81 rows of 800 bytes and one pending at its dense 32,792 fit 98,377; 82 do not
+    assert compact.size == 247  # 246 rows of 800 bytes and one position's worst fit, so a 247th enters
 
 
-def test_a_new_table_takes_no_heap_for_its_capacity():
-    # Rows and their stats are appended as they come, so a capacity costs
-    # nothing: a heap block the size of the capacity would be reused, page
-    # by page, by short-lived objects once the table is gone (demo_grid's
-    # peak RSS rose 15% when the stats of a 1.5M-row table came from the heap).
+def test_a_new_table_reserves_no_heap():
+    # Rows and their stats are appended as they come: a heap block reserved
+    # ahead of them would be reused, page by page, by short-lived objects
+    # once the table is gone (demo_grid's peak RSS rose 15% when the stats
+    # of a 1.5M-row table came from the heap).
     tracemalloc.start()
     try:
-        table = RowTable(1_500_000, Vocab(8))
+        table = RowTable(Vocab(8))
         table.add(np.r_[np.full(8, 0.125), np.zeros(3)])
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
     assert (table.confidence[0], table.argmax[0]) == (0.125, 0)
+
+
+def charged(table: RowTable) -> int:
+    """What a table holds, tallied from its parts: each row's stored form
+    and its stats, and every sampling index's arrays."""
+    rows = sum(8 * table.width + ENTRY_BYTES if len(table.differing(r)) == table.width
+               else ENTRY_BYTES * (len(table.differing(r)) + 1) for r in range(table.size))
+    indexes = sum(starts.nbytes + ends.nbytes + sum(cdf.nbytes for cdf in cdfs.values())
+                  for index in table.cdf_index.values() for _, starts, ends, cdfs, _ in index.values())
+    return rows + indexes
+
+
+def test_a_temperature_sweep_keeps_every_table_within_its_budget(monkeypatch):
+    # Sampled decodes over a sweep of temperatures share one Markov model, as
+    # an experiment's runs do: each temperature indexes the rows it draws anew.
+    # The indexes are charged to the table's one budget, so the sweep rolls
+    # tables over instead of growing one without bound, and no output moves.
+    vocab = Vocab(1024)
+    rng = np.random.default_rng(4)
+    succ = rng.integers(0, vocab.size, (vocab.size, 4))
+    tok, corpus = 0, []
+    for u in rng.integers(0, 4, 20_000).tolist():
+        corpus.append(tok)
+        tok = int(succ[tok, u])
+    budget = 40 * worst(vocab)  # five passes of 8 positions at the most each can add
+    monkeypatch.setattr(core, "ROW_TABLE_BYTES", budget)
+    temperatures = [0.3, 0.5, 0.7, 0.8, 0.9, 1.0, 1.5, 2.0]
+    prompts = [corpus[i : i + 4] for i in range(0, 400, 100)]
+    runs = [(DecodingConfig(algorithm="dynamic", tau=0.9, block_size=8, temperature=temperature, seed=seed,
+                            max_new_tokens=32), prompt)
+            for temperature in temperatures for seed, prompt in enumerate(prompts)]
+    shared = Recorder(markov_fit(corpus, 1, 0.01, vocab=vocab))
+    fresh = FreshTables(markov_fit(corpus, 1, 0.01, vocab=vocab))
+    for cfg, prompt in runs:
+        assert generate(shared, prompt, cfg) == generate(fresh, prompt, cfg)
+    tables = list({id(preds.table): preds.table for preds in shared.records}.values())
+    assert len(tables) > 2
+    assert all(table.nbytes == charged(table) <= budget for table in tables)
+    assert sum(len(index) for table in tables for index in table.cdf_index.values()) > 8 * len(tables)
+
