@@ -70,6 +70,10 @@ class Vocab:
     size: int  # number of ordinary tokens, in [2, MAX_VOCAB_SIZE]
 
     def __post_init__(self):
+        try:  # an int, a numpy integer stored as int; not a float or a string
+            object.__setattr__(self, "size", operator.index(self.size))
+        except TypeError:
+            raise ValueError(f"vocab size {clipped(repr(self.size))} is not an integer") from None
         if self.size < 2:
             raise ValueError(f"vocab size {self.size}: a vocab needs at least 2 ordinary tokens")
         if self.size > MAX_VOCAB_SIZE:
@@ -106,13 +110,16 @@ ROW_TABLE_BYTES = 128 << 20
 MAX_VOCAB_SIZE = ROW_TABLE_BYTES // 8 - 3
 # Bytes of one value kept in a row's dict: its hash-table slot, int key and float (75-105 B by tracemalloc).
 ENTRY_BYTES = 100
+# Columns per chunk of a row's sampling CDF: a draw recomputes one chunk.
+CDF_CHUNK = 64
 
 
 class RowTable:
     """Append-only table of checked categoricals over ``vocab``'s full id
     space, and each row's ``confidence`` (max), ``entropy`` (nats) and
     ``argmax``, Python lists of ``size`` floats, floats and ints. :meth:`add`
-    checks a dense [V] row once, when it enters, and derives its stats from it.
+    checks a dense [V] row once, when it enters, and derives its stats from it;
+    :meth:`draw` realizes committed tokens from the rows.
 
     A row is stored as its base, the minimum over its ordinary columns, plus
     a dict of the columns whose value differs from it in any bit: a Markov
@@ -122,8 +129,8 @@ class RowTable:
     row is stored dense instead. ``nbytes``, the table's one bound, charges a
     row the form it took plus ``ENTRY_BYTES`` for its stats (a compact row's
     ``+ 1``), and a sampling index its arrays' bytes; nothing else writes it.
-    :meth:`row`, :meth:`at` and :meth:`differing` read the rows back, each
-    value with the bits it had; ``probs`` builds the dense [R, V] copy."""
+    :meth:`row` and :meth:`at` read the rows back, each value with the bits
+    it had; ``probs`` builds the dense [R, V] copy."""
 
     def __init__(self, vocab: Vocab):
         self.vocab, self.width = vocab, vocab.total_ids
@@ -133,9 +140,8 @@ class RowTable:
         self._base: list[float | None] = []
         self._diff: list[dict[int, float] | np.ndarray] = []
         self.ids: dict = {}  # the owning backend's key (a context, a spike) -> row id
-        # temperature -> row id -> the row's sampling chunk index, built by
-        # ``sampling`` and kept by :meth:`keep_index`; it holds no reference back to the table
-        self.cdf_index: dict[float, dict[int, tuple]] = {}
+        # temperature -> row id -> the row's sampling chunk index, built at its first draw
+        self._index: dict[float, dict[int, tuple]] = {}
 
     def with_room(self, rows: int) -> RowTable:
         """This table if a pass of ``rows`` positions keeps ``nbytes`` within the
@@ -145,12 +151,56 @@ class RowTable:
         worst = rows * (3 * 8 * self.width + ENTRY_BYTES)
         return self if self.nbytes + worst <= ROW_TABLE_BYTES else RowTable(self.vocab)
 
-    def keep_index(self, temperature: float, r: int, entry: tuple) -> tuple:
-        """Keep ``entry`` as row ``r``'s sampling index at ``temperature`` and
-        charge ``nbytes`` the bytes of its arrays, a dict's values included."""
-        parts = [x for part in entry for x in (part.values() if isinstance(part, dict) else [part])]
-        self.nbytes += sum(x.nbytes for x in parts if isinstance(x, np.ndarray))
-        self.cdf_index.setdefault(temperature, {})[r] = entry
+    def draw(self, rows, temperature: float, rng: np.random.Generator) -> list[int]:
+        """One token from each of ``rows`` (row ids, in ascending position order):
+        the stored argmax at temperature zero; else, for each uniform of one
+        ``rng.random(len(rows))``, the first column whose normalized CDF value
+        exceeds it, the tokens and generator state of one ``rng.choice`` per row.
+        A draw reads the row's chunk index, built at its first draw at
+        ``temperature``, with every compared value in the full CDF's bits."""
+        if temperature == 0.0:
+            argmax = self.argmax
+            return [argmax[r] for r in rows]
+        index = self._index.setdefault(temperature, {})
+        tokens = []
+        for r, u in zip(rows, rng.random(len(rows)).tolist()):
+            last, starts, ends, cdfs, plain = index.get(r) or self._chunk_index(r, temperature)
+            k = int(ends.searchsorted(u, "right"))  # the first chunk whose normalized end exceeds u
+            cdf = cdfs.get(k)
+            if cdf is None:  # summed from the chunk's start as the full CDF sums it
+                cdf = np.full(min(CDF_CHUNK, self.width - k * CDF_CHUNK), plain)
+                cdf[0] += starts[k]
+                cdf = cdf.cumsum()
+                cdf /= last
+            tokens.append(k * CDF_CHUNK + int(cdf.searchsorted(u, "right")))
+        return tokens
+
+    def _chunk_index(self, r: int, temperature: float) -> tuple:
+        """Build, charge and keep row ``r``'s sampling CDF at ``temperature``,
+        ``Generator.choice``'s ``cdf = p.cumsum(); cdf /= cdf[-1]`` on ``p = w / w.sum()``.
+        ``w`` is the row at T = 1, else the row tempered in log space with the
+        max log subtracted: the max weighs exactly 1, a zero column or an
+        overflowing quotient 0. Kept: the last raw value, the raw value before each
+        ``CDF_CHUNK``-column chunk, the full chunks' normalized ends, the
+        normalized CDF of each chunk holding a column that differs from the
+        base, and ``plain``, the normalized weight of a base column, which is
+        every column of the other chunks (~1 KB and a few 512-byte chunks for
+        a 4,099-wide Markov row)."""
+        w = self.row(r)
+        if temperature != 1.0:
+            with np.errstate(divide="ignore", over="ignore"):
+                lw = np.log(w)
+                w = np.exp((lw - lw.max()) / temperature)
+        p = w / w.sum()
+        cdf = p.cumsum()
+        last = cdf[-1]
+        raw_ends = cdf[CDF_CHUNK - 1 :: CDF_CHUNK]
+        differing = range(self.width) if self._base[r] is None else self._diff[r]
+        cdfs = {k: cdf[k * CDF_CHUNK : (k + 1) * CDF_CHUNK] / last for k in {c // CDF_CHUNK for c in differing}}
+        plain = next((p[lo] for lo in range(0, self.width, CDF_CHUNK) if lo // CDF_CHUNK not in cdfs), None)
+        starts, ends = np.concatenate(([0.0], raw_ends)), raw_ends / last
+        self.nbytes += starts.nbytes + ends.nbytes + sum(chunk.nbytes for chunk in cdfs.values())
+        entry = self._index.setdefault(temperature, {})[r] = (last, starts, ends, cdfs, plain)
         return entry
 
     @property
@@ -174,11 +224,6 @@ class RowTable:
         base, diff = self._base, self._diff
         return np.array([diff[r][c] if base[r] is None else diff[r].get(c, base[r])
                          for r, c in zip(rows, cols)], dtype=np.float64)
-
-    def differing(self, r: int):
-        """The columns of row ``r`` whose value may differ from its base: all
-        of them for a row stored dense."""
-        return range(self.width) if self._base[r] is None else self._diff[r].keys()
 
     def add(self, probs) -> int:
         """Check one [V] row, derive its stats and append it; returns its id.

@@ -1,11 +1,12 @@
 """Parallel unmasking: selection rules and the single-block decode loop.
 
 Each decoding step runs one denoiser forward pass, picks a nonempty set
-of masked positions to commit, and realizes their tokens (greedy at
-temperature zero, temperature-scaled sampling otherwise). Selection is
-confidence based; the threshold family shares an argmax fallback so that
-every step commits at least one position and a block of size B finishes
-in at most B passes. The rules read the per-position confidence and
+of masked positions to commit, and draws their tokens from the record's
+row table (:meth:`RowTable.draw`: greedy at temperature zero,
+temperature-scaled sampling otherwise). Selection is confidence based;
+the threshold family shares an argmax fallback so that every step
+commits at least one position and a block of size B finishes in at most
+B passes. The rules read the per-position confidence and
 entropy tuples of one prediction record per pass with list operations;
 positions ascend, so stable sorts and ``max`` over the indices break ties
 toward the lower position.
@@ -39,12 +40,6 @@ __all__ = [
 # Absolute slack for the entropy-budget comparison; grid-valued entropies
 # otherwise fail the inequality on the last ulp of a prefix sum.
 ENTROPY_BUDGET_SLACK = 1e-12
-# Generator.choice's tolerance on the sum of its weights.
-CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
-# Columns per chunk of a row's sampling CDF: a draw recomputes one chunk.
-CDF_CHUNK = 64
-# Tempering's floating-point state: log(0) = -inf is a zero weight, not a warning.
-QUIET = dict(divide="ignore", over="ignore")
 
 
 @dataclass
@@ -155,77 +150,6 @@ def select_entropy_bounded(preds: PositionPrediction, gamma: float) -> Selection
     return sorted(ranked[:m]), None, False
 
 
-def _chunk_index(table, r: int, temperature: float) -> tuple:
-    """``(last, starts, ends, cdfs, plain)`` of row ``r``'s sampling CDF:
-    ``Generator.choice``'s checks and arithmetic, ``cdf = p.cumsum();
-    cdf /= cdf[-1]``, on ``p = w / w.sum()``. The weights ``w`` are the dense
-    row at T = 1, else the row tempered in log space with its max (from
-    ``math.log``) subtracted, so that no weight underflows into a 0/0; under
-    ``QUIET`` a zero column's ``log`` of -inf is a zero weight. Kept: the last
-    raw value, the raw value before each ``CDF_CHUNK``-column chunk, each
-    full chunk's normalized end, the normalized CDF of each chunk holding a
-    column that differs from the row's base, and ``plain``, the normalized
-    weight of a base column, which is every column of the other chunks. At
-    V = 4,099 a Markov row keeps ~1 KB of ends and a few 512-byte chunks."""
-    w = table.row(r)
-    if temperature != 1.0:
-        with np.errstate(**QUIET):
-            w = np.exp((np.log(w) - math.log(w.max())) / temperature)
-    p = w / w.sum()
-    if p.min() < 0.0:
-        raise ValueError("probabilities are not non-negative")
-    cdf = p.cumsum()
-    last = cdf[-1]
-    if not abs(last - 1.0) <= CHOICE_SUM_TOL:  # NaN fails too
-        raise ValueError("probabilities do not sum to 1")
-    raw_ends = cdf[CDF_CHUNK - 1 :: CDF_CHUNK]
-    cdfs = {k: cdf[k * CDF_CHUNK : (k + 1) * CDF_CHUNK] / last
-            for k in {c // CDF_CHUNK for c in table.differing(r)}}
-    plain = next((lo for lo in range(0, len(p), CDF_CHUNK) if lo // CDF_CHUNK not in cdfs), None)
-    return last, np.concatenate(([0.0], raw_ends)), raw_ends / last, cdfs, None if plain is None else p[plain]
-
-
-def _realize(preds: PositionPrediction, idx: list[int], temperature: float,
-             rng: np.random.Generator) -> list[int]:
-    """Tokens for the record's positions at indices ``idx`` (ascending).
-
-    The table's stored argmax of each row at temperature zero. Otherwise one
-    uniform ``u`` per position, drawn in ascending position order, picks the
-    first column whose normalized CDF value exceeds ``u``: the tokens and the
-    generator state of one ``rng.choice`` per position. The row's
-    :func:`_chunk_index`, built once per table and temperature, names the
-    chunk and holds its CDF, or, for a chunk of base columns only, its one
-    weight, from which ``cumsum`` continues from the chunk's start; every
-    compared value has the bits of the full CDF, and no draw reads the row.
-    The committed confidence stays untempered."""
-    table = preds.table
-    rows = [preds.row[i] for i in idx]
-    if temperature == 0.0:
-        argmax = table.argmax
-        return [argmax[r] for r in rows]
-    index = table.cdf_index.setdefault(temperature, {})
-    tokens = []
-    for r, u in zip(rows, rng.random(len(rows)).tolist()):
-        entry = index.get(r) or table.keep_index(temperature, r, _chunk_index(table, r, temperature))
-        k = int(entry[2].searchsorted(u, "right"))  # the first chunk whose normalized end exceeds u
-        tokens.append(k * CDF_CHUNK + int(_chunk_cdf(entry, k, table.width).searchsorted(u, "right")))
-    return tokens
-
-
-def _chunk_cdf(entry: tuple, k: int, width: int) -> np.ndarray:
-    """The normalized CDF of chunk ``k`` of a ``width``-column row with
-    :func:`_chunk_index` ``entry``: kept, or, when the chunk's columns all
-    weigh ``plain``, summed from the chunk's start as the full CDF sums it."""
-    last, starts, _, cdfs, plain = entry
-    cdf = cdfs.get(k)
-    if cdf is None:
-        p = np.full(min(CDF_CHUNK, width - k * CDF_CHUNK), plain)
-        p[0] += starts[k]
-        cdf = p.cumsum()
-        cdf /= last
-    return cdf
-
-
 def decode_block(
     denoiser: Denoiser,
     context: Sequence[int],
@@ -270,7 +194,7 @@ def decode_block(
             idx, threshold_used, fallback_fired = select_entropy_bounded(preds, cfg.gamma)
 
         chosen = [preds.positions[i] for i in idx]
-        for pos, tok in zip(chosen, _realize(preds, idx, cfg.temperature, rng)):
+        for pos, tok in zip(chosen, preds.table.draw([preds.row[i] for i in idx], cfg.temperature, rng)):
             block[pos] = tok
         records.append(
             StepRecord(

@@ -5,14 +5,14 @@ from __future__ import annotations
 import contextlib
 import math
 import signal
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from blockdec.core import GenerationResult, PositionPrediction, RowTable, StepRecord, StopReason, Vocab
+from blockdec.core import (CDF_CHUNK, ENTRY_BYTES, GenerationResult, PositionPrediction, RowTable, StepRecord,
+                           StopReason, Vocab)
 from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser, markov_fit
-from blockdec.sampling import CDF_CHUNK, BacdState, _chunk_cdf, _chunk_index
+from blockdec.sampling import BacdState
 
 
 @contextlib.contextmanager
@@ -51,22 +51,81 @@ def preds_from_confs(confs, vocab: Vocab | None = None, token: int = 0):
         [pos for pos, _ in confs], [spiked_probs(vocab, token, conf) for _, conf in confs])
 
 
-def bare_table(*rows) -> SimpleNamespace:
-    """What the sampler reads of a table, and where it keeps an index, over
-    unchecked rows, each read as stored dense: every column may differ from
-    the row's base. It charges no bytes."""
-    rows = [np.array(row, dtype=np.float64) for row in rows]
-    table = SimpleNamespace(row=lambda r: rows[r].copy(), differing=lambda r: range(len(rows[r])),
-                            width=len(rows[0]), cdf_index={})
-    table.keep_index = lambda temperature, r, entry: table.cdf_index.setdefault(temperature, {}).setdefault(r, entry)
-    return table
+class Uniforms:
+    """A stand-in generator whose ``random(n)`` returns the next n uniforms."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, n):
+        out, self.values = self.values[:n], self.values[n:]
+        return np.array(out)
 
 
-def index_cdf(table, r: int, temperature: float) -> np.ndarray:
-    """Row ``r``'s normalized sampling CDF as draws read it from its chunk
-    index: each chunk's kept CDF, or the one summed from its plain weight."""
-    entry = _chunk_index(table, r, temperature)
-    return np.concatenate([_chunk_cdf(entry, k, table.width) for k in range(-(-table.width // CDF_CHUNK))])
+def cdf_probes(cdf: np.ndarray) -> list[float]:
+    """Uniforms in [0, 1): 0 and each value of the normalized ``cdf`` and one
+    ulp to either side. A sampler picks the token ``cdf.searchsorted(u,
+    "right")`` at every one of them only if its own CDF has ``cdf``'s bits."""
+    us = np.concatenate([[0.0], np.nextafter(cdf, 0.0), cdf, np.nextafter(cdf, 1.0)])
+    return us[us < 1.0].tolist()
+
+
+def drawn_at(table: RowTable, r: int, temperature: float, us) -> list[int]:
+    """The tokens ``table.draw`` gives row ``r`` at ``temperature`` for the uniforms ``us``."""
+    return table.draw([r] * len(us), temperature, Uniforms(us))
+
+
+def kept_columns(row: np.ndarray, size: int) -> np.ndarray | None:
+    """The columns a table keeps of ``row`` (``size`` ordinary ids) beside
+    its base, the minimum ordinary value: those whose bits differ from it;
+    None when that dict would take as many bytes as the dense row, which is
+    then stored instead. A reference for ``RowTable.add``'s choice of form."""
+    base = row[:size].min()
+    cols = np.flatnonzero(row.view(np.int64) != base.view(np.int64))
+    return cols if ENTRY_BYTES * (len(cols) + 1) < row.nbytes else None
+
+
+def row_charge(row: np.ndarray, size: int) -> int:
+    """The bytes a table charges ``row`` and its stats in the form it takes."""
+    cols = kept_columns(row, size)
+    return 8 * len(row) + ENTRY_BYTES if cols is None else ENTRY_BYTES * (len(cols) + 1)
+
+
+def index_charge(row: np.ndarray, size: int) -> int:
+    """The bytes a table charges one sampling index of ``row``: the raw start
+    and normalized end of its chunks, and the CDF of each chunk holding a
+    kept column (every chunk of a row stored dense)."""
+    width, cols = len(row), kept_columns(row, size)
+    chunks = range(0, width, CDF_CHUNK) if cols is None else {c - c % CDF_CHUNK for c in cols.tolist()}
+    return 8 * (1 + 2 * (width // CDF_CHUNK) + sum(min(CDF_CHUNK, width - lo) for lo in chunks))
+
+
+def charged(table: RowTable, drawn) -> int:
+    """What ``table`` should be charged, tallied from its rows: each row in
+    its form with its stats, and one index per ``(temperature, row)`` of
+    ``drawn`` at a temperature above 0."""
+    size = table.vocab.size
+    return (sum(row_charge(table.row(r), size) for r in range(table.size))
+            + sum(index_charge(table.row(r), size) for temperature, r in set(drawn) if temperature))
+
+
+class Draws:
+    """Patches ``RowTable.draw`` to record, per table, the ``(temperature,
+    row)`` of every token drawn, in order. It keeps each table it saw alive,
+    so no later table reuses its id."""
+
+    def __init__(self, monkeypatch):
+        self.by_table: dict[int, tuple[RowTable, list]] = {}
+        draw = RowTable.draw
+
+        def recording(table, rows, temperature, rng):
+            self.by_table.setdefault(id(table), (table, []))[1].extend((temperature, r) for r in rows)
+            return draw(table, rows, temperature, rng)
+
+        monkeypatch.setattr(RowTable, "draw", recording)
+
+    def of(self, table: RowTable) -> list:
+        return self.by_table.get(id(table), (table, []))[1]
 
 
 def bacd_after(history, tau_l: float, tau_h: float) -> BacdState:

@@ -1,4 +1,4 @@
-"""Per-position reference for ``blockdec.sampling._realize``.
+"""Per-position reference for ``blockdec.core.RowTable.draw``.
 
 This is the realization the shared-row sampler replaced, kept as the
 differential oracle: one ``rng.choice`` per committed position, in
@@ -7,15 +7,16 @@ ascending position order, on that position's own row.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
 def reference_weights(probs: np.ndarray, temperature: float) -> np.ndarray:
+    """``probs`` tempered in log space, the max log subtracted: the max weighs
+    exactly 1, a zero (log -inf) or an overflowing quotient 0."""
     if temperature != 1.0:
-        with np.errstate(divide="ignore"):
-            probs = np.exp((np.log(probs) - math.log(probs.max())) / temperature)
+        with np.errstate(divide="ignore", over="ignore"):
+            logs = np.log(probs)
+            probs = np.exp((logs - logs.max()) / temperature)
     return probs / probs.sum()
 
 

@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -24,6 +25,9 @@ from blockdec.scheduler import generate
 
 from conftest import deadline
 from test_experiment import write_experiment
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import chain_corpus  # noqa: E402
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "experiments"
 
@@ -296,6 +300,24 @@ def test_well_formed_markov_model_runs(tmp_path, capsys):
                            task=ORACLE_TASK)
     code, _, err = run_cli(capsys, "run", str(exp))
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("temperature", [5e-324, 1e-200])
+def test_a_temperature_near_zero_runs_as_greedy(tmp_path, capsys, temperature):
+    # a fitted chain whose rows once tempered to inf or 0 below T ~ 1e-19
+    (tmp_path / "chain.txt").write_text(" ".join(map(str, chain_corpus(2, 0, 64, 50_000))))
+    cell = {"algorithm": "dynamic", "tau": 0.9, "block_size": 8, "max_new_tokens": 64}
+    exp = write_experiment(tmp_path, trials=1, **markov_spec(corpus="chain.txt", tokenization="whitespace_ints"),
+                           task={"prompts": {"kind": "corpus_snippets", "count": 50, "length": 8, "seed": 5},
+                                 "target": None},
+                           grid=[cell, dict(cell, temperature=temperature)])
+    code, out, err = run_cli(capsys, "run", str(exp))
+    assert (code, err) == (0, "")
+    with open(tmp_path / "out" / "t_summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    greedy, tempered = ([{k: v for k, v in row.items() if k not in ("grid_index", "temperature")}
+                         for row in rows if row["grid_index"] == g] for g in ("0", "1"))
+    assert len(greedy) == 50 and tempered == greedy
 
 
 # Experiment files that reach error branches no other case runs: each must

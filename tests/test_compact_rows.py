@@ -20,11 +20,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdec.core import ENTRY_BYTES, PositionPrediction, RowTable, Vocab
+from blockdec.core import CDF_CHUNK, ENTRY_BYTES, PositionPrediction, RowTable, Vocab
 from blockdec.denoisers import markov_fit
-from blockdec.sampling import CDF_CHUNK, _realize
 
-from conftest import shared_record, spiked_probs, table_of
+from conftest import kept_columns, row_charge, shared_record, spiked_probs, table_of
 from realize_reference import reference_realize
 
 KINDS = ("distinct", "markov0", "markov", "signed_zeros", "flat", "eos", "spike")
@@ -93,24 +92,27 @@ def test_sampling_from_the_store_is_one_choice_per_position(rows, seed, data):
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for temperature in (0.5, 1.0, 2.0, 1.0):  # the last pass reuses the T = 1 indexes
         chosen = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
-        got = _realize(preds, chosen, temperature, got_rng)
+        got = preds.table.draw([preds.row[i] for i in chosen], temperature, got_rng)
         assert got == reference_realize(rows, preds.row, chosen, temperature, want_rng)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_each_kind_takes_the_form_its_bytes_call_for():
     vocab, rng = Vocab(4096), np.random.default_rng(0)
-    rows = {kind: make_row(kind, vocab, rng) for kind in KINDS}
-    table = table_of(list(rows.values()))
-    differing = {kind: len(table.differing(r)) for r, kind in enumerate(rows)}
-    # stored dense: every value differs, or half the zeros are -0.0 and differ in their sign bit
-    assert differing["distinct"] == differing["signed_zeros"] == table.width
-    assert differing["flat"] <= 4  # mask, eos, pad, and the peak if it rounds apart
-    assert differing["eos"] == 3 and differing["spike"] == 4
-    assert differing["markov"] <= 5 + 3 and differing["markov0"] <= 5
+    table, charges = RowTable(vocab), {}
+    for kind in KINDS:
+        before = table.nbytes
+        table.add(make_row(kind, vocab, rng))
+        charges[kind] = table.nbytes - before
     # a dense row pays ENTRY_BYTES for its stats, as a compact one does in its + 1
-    assert table.nbytes == sum(8 * n + ENTRY_BYTES if n == table.width else ENTRY_BYTES * (n + 1)
-                               for n in differing.values())
+    dense = 8 * table.width + ENTRY_BYTES
+    kept = {kind: table.width if charge == dense else charge // ENTRY_BYTES - 1 for kind, charge in charges.items()}
+    assert all(charges[kind] == row_charge(table.row(r), vocab.size) for r, kind in enumerate(KINDS))
+    # stored dense: every value differs, or half the zeros are -0.0 and differ in their sign bit
+    assert kept["distinct"] == kept["signed_zeros"] == table.width
+    assert kept["flat"] <= 4  # mask, eos, pad, and the peak if it rounds apart
+    assert kept["eos"] == 3 and kept["spike"] == 4
+    assert kept["markov"] <= 5 + 3 and kept["markov0"] <= 5
 
 
 def test_a_wide_markov_table_stores_bytes_of_the_support_not_the_vocab():
@@ -134,7 +136,8 @@ def test_a_wide_markov_table_stores_bytes_of_the_support_not_the_vocab():
         tracemalloc.stop()
     table = model._table
     assert table.size == len(contexts) + 1
-    assert all(len(table.differing(r)) <= 7 for r in range(1, table.size))
+    assert all(len(kept_columns(table.row(r), vocab.size)) <= 7 for r in range(1, table.size))
+    assert table.nbytes == sum(row_charge(table.row(r), vocab.size) for r in range(table.size))
     # the values, the base, the stats and the backend's keys of a row
     assert per_row <= ENTRY_BYTES * (7 + 1) + 400 < 8 * table.width / 25
     assert table.nbytes - (8 * table.width + ENTRY_BYTES) <= ENTRY_BYTES * (7 + 1) * len(contexts)

@@ -45,6 +45,20 @@ class TestVocab:
         assert [f.name for f in dataclasses.fields(Vocab)] == ["size"]
         assert Vocab(size=4) == Vocab(4)
 
+    @pytest.mark.parametrize("size", [6.0, "7", None, True, False, 2.5])
+    def test_a_size_that_is_not_an_integer_is_refused(self, size):
+        # a float size once built, with mask_id 6.0, and failed later in a decode
+        with pytest.raises(ValueError):
+            Vocab(size)
+
+    def test_a_numpy_integer_size_is_stored_as_int(self):
+        vocab = Vocab(np.int64(6))
+        assert type(vocab.size) is int and type(vocab.mask_id) is int
+        assert vocab == Vocab(6) and hash(vocab) == hash(Vocab(6))
+        oracle = OracleDenoiser(vocab=Vocab(np.int32(6)), target=(1, 2, 3), base_confidence=0.9, decay=0.8)
+        cfg = DecodingConfig(algorithm="dynamic", tau=0.5, block_size=4, max_new_tokens=4)
+        assert generate(oracle, (), cfg).output_tokens == (1, 2, 3, 7)
+
 
 class TestBlockState:
     """A block is a plain token list, masked where it holds ``vocab.mask_id``.

@@ -3,9 +3,9 @@
 A row table stores each row as its base plus the columns that differ from
 it. ``probs`` rebuilds the dense [R, V] matrix of every row on each read: at
 V = 4,096 that is 32 KB a row, the memory the compact store saves. Code in
-``src/`` reads rows through ``RowTable.row``, ``RowTable.at`` and
-``RowTable.differing``; ``probs`` stays for tests, so this lint refuses any
-``.probs`` attribute in ``src/``.
+``src/`` reads rows through ``RowTable.row`` and ``RowTable.at``, or draws
+from them through ``RowTable.draw``; ``probs`` stays for tests, so this lint
+refuses any ``.probs`` attribute in ``src/``.
 """
 
 from __future__ import annotations

@@ -1,26 +1,27 @@
-"""Differential property tests: the chunk-indexed sampler against one
-``rng.choice`` per position (``realize_reference``).
+"""Differential property tests: ``RowTable.draw``, the chunk-indexed
+sampler, against one ``rng.choice`` per position (``realize_reference``).
 
 Rows hold zero columns, exact ties and tiny weights; the row index repeats
 rows, so several positions draw through one row's index. Wide rows span
 one to five ``CDF_CHUNK``-column chunks, with zero columns and whole zero
 chunks at the chunk ends, and one table is drawn from over several passes
-at several temperatures. Tokens and the generator state afterwards must
-both match.
+at several temperatures, down to the smallest positive float. Tokens and
+the generator state afterwards must both match.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdec.sampling import CDF_CHUNK, _chunk_index, _realize
+from blockdec.core import CDF_CHUNK
 
-from conftest import bare_table, index_cdf, shared_record, table_of
+from conftest import cdf_probes, charged, drawn_at, index_charge, shared_record, table_of
 from realize_reference import reference_realize, reference_tokens, reference_weights
 
 TEMPERATURES = (0.0, 1.0, 0.5, 2.0)
@@ -66,24 +67,13 @@ def wide_rows(draw):
     return probs / probs.sum(axis=1, keepdims=True)
 
 
-class Uniforms:
-    """A stand-in generator whose ``random(n)`` returns the next n uniforms."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, n):
-        out, self.values = self.values[:n], self.values[n:]
-        return np.array(out)
-
-
 @settings(max_examples=400, deadline=None)
 @given(shared_records(), st.sampled_from(TEMPERATURES), st.integers(0, 2**32 - 1), st.data())
 def test_shared_row_sampler_matches_one_choice_per_position(preds, temperature, seed, data):
     m = len(preds.positions)
     chosen = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _realize(preds, chosen, temperature, got_rng)
+    got = preds.table.draw([preds.row[i] for i in chosen], temperature, got_rng)
     want = reference_realize(preds.table.probs, preds.row, chosen, temperature, want_rng)
     assert got == want
     assert all(type(t) is int for t in got)
@@ -103,13 +93,13 @@ def test_wide_rows_match_one_choice_per_position_across_passes(probs, temperatur
     drawn = set()
     for temperature in temperatures:
         chosen = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
-        got = _realize(preds, chosen, temperature, got_rng)
+        got = preds.table.draw([preds.row[i] for i in chosen], temperature, got_rng)
         want = reference_realize(preds.table.probs, preds.row, chosen, temperature, want_rng)
         assert got == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         drawn |= {(temperature, preds.row[i]) for i in chosen}
-    index = preds.table.cdf_index
-    assert {(t, r) for t, rows in index.items() for r in rows} == drawn
+    # one index per drawn (temperature, row), each charged once as it was built
+    assert preds.table.nbytes == charged(preds.table, drawn)
 
 
 @settings(max_examples=150, deadline=None)
@@ -118,14 +108,10 @@ def test_uniforms_at_chunk_ends_match_the_full_cdf(probs, temperature):
     # a uniform at each column's normalized CDF value, chunk ends included,
     # and one ulp to either side: searchsorted(..., "right") must leave or
     # stay in the chunk as the full CDF does, across zero columns and chunks
+    table = table_of(probs)
     for r, row in enumerate(probs):
-        cdf = reference_weights(row, temperature).cumsum()
-        cdf /= cdf[-1]
-        us = np.concatenate([[0.0], np.nextafter(cdf, 0.0), cdf, np.nextafter(cdf, 1.0)])
-        us = us[us < 1.0].tolist()
-        preds = shared_record(range(len(us)), probs, [r] * len(us))
-        got = _realize(preds, list(range(len(us))), temperature, Uniforms(us))
-        assert got == reference_tokens(row, temperature, us)
+        us = cdf_probes(reference_cdf(row, temperature))
+        assert drawn_at(table, r, temperature, us) == reference_tokens(row, temperature, us)
 
 
 def test_reference_tokens_are_generator_choice():
@@ -141,18 +127,20 @@ def test_reference_tokens_are_generator_choice():
 @pytest.mark.parametrize("temperature", [1.0, 0.5, 2.0])
 @pytest.mark.parametrize("bad", [[0.5, -0.1, 0.6], [np.nan, 0.5, 0.5], [0.2, np.nan, 0.8]])
 def test_nan_or_negative_weights_raise_value_error(bad, temperature):
-    # tables refuse such rows, so a bare stand-in reaches the sampler's own
-    # checks, which run where the first draw from a row builds its index
-    table = bare_table([0.5, 0.5, 0.0], bad)
-    preds = SimpleNamespace(table=table, row=(0, 1))
+    # the table refuses such a row as it enters, so no draw can reach one;
+    # a refused row leaves the table drawing from its rows as before
+    good = [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]  # Vocab(3): ordinary ids 0-2
+    table = table_of([good])
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError):
-            _realize(preds, [0, 1], temperature, np.random.default_rng(0))
+            table.add([*bad, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            _chunk_index(table, 1, temperature)
-        with pytest.raises(ValueError):
-            reference_realize(np.array([[0.5, 0.5, 0.0], bad]), preds.row, [0, 1], temperature,
+            reference_realize(np.array([good, [*bad, 0.0, 0.0, 0.0]]), (0, 1), [0, 1], temperature,
                               np.random.default_rng(0))
+    assert table.size == 1
+    got_rng, want_rng = np.random.default_rng(0), np.random.default_rng(0)
+    assert table.draw([0, 0], temperature, got_rng) == \
+        reference_realize(np.array([good]), None, [0, 0], temperature, want_rng)
 
 
 def reference_cdf(row: np.ndarray, temperature: float) -> np.ndarray:
@@ -161,16 +149,17 @@ def reference_cdf(row: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def test_weights_are_bit_identical_to_the_reference():
-    # the CDF of the weights: the subtracted max goes through math.log: np.log
-    # differs from it in the last bit for a small share of values, which would
-    # move a rare token
-    rows = np.random.default_rng(7).dirichlet(np.full(50, 0.3), size=1500)
+    # the tokens at each CDF value and one ulp to either side: the same
+    # tokens everywhere means the index holds the reference CDF's bits
+    rows = np.zeros((1500, 53))  # Vocab(50): ordinary ids and eos carry mass
+    rows[:, [*range(50), 51]] = np.random.default_rng(7).dirichlet(np.full(51, 0.3), size=1500)
     rows[:, ::7] = 0.0
     rows /= rows.sum(axis=1, keepdims=True)
-    table = bare_table(*rows)
+    table = table_of(rows)
     for temperature in (0.25, 0.5, 2.0, 1.0):
         for r, row in enumerate(rows):
-            assert index_cdf(table, r, temperature).tobytes() == reference_cdf(row, temperature).tobytes()
+            us = cdf_probes(reference_cdf(row, temperature))
+            assert drawn_at(table, r, temperature, us) == reference_tokens(row, temperature, us)
 
 
 def test_chunk_weights_are_the_full_rows_bits():
@@ -188,13 +177,47 @@ def test_chunk_weights_are_the_full_rows_bits():
         row[size + 1] = rng.choice([0.0, 0.3])  # eos
     rows /= rows.sum(axis=1, keepdims=True)
     table = table_of(rows)
+    every_chunk = 8 * (1 + 2 * (table.width // CDF_CHUNK) + table.width)
     for temperature in (0.25, 0.7, 1.0, 1.5, 1e-3):
         plains = 0
         for r, row in enumerate(rows):
-            plain = _chunk_index(table, r, temperature)[4]
-            if plain is not None:  # some chunk holds base columns only
-                plains += 1
-                base = int(row[:size].argmin())
-                assert plain.tobytes() == reference_weights(row, temperature)[base].tobytes()
-            assert index_cdf(table, r, temperature).tobytes() == reference_cdf(row, temperature).tobytes()
+            before = table.nbytes
+            us = cdf_probes(reference_cdf(row, temperature))
+            assert drawn_at(table, r, temperature, us) == reference_tokens(row, temperature, us)
+            assert table.nbytes - before == index_charge(row, size)
+            plains += index_charge(row, size) < every_chunk  # some chunk holds base columns only
         assert plains > 40
+
+
+@pytest.mark.parametrize("temperature", [5e-324, 1e-200, 1e-20, 1e-3])
+def test_a_max_whose_two_logs_differ_still_weighs_one(temperature):
+    # np.log and math.log differ in the last bit for ~0.1% of values: a max
+    # log taken from the one and subtracted from the other's left the max
+    # column at (+-1 ulp) / T, an inf or a 0 weight once T fell below ~1e-19
+    xs = np.random.default_rng(0).uniform(0.5, 0.9, 20_000).tolist()
+    peak = next((x for x in xs if float(np.log(x)) != math.log(x)), 0.75)
+    table = table_of([[peak, 1.0 - peak, 0.0, 0.0, 0.0]])  # Vocab(2): sums to 1 exactly
+    rng = np.random.default_rng(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert table.draw([0] * 50, temperature, rng) == [0] * 50
+
+
+TINY_OR_LARGE = st.floats(-323.3, 3.0).map(lambda e: max(10.0**e, 5e-324)) | st.sampled_from([5e-324, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_rows(), st.lists(TINY_OR_LARGE, min_size=1, max_size=4), st.integers(0, 2**32 - 1), st.data())
+def test_a_draw_at_any_positive_temperature_is_one_choice_per_position(probs, temperatures, seed, data):
+    # log-uniform temperatures from the smallest positive float to 1e3: the
+    # max column weighs exactly 1, so no weight is inf and no sum is 0
+    table, v = table_of(probs), probs.shape[1] - 3
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for temperature in temperatures:
+            rows = data.draw(st.lists(st.integers(0, len(probs) - 1), min_size=1, max_size=12))
+            got = table.draw(rows, temperature, got_rng)
+            assert got == reference_realize(probs, None, rows, temperature, want_rng)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert all(probs[r, t] > 0.0 and t not in (v, v + 2) for r, t in zip(rows, got))

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdec import core, sampling
+from blockdec import core
 from blockdec.core import (ENTRY_BYTES, MAX_VOCAB_SIZE, ROW_TABLE_BYTES, DecodingConfig, PositionPrediction,
                            RowTable, Vocab)
 from blockdec.denoisers import OracleDenoiser, markov_fit
 from blockdec.noise import nelbo_estimate
 from blockdec.scheduler import generate
 
-from conftest import BACKENDS, FreshTables, backend_maker
+from conftest import BACKENDS, Draws, FreshTables, backend_maker, charged
 
 PROMPTS = [[1, 2, 3], [7], [30, 31, 32, 33]]
 RULES = [dict(algorithm="dynamic", tau=0.5, block_size=4), dict(algorithm="bacd", tau_h=0.9, tau_l=0.5, block_size=8),
@@ -80,19 +80,7 @@ class Recorder:
 
 
 def test_a_multi_block_oracle_decode_shares_one_table_and_indexes_each_row_once(monkeypatch):
-    builds, draws = [], []
-    build, realize = sampling._chunk_index, sampling._realize
-
-    def counting_build(table, r, temperature):
-        builds.append(temperature)
-        return build(table, r, temperature)
-
-    def recording_realize(preds, idx, temperature, rng):
-        draws.extend((temperature, preds.row[i]) for i in idx)
-        return realize(preds, idx, temperature, rng)
-
-    monkeypatch.setattr(sampling, "_chunk_index", counting_build)
-    monkeypatch.setattr(sampling, "_realize", recording_realize)
+    draws = Draws(monkeypatch)
     den = Recorder(backend_maker("oracle")([]))
     result = generate(den, [], DecodingConfig(algorithm="dynamic", tau=0.5, block_size=4, temperature=1.0,
                                               max_new_tokens=24))
@@ -100,7 +88,10 @@ def test_a_multi_block_oracle_decode_shares_one_table_and_indexes_each_row_once(
     tables = [preds.table for preds in den.records]
     assert len(tables) == result.forward_passes > 3
     assert all(table is tables[0] for table in tables)
-    assert len(builds) == len(set(draws)) < len(draws)
+    drawn = draws.of(tables[0])
+    # one index per drawn row, charged once as it was built
+    assert len(set(drawn)) < len(drawn)
+    assert tables[0].nbytes == charged(tables[0], drawn)
 
 
 def test_an_oracle_over_a_vocab_of_300000_decodes():
@@ -173,16 +164,6 @@ def test_a_new_table_reserves_no_heap():
     assert (table.confidence[0], table.argmax[0]) == (0.125, 0)
 
 
-def charged(table: RowTable) -> int:
-    """What a table holds, tallied from its parts: each row's stored form
-    and its stats, and every sampling index's arrays."""
-    rows = sum(8 * table.width + ENTRY_BYTES if len(table.differing(r)) == table.width
-               else ENTRY_BYTES * (len(table.differing(r)) + 1) for r in range(table.size))
-    indexes = sum(starts.nbytes + ends.nbytes + sum(cdf.nbytes for cdf in cdfs.values())
-                  for index in table.cdf_index.values() for _, starts, ends, cdfs, _ in index.values())
-    return rows + indexes
-
-
 def test_a_temperature_sweep_keeps_every_table_within_its_budget(monkeypatch):
     # Sampled decodes over a sweep of temperatures share one Markov model, as
     # an experiment's runs do: each temperature indexes the rows it draws anew.
@@ -204,10 +185,11 @@ def test_a_temperature_sweep_keeps_every_table_within_its_budget(monkeypatch):
             for temperature in temperatures for seed, prompt in enumerate(prompts)]
     shared = Recorder(markov_fit(corpus, 1, 0.01, vocab=vocab))
     fresh = FreshTables(markov_fit(corpus, 1, 0.01, vocab=vocab))
+    draws = Draws(monkeypatch)
     for cfg, prompt in runs:
         assert generate(shared, prompt, cfg) == generate(fresh, prompt, cfg)
     tables = list({id(preds.table): preds.table for preds in shared.records}.values())
     assert len(tables) > 2
-    assert all(table.nbytes == charged(table) <= budget for table in tables)
-    assert sum(len(index) for table in tables for index in table.cdf_index.values()) > 8 * len(tables)
+    assert all(table.nbytes == charged(table, draws.of(table)) <= budget for table in tables)
+    assert sum(len(set(draws.of(table))) for table in tables) > 8 * len(tables)
 

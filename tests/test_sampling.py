@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import gc
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdec import sampling
 from blockdec.core import ConfigError, DecodingConfig, PositionPrediction, Vocab
 from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser, markov_fit
 from blockdec.sampling import (
@@ -27,15 +28,22 @@ from blockdec.scheduler import generate
 from conftest import (
     BACKENDS,
     CountingDenoiser,
+    Draws,
     backend_maker,
     bacd_after,
-    bare_table,
+    cdf_probes,
+    charged,
+    drawn_at,
     full_random_script,
-    index_cdf,
     preds_from_confs,
     spike_conf_for_entropy,
     spiked_probs,
+    table_of,
 )
+from realize_reference import reference_weights
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import chain_corpus  # noqa: E402
 
 
 VOCAB = Vocab(10)
@@ -524,22 +532,44 @@ class TestRealize:
         assert runs[0] == runs[1]
         assert runs[0][0] == list(target[:8])
 
+    @pytest.mark.parametrize("temperature", [5e-324, 1e-200, 1e-20])
+    def test_a_temperature_near_zero_draws_the_greedy_tokens(self, temperature):
+        # np.log and math.log differ in the last bit for ~0.3% of values; a
+        # max log from the one, subtracted from the other's, put the max
+        # column's tempered weight at inf or 0 once T fell below ~1e-19
+        corpus = chain_corpus(2, 0, 64, 50_000)
+        model = markov_fit(corpus, 1, 0.01)
+        for seed in range(50):
+            prompt = corpus[100 * seed : 100 * seed + 8]
+            runs = [generate(model, prompt, oracle_cfg(tau=0.9, block_size=8, max_new_tokens=64, seed=seed,
+                                                       temperature=temp)) for temp in (0.0, temperature)]
+            assert runs[1].output_tokens == runs[0].output_tokens
+
     def test_tempering_matches_power_form(self):
         rng = np.random.default_rng(5)
         for temperature in (0.25, 0.7, 1.6, 3.0):
-            probs = rng.dirichlet(np.full(9, 0.5))
+            probs = np.zeros(12)  # Vocab(9)
+            probs[:9] = rng.dirichlet(np.full(9, 0.5))
             probs[3] = 0.0
             probs /= probs.sum()
-            cdf = index_cdf(bare_table(probs), 0, temperature)
             want = probs ** (1.0 / temperature)
             want /= want.sum()
+            cdf = reference_weights(probs, temperature).cumsum()
+            cdf /= cdf[-1]
             assert np.allclose(cdf, want.cumsum(), rtol=1e-12, atol=0.0)
             assert cdf[3] == cdf[2]  # the zero column weighs nothing
+            # the table draws what searchsorted on that CDF picks, everywhere
+            us = cdf_probes(cdf)
+            drawn = drawn_at(table_of([probs]), 0, temperature, us)
+            assert drawn == cdf.searchsorted(us, "right").tolist() and 3 not in drawn
 
     def test_unit_temperature_samples_from_probs_unchanged(self):
-        probs = np.random.default_rng(6).dirichlet(np.full(9, 0.5))
+        probs = np.zeros(12)  # Vocab(9)
+        probs[:9] = np.random.default_rng(6).dirichlet(np.full(9, 0.5))
         want = (probs / probs.sum()).cumsum()
-        assert np.array_equal(index_cdf(bare_table(probs), 0, 1.0), want / want[-1])
+        want /= want[-1]
+        us = cdf_probes(want)
+        assert drawn_at(table_of([probs]), 0, 1.0, us) == want.searchsorted(us, "right").tolist()
 
 
 class TestChunkIndex:
@@ -550,32 +580,21 @@ class TestChunkIndex:
 
     def test_each_row_and_temperature_is_indexed_once_across_passes_and_runs(self, monkeypatch):
         den = self.wide_markov()
-        builds, draws = [], []
-        build, realize = sampling._chunk_index, sampling._realize
-
-        def counting_build(table, r, temperature):
-            builds.append(temperature)
-            return build(table, r, temperature)
-
-        def recording_realize(preds, idx, temperature, rng):
-            draws.extend((temperature, preds.row[i]) for i in idx)
-            return realize(preds, idx, temperature, rng)
-
-        monkeypatch.setattr(sampling, "_chunk_index", counting_build)
-        monkeypatch.setattr(sampling, "_realize", recording_realize)
-        for temperature in (1.0, 0.5, 1.0, 0.5):
+        draws = Draws(monkeypatch)
+        for seed, temperature in enumerate((1.0, 0.5, 1.0, 0.5)):
             generate(den, [1, 2], oracle_cfg(tau=0.5, block_size=8, temperature=temperature,
-                                             max_new_tokens=64, seed=len(builds)))
-        index = den._table.cdf_index
-        assert len(builds) == len(set(draws)) < len(draws)
-        assert {(t, r) for t, rows in index.items() for r in rows} == set(draws)
+                                             max_new_tokens=64, seed=seed))
+        drawn = draws.of(den._table)
+        # one index per drawn (temperature, row), charged once as it was built
+        assert len(set(drawn)) < len(drawn)
+        assert den._table.nbytes == charged(den._table, drawn)
 
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_a_dropped_table_is_freed_without_the_collector(self, kind):
         den = backend_maker(kind)([1, 2])
         generate(den, [1, 2], oracle_cfg(tau=0.5, block_size=8, temperature=1.0, max_new_tokens=32))
         table = weakref.ref(den._table)
-        assert table().cdf_index[1.0]
+        assert table().nbytes > charged(table(), [])  # it holds sampling indexes
         gc.disable()
         try:
             del den
@@ -591,8 +610,8 @@ class TestChunkIndex:
         for pos in (0, 3, 6):
             block[pos] = pos
         preds = model.predict([5], block)
-        idx = list(range(len(preds.positions)))
-        sampling._realize(preds, idx, temperature, np.random.default_rng(0))  # builds the index
+        rows = list(preds.row)
+        preds.table.draw(rows, temperature, np.random.default_rng(0))  # builds the index
         errstate, opened = np.errstate, []
 
         def counting(**kwargs):
@@ -600,6 +619,6 @@ class TestChunkIndex:
             return errstate(**kwargs)
 
         monkeypatch.setattr(np, "errstate", counting)
-        tokens = sampling._realize(preds, idx, temperature, np.random.default_rng(1))
-        assert len(tokens) == len(idx) == 5
+        tokens = preds.table.draw(rows, temperature, np.random.default_rng(1))
+        assert len(tokens) == len(rows) == 5
         assert opened == []
