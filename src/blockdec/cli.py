@@ -13,7 +13,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .core import DecodingConfig, Vocab, clipped, token_array
+from .core import DecodingConfig, Vocab, clipped, parsed, token_array
 from .denoisers import ContractViolation, FixtureError, load_scripted
 from .experiment import (
     ConfigError,
@@ -30,14 +30,6 @@ from .scheduler import generate
 
 _INT_PARAMS = {"block_size", "steps", "max_new_tokens"}
 _FLOAT_PARAMS = {"tau", "tau_h", "tau_l", "gamma", "temperature"}
-
-
-def _parsed(cast, field: str):
-    """``cast(field)``; the ValueError for a field it refuses shows the field clipped."""
-    try:
-        return cast(field)
-    except ValueError as exc:
-        raise ValueError(str(exc).replace(repr(field), clipped(repr(field)))) from None
 
 
 def _run(exp, output_dir) -> int:
@@ -62,7 +54,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"cannot sweep {clipped(repr(args.param))}")
     cast = int if args.param in _INT_PARAMS else float
     try:
-        values = [_parsed(cast, v) for v in args.values.split(",") if v.strip()]
+        values = [parsed(cast, v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad sweep values: {exc}") from exc
     if not values:
@@ -101,7 +93,7 @@ def _cmd_replay(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--vocab-size: {exc}") from None
     try:
-        prompt = tuple(token_array(_parsed(int, t) for t in args.prompt.split(",") if t.strip()).tolist())
+        prompt = tuple(token_array(parsed(int, t) for t in args.prompt.split(",") if t.strip()).tolist())
     except ValueError as exc:
         raise ConfigError(f"--prompt: {exc}") from None
     denoiser = load_scripted(args.fixture, vocab)

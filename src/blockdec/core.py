@@ -16,25 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = [
-    "Algorithm",
-    "ConfigError",
-    "DecodingConfig",
-    "GenerationResult",
-    "MAX_VOCAB_SIZE",
-    "PositionPrediction",
-    "ROW_TABLE_BYTES",
-    "RowTable",
-    "StepRecord",
-    "StopReason",
-    "TccfConfig",
-    "TccfTrace",
-    "Vocab",
-    "lint_config",
-    "token_array",
-    "validate_config",
-]
-
 # Tolerance used by prediction self-checks.
 PROB_SUM_TOL = 1e-9
 
@@ -92,6 +73,15 @@ def clipped(text: str, size: str = "") -> str:
     return text if len(text) <= 24 else f"{text[:12]}… ({size or f'{len(text)} characters'})"
 
 
+def parsed(cast, field: str):
+    """``cast(field)``; the ValueError for a field it refuses (``int()`` and
+    ``float()`` echo it) shows the field clipped."""
+    try:
+        return cast(field)
+    except ValueError as exc:
+        raise ValueError(str(exc).replace(repr(field), clipped(repr(field)))) from None
+
+
 def token_array(tokens) -> np.ndarray:
     """Tokens as a new int64 array. A token that is not an integer (``1.5``)
     or does not fit in int64 (``2**70``) raises ValueError instead of being
@@ -130,7 +120,7 @@ class RowTable:
     row the form it took plus ``ENTRY_BYTES`` for its stats (a compact row's
     ``+ 1``), and a sampling index its arrays' bytes; nothing else writes it.
     :meth:`row` and :meth:`at` read the rows back, each value with the bits
-    it had; ``probs`` builds the dense [R, V] copy."""
+    it had."""
 
     def __init__(self, vocab: Vocab):
         self.vocab, self.width = vocab, vocab.total_ids
@@ -203,13 +193,6 @@ class RowTable:
         entry = self._index.setdefault(temperature, {})[r] = (last, starts, ends, cdfs, plain)
         return entry
 
-    @property
-    def probs(self) -> np.ndarray:
-        """The read-only [size, V] matrix of every row, rebuilt: for tests."""
-        out = np.array([self.row(r) for r in range(self.size)]).reshape(self.size, self.width)
-        out.flags.writeable = False
-        return out
-
     def row(self, r: int) -> np.ndarray:
         """A new dense [V] copy of row ``r``."""
         base, diff = self._base[r], self._diff[r]
@@ -220,7 +203,7 @@ class RowTable:
         return out
 
     def at(self, rows, cols) -> np.ndarray:
-        """``probs[rows, cols]``: the value of each ``(row, column)`` pair, as float64."""
+        """``row(r)[c]`` for each pair of ``rows`` and ``cols``, as float64."""
         base, diff = self._base, self._diff
         return np.array([diff[r][c] if base[r] is None else diff[r].get(c, base[r])
                          for r, c in zip(rows, cols)], dtype=np.float64)
@@ -476,7 +459,6 @@ class TccfTrace:
     stage2_passes: int
     splice_position: int | None  # committed offset where the marker was removed
     forced_splice: bool
-    critic_ran = property(lambda self: self.stage2_passes > 0)
 
 
 @dataclass(frozen=True)

@@ -18,19 +18,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import PositionPrediction, RowTable, Vocab, clipped
-
-__all__ = [
-    "ContractViolation",
-    "Denoiser",
-    "FixtureError",
-    "MarkovDenoiser",
-    "OracleDenoiser",
-    "ScriptedDenoiser",
-    "load_scripted",
-    "markov_fit",
-    "predict",
-]
+from .core import PositionPrediction, RowTable, Vocab, clipped, parsed
 
 
 class ContractViolation(RuntimeError):
@@ -373,13 +361,10 @@ def load_scripted(path, vocab: Vocab) -> ScriptedDenoiser:
                 f"{path}: line {lineno}: expected 'block step position conf token_id'"
             )
         try:
-            key = (int(parts[0]), int(parts[1]), int(parts[2]))
-            entry = (float(parts[3]), int(parts[4]))
-        except ValueError as exc:  # int() and float() echo the field they refused: show it clipped
-            shown = str(exc)
-            for part in parts:
-                shown = shown.replace(repr(part), clipped(repr(part)))
-            raise FixtureError(f"{path}: line {lineno}: {shown}") from None
+            key = (parsed(int, parts[0]), parsed(int, parts[1]), parsed(int, parts[2]))
+            entry = (parsed(float, parts[3]), parsed(int, parts[4]))
+        except ValueError as exc:
+            raise FixtureError(f"{path}: line {lineno}: {exc}") from None
         if key in script:
             raise FixtureError(f"{path}: line {lineno}: duplicate entry for {clipped(str(key))}")
         script[key] = entry

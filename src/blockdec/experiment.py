@@ -37,20 +37,6 @@ from .denoisers import MarkovDenoiser, OracleDenoiser, ScriptedDenoiser, load_sc
 from .metrics import Category, RunSummary, aggregate, summarize
 from .scheduler import generate, generate_tccf
 
-__all__ = [
-    "ConfigError",
-    "Corpus",
-    "ExperimentConfig",
-    "MAX_VOCAB_SIZE",
-    "Tokenization",
-    "config_from_dict",
-    "ingest_corpus",
-    "load_experiment",
-    "load_markov",
-    "run_experiment",
-    "save_markov",
-]
-
 _CONFIG_FIELDS = ("algorithm", "block_size", "steps", "tau", "tau_l", "tau_h", "gamma", "temperature")
 _CONFIG_COLUMNS = [*_CONFIG_FIELDS, "b_think", "b_critic"]
 SUMMARY_COLUMNS = [

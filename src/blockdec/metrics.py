@@ -14,18 +14,6 @@ from typing import Mapping, Sequence
 
 from .core import GenerationResult, StopReason
 
-__all__ = [
-    "AggregateRow",
-    "Category",
-    "RunSummary",
-    "aggregate",
-    "classify",
-    "detect_repetition",
-    "mean_confidence",
-    "summarize",
-    "tpf",
-]
-
 
 class Category(str, Enum):
     ANSWER_MATCH = "answer_match"

@@ -13,8 +13,6 @@ import numpy as np
 from .core import Vocab, token_array
 from .denoisers import predict
 
-__all__ = ["forward_mask", "nelbo_estimate"]
-
 
 def forward_mask(tokens, vocab: Vocab, t: float, rng: np.random.Generator) -> list[int]:
     """A new list: each token of a clean block replaced by ``vocab.mask_id``

@@ -27,16 +27,6 @@ from .denoisers import Denoiser, predict
 # Never called here (a config is valid by construction); perfbench/layers.py counts calls through this name.
 validate_config = core.validate_config
 
-__all__ = [
-    "BacdState",
-    "decode_block",
-    "entropy_prefix_length",
-    "select_bacd",
-    "select_dynamic",
-    "select_entropy_bounded",
-    "select_static",
-]
-
 # Absolute slack for the entropy-budget comparison; grid-valued entropies
 # otherwise fail the inequality on the last ulp of a prefix sum.
 ENTROPY_BUDGET_SLACK = 1e-12

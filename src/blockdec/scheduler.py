@@ -24,8 +24,6 @@ from .sampling import decode_block
 # Never called here (a config is valid by construction); perfbench/layers.py counts calls through this name.
 validate_config = core.validate_config
 
-__all__ = ["GenerationSession", "find_marker", "generate", "generate_tccf"]
-
 
 def find_marker(tokens: Sequence[int], marker: Sequence[int], start: int = 0) -> int | None:
     """Index of the leftmost occurrence of ``marker`` in ``tokens`` that

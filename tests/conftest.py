@@ -151,10 +151,17 @@ def shared_record(positions, rows, row) -> PositionPrediction:
     return PositionPrediction(positions, table_of(rows), row)
 
 
+def table_probs(table: RowTable) -> np.ndarray:
+    """The read-only [size, V] matrix of every row of ``table``, rebuilt."""
+    out = np.array([table.row(r) for r in range(table.size)]).reshape(table.size, table.width)
+    out.flags.writeable = False
+    return out
+
+
 def position_probs(preds: PositionPrediction) -> np.ndarray:
     """The [M, V] matrix of a record: row ``i`` is position ``i``'s row. The
     ids go in as a list: numpy reads a tuple as one index per axis."""
-    return preds.table.probs[list(preds.row)]
+    return table_probs(preds.table)[list(preds.row)]
 
 
 def spike_conf_for_entropy(vocab: Vocab, target: float) -> float:

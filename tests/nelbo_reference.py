@@ -13,6 +13,8 @@ from blockdec.core import Vocab, token_array
 from blockdec.denoisers import predict
 from blockdec.noise import forward_mask
 
+from conftest import table_probs
+
 
 def nelbo_estimate(
     denoiser,
@@ -91,7 +93,7 @@ def nelbo_estimate(
                     continue
                 context = full[: len(prompt) + k * block_size]
                 preds = predict(denoiser, context, noised)
-                probs = preds.table.probs
+                probs = table_probs(preds.table)
                 for r, i in zip(preds.row, masked):
                     total += -float(np.log(probs[r, truth[i]]))
             estimates.append(total / t)

@@ -443,7 +443,7 @@ def test_08_two_stage_structure():
         trace = res.tccf
         if trace.splice_position != marker_at or trace.forced_splice:
             violations.append((seed, "splice"))
-        if not trace.critic_ran:
+        if trace.stage2_passes == 0:
             violations.append((seed, "critic"))
         stage2 = res.steps[trace.stage1_passes :]
         if any(len(r.unmasked_positions) != 1 for r in stage2):

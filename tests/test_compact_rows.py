@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from blockdec.core import CDF_CHUNK, ENTRY_BYTES, PositionPrediction, RowTable, Vocab
 from blockdec.denoisers import markov_fit
 
-from conftest import kept_columns, row_charge, shared_record, spiked_probs, table_of
+from conftest import kept_columns, row_charge, shared_record, spiked_probs, table_of, table_probs
 from realize_reference import reference_realize
 
 KINDS = ("distinct", "markov0", "markov", "signed_zeros", "flat", "eos", "spike")
@@ -74,7 +74,7 @@ def test_the_store_gives_back_every_bit_it_was_given(rows, seed):
     table = table_of(rows)
     for r, want in enumerate(rows):
         assert table.row(r).tobytes() == want.tobytes()
-    assert table.probs.tobytes() == rows.tobytes()
+    assert table_probs(table).tobytes() == rows.tobytes()
     rng = np.random.default_rng(seed)
     rr = rng.integers(0, len(rows), 40).tolist()
     cc = rng.integers(0, table.width, 40).tolist()
@@ -160,4 +160,4 @@ def test_a_row_with_no_repeated_value_stays_within_twice_its_dense_bytes():
     dense = rows[0].nbytes
     assert table.nbytes == len(rows) * (dense + ENTRY_BYTES)
     assert per_row <= 2 * dense and per_fresh_row <= 2 * dense
-    assert preds.table.probs.tobytes() == rows.tobytes()
+    assert table_probs(preds.table).tobytes() == rows.tobytes()

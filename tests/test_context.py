@@ -95,7 +95,7 @@ class TestSchedulerContext:
         rec = oracle(target, len(prompt))
         res = generate_tccf(rec, prompt, cfg(tccf(marker=marker, transition=transition)))
         assert res.tccf.splice_position == 5 and not res.tccf.forced_splice
-        assert res.tccf.critic_ran
+        assert res.tccf.stage2_passes > 0
         check_contexts(rec, prompt, res, transition)
 
     @pytest.mark.parametrize("b_think", [1, 2, 3])

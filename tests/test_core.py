@@ -30,6 +30,8 @@ from blockdec.denoisers import ContractViolation, OracleDenoiser, predict
 from blockdec.sampling import decode_block
 from blockdec.scheduler import generate, generate_tccf
 
+from conftest import table_probs
+
 
 class TestVocab:
     def test_standard_layout(self):
@@ -166,7 +168,7 @@ class TestPositionPrediction:
         probs = np.zeros(6)
         probs[2] = 1.0
         p = PositionPrediction.from_probs([0], [probs])
-        assert int(np.argmax(p.table.probs[0])) == 2
+        assert int(np.argmax(table_probs(p.table)[0])) == 2
         assert p.confidence == (1.0,)
         assert p.entropy == (0.0,)
 
@@ -187,10 +189,10 @@ class TestPositionPrediction:
     def test_fields_are_read_only(self):
         rows = np.array([GOOD_ROW])
         p = PositionPrediction.from_probs([0], rows)
-        with pytest.raises(ValueError):
-            p.table.probs[0, 0] = 0.5
+        p.table.row(0)[0] = 0.5  # row() reads back a new copy
         rows[0, 0] = 0.1  # from_probs copied its input
-        assert p.table.probs[0, 0] == 0.7
+        assert p.table.row(0)[0] == 0.7
+        assert table_probs(p.table).tolist() == [GOOD_ROW]
 
     def test_sum_checked(self):
         with pytest.raises(ValueError, match="sum"):
@@ -243,7 +245,7 @@ class TestRowTable:
         assert [table.add(r) for r in rows] == [0, 1]
         assert table.size == 2 and table.width == 6
         assert table.nbytes == 2 * (8 * 6 + ENTRY_BYTES)  # stored dense, each with its stats
-        assert table.probs.tolist() == rows
+        assert table_probs(table).tolist() == rows
         assert table.confidence == [0.4, 0.5]
         assert table.entropy == [entropy_of(r) for r in rows]
         assert table.argmax == [1, 0]  # ties go to the lower id, as np.argmax
@@ -291,11 +293,11 @@ class TestRowTable:
         table = RowTable(Vocab(2))
         table.add(row)
         row[0] = 0.0  # add copied it
-        for stats in (table.probs, table.confidence, table.entropy, table.argmax):
+        for stats in (table_probs(table), table.confidence, table.entropy, table.argmax):
             assert len(stats) == 1
-        with pytest.raises(ValueError, match="read-only"):
-            table.probs[0] = 0
-        assert table.probs.tolist() == [GOOD_ROW]
+        table.row(0)[0] = 0.0  # row() reads back a new copy
+        assert table.row(0).tolist() == GOOD_ROW
+        assert table_probs(table).tolist() == [GOOD_ROW]
         # the stats are Python numbers derived from the copy, not views of the input
         assert (table.confidence, table.entropy, table.argmax) == ([0.7], [entropy_of(GOOD_ROW)], [0])
         assert type(table.confidence[0]) is float and type(table.argmax[0]) is int
@@ -322,7 +324,7 @@ class TestSharedRows:
 
     def test_per_position_stats_are_one_gather(self):
         p = self.shared(index([1, 0, 1, 1]))
-        assert p.table.probs.shape == (2, 5)
+        assert table_probs(p.table).shape == (2, 5)
         assert p.confidence == (0.6, 0.7, 0.6, 0.6)
         assert p.entropy == tuple(entropy_of(self.ROWS[r]) for r in (1, 0, 1, 1))
         assert p.table.confidence == [0.7, 0.6]
@@ -417,6 +419,8 @@ class TestValidateConfig:
         (dict(algorithm="bacd", tau_h=0.9), "tau_h and tau_l are required for bacd decoding"),
         (dict(algorithm="dynamic", tau=0.5, tccf=TccfConfig(4, 2, (1,), (), stage1_max_tokens=0)),
          "tccf stage1_max_tokens must be a positive integer"),
+        (dict(algorithm="bacd", tau_h=0.9, tau_l=0.0), "tau_l must lie in (0, 1]"),
+        (dict(algorithm="bacd", tau_h=0.9, tau_l=math.nan), "tau_l must lie in (0, 1]"),
     ])
     def test_single_problem_reported(self, fields, problem):
         with pytest.raises(ConfigError) as exc:
@@ -553,8 +557,10 @@ class TestTccfTrace:
     def test_critic_ran_is_derived_from_stage_two_passes(self, stage2_passes, ran):
         trace = TccfTrace(stage1_passes=2, stage2_passes=stage2_passes,
                           splice_position=None, forced_splice=False)
-        assert trace.critic_ran is ran
-        assert len(dataclasses.fields(TccfTrace)) == 4
+        # whether the critic ran is read from the stored pass count, not kept beside it
+        assert (trace.stage2_passes > 0) is ran
+        assert [f.name for f in dataclasses.fields(TccfTrace)] == [
+            "stage1_passes", "stage2_passes", "splice_position", "forced_splice"]
 
 
 def test_algorithm_values():

@@ -1,11 +1,12 @@
-"""No ``blockdec`` module reads ``RowTable.probs``.
+"""No ``blockdec`` module reads a dense ``.probs`` matrix of a row table.
 
 A row table stores each row as its base plus the columns that differ from
-it. ``probs`` rebuilds the dense [R, V] matrix of every row on each read: at
-V = 4,096 that is 32 KB a row, the memory the compact store saves. Code in
-``src/`` reads rows through ``RowTable.row`` and ``RowTable.at``, or draws
-from them through ``RowTable.draw``; ``probs`` stays for tests, so this lint
-refuses any ``.probs`` attribute in ``src/``.
+it. The dense [R, V] matrix of every row costs 32 KB a row at V = 4,096, the
+memory the compact store saves, so only tests build it, with
+``conftest.table_probs``. Code in ``src/`` reads rows through ``RowTable.row``
+and ``RowTable.at``, or draws from them through ``RowTable.draw``; this lint
+refuses any ``.probs`` attribute in ``src/``, so neither a ``RowTable.probs``
+nor a read of one comes back.
 """
 
 from __future__ import annotations

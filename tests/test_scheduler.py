@@ -187,7 +187,7 @@ class TestGenerateTccf:
         assert res.tccf is not None
         assert res.tccf.splice_position == 6
         assert res.tccf.forced_splice is False
-        assert res.tccf.critic_ran is True
+        assert res.tccf.stage2_passes > 0
         # marker removed, transition spliced in at its place
         assert res.output_tokens[6:8] == GO
         assert find_marker(res.output_tokens, MARK) is None
@@ -231,7 +231,7 @@ class TestGenerateTccf:
         den = oracle(vocab, target, base=0.95, decay=0.9)
         res = generate_tccf(den, [], tccf_cfg(max_new_tokens=24))
         assert res.stop_reason is StopReason.EOS
-        assert res.tccf.critic_ran is False
+        assert res.tccf.stage2_passes == 0
         assert res.tccf.splice_position is None
         assert res.tccf.stage2_passes == 0
         assert res.output_tokens == (0, 1, 2, vocab.eos_id)
@@ -245,7 +245,7 @@ class TestGenerateTccf:
         assert res.tccf.forced_splice is True
         assert res.tccf.splice_position == 8
         assert res.output_tokens[8:10] == GO
-        assert res.tccf.critic_ran is True
+        assert res.tccf.stage2_passes > 0
 
     def test_eos_in_critic_stage_stops(self):
         vocab = self.vocab()

@@ -2,8 +2,8 @@
 
 ``PositionPrediction.row`` and ``.positions`` are tuples of Python ints. numpy
 reads a tuple subscript as one coordinate per axis, not as a list of ids:
-``table.probs[preds.row]`` with two ids returns one element of the [R, V]
-matrix, silently, where a list would return two rows. Code in ``src/`` reads
+on an [R, V] matrix, ``probs[preds.row]`` with two ids returns one element,
+silently, where a list would return two rows. Code in ``src/`` reads
 the tuples element by element (``row[i]``) or passes ``list(preds.row)``; this
 lint refuses a subscript whose index is such an attribute itself.
 """
