@@ -16,6 +16,7 @@ from pathlib import Path
 from .core import DecodingConfig, Vocab, clipped, parsed, token_array
 from .denoisers import ContractViolation, FixtureError, load_scripted
 from .experiment import (
+    FLOAT_FIELDS,
     ConfigError,
     config_from_dict,
     ingest_corpus,
@@ -29,7 +30,6 @@ from .metrics import mean_confidence, tpf
 from .scheduler import generate
 
 _INT_PARAMS = {"block_size", "steps", "max_new_tokens"}
-_FLOAT_PARAMS = {"tau", "tau_h", "tau_l", "gamma", "temperature"}
 
 
 def _run(exp, output_dir) -> int:
@@ -50,7 +50,7 @@ def _cmd_sweep(args) -> int:
     if args.param == "seed":
         raise ConfigError("cannot sweep 'seed': run seeds derive from base_seed "
                           "(base_seed + trial * num_prompts + prompt_index)")
-    if args.param not in _INT_PARAMS | _FLOAT_PARAMS:
+    if args.param not in (*_INT_PARAMS, *FLOAT_FIELDS):
         raise ConfigError(f"cannot sweep {clipped(repr(args.param))}")
     cast = int if args.param in _INT_PARAMS else float
     try:
@@ -149,10 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["static", "dynamic", "bacd", "entropy_bounded"])
     p_replay.add_argument("--block-size", dest="block_size", type=int, default=4)
     p_replay.add_argument("--steps", type=int, default=None)
-    for name in ("tau", "tau_h", "tau_l", "gamma"):
+    for name in FLOAT_FIELDS:  # an omitted one keeps DecodingConfig's default
         p_replay.add_argument("--" + name.replace("_", "-"), dest=name, type=float, default=None)
     p_replay.add_argument("--max-new-tokens", dest="max_new_tokens", type=int, default=16)
-    p_replay.add_argument("--temperature", type=float, default=0.0)
     p_replay.add_argument("--seed", type=int, default=0)
     p_replay.set_defaults(func=_cmd_replay)
     return parser

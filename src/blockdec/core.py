@@ -94,7 +94,7 @@ def token_array(tokens) -> np.ndarray:
         raise ValueError("token does not fit in int64") from None
 
 
-# A row table's byte budget: its rows, their stats and its sampling indexes (the one bound on a table).
+# A row table's byte budget: its rows, their stats, its sampling indexes and keys (the one bound on a table).
 ROW_TABLE_BYTES = 128 << 20
 # The widest vocab whose one float64 row over all its ids fits a row table's bytes.
 MAX_VOCAB_SIZE = ROW_TABLE_BYTES // 8 - 3
@@ -116,11 +116,11 @@ class RowTable:
     row is one smoothing value but for its successors and the special ids.
     When that dict would take as many bytes as the dense row (``ENTRY_BYTES``
     a value and one more for the dict and the base, against 8 a column), the
-    row is stored dense instead. ``nbytes``, the table's one bound, charges a
-    row the form it took plus ``ENTRY_BYTES`` for its stats (a compact row's
-    ``+ 1``), and a sampling index its arrays' bytes; nothing else writes it.
-    :meth:`row` and :meth:`at` read the rows back, each value with the bits
-    it had."""
+    row is stored dense instead. ``nbytes`` charges a row the form it took plus
+    ``ENTRY_BYTES`` for its stats (a compact row's ``+ 1``), and a sampling index
+    its arrays' bytes; :meth:`with_room` checks it, and ``ENTRY_BYTES`` a key in
+    ``ids``, against the table's one bound. :meth:`row` and :meth:`at` read the
+    rows back, each value with the bits it had."""
 
     def __init__(self, vocab: Vocab):
         self.vocab, self.width = vocab, vocab.total_ids
@@ -133,13 +133,11 @@ class RowTable:
         # temperature -> row id -> the row's sampling chunk index, built at its first draw
         self._index: dict[float, dict[int, tuple]] = {}
 
-    def with_room(self, rows: int) -> RowTable:
-        """This table if a pass of ``rows`` positions keeps ``nbytes`` within the
-        budget at the most it can add (per position a row, charged dense with its
-        stats, and an index of at most twice the dense row), else a new one: no record
-        spans two tables, and a kept one holds at most ``ROW_TABLE_BYTES // ENTRY_BYTES`` rows."""
-        worst = rows * (3 * 8 * self.width + ENTRY_BYTES)
-        return self if self.nbytes + worst <= ROW_TABLE_BYTES else RowTable(self.vocab)
+    def with_room(self) -> RowTable:
+        """This table while its charged bytes, ``nbytes`` and ``ENTRY_BYTES`` a key in
+        ``ids``, are within the budget, else a new, empty one. Run before each pass: no
+        record spans two tables, and a table ends a pass at most that pass over the budget."""
+        return self if self.nbytes + ENTRY_BYTES * len(self.ids) <= ROW_TABLE_BYTES else RowTable(self.vocab)
 
     def draw(self, rows, temperature: float, rng: np.random.Generator) -> list[int]:
         """One token from each of ``rows`` (row ids, in ascending position order):

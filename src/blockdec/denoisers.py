@@ -65,7 +65,7 @@ def _spiked(backend, positions: list[int], spikes: list[tuple[int, float]]) -> P
     """The record whose position ``i`` puts ``peak`` on ``token`` for ``spikes[i] = (token, peak)``,
     the rest uniform over the other ordinary tokens (all of them for eos); a row per distinct spike."""
     vocab = backend.vocab
-    table = backend._table = backend._table.with_room(len(spikes))
+    table = backend._table = backend._table.with_room()
     for spike in spikes:
         if spike not in table.ids:
             token, peak = spike
@@ -115,15 +115,15 @@ class MarkovDenoiser:
 
     def distribution(self, ctx: tuple[int, ...]) -> np.ndarray:
         """Smoothed next-token distribution after ``ctx``, with backoff."""
-        self._table = self._table.with_room(1)
+        self._table = self._table.with_room()
         row = self._entry(ctx)
         return self._table.row(row)
 
     def _entry(self, ctx: tuple[int, ...]) -> int:
         """Row of ``ctx``'s distribution in the current table. The first lookup
         of a context backs off to the longest suffix with counts and keys the
-        row under both, so a later lookup of either is one ``dict.get``; the
-        aliases go with their table when ``with_room`` starts a new one."""
+        row under both, so a later lookup of either is one ``dict.get``; each key
+        is charged to the table and goes with it when ``with_room`` starts a new one."""
         ids = self._table.ids
         row = ids.get(ctx)
         if row is not None:
@@ -146,7 +146,7 @@ class MarkovDenoiser:
         return row
 
     def predict(self, context: Sequence[int], block: Sequence[int]) -> PositionPrediction:
-        self._table = self._table.with_room(len(block))
+        self._table = self._table.with_room()
         # One left-to-right scan. ``run`` holds the last ``order`` tokens of
         # the clean run ending just left of the current position (empty right
         # after a masked one); a masked position after a masked one reads

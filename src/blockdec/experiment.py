@@ -37,6 +37,7 @@ from .denoisers import MarkovDenoiser, OracleDenoiser, ScriptedDenoiser, load_sc
 from .metrics import Category, RunSummary, aggregate, summarize
 from .scheduler import generate, generate_tccf
 
+FLOAT_FIELDS = ("tau", "tau_h", "tau_l", "gamma", "temperature")  # config fields that take a float
 _CONFIG_FIELDS = ("algorithm", "block_size", "steps", "tau", "tau_l", "tau_h", "gamma", "temperature")
 _CONFIG_COLUMNS = [*_CONFIG_FIELDS, "b_think", "b_critic"]
 SUMMARY_COLUMNS = [
@@ -276,7 +277,7 @@ def config_from_dict(data: dict, keys: set[str] = _CONFIG_KEYS) -> DecodingConfi
             marker=_tokens(tccf_data.get("marker", ()), "tccf.marker"),
             transition=_tokens(tccf_data.get("transition", ()), "tccf.transition"),
         )
-    for key in ("tau", "tau_h", "tau_l", "gamma", "temperature"):
+    for key in FLOAT_FIELDS:
         if type(kwargs.get(key)) is int:  # written as 1.0 in the CSVs, not 1
             kwargs[key] = float(kwargs[key])
     return DecodingConfig(**kwargs)

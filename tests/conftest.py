@@ -9,6 +9,7 @@ import signal
 import numpy as np
 import pytest
 
+from blockdec import core
 from blockdec.core import (CDF_CHUNK, ENTRY_BYTES, GenerationResult, PositionPrediction, RowTable, StepRecord,
                            StopReason, Vocab)
 from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser, markov_fit
@@ -107,6 +108,60 @@ def charged(table: RowTable, drawn) -> int:
     size = table.vocab.size
     return (sum(row_charge(table.row(r), size) for r in range(table.size))
             + sum(index_charge(table.row(r), size) for temperature, r in set(drawn) if temperature))
+
+
+def held(table: RowTable) -> int:
+    """The bytes ``RowTable.with_room`` holds ``table`` to its budget by:
+    ``nbytes`` and ``ENTRY_BYTES`` for each key in ``ids``."""
+    return table.nbytes + ENTRY_BYTES * len(table.ids)
+
+
+def position_worst(vocab: Vocab) -> int:
+    """The most one masked position of a pass can add to a table: a row
+    charged dense with its stats, a sampling index of at most twice the dense
+    row, and two keys (a Markov context and the suffix it backs off to)."""
+    return 3 * 8 * vocab.total_ids + 3 * ENTRY_BYTES
+
+
+class CheckedTables:
+    """Delegates to a backend and checks every record it returns: the record
+    indexes the backend's current table and its ids lie in that table. Before
+    each pass the backend keeps its table while ``held`` is within
+    ``core.ROW_TABLE_BYTES``, else a new, empty table takes the pass: so no
+    record spans two tables, and a table ends a pass at most that pass's rows,
+    indexes and keys over the budget. ``tables`` maps each table to ``held``
+    before its latest pass and the most that pass can add, ``position_worst``
+    a masked position; ``rolls`` gets an entry per table after the backend's
+    first."""
+
+    def __init__(self, model, rolls, tables):
+        self.model, self.vocab, self.rolls, self.tables, self.table = model, model.vocab, rolls, tables, None
+
+    def predict(self, context, block):
+        before, budget = self.table, core.ROW_TABLE_BYTES
+        start = None if before is None else held(before)  # the last pass's rows, indexes and keys included
+        need = len(masked_of(block, self.vocab))
+        preds = self.model.predict(context, block)
+        table = preds.table
+        assert table is self.model._table
+        assert 0 <= min(preds.row) and max(preds.row) < table.size
+        if table is before:
+            assert start <= budget
+        else:
+            assert start is None or start > budget
+            assert table.size <= need  # empty before this pass
+            start = 0
+            if before is not None:
+                self.rolls.append(table)
+            self.table = table
+        self.tables[table] = (start, need * position_worst(self.vocab))
+        return preds
+
+
+def within_a_pass_of_the_budget(tables) -> bool:
+    """Each table of a ``CheckedTables`` map holds at most what it held before
+    its latest pass, at most the budget, and the most that pass could add."""
+    return all(held(table) <= start + most for table, (start, most) in tables.items())
 
 
 class Draws:

@@ -27,13 +27,17 @@ from blockdec.scheduler import generate
 
 from conftest import (
     BACKENDS,
+    CheckedTables,
     CountingDenoiser,
     UniformDenoiser,
     backend_maker,
     chain_model,
+    held,
     masked_of,
     position_probs,
+    position_worst,
     shared_record,
+    within_a_pass_of_the_budget,
 )
 
 
@@ -601,42 +605,6 @@ class TestTableWatermark:
         assert backend.table.size == 1
 
 
-class CheckedTables:
-    """Delegates to a backend and checks every record it returns: the record
-    indexes the backend's current table and its ids lie in that table. A pass
-    may add a row and a sampling index per position, the block's for the
-    Markov backend, the masked ones for the others: at most a dense row, its
-    stats and an index of twice the dense row each, ``worst`` bytes in all. A
-    table is kept while ``worst`` more keep its ``nbytes`` within
-    ``core.ROW_TABLE_BYTES``, else a new, empty table takes the pass.
-    ``tables`` gets each table with the bound its ``nbytes`` must keep, the
-    budget or its first pass's ``worst`` if more; ``rolls`` gets an entry per
-    table after the backend's first."""
-
-    def __init__(self, model, rolls, tables):
-        self.model, self.vocab, self.rolls, self.tables, self.table = model, model.vocab, rolls, tables, None
-
-    def predict(self, context, block):
-        before, budget = self.table, core.ROW_TABLE_BYTES
-        need = len(block) if isinstance(self.model, MarkovDenoiser) else len(masked_of(block, self.vocab))
-        worst = need * (3 * 8 * self.vocab.total_ids + ENTRY_BYTES)
-        nbytes = None if before is None else before.nbytes  # the last pass's rows and indexes included
-        preds = self.model.predict(context, block)
-        table = preds.table
-        assert table is self.model._table
-        assert 0 <= min(preds.row) and max(preds.row) < table.size
-        if table is before:
-            assert nbytes + worst <= budget
-        else:
-            assert nbytes is None or nbytes + worst > budget
-            assert table.size <= need  # empty before this pass
-            self.tables.append((table, max(budget, worst)))
-            if before is not None:
-                self.rolls.append(table)
-            self.table = table
-        return preds
-
-
 RULES = [dict(algorithm="static", steps=3), dict(algorithm="dynamic", tau=0.6),
          dict(algorithm="bacd", tau_h=0.9, tau_l=0.5), dict(algorithm="entropy_bounded", gamma=1.0)]
 
@@ -651,20 +619,20 @@ class TestTableCap:
                 for seed, prompt in enumerate([[1, 2, 3], [7], [30, 31, 32, 33]])]
 
         def outputs(rolls):
-            tables = []
+            tables = {}
             make = backend_maker(kind, lambda backend: CheckedTables(backend, rolls, tables))
             out = []
             for cfg, prompt in runs:
                 result = generate(make(prompt), prompt, cfg)
                 out.append((result, nelbo_estimate(make(prompt), prompt, result.output_tokens, block_size,
                                                    [1.0, 0.7, 0.3], np.random.default_rng(cfg.seed))))
-            assert all(table.nbytes <= bound for table, bound in tables)  # rows, stats and indexes
+            assert within_a_pass_of_the_budget(tables)  # rows, stats, indexes and keys
             return out
 
         fresh_rolls, capped_rolls = [], []
         want = outputs(fresh_rolls)
         # a budget of ``cap`` positions at the most a position can add
-        monkeypatch.setattr(core, "ROW_TABLE_BYTES", cap * (3 * 8 * Vocab(40).total_ids + ENTRY_BYTES))
+        monkeypatch.setattr(core, "ROW_TABLE_BYTES", cap * position_worst(Vocab(40)))
         assert outputs(capped_rolls) == want
         assert fresh_rolls == []  # one table per backend held every run
         assert len(capped_rolls) > 20  # the cap was hit over and over
@@ -673,15 +641,39 @@ class TestTableCap:
         contexts = [(1,), (2,), (3,), (1, 2), (), (1,)]
         fresh = chain_model()
         want = [fresh.distribution(ctx).tobytes() for ctx in contexts]
-        budget = 2 * (3 * 8 * fresh.vocab.total_ids + ENTRY_BYTES)  # two calls at the most a call can add
+        budget = position_worst(fresh.vocab)  # the most one call can add
         monkeypatch.setattr(core, "ROW_TABLE_BYTES", budget)
         capped, tables = chain_model(), []
         for ctx, probs in zip(contexts, want):
+            before, start = capped._table, held(capped._table)
             assert capped.distribution(ctx).tobytes() == probs
-            assert capped._table.nbytes <= budget
+            if capped._table is before:
+                assert start <= budget  # kept only while within the budget
+            else:
+                assert start > budget and capped._table.size == 1
+                start = 0
+            assert held(capped._table) <= start + budget
             if capped._table not in tables:
                 tables.append(capped._table)
         assert len(tables) > 1
+
+    def test_new_aliases_alone_roll_a_table_over(self, monkeypatch):
+        # Once every row is built, a context never seen before still keys the
+        # row it backs off to: a table that only gains such aliases grows
+        # toward size**order keys, and each is charged, so it still rolls over.
+        model = chain_model()
+        for ctx in model._counts:
+            model.distribution(ctx)
+        table, rows, nbytes = model._table, model._table.size, model._table.nbytes
+        unseen = [(a, b) for a in range(40) for b in range(40) if (a, b) not in model._counts and (b,) in model._counts]
+        monkeypatch.setattr(core, "ROW_TABLE_BYTES", held(table) + 10 * ENTRY_BYTES)
+        for ctx in unseen[:11]:
+            backed_off = model.distribution(ctx[1:]).tobytes()  # read first: its key is in the table
+            assert model.distribution(ctx).tobytes() == backed_off
+            assert model._table is table
+        assert (table.size, table.nbytes) == (rows, nbytes)  # no row or index came, only 11 aliases
+        model.distribution(unseen[11])
+        assert model._table is not table and held(table) == core.ROW_TABLE_BYTES + ENTRY_BYTES
 
 
 # Each way a library caller builds a backend, over a given vocab.

@@ -1,7 +1,7 @@
 """Each backend keeps one row table: every distinct distribution enters it
-once, under a key the backend chooses, and a pass that might take the table's
-bytes, its rows, their stats and its sampling indexes, past its one budget
-starts a new table."""
+once, under a key the backend chooses. Before each pass the table is kept while
+the bytes it holds, its rows, their stats, its sampling indexes and its keys,
+are within its one budget; else a new table takes the pass."""
 
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ from blockdec.denoisers import OracleDenoiser, markov_fit
 from blockdec.noise import nelbo_estimate
 from blockdec.scheduler import generate
 
-from conftest import BACKENDS, Draws, FreshTables, backend_maker, charged, table_probs
+from conftest import (BACKENDS, CheckedTables, Draws, FreshTables, backend_maker, charged, held, position_worst,
+                      table_probs, within_a_pass_of_the_budget)
 
 PROMPTS = [[1, 2, 3], [7], [30, 31, 32, 33]]
 RULES = [dict(algorithm="dynamic", tau=0.5, block_size=4), dict(algorithm="bacd", tau_h=0.9, tau_l=0.5, block_size=8),
@@ -108,46 +109,61 @@ def test_an_oracle_over_a_vocab_of_300000_decodes():
         generate(FreshTables(OracleDenoiser(target, vocab, 0.9, 0.8)), (), sampled)
 
 
-def worst(vocab: Vocab) -> int:
-    """The most one position of a pass can add to a table: a row charged
-    dense with its stats, and a sampling index of twice the dense row."""
-    return 3 * 8 * vocab.total_ids + ENTRY_BYTES
-
-
 @pytest.mark.parametrize("size, rows", [(2, 1), (64, 32), (4096, 8), (300000, 1), (300000, 100), (MAX_VOCAB_SIZE, 1)])
-def test_a_new_table_reserves_at_most_the_byte_budget_or_the_pass(size, rows):
-    # A new table takes the pass however wide its rows and holds no bytes
-    # until rows come; it is kept for m more positions while they fit the
-    # byte budget at the most each can add.
+def test_a_new_table_reserves_at_most_the_byte_budget_or_the_pass(monkeypatch, size, rows):
+    # A new table reserves nothing, however wide its rows: it holds no bytes
+    # until a pass adds them and takes that pass whatever it adds, past the
+    # budget too. It is kept into the next pass only while what it holds fits
+    # the budget: here the ``rows`` keys of a pass whose rows it already has.
     vocab = Vocab(size)
-    table = RowTable(vocab).with_room(rows)
-    assert table.size == table.nbytes == 0 and table.vocab == vocab
-    fits = ROW_TABLE_BYTES // worst(vocab)
-    assert table.with_room(fits) is table
-    assert table.with_room(fits + 1) is not table
+    monkeypatch.setattr(core, "ROW_TABLE_BYTES", rows * ENTRY_BYTES)
+    table = RowTable(vocab)
+    assert table.with_room() is table and table.size == table.nbytes == len(table.ids) == 0
+    table.ids.update(((pos,), 0) for pos in range(rows))
+    assert table.with_room() is table
+    table.ids[(rows,)] = 0
+    fresh = table.with_room()
+    assert fresh is not table and fresh.vocab == vocab and fresh.size == fresh.nbytes == len(fresh.ids) == 0
+    monkeypatch.setattr(core, "ROW_TABLE_BYTES", 0)
+    assert fresh.with_room() is fresh
 
 
 def test_the_budget_is_a_whole_number_of_bytes_of_rows(monkeypatch):
-    # wide_vocab's 4,099-wide rows: a table takes 4,078 of them dense, each
-    # charged 32,892 bytes with its stats while one position's worst, 98,476,
-    # still fits; far more stored compact, since it is bounded by the bytes it stores
+    # wide_vocab's 4,099-wide rows: a table is kept into a pass while 4,080 of
+    # them fit, each charged 32,892 bytes dense with its stats, so passes of
+    # one position fill it with 4,081; far more stored compact, since it is
+    # bounded by the bytes it stores
     vocab = Vocab(4096)
-    assert (worst(vocab), 8 * vocab.total_ids + ENTRY_BYTES) == (98476, 32892)
-    assert (ROW_TABLE_BYTES - worst(vocab)) // (8 * vocab.total_ids + ENTRY_BYTES) + 1 == 4078
-    monkeypatch.setattr(core, "ROW_TABLE_BYTES", 3 * worst(vocab) + 1)
+    assert (8 * vocab.total_ids + ENTRY_BYTES, ROW_TABLE_BYTES // 32892) == (32892, 4080)
+    monkeypatch.setattr(core, "ROW_TABLE_BYTES", 6 * 32892)
     dense, compact = RowTable(vocab), RowTable(vocab)
     ramp = np.r_[np.arange(1.0, 4097) / (4096 * 4097 / 2), np.zeros(3)]  # no repeated value: stored dense
-    for _ in range(6):
-        assert dense.with_room(1) is dense
+    while dense.with_room() is dense:
         dense.add(ramp)
-    assert dense.with_room(1) is not dense
-    assert dense.nbytes == 6 * 32892  # 5 rows and one position's worst fit 295,429, so a 6th enters; 6 do not
+    assert dense.nbytes == 7 * 32892  # kept while 6 rows fit, so the 7th pass's row takes it past
     markov = np.r_[np.full(4096, 0.01 / 50.96), np.zeros(3)]
     markov[[5, 77, 900, 4000]] += 12.5 / 50.96  # four successors, each seen 12.5 times
-    while compact.with_room(1) is compact:
+    while compact.with_room() is compact:
         compact.add(markov / markov.sum())
     assert compact.nbytes == compact.size * 8 * ENTRY_BYTES  # 4 successors, 3 special ids, 1 for the dict
-    assert compact.size == 247  # 246 rows of 800 bytes and one position's worst fit, so a 247th enters
+    assert compact.size == 247  # 246 rows of 800 bytes fit 197,352, so a 247th enters
+
+
+def test_a_decode_whose_pass_could_fill_the_table_keeps_one_table(monkeypatch):
+    # As at V = 6,000,000 under the real budget, one position could add more
+    # than the whole budget, were it a new dense row with its index; yet an
+    # oracle's spike rows are stored compact: the table holds a few KB and
+    # serves every pass, where a reservation for the worst took a new one each.
+    vocab = Vocab(4096)
+    monkeypatch.setattr(core, "ROW_TABLE_BYTES", position_worst(vocab) // 2)
+    target = (4095, 0, 2048, 7, 4095, 0)
+    rolls, tables = [], {}
+    den = CheckedTables(OracleDenoiser(target, vocab, 0.9, 0.8), rolls, tables)
+    result = generate(den, (), DecodingConfig(algorithm="dynamic", tau=0.5, block_size=4, max_new_tokens=8))
+    assert result.output_tokens == target + (vocab.eos_id,)
+    assert (result.forward_passes, len(tables), rolls) == (4, 1, [])
+    table = den.table
+    assert table.size == len(table.ids) and held(table) < core.ROW_TABLE_BYTES  # each spike row built once
 
 
 def test_a_new_table_reserves_no_heap():
@@ -177,20 +193,19 @@ def test_a_temperature_sweep_keeps_every_table_within_its_budget(monkeypatch):
     for u in rng.integers(0, 4, 20_000).tolist():
         corpus.append(tok)
         tok = int(succ[tok, u])
-    budget = 40 * worst(vocab)  # five passes of 8 positions at the most each can add
-    monkeypatch.setattr(core, "ROW_TABLE_BYTES", budget)
+    monkeypatch.setattr(core, "ROW_TABLE_BYTES", 40 * position_worst(vocab))  # five passes of 8 at their most
     temperatures = [0.3, 0.5, 0.7, 0.8, 0.9, 1.0, 1.5, 2.0]
     prompts = [corpus[i : i + 4] for i in range(0, 400, 100)]
     runs = [(DecodingConfig(algorithm="dynamic", tau=0.9, block_size=8, temperature=temperature, seed=seed,
                             max_new_tokens=32), prompt)
             for temperature in temperatures for seed, prompt in enumerate(prompts)]
-    shared = Recorder(markov_fit(corpus, 1, 0.01, vocab=vocab))
+    rolls, tables = [], {}
+    shared = CheckedTables(markov_fit(corpus, 1, 0.01, vocab=vocab), rolls, tables)
     fresh = FreshTables(markov_fit(corpus, 1, 0.01, vocab=vocab))
     draws = Draws(monkeypatch)
     for cfg, prompt in runs:
         assert generate(shared, prompt, cfg) == generate(fresh, prompt, cfg)
-    tables = list({id(preds.table): preds.table for preds in shared.records}.values())
-    assert len(tables) > 2
-    assert all(table.nbytes == charged(table, draws.of(table)) <= budget for table in tables)
+    assert len(tables) > 2 and within_a_pass_of_the_budget(tables)
+    assert all(table.nbytes == charged(table, draws.of(table)) for table in tables)
     assert sum(len(set(draws.of(table))) for table in tables) > 8 * len(tables)
 
