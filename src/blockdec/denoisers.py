@@ -181,15 +181,18 @@ def markov_fit(corpus: Sequence[int], order: int, smoothing: float,
                vocab: Vocab | None = None) -> MarkovDenoiser:
     """Count every window of length 1..order over the corpus and build the
     smoothed Markov backend. The unigram table counts all corpus tokens.
-    Each order codes its windows as one int64 array, ``key * size + next``:
-    a one-token prefix's key is its token, a longer one's is its rank among
-    the shorter distinct windows (``np.searchsorted``). One sort per order
-    (``np.unique``) gives the distinct windows and their counts, and only
-    those become Python tuples; the arrays take about 21 bytes a corpus
-    token. No window is longer than the corpus, so a larger ``order`` costs
-    nothing more. Tokens are read through ``operator.index``: ``True``
-    counts as 1, and ``1.5`` or a token past int64 raises ValueError here,
-    not at a later pass."""
+    Each length codes its windows as one int64 array, a token as itself and
+    a longer window as ``code * size + next`` (its digits in base ``size``)
+    while the largest code leaves room below 2**63, an exact check: order 2
+    up to size 2**21, order floor(63 / log2 size) - 1 in general. Where it
+    leaves none, the codes are first ranked among the shorter distinct
+    windows by one ``np.searchsorted`` over the corpus. One sort per length
+    gives the distinct windows and counts; only those become tuples, each
+    finding its prefix's by a ``searchsorted`` into the shorter windows. The
+    arrays peak near 23 bytes a corpus token; an ``order`` past the corpus
+    length costs nothing more. Tokens are read through ``operator.index``:
+    ``True`` counts as 1, and ``1.5`` or a token past int64 raises
+    ValueError here, not at a later pass."""
     if len(corpus) == 0:
         raise ValueError("corpus must be nonempty")
     if order < 1:
@@ -214,14 +217,16 @@ def markov_fit(corpus: Sequence[int], order: int, smoothing: float,
     size = vocab.size
     distinct, runs = np.unique(tokens, return_counts=True)
     counts = {(): dict(zip(distinct.tolist(), runs.tolist()))}
-    contexts = {tok: (tok,) for tok in counts[()]}
-    codes = tokens[:-1] * np.int64(size) + tokens[1:]
+    contexts = [(tok,) for tok in counts[()]]  # one per distinct, sharing the unigram's ints
+    codes = tokens
     for length in range(1, min(order, len(tokens) - 1) + 1):
         if length > 1:
             contexts = [contexts[p] + (t,) for p, t in zip(prefix, nxt)]
-            codes = np.searchsorted(distinct, codes[:-1]) * size + tokens[length:]
+        if int(distinct[-1]) * size + size - 1 >= 1 << 63:  # the next code would wrap: rank it
+            codes, distinct = np.searchsorted(distinct, codes), np.arange(len(distinct))
+        shorter, codes = distinct, codes[:-1] * np.int64(size) + tokens[length:]
         distinct, runs = np.unique(codes, return_counts=True)
-        prefix, nxt = (part.tolist() for part in np.divmod(distinct, size))
+        prefix, nxt = np.searchsorted(shorter, distinct // size).tolist(), (distinct % size).tolist()
         for p, t, cnt in zip(prefix, nxt, runs.tolist()):
             counts.setdefault(contexts[p], {})[t] = cnt
     del tokens, codes, distinct, contexts  # freed before the backend builds its totals

@@ -161,6 +161,14 @@ class TestMarkovFit:
             tracemalloc.stop()
         assert peak / len(corpus) < 97
 
+    def test_contexts_hold_the_unigram_tables_ints(self):
+        # A context's first token is the unigram table's own int, not an equal
+        # new one: an int past 256 is a 28-byte object, kept once per context.
+        corpus = np.random.default_rng(28).integers(300, 340, 5_000).tolist()
+        counts = markov_fit(corpus, 3, 0.01)._counts
+        unigram = {tok: tok for tok in counts[()]}
+        assert all(ctx[0] is unigram[ctx[0]] for ctx in counts if ctx)
+
     def test_a_smoothing_that_overflows_a_denominator_is_refused(self):
         counts = {(): {0: 3, 1: 1}, (0,): {1: 2}}
         # 4 + 1e308 * 4 is inf: every row would have read 0 / inf
