@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -52,6 +53,16 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(tmp_path / "nope.json"))
         assert code == 1
         assert "error:" in err
+
+    def test_the_module_entry_point_exits_with_main(self, tmp_path):
+        # README documents `python3 -m blockdec`; run it as a process so __main__.py executes.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "blockdec", "run", str(tmp_path / "nope.json")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: cannot read experiment ")
 
     def test_bad_json_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -355,6 +355,48 @@ class TestRunExperiment:
             assert len(list(csv.DictReader(fh))) == 8  # 2 grid entries x 2 trials x 2 prompts
         assert reads == [fixture]
 
+    @pytest.mark.parametrize("kind", ["markov", "markov_model", "oracle", "scripted"])
+    def test_each_backend_lives_as_long_as_its_kind_says(self, tmp_path, monkeypatch, kind):
+        # A fitted or loaded model is built once and shared by every run; an
+        # oracle (anchored to its prompt) and a script (it counts blocks) are new per run.
+        (tmp_path / "script.txt").write_text(
+            "".join(f"{b} {s} {p} 0.95 1\n" for b in range(3) for s in range(4) for p in range(4)))
+        save_markov(markov_fit([0, 1, 2, 3, 2, 1] * 20, 1, 0.01), tmp_path / "model.json")
+        tokens = {"prompts": {"kind": "tokens", "values": [[0, 1], [2]]}, "target": None}
+        denoiser = {
+            "markov_model": {"kind": "markov_model", "path": "model.json"},
+            "oracle": {"kind": "oracle", "vocab_size": 8, "target": [3, 4, 5, 6] * 4},
+            "scripted": {"kind": "scripted", "fixture": "script.txt", "vocab_size": 6},
+        }.get(kind)  # markov: write_experiment's own corpus and snippet prompts
+        built, backends = [], []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                built.append(fn(*args, **kwargs))
+                return built[-1]
+            return wrapper
+
+        def recorded(fn):
+            def wrapper(denoiser, *args, **kwargs):
+                backends.append(denoiser)
+                return fn(denoiser, *args, **kwargs)
+            return wrapper
+
+        for name in ("markov_fit", "load_markov"):
+            monkeypatch.setattr(experiment, name, counted(getattr(experiment, name)))
+        for name in ("generate", "generate_tccf"):
+            monkeypatch.setattr(experiment, name, recorded(getattr(experiment, name)))
+        overrides = {"denoiser": denoiser, "task": tokens} if denoiser else {}
+        cfg = load_experiment(write_experiment(tmp_path, **overrides))
+        run_experiment(cfg)
+        assert len(cfg.grid) == cfg.trials == 2 and len(backends) == 8  # 2 grid entries x 2 trials x 2 prompts
+        if kind.startswith("markov"):
+            assert len(built) == 1
+            assert all(backend is built[0] for backend in backends)
+        else:
+            assert built == []
+            assert len({id(backend) for backend in backends}) == len(backends)  # all alive, so ids are unique
+
     def test_prompt_out_of_vocab_rejected(self, tmp_path):
         path = write_experiment(
             tmp_path,
