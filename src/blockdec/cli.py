@@ -13,14 +13,14 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .core import DecodingConfig, Vocab, clipped, parsed, token_array
+from .core import Algorithm, DecodingConfig, Vocab, clipped, lint_config, parsed, token_array
 from .denoisers import ContractViolation, FixtureError, load_scripted
 from .experiment import (
     FLOAT_FIELDS,
     ConfigError,
+    Tokenization,
     config_from_dict,
     ingest_corpus,
-    lint_experiment,
     load_experiment,
     markov_fit,
     run_experiment,
@@ -35,8 +35,9 @@ _INT_PARAMS = {"block_size", "steps", "max_new_tokens"}
 def _run(exp, output_dir) -> int:
     written = run_experiment(exp, output_dir=output_dir)
     # Linted after the run, so a run that fails writes only its error to stderr.
-    for note in lint_experiment(exp):
-        print(f"warning: {note}", file=sys.stderr)
+    for i, entry in enumerate(exp.grid):
+        for note in lint_config(entry):
+            print(f"warning: grid[{i}]: {note}", file=sys.stderr)
     for path in written:
         print(path)
     return 0
@@ -134,8 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit-markov", help="fit and serialize a Markov backend")
     p_fit.add_argument("--corpus", required=True, type=Path)
-    p_fit.add_argument("--tokenization", default="chars",
-                       choices=["chars", "whitespace_ints"])
+    p_fit.add_argument("--tokenization", default="chars", choices=[t.value for t in Tokenization])
     p_fit.add_argument("--order", type=int, default=1)
     p_fit.add_argument("--smoothing", type=float, default=0.01)
     p_fit.add_argument("--out", required=True, type=Path)
@@ -145,8 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--fixture", required=True, type=Path)
     p_replay.add_argument("--vocab-size", required=True, type=int)
     p_replay.add_argument("--prompt", default="", help="comma-separated token ids")
-    p_replay.add_argument("--algorithm", required=True,
-                          choices=["static", "dynamic", "bacd", "entropy_bounded"])
+    p_replay.add_argument("--algorithm", required=True, choices=[a.value for a in Algorithm])
     p_replay.add_argument("--block-size", dest="block_size", type=int, default=4)
     p_replay.add_argument("--steps", type=int, default=None)
     for name in FLOAT_FIELDS:  # an omitted one keeps DecodingConfig's default

@@ -31,8 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (MAX_VOCAB_SIZE, ConfigError, DecodingConfig, TccfConfig, Vocab, clipped, lint_config,
-                   token_array)
+from .core import MAX_VOCAB_SIZE, ConfigError, DecodingConfig, TccfConfig, Vocab, clipped, token_array
 from .denoisers import MarkovDenoiser, OracleDenoiser, ScriptedDenoiser, load_scripted, markov_fit
 from .metrics import Category, RunSummary, aggregate, summarize
 from .scheduler import generate, generate_tccf
@@ -325,57 +324,40 @@ def _build_prompts(spec, corpus: Corpus | None) -> list[tuple[int, ...]]:
     raise ConfigError(f"unknown prompts kind {clipped(repr(kind))}")
 
 
-class _DenoiserFactory:
-    """Builds the per-run backend; shares one fitted backend across runs."""
+def _backends(spec: dict, root: Path):
+    """``(corpus, backend_for)``: the corpus a ``markov`` denoiser is fitted on
+    (``None`` for any other kind) and the function from a run's prompt to its
+    backend. A fitted or loaded model is shared by every run."""
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _DENOISER_KEYS:
+        raise ConfigError(f"unknown denoiser kind {clipped(repr(kind))}")
+    _section(spec, "denoiser", _DENOISER_KEYS[kind])
 
-    def __init__(self, spec: dict, root: Path):
-        kind = spec.get("kind")
-        if not isinstance(kind, str) or kind not in _DENOISER_KEYS:
-            raise ConfigError(f"unknown denoiser kind {clipped(repr(kind))}")
-        _section(spec, "denoiser", _DENOISER_KEYS[kind])
+    def field(key, type_, default=_REQUIRED):
+        return _field(spec, key, type_, default, where="denoiser")
 
-        def field(key, type_, default=_REQUIRED):
-            return _field(spec, key, type_, default, where="denoiser")
-
-        self.kind = kind
-        self.corpus: Corpus | None = None
-        self._shared = None
-        try:
-            if kind == "markov":
-                self.corpus = ingest_corpus(root / field("corpus", str), field("tokenization", str, "chars"))
-                self._shared = markov_fit(
-                    self.corpus.tokens,
-                    order=field("order", int, 1),
-                    smoothing=field("smoothing", float, 0.01),
-                    vocab=self.corpus.vocab,
-                )
-            elif kind == "markov_model":
-                self._shared = load_markov(root / field("path", str))
-            elif kind == "oracle":
-                self.vocab = Vocab(field("vocab_size", int))
-                self.target = _tokens(field("target", list), "denoiser.target")
-                self.base_confidence = field("base_confidence", float, 0.9)
-                self.decay = field("decay", float, 0.9)
-                self.for_run(())  # one up front, so bad fields fail before any run
-            else:
-                self.vocab = Vocab(field("vocab_size", int))
-                self.script = load_scripted(root / field("fixture", str), self.vocab).script  # parsed once
-        except ConfigError:  # it names its place: a field, a corpus or a model file
-            raise
-        except ValueError as exc:  # a backend constructor rejecting a field
-            raise ConfigError(f"bad {kind} denoiser: {exc}") from None
-        if self._shared is not None:
-            self.vocab = self._shared.vocab
-
-    def for_run(self, prompt: tuple[int, ...]):
-        if self._shared is not None:
-            return self._shared
-        if self.kind == "oracle":
-            return OracleDenoiser(
-                self.target, self.vocab, self.base_confidence, self.decay,
-                prompt_len=len(prompt),
-            )
-        return ScriptedDenoiser(self.script, self.vocab)  # a fresh one per run: it counts blocks
+    try:
+        if kind == "markov":
+            corpus = ingest_corpus(root / field("corpus", str), field("tokenization", str, "chars"))
+            model = markov_fit(corpus.tokens, order=field("order", int, 1),
+                               smoothing=field("smoothing", float, 0.01), vocab=corpus.vocab)
+            return corpus, lambda prompt: model
+        if kind == "markov_model":
+            model = load_markov(root / field("path", str))
+            return None, lambda prompt: model
+        if kind == "oracle":
+            vocab = Vocab(field("vocab_size", int))
+            args = (_tokens(field("target", list), "denoiser.target"), vocab,
+                    field("base_confidence", float, 0.9), field("decay", float, 0.9))
+            OracleDenoiser(*args)  # one up front, so bad fields fail before any run
+            return None, lambda prompt: OracleDenoiser(*args, prompt_len=len(prompt))
+        vocab = Vocab(field("vocab_size", int))
+        script = load_scripted(root / field("fixture", str), vocab).script  # parsed once
+        return None, lambda prompt: ScriptedDenoiser(script, vocab)  # a fresh one per run: it counts blocks
+    except ConfigError:  # it names its place: a field, a corpus or a model file
+        raise
+    except ValueError as exc:  # a backend constructor rejecting a field
+        raise ConfigError(f"bad {kind} denoiser: {exc}") from None
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -471,8 +453,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
     produce byte-identical outputs as new files; a failed write leaves none
     of the three.
     """
-    factory = _DenoiserFactory(cfg.denoiser, cfg.root)
-    prompts = _build_prompts(cfg.task["prompts"], factory.corpus)
+    corpus, backend_for = _backends(cfg.denoiser, cfg.root)
+    prompts = _build_prompts(cfg.task["prompts"], corpus)
     summary_rows: list[dict[str, str]] = []
     step_lines: list[str] = []
     cells: dict[int, list[RunSummary]] = {}
@@ -483,7 +465,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
         for trial in range(cfg.trials):
             for prompt_index, prompt in enumerate(prompts):
                 seed = cfg.base_seed + trial * len(prompts) + prompt_index
-                result = runner(factory.for_run(prompt), prompt, replace(grid_cfg, seed=seed))
+                result = runner(backend_for(prompt), prompt, replace(grid_cfg, seed=seed))
                 summary = summarize(result, cfg.target)
                 cells[gi].append(summary)
                 summary_rows.append(dict(
@@ -531,10 +513,3 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
         raise
     return written
 
-
-def lint_experiment(cfg: ExperimentConfig) -> list[str]:
-    notes = []
-    for i, entry in enumerate(cfg.grid):
-        for note in lint_config(entry):
-            notes.append(f"grid[{i}]: {note}")
-    return notes

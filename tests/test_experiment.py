@@ -26,7 +26,6 @@ from blockdec.experiment import (
     Tokenization,
     config_from_dict,
     ingest_corpus,
-    lint_experiment,
     load_experiment,
     load_markov,
     run_experiment,
@@ -548,13 +547,6 @@ class TestLoadExperiment:
         with pytest.raises(ConfigError, match="cannot set 'seed'.*base_seed"):
             load_experiment(path)
         assert config_from_dict(dict(entry, seed=2)).seed == 2  # a lone config keeps its seed
-
-    def test_lint_flags_suspicious_grid(self, tmp_path):
-        path = write_experiment(
-            tmp_path,
-            grid=[{"algorithm": "dynamic", "tau": 1.0, "block_size": 4}])
-        cfg = load_experiment(path)
-        assert lint_experiment(cfg) != []
 
     def test_oracle_experiment_runs(self, tmp_path):
         path = write_experiment(
