@@ -17,6 +17,7 @@ from .core import Algorithm, DecodingConfig, Vocab, clipped, lint_config, parsed
 from .denoisers import ContractViolation, FixtureError, load_scripted
 from .experiment import (
     FLOAT_FIELDS,
+    SEED_RULE,
     ConfigError,
     Tokenization,
     config_from_dict,
@@ -49,8 +50,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.param == "seed":
-        raise ConfigError("cannot sweep 'seed': run seeds derive from base_seed "
-                          "(base_seed + trial * num_prompts + prompt_index)")
+        raise ConfigError(f"cannot sweep 'seed': {SEED_RULE}")
     if args.param not in (*_INT_PARAMS, *FLOAT_FIELDS):
         raise ConfigError(f"cannot sweep {clipped(repr(args.param))}")
     cast = int if args.param in _INT_PARAMS else float

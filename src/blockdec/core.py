@@ -289,8 +289,10 @@ class TccfConfig:
 
     The marker is the token sequence whose appearance ends stage 1; it is
     spliced out and replaced by ``transition`` before stage 2 begins.
-    Stage 1 stops at ``stage1_max_tokens`` or the run's max_new_tokens,
-    whichever is smaller; hitting that cap forces the transition without a marker.
+    Stage 1 ends at the first block boundary at or past ``stage1_max_tokens``
+    or the run's max_new_tokens, whichever is smaller, and a forced transition
+    (no marker by then) lands there: ``splice_position`` can exceed the cap and
+    the output length. An eos inside max_new_tokens ends either stage.
     """
 
     b_think: int

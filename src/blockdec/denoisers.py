@@ -218,8 +218,8 @@ def markov_fit(corpus: Sequence[int], order: int, smoothing: float,
     distinct, runs = np.unique(tokens, return_counts=True)
     counts = {(): dict(zip(distinct.tolist(), runs.tolist()))}
     contexts = [(tok,) for tok in counts[()]]  # one per distinct, sharing the unigram's ints
-    codes = tokens
-    for length in range(1, min(order, len(tokens) - 1) + 1):
+    codes, last = tokens, min(order, len(tokens) - 1)
+    for length in range(1, last + 1):
         if length > 1:
             contexts = [contexts[p] + (t,) for p, t in zip(prefix, nxt)]
         if int(distinct[-1]) * size + size - 1 >= 1 << 63:  # the next code would wrap: rank it
@@ -227,6 +227,8 @@ def markov_fit(corpus: Sequence[int], order: int, smoothing: float,
         shorter, codes = distinct, codes[:-1] * np.int64(size) + tokens[length:]
         distinct, runs = np.unique(codes, return_counts=True)
         prefix, nxt = np.searchsorted(shorter, distinct // size).tolist(), (distinct % size).tolist()
+        if length == last:  # the last length's dicts are the fit's peak: free the arrays first
+            tokens = codes = distinct = shorter = None
         for p, t, cnt in zip(prefix, nxt, runs.tolist()):
             counts.setdefault(contexts[p], {})[t] = cnt
     del tokens, codes, distinct, contexts  # freed before the backend builds its totals

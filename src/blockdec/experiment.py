@@ -37,6 +37,7 @@ from .metrics import Category, RunSummary, aggregate, summarize
 from .scheduler import generate, generate_tccf
 
 FLOAT_FIELDS = ("tau", "tau_h", "tau_l", "gamma", "temperature")  # config fields that take a float
+SEED_RULE = "run seeds derive from base_seed (base_seed + trial * num_prompts + prompt_index)"
 _CONFIG_FIELDS = ("algorithm", "block_size", "steps", "tau", "tau_l", "tau_h", "gamma", "temperature")
 _CONFIG_COLUMNS = [*_CONFIG_FIELDS, "b_think", "b_critic"]
 SUMMARY_COLUMNS = [
@@ -242,6 +243,8 @@ def _field(section: dict, key: str, kind: type, default=_REQUIRED, *, where: str
         return default
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ConfigError(f"{where}.{key} must be {kind.__name__}, not {clipped(repr(value))}")
+    if kind is str and "\0" in value:  # a path field: no file name holds one
+        raise ConfigError(f"{where}.{key} must not contain a NUL byte")
     return float(value) if kind is float else value
 
 
@@ -262,8 +265,7 @@ def config_from_dict(data: dict, keys: set[str] = _CONFIG_KEYS) -> DecodingConfi
     if not isinstance(data, dict):
         raise ConfigError("each grid entry must be an object")
     if "seed" in data and "seed" not in keys:
-        raise ConfigError("a grid entry cannot set 'seed': run seeds derive from base_seed "
-                          "(base_seed + trial * num_prompts + prompt_index)")
+        raise ConfigError(f"a grid entry cannot set 'seed': {SEED_RULE}")
     _section(data, "config", keys)
     if "algorithm" not in data:
         raise ConfigError("config entry is missing 'algorithm'")

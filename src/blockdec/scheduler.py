@@ -5,8 +5,8 @@ finished block into the context for the next one, until eos or the length
 cap. :func:`generate_tccf` runs the same loop in two stages: coarse
 blocks until a marker sequence appears in the committed output, then a
 splice that swaps the marker for a transition sequence, then fine blocks
-to the end. Both are calls of one block loop, :func:`_decode`. Forward
-passes are pooled across stages.
+to the end. Both are calls of one block loop,
+:meth:`GenerationSession.decode`. Forward passes are pooled across stages.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class GenerationSession:
     buf: np.ndarray
     length: int
     records: list[StepRecord] = field(default_factory=list)
-    blocks_emitted: int = 0
 
     @classmethod
     def start(cls, denoiser: Denoiser, prompt, cfg: DecodingConfig) -> "GenerationSession":
@@ -89,52 +88,43 @@ class GenerationSession:
             self.buf = np.resize(self.buf, 2 * self.length)
         self.buf[start : self.length] = tokens
 
-    def decode_next(self, block_size: int) -> list[int]:
-        """Decode one block against the current context and commit it."""
-        context = self.buf[: self.length]
-        context.flags.writeable = False  # the view only; the buffer stays writeable
-        block, recs = decode_block(self.denoiser, context, block_size, self.cfg, self.rng,
-                                   block_index=self.blocks_emitted)
-        self.records.extend(recs)
-        self.blocks_emitted += 1
-        self.splice(len(self.committed), block)
-        return block
+    def decode(self, block_size: int, cap: int,
+               marker: Sequence[int] = ()) -> tuple[StopReason | None, int | None]:
+        """Decode blocks of ``block_size`` until one of three things happens:
+
+        * an eos lands inside the output budget (committed offset below
+          ``max_new_tokens``): truncate after the first one, return ``(EOS, None)``;
+        * ``marker`` completes before any such eos (occurrences spanning block
+          boundaries included): return ``(None, offset of the marker)``;
+        * the committed length reaches ``cap``: return ``(MAX_LENGTH, None)``.
+
+        An eos at or past ``max_new_tokens`` would be cut by the final trim, so
+        it does not end the run.
+        """
+        budget, eos = self.cfg.max_new_tokens, self.denoiser.vocab.eos_id
+        while (start := len(self.committed)) < cap:
+            context = self.buf[: self.length]
+            context.flags.writeable = False  # the view only; the buffer stays writeable
+            block, recs = decode_block(self.denoiser, context, block_size, self.cfg, self.rng,
+                                       block_index=self.records[-1].block_index + 1 if self.records else 0)
+            self.records.extend(recs)
+            self.splice(start, block)
+            eos_at = start + block.index(eos) if eos in block else budget  # >= budget: no eos
+            if marker:
+                # Windows ending before this block already missed the marker.
+                marker_at = find_marker(self.committed, marker, max(0, start - len(marker) + 1))
+                if marker_at is not None and (eos_at >= budget or marker_at + len(marker) <= eos_at):
+                    return None, marker_at
+            if eos_at < budget:
+                self.splice(eos_at + 1)
+                return StopReason.EOS, None
+        return StopReason.MAX_LENGTH, None
 
     def result(self, stop: StopReason, tccf: TccfTrace | None = None) -> GenerationResult:
         """The run so far, trimmed to ``max_new_tokens``."""
         self.splice(self.cfg.max_new_tokens)
         return GenerationResult(output_tokens=tuple(self.committed.tolist()),
                                 steps=tuple(self.records), stop_reason=stop, tccf=tccf)
-
-
-def _decode(session: GenerationSession, block_size: int, cap: int,
-            marker: Sequence[int] = ()) -> tuple[StopReason | None, int | None]:
-    """Decode blocks of ``block_size`` until one of three things happens:
-
-    * an eos lands inside the output budget (committed offset below
-      ``max_new_tokens``): truncate after the first one, return ``(EOS, None)``;
-    * ``marker`` completes before any such eos (occurrences spanning block
-      boundaries included): return ``(None, offset of the marker)``;
-    * the committed length reaches ``cap``: return ``(MAX_LENGTH, None)``.
-
-    An eos at or past ``max_new_tokens`` would be cut by the final trim, so
-    it does not end the run.
-    """
-    budget = session.cfg.max_new_tokens
-    eos = session.denoiser.vocab.eos_id
-    while len(session.committed) < cap:
-        start = len(session.committed)
-        tokens = session.decode_next(block_size)
-        eos_at = start + tokens.index(eos) if eos in tokens else budget  # >= budget: no eos
-        if marker:
-            # Windows ending before this block already missed the marker.
-            marker_at = find_marker(session.committed, marker, max(0, start - len(marker) + 1))
-            if marker_at is not None and (eos_at >= budget or marker_at + len(marker) <= eos_at):
-                return None, marker_at
-        if eos_at < budget:
-            session.splice(eos_at + 1)
-            return StopReason.EOS, None
-    return StopReason.MAX_LENGTH, None
 
 
 def generate(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> GenerationResult:
@@ -150,7 +140,7 @@ def generate(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> GenerationResul
     if cfg.tccf is not None:
         raise ValueError("cfg.tccf is set: use generate_tccf for two-stage runs")
     session = GenerationSession.start(denoiser, prompt, cfg)
-    stop, _ = _decode(session, cfg.block_size, cfg.max_new_tokens)
+    stop, _ = session.decode(cfg.block_size, cfg.max_new_tokens)
     return session.result(stop)
 
 
@@ -161,10 +151,11 @@ def generate_tccf(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> Generation
     output after each block for the marker sequence (occurrences spanning
     block boundaries included). On a hit, the marker and everything after
     it are replaced by the transition sequence and stage 2 takes over with
-    blocks of ``b_critic`` until eos or ``max_new_tokens``. Hitting the
-    stage-1 cap without a marker forces the transition splice instead. An
-    eos that lands before any marker ends the run single-stage, with the
-    trace noting that the critic stage never ran.
+    blocks of ``b_critic`` until eos or ``max_new_tokens``. Stage 1 ends at
+    the first block boundary at or past its cap, and without a marker the
+    splice lands there, so ``splice_position`` can exceed the cap and the
+    output length. An eos inside ``max_new_tokens`` ends either stage; one
+    before any marker leaves the trace noting that the critic never ran.
 
     Length budgets compare the committed length including spliced-in
     transition tokens, so a degenerate config whose marker equals its
@@ -175,14 +166,14 @@ def generate_tccf(denoiser: Denoiser, prompt, cfg: DecodingConfig) -> Generation
         raise ValueError("generate_tccf requires cfg.tccf")
     session = GenerationSession.start(denoiser, prompt, cfg)
     stage1_cap = min(tc.stage1_max_tokens or cfg.max_new_tokens, cfg.max_new_tokens)
-    stop, splice_at = _decode(session, tc.b_think, stage1_cap, tc.marker)
+    stop, splice_at = session.decode(tc.b_think, stage1_cap, tc.marker)
     stage1_passes = len(session.records)
     if stop is StopReason.EOS:
         return session.result(stop, TccfTrace(stage1_passes, 0, None, False))
     forced = splice_at is None
     splice_at = len(session.committed) if forced else splice_at
     session.splice(splice_at, tc.transition)  # bridge into the critic stage
-    stop, _ = _decode(session, tc.b_critic, cfg.max_new_tokens)
+    stop, _ = session.decode(tc.b_critic, cfg.max_new_tokens)
     trace = TccfTrace(stage1_passes=stage1_passes, stage2_passes=len(session.records) - stage1_passes,
                       splice_position=splice_at, forced_splice=forced)
     return session.result(stop, trace)

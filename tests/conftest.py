@@ -320,6 +320,9 @@ def make_result(output, stop=StopReason.MAX_LENGTH, slot_groups=None,
 
 
 BACKENDS = ("markov", "oracle", "scripted")
+# One valid field set per selection rule, for configs drawn over all four.
+RULE_FIELDS = {"static": {"steps": 2}, "dynamic": {"tau": 0.5},
+               "bacd": {"tau_h": 0.9, "tau_l": 0.4}, "entropy_bounded": {"gamma": 0.7}}
 
 
 def chain_model(vocab_size=40, order=2):

@@ -349,6 +349,9 @@ UNCOVERED = {
     "grid_entry_list": ({"grid": [[1]]}, "each grid entry must be an object"),
     "whitespace_ints_corpus_empty": (markov_spec(corpus="blank.txt", tokenization="whitespace_ints"),
                                      "blank.txt is empty"),
+    # Path would raise "embedded null byte" from mkdir or unlink, the directory made first.
+    "output_dir_with_nul": ({"output": {"dir": "o\0ut"}}, "output.dir must not contain a NUL byte"),
+    "output_prefix_with_nul": ({"output": {"prefix": "t\0"}}, "output.prefix must not contain a NUL byte"),
 }
 
 
@@ -361,6 +364,7 @@ def test_uncovered_experiment_error_is_config_error(tmp_path, capsys, overrides,
     code, out, err = run_cli(capsys, "run", str(exp))
     assert (code, out) == (1, "")
     assert err.startswith("error:") and fragment in err
+    assert not (tmp_path / "out").exists()
 
 
 # A 5,000-character bad value in a corpus field, a prompt token list, a

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockdec.core import DecodingConfig, StopReason, TccfConfig, Vocab
+from blockdec.core import DecodingConfig, StopReason, TccfConfig, TccfTrace, Vocab
 from blockdec.denoisers import OracleDenoiser, ScriptedDenoiser
 from blockdec.scheduler import find_marker, generate, generate_tccf
 
-from conftest import full_random_script
+from conftest import RULE_FIELDS, full_random_script
 
 
 def dyn_cfg(**kw):
@@ -359,6 +359,18 @@ class TestOutputBudget:
         assert (res.forward_passes, res.generated_slots) == (4, 16)
         assert res.tccf.forced_splice and res.tccf.splice_position == 16
 
+    def test_an_eos_past_the_stage_one_cap_ends_the_run_single_stage(self):
+        # Stage 1 ends at the first block boundary at or past its cap, offset
+        # 16 for a cap of 10, so an eos at offset 12 inside the budget ends it.
+        vocab = Vocab(8)
+        target = [3, 1, 4, 1, 5, 2, 6, 5, 3, 5, 0, 2]
+        tccf = TccfConfig(b_think=8, b_critic=2, marker=(7, 7), transition=(0,), stage1_max_tokens=10)
+        res = generate_tccf(oracle(vocab, target, base=0.95), [],
+                            dyn_cfg(tau=0.5, block_size=8, max_new_tokens=32, tccf=tccf))
+        assert res.output_tokens == (*target, vocab.eos_id)
+        assert (res.stop_reason, res.generated_slots) == (StopReason.EOS, 16)
+        assert res.tccf == TccfTrace(res.forward_passes, 0, None, False)
+
     def test_eos_on_the_last_budget_slot_ends_the_run(self):
         vocab = Vocab(10)
         res = generate(oracle(vocab, [3, 1, 4]), [], dyn_cfg(max_new_tokens=4))
@@ -366,8 +378,6 @@ class TestOutputBudget:
         assert res.stop_reason is StopReason.EOS
 
 
-RULE_FIELDS = {"static": {"steps": 2}, "dynamic": {"tau": 0.5},
-               "bacd": {"tau_h": 0.9, "tau_l": 0.4}, "entropy_bounded": {"gamma": 0.7}}
 ORDINARY = st.integers(0, 5)
 
 
