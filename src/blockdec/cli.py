@@ -3,7 +3,7 @@
 Subcommands: ``run`` executes an experiment file, ``sweep`` expands one
 hyperparameter over a value list, ``fit-markov`` fits and serializes a
 Markov backend, ``replay`` decodes a scripted fixture and prints the
-per-step trace. Exit codes: 0 success, 1 config error, 2 runtime fault.
+per-step trace. Exit codes: 0 success, 1 config or command-line error, 2 runtime fault.
 """
 
 from __future__ import annotations
@@ -112,6 +112,10 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+def _refuse(message: str):
+    raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockdec",
@@ -153,12 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--max-new-tokens", dest="max_new_tokens", type=int, default=16)
     p_replay.add_argument("--seed", type=int, default=0)
     p_replay.set_defaults(func=_cmd_replay)
+    for each in (parser, *sub.choices.values()):  # a malformed command line is an error: line, not usage and exit 2
+        each.error = _refuse
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from itertools import chain
@@ -65,80 +64,71 @@ class Corpus:
 
 # Bytes of a whitespace_ints corpus parsed at a time, cut after a newline.
 CORPUS_CHUNK = 1 << 16
-# A byte's digit value; -1 for ASCII whitespace, 127 for any other byte.
-_DIGITS = np.array([b - 48 if 48 <= b < 58 else -1 if b in b"\t\n\v\f\r " else 127 for b in range(256)], np.int8)
+# A byte's digit value; -1 for ASCII whitespace, 10 for any other byte.
+_DIGITS = np.array([b - 48 if 48 <= b < 58 else -1 if b in b"\t\n\v\f\r " else 10 for b in range(256)], np.int8)
 
 
-def _ascii_ints(data: bytes) -> Corpus | None:
-    """``data``'s corpus if it is ASCII digits and whitespace, no field over 9 digits or out of range."""
+def _whitespace_ints(data: bytes, path) -> tuple[tuple[int, ...], int]:
+    """``data``'s tokens and max + 1, parsed in numpy ``CORPUS_CHUNK`` bytes at a time."""
     chunks, end = [], 0
     while (start := end) < len(data):
         end = data.find(b"\n", start + CORPUS_CHUNK) + 1 or len(data)
         digits = _DIGITS[np.frombuffer(data, np.uint8, end - start, start)]
         edges = np.flatnonzero(np.diff(digits >= 0, prepend=False, append=False))
         starts, widths = edges[::2], edges[1::2] - edges[::2]
-        if digits.max(initial=0) > 9 or widths.max(initial=0) > 9:
-            return None
         value = digits[starts].astype(np.int32)
         for k in range(1, widths.max(initial=0)):  # Horner steps; a shorter field keeps its value
             value = np.where(widths > k, value * 10 + digits[starts + k * (widths > k)], value)
+            if k >= 8:  # held there from the 9th digit on: it cannot wrap, and 0…07 still reads 7
+                np.minimum(value, MAX_VOCAB_SIZE, out=value)
+        if digits.max(initial=0) > 9 or value.max(initial=0) >= MAX_VOCAB_SIZE:
+            i = int(((np.maximum.reduceat(digits, starts) > 9) | (value >= MAX_VOCAB_SIZE)).argmax())
+            raise _bad_field(path, data, start + starts[i], start + edges[2 * i + 1])
         chunks.insert(0, value)  # last first: popped as the tuple grows, each freed once copied
     top = max((int(c.max(initial=-1)) for c in chunks), default=-1)
-    tokens = tuple(chain.from_iterable(chunks.pop().tolist() for _ in range(len(chunks))))
-    return Corpus(tokens, Vocab(max(2, top + 1))) if 0 <= top < MAX_VOCAB_SIZE else None
+    return tuple(chain.from_iterable(chunks.pop().tolist() for _ in range(len(chunks)))), top + 1
+
+
+def _bad_field(path, data: bytes, start: int, end: int) -> ConfigError:
+    """The error naming ``data[start:end]``, the first bad field; a file not UTF-8 raises UnicodeDecodeError."""
+    text, field = data.decode("utf-8"), data[start:end].decode("utf-8")
+    line = len(text[: start + 1].splitlines())  # all before the field is ASCII: byte start is character start
+    number = field.removeprefix("-")
+    if not (number.isascii() and number.isdigit()):
+        return ConfigError(f"corpus {path}: line {line}: {clipped(repr(field))} is not an integer")
+    if number != field:
+        return ConfigError(f"corpus {path}: line {line}: negative token {clipped(field)}")
+    return ConfigError(f"corpus token {clipped(field, f'{len(field)} digits')} outside the ordinary range "
+                       f"[0, {MAX_VOCAB_SIZE}) of the widest vocab (corpus {path}, line {line})")
 
 
 def ingest_corpus(path, tokenization: Tokenization) -> Corpus:
     """Read a corpus file into token ids.
 
-    ``chars`` assigns ids by first appearance, one per distinct character;
-    ``whitespace_ints`` reads whitespace-separated fields, each what ``int()``
-    accepts (one too long for it is out of range), in ``[0, MAX_VOCAB_SIZE)``,
-    and sizes the vocab as max + 1. The first bad field raises :class:`ConfigError`
-    naming its line. A file of ASCII digits and ``\\t\\n\\v\\f\\r`` or space only, no field
-    over 9 digits, is parsed in numpy, ``CORPUS_CHUNK`` bytes at a time (traced peak
-    3.1 MB for 200,000 V=64 tokens; 3.8 MB in the ``int()`` loop that parses any other).
+    ``chars`` assigns ids by first appearance, one per distinct character.
+    ``whitespace_ints`` reads fields of ASCII digits separated by ASCII
+    whitespace (``\\t\\n\\v\\f\\r`` and space), each in ``[0, MAX_VOCAB_SIZE)``
+    at any width, and sizes the vocab as max + 1; the first bad field in file
+    order raises :class:`ConfigError` naming its line, numbered as
+    ``str.splitlines`` numbers it. The parse runs in numpy, ``CORPUS_CHUNK``
+    bytes at a time (traced peak 3.1 MB for 200,000 V=64 tokens).
     """
     try:
         tokenization = Tokenization(tokenization)
     except ValueError:
         raise ConfigError(f"unknown tokenization {clipped(repr(tokenization))}") from None
     try:
-        if tokenization is Tokenization.CHARS:
-            text = Path(path).read_text(encoding="utf-8")
-        elif corpus := _ascii_ints(data := Path(path).read_bytes()):
-            return corpus
+        if tokenization is Tokenization.WHITESPACE_INTS:
+            tokens, size = _whitespace_ints(Path(path).read_bytes(), path)
         else:
-            text = data.decode("utf-8")  # read_text's newline translation moves no field or line
+            ids: dict[str, int] = {}
+            tokens = tuple([ids.setdefault(ch, len(ids)) for ch in Path(path).read_text(encoding="utf-8")])
+            size = len(ids)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read corpus {path}: {exc}") from exc
-
-    if tokenization is Tokenization.CHARS:
-        ids: dict[str, int] = {}
-        tokens = [ids.setdefault(ch, len(ids)) for ch in text]
-        if not tokens:
-            raise ConfigError(f"corpus {path} is empty")
-        return Corpus(tuple(tokens), Vocab(max(2, len(ids))))
-
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for field in line.split():
-            try:
-                value = int(field)
-            except ValueError:
-                if not re.fullmatch(r"[+-]?\d+(_\d+)*", field):
-                    raise ConfigError(f"corpus {path}: line {lineno}: {clipped(repr(field))} is not an integer")
-                value = MAX_VOCAB_SIZE  # a literal too long for int()
-            if value < 0:
-                raise ConfigError(f"corpus {path}: line {lineno}: negative token {value}")
-            if value >= MAX_VOCAB_SIZE:
-                shown = clipped(field, f"{sum(map(str.isdecimal, field))} digits")
-                raise ConfigError(f"corpus token {shown} outside the ordinary range [0, {MAX_VOCAB_SIZE}) "
-                                  f"of the widest vocab (corpus {path}, line {lineno})")
-            tokens.append(value)
     if not tokens:
         raise ConfigError(f"corpus {path} is empty")
-    return Corpus(tuple(tokens), Vocab(max(2, max(tokens) + 1)))
+    return Corpus(tokens, Vocab(max(2, size)))
 
 
 def _new_file(path):
@@ -321,7 +311,10 @@ def _build_prompts(spec, corpus: Corpus | None) -> list[tuple[int, ...]]:
         if length > len(corpus.tokens):
             raise ConfigError("corpus_snippets length exceeds the corpus")
         rng = np.random.default_rng(seed)
-        starts = rng.integers(0, len(corpus.tokens) - length + 1, size=count)
+        try:
+            starts = rng.integers(0, len(corpus.tokens) - length + 1, size=count)
+        except ValueError as exc:  # numpy refuses a count past its largest array without allocating
+            raise MemoryError(str(exc)) from None
         return [tuple(corpus.tokens[s : s + length]) for s in starts]
     raise ConfigError(f"unknown prompts kind {clipped(repr(kind))}")
 
@@ -486,8 +479,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
         for row in aggregate(cells)
     ]
     out_dir = Path(output_dir) if output_dir is not None else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)  # only now: a refused run leaves no directory
     written = [out_dir / f"{cfg.prefix}_{name}" for name in ("summary.csv", "aggregate.csv", "steps.jsonl")]
+    written[0].parent.mkdir(parents=True, exist_ok=True)  # only now: a refused run leaves no directory
     created: list[Path] = []
     try:
         first_error = None

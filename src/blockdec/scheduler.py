@@ -44,7 +44,7 @@ class GenerationSession:
     """Mutable state threaded through one generation.
 
     Prompt + committed tokens live in one int64 buffer, ``buf[:length]``,
-    sized from the config and grown geometrically if a run outgrows it;
+    sized for prompt + output + the widest block, grown geometrically past it;
     eos truncation and the TCCF splice are :meth:`splice` calls on it. The
     committed tokens never contain mask tokens: blocks land here only after
     they are fully decoded. Also keeps the pooled step log.
@@ -69,7 +69,8 @@ class GenerationSession:
         if len(tokens) and (tokens.min() < 0 or tokens.max() >= denoiser.vocab.size):
             raise ConfigError(f"prompt or tccf token outside the ordinary range [0, {denoiser.vocab.size})")
         try:
-            buf = np.empty(len(prompt) + cfg.max_new_tokens + cfg.block_size, dtype=np.int64)
+            blocks = (cfg.block_size, cfg.tccf.b_think, cfg.tccf.b_critic) if cfg.tccf else (cfg.block_size,)
+            buf = np.empty(len(prompt) + cfg.max_new_tokens + max(blocks), dtype=np.int64)
         except ValueError as exc:  # numpy refuses a length past its largest array without allocating
             raise MemoryError(str(exc)) from None
         buf[: len(prompt)] = prompt

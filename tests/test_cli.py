@@ -112,6 +112,14 @@ class TestRun:
         assert len(outputs["markov"]) == 3
         assert outputs["markov_model"] == outputs["markov"]
 
+    def test_a_prefix_with_a_subdirectory_writes_there(self, tmp_path, capsys):
+        # the output directory was made, not the prefix's own: the first open failed
+        exp = write_experiment(tmp_path, output={"dir": "out", "prefix": "sub/x"})
+        code, out, err = run_cli(capsys, "run", str(exp))
+        assert (code, err) == (0, "")
+        written = [tmp_path / "out" / "sub" / f"x_{name}" for name in ("summary.csv", "aggregate.csv", "steps.jsonl")]
+        assert out.splitlines() == list(map(str, written)) and all(path.is_file() for path in written)
+
     def test_output_dir_flag(self, tmp_path, capsys):
         exp = write_experiment(tmp_path)
         code, out, _ = run_cli(capsys, "run", str(exp),
@@ -477,6 +485,39 @@ def test_a_buffer_past_numpys_largest_array_is_an_error_line(tmp_path, capsys):
     code, out, err = run_cli(capsys, "sweep", str(exp), "--param", "max_new_tokens", "--values", str(10**60))
     assert (code, out, err) == (1, "", "error: out of memory: Maximum allowed dimension exceeded\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides", [{"task": {"prompts": {"kind": "corpus_snippets", "count": 10**30}}},
+                                       tccf_grid(b_think=10**30), tccf_grid(b_critic=10**30)],
+                         ids=["snippet_count", "b_think", "b_critic"])
+def test_a_count_or_block_past_numpys_largest_array_is_an_error_line(tmp_path, capsys, overrides):
+    # they ended in a ValueError and an OverflowError traceback
+    code, out, err = run_cli(capsys, "run", str(write_experiment(tmp_path, **overrides)))
+    assert (code, out, err) == (1, "", "error: out of memory: Maximum allowed dimension exceeded\n")
+    assert not (tmp_path / "out").exists()
+
+
+# argparse printed its usage and exited 2, the code of a runtime fault.
+MALFORMED_COMMAND_LINES = {
+    "order_not_int": ["fit-markov", "--corpus", "c.txt", "--out", "m.json", "--order", "abc"],
+    "run_without_file": ["run"],
+    "unknown_algorithm": ["replay", "--fixture", "f.txt", "--vocab-size", "8", "--algorithm", "nope"],
+    "no_subcommand": [],
+    "unknown_subcommand": ["nope"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_COMMAND_LINES.values(), ids=MALFORMED_COMMAND_LINES.keys())
+def test_a_malformed_command_line_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "usage" not in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit-markov", "--help"])
+    assert exc.value.code == 0 and "--tokenization" in capsys.readouterr().out
 
 
 FUZZ_BASE = {

@@ -1,10 +1,9 @@
 """Differential test of ``ingest_corpus``'s ``whitespace_ints`` parse against
-the per-line ``int()`` loop it replaced (``corpus_reference``), and the parse's
-traced memory."""
+a per-line Python reader of the same grammar (``corpus_reference``), and the
+parse's traced memory."""
 
 from __future__ import annotations
 
-import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -14,13 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdec import experiment
-from blockdec.experiment import MAX_VOCAB_SIZE, ConfigError, ingest_corpus
+from blockdec.experiment import ConfigError, ingest_corpus
 
 from corpus_reference import reference_whitespace_ints
 
 DIGITS = "0123456789"
-# Fields of the numpy path, each width with and without leading zeros (the
-# 10-digit and longer ones leave it), and fields only int() reads or refuses.
+# Fields of ASCII digits, each width with and without leading zeros (those
+# past 8 significant digits are out of range), and fields the grammar refuses:
+# int() reads +5, 1_0, -0 and ٣, and str.split cuts at \x1c, \x85 and \xa0,
+# but each of these is a bad field here that names its line.
 ASCII_FIELDS = st.one_of(
     st.integers(0, 999).map(str),
     st.text(DIGITS, min_size=8, max_size=10),
@@ -29,22 +30,19 @@ ASCII_FIELDS = st.one_of(
                      str(2**32 + 5)]),  # past int32, it wraps to 5
 )
 OTHER_FIELDS = st.sampled_from([
-    "+5", "1_0", "-0", "-3", "٣", "٣٣", "1__0", "_1", "1_", "+", "-", "x", "5a", "+-5", "0x10",
+    "+5", "1_0", "-0", "-00", "-3", "٣", "٣٣", "1__0", "_1", "1_", "+", "-", "x", "5a", "+-5", "0x10",
     "9" * 4301, "-" + "9" * 4301, "0" * 4301, "9" * 4301 + "x",
 ])
 ASCII_SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", "\r", "\v", "\f", "\n\n", " \n\t\n"]
 OTHER_SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", " ", "\xa0"]
-INT_LITERAL = re.compile(r"[+-]?\d+(_\d+)*")
 
 
 @st.composite
 def corpus_texts(draw):
     """Fields joined by whitespace, with blank lines and leading or trailing
-    whitespace. An ``ascii`` text takes only ASCII digits and whitespace, so it
-    stays on the numpy path unless a field is too wide or out of range; a
-    ``mixed`` one also draws fields and separators only ``int()`` and
-    ``str.split`` read. ``long`` repeats the fields so that the text spans
-    several chunks."""
+    whitespace. An ``ascii`` text takes only ASCII digits and whitespace; a
+    ``mixed`` one also draws fields and separators the grammar refuses.
+    ``long`` repeats the fields so that the text spans several chunks."""
     shape = draw(st.sampled_from(["ascii", "mixed", "long"]))
     fields = ASCII_FIELDS if shape != "mixed" else st.one_of(ASCII_FIELDS, OTHER_FIELDS)
     separators = ASCII_SEPARATORS if shape != "mixed" else ASCII_SEPARATORS + OTHER_SEPARATORS
@@ -63,51 +61,6 @@ def outcome(ingest, path):
     return corpus.tokens, corpus.vocab
 
 
-def reference_outcome(path):
-    """The reference's outcome, with a field it calls "not an integer" shown
-    as its ``repr``, or past 24 characters as the first 12 of that and its
-    length (the reference echoed every character)."""
-    got = outcome(reference_whitespace_ints, path)
-    if not isinstance(got, str):
-        return got
-
-    def clip(m):
-        shown = m[2] if len(m[2]) <= 24 else f"{m[2][:12]}… ({len(m[2])} characters)"
-        return f"{m[1]}{shown} is not an integer"
-
-    return re.sub(r"^(.*: line \d+: )(.+) is not an integer$", clip, got)
-
-
-def fixed_reference(path, text: str):
-    """:func:`reference_outcome`, with one more deliberate difference: the
-    first field, in file order, that is past the widest vocab or a literal too
-    long for ``int()`` raises at its position, naming its line and showing a
-    field over 24 characters as a 12-character prefix and its digit count (the
-    reference called a too-long literal "not an integer" and named the largest
-    token, with no line, after the loop). The reference read up to that field
-    gives any earlier error."""
-    lines = text.splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        fields = line.split()
-        for i, field in enumerate(fields):
-            try:
-                out = int(field) >= MAX_VOCAB_SIZE
-            except ValueError:
-                out = INT_LITERAL.fullmatch(field) is not None
-            if not out:
-                continue
-            before = Path(path).with_suffix(".before")
-            before.write_text("\n".join(lines[: lineno - 1] + [" ".join(fields[:i]), "0"]), encoding="utf-8")
-            earlier = reference_outcome(before)
-            if isinstance(earlier, str):
-                return earlier.replace(str(before), str(path))
-            digits = sum(map(str.isdecimal, field))
-            shown = field if len(field) <= 24 else f"{field[:12]}… ({digits} digits)"
-            return (f"corpus token {shown} outside the ordinary range [0, {MAX_VOCAB_SIZE}) "
-                    f"of the widest vocab (corpus {path}, line {lineno})")
-    return reference_outcome(path)
-
-
 @settings(max_examples=400, deadline=None)
 @given(text=corpus_texts(), chunk=st.sampled_from([1, 2, 3, 7, 16, 64, experiment.CORPUS_CHUNK]),
        bad_byte=st.booleans())
@@ -122,7 +75,7 @@ def test_the_parse_matches_the_per_line_loop(text, chunk, bad_byte):
             got = outcome(lambda p: ingest_corpus(p, "whitespace_ints"), path)
         finally:
             experiment.CORPUS_CHUNK = saved
-        want = reference_outcome(path) if bad_byte else fixed_reference(path, text)
+        want = outcome(reference_whitespace_ints, path)
     assert got == want
     if not isinstance(got, str):
         assert {type(tok) for tok in got[0]} == {int}
